@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use trajdp_bench::standard_world;
 use trajdp_core::freq::FrequencyAnalysis;
-use trajdp_core::global::perturb_tf;
+use trajdp_core::global::perturb_tf_shard;
 use trajdp_core::local::{perturb_pf, select_point_list, LocalOptions};
 use trajdp_mech::{Laplace, LaplaceMechanism};
 
@@ -35,8 +35,12 @@ fn bench_perturbation(c: &mut Criterion) {
     let analysis = FrequencyAnalysis::compute(&world.dataset, 10);
     let mut g = c.benchmark_group("frequency-perturbation");
     g.bench_function("global-tf", |b| {
-        let mut rng = StdRng::seed_from_u64(3);
-        b.iter(|| black_box(perturb_tf(&analysis, 0.5, &mut rng).expect("valid")))
+        let candidates = analysis.candidate_points();
+        let mut seed = 3u64;
+        b.iter(|| {
+            seed += 1;
+            black_box(perturb_tf_shard(&analysis, &candidates, 0, 0.5, seed).expect("valid"))
+        })
     });
     g.bench_function("local-pf-per-trajectory", |b| {
         let mut rng = StdRng::seed_from_u64(4);

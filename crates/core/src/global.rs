@@ -10,8 +10,8 @@
 use crate::editor::DatasetEditor;
 use crate::freq::FrequencyAnalysis;
 use crate::indexkind::IndexKind;
+use crate::pool::map_chunks;
 use crate::stream::{stream_rng, PHASE_GLOBAL};
-use rand::Rng;
 use std::collections::HashMap;
 use trajdp_index::SearchStats;
 use trajdp_mech::{round_to_range, LaplaceMechanism, MechError};
@@ -54,24 +54,6 @@ pub struct GlobalReport {
     pub timings: StageTimings,
 }
 
-/// Draws the perturbed TF distribution `L*` (Algorithm 1, lines 1–6)
-/// without modifying any trajectory.
-pub fn perturb_tf<R: Rng + ?Sized>(
-    analysis: &FrequencyAnalysis,
-    epsilon: f64,
-    rng: &mut R,
-) -> Result<HashMap<PointKey, u64>, MechError> {
-    let mech = LaplaceMechanism::new(epsilon, 1.0)?;
-    let n = analysis.dataset_size as u64;
-    let mut out = HashMap::with_capacity(analysis.candidate_tf.len());
-    for p in analysis.candidate_points() {
-        let l = analysis.candidate_tf[&p] as f64;
-        let noisy = mech.randomize(l, rng);
-        out.insert(p, round_to_range(noisy, 0, n));
-    }
-    Ok(out)
-}
-
 /// Perturbs the TF of one contiguous shard of the sorted candidate set
 /// using **per-point RNG streams** derived from the root seed.
 ///
@@ -98,17 +80,6 @@ pub fn perturb_tf_shard(
     Ok(out)
 }
 
-/// Draws the full perturbed TF distribution with per-point streams —
-/// the single-shard case of [`perturb_tf_shard`].
-pub fn perturb_tf_streamed(
-    analysis: &FrequencyAnalysis,
-    epsilon: f64,
-    root_seed: u64,
-) -> Result<HashMap<PointKey, u64>, MechError> {
-    let candidates = analysis.candidate_points();
-    Ok(perturb_tf_shard(analysis, &candidates, 0, epsilon, root_seed)?.into_iter().collect())
-}
-
 /// One planned inter-trajectory edit of [`realize_tf`].
 enum EditStep {
     /// Raise the TF of the point by the given amount.
@@ -121,10 +92,9 @@ enum EditStep {
 /// deterministically edits the dataset until it realizes `perturbed`.
 ///
 /// This phase draws no randomness — given the perturbed targets it is a
-/// pure function of the dataset, so it runs the same whether the targets
-/// came from the serial or the sharded perturbation path, and it
-/// parallelizes deterministically over `workers` threads: the exact-loss
-/// candidate scans inside each edit are chunked (see
+/// pure function of the dataset, however the perturbation was sharded,
+/// and it parallelizes deterministically over `workers` threads: the
+/// exact-loss candidate scans inside each edit are chunked (see
 /// [`DatasetEditor`]), and consecutive TF decreases whose containing
 /// trajectory sets are pairwise disjoint — whose edits provably cannot
 /// interact — are scanned concurrently against a shared snapshot before
@@ -210,16 +180,15 @@ pub fn realize_tf(
                     // Scan all batch members concurrently against the
                     // shared snapshot, then apply in candidate order.
                     let snapshot = &editor;
-                    let victims: Vec<Vec<usize>> =
-                        crate::pool::map_chunks(workers, &batch, |_, chunk| {
-                            chunk
-                                .iter()
-                                .map(|&(p, delta)| snapshot.decrease_victims(p, delta, 1))
-                                .collect::<Vec<_>>()
-                        })
-                        .into_iter()
-                        .flatten()
-                        .collect();
+                    let victims: Vec<Vec<usize>> = map_chunks(workers, &batch, |_, chunk| {
+                        chunk
+                            .iter()
+                            .map(|&(p, delta)| snapshot.decrease_victims(p, delta, 1))
+                            .collect::<Vec<_>>()
+                    })
+                    .into_iter()
+                    .flatten()
+                    .collect();
                     for ((p, _), v) in batch.iter().zip(&victims) {
                         editor.apply_decrease(*p, v);
                     }
@@ -245,28 +214,17 @@ pub fn realize_tf(
     (out, report)
 }
 
-/// Runs the full global mechanism: TF perturbation followed by
-/// inter-trajectory modification (`GlobalEdit`, Algorithm 1 line 7).
+/// Runs the full global mechanism: TF perturbation (Algorithm 1, lines
+/// 1–6) followed by inter-trajectory modification (`GlobalEdit`, line 7).
 ///
-/// The returned dataset realizes the perturbed TF distribution for every
+/// The sorted candidate set is cut into one contiguous shard per worker
+/// and each shard perturbed by [`perturb_tf_shard`] with per-point
+/// streams; the merged targets are then realized by [`realize_tf`] over
+/// the same worker count. The output is therefore identical at every
+/// `workers`, and `workers == 1` runs inline on the calling thread. The
+/// returned dataset realizes the perturbed TF distribution for every
 /// candidate point, up to saturation (a TF cannot exceed `|D|` or drop
 /// below the available occurrences).
-pub fn apply_global<R: Rng + ?Sized>(
-    ds: &Dataset,
-    analysis: &FrequencyAnalysis,
-    epsilon: f64,
-    kind: IndexKind,
-    bbox_pruning: bool,
-    workers: usize,
-    rng: &mut R,
-) -> Result<(Dataset, GlobalReport), MechError> {
-    let perturbed = perturb_tf(analysis, epsilon, rng)?;
-    Ok(realize_tf(ds, analysis, &perturbed, kind, bbox_pruning, workers))
-}
-
-/// [`apply_global`] with per-point RNG streams instead of a shared
-/// generator — the entry point the pipeline and the parallel executor
-/// share, guaranteeing identical output for a fixed root seed.
 pub fn apply_global_streamed(
     ds: &Dataset,
     analysis: &FrequencyAnalysis,
@@ -276,16 +234,29 @@ pub fn apply_global_streamed(
     workers: usize,
     root_seed: u64,
 ) -> Result<(Dataset, GlobalReport), MechError> {
-    let perturbed = perturb_tf_streamed(analysis, epsilon, root_seed)?;
+    let candidates = analysis.candidate_points();
+    let shards = map_chunks(workers, &candidates, |lo, chunk| {
+        perturb_tf_shard(analysis, chunk, lo, epsilon, root_seed)
+    });
+    let mut perturbed = HashMap::with_capacity(candidates.len());
+    for shard in shards {
+        perturbed.extend(shard?);
+    }
     Ok(realize_tf(ds, analysis, &perturbed, kind, bbox_pruning, workers))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use trajdp_model::{Point, Sample, Trajectory};
+
+    /// The whole perturbed TF distribution as a single shard.
+    fn perturb_all(fa: &FrequencyAnalysis, epsilon: f64, seed: u64) -> HashMap<PointKey, u64> {
+        perturb_tf_shard(fa, &fa.candidate_points(), 0, epsilon, seed)
+            .unwrap()
+            .into_iter()
+            .collect()
+    }
 
     fn traj(id: u64, pts: &[(f64, f64)]) -> Trajectory {
         Trajectory::new(
@@ -310,9 +281,8 @@ mod tests {
     fn perturb_tf_stays_in_range() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let mut rng = StdRng::seed_from_u64(3);
         // Tiny ε → huge noise; rounding must still clamp to [0, |D|].
-        let p = perturb_tf(&fa, 0.01, &mut rng).unwrap();
+        let p = perturb_all(&fa, 0.01, 3);
         for &v in p.values() {
             assert!(v <= d.len() as u64);
         }
@@ -322,18 +292,19 @@ mod tests {
     #[test]
     fn perturb_tf_rejects_bad_epsilon() {
         let fa = FrequencyAnalysis::compute(&ds(), 2);
-        let mut rng = StdRng::seed_from_u64(3);
-        assert!(perturb_tf(&fa, 0.0, &mut rng).is_err());
-        assert!(perturb_tf(&fa, -1.0, &mut rng).is_err());
+        let candidates = fa.candidate_points();
+        for epsilon in [0.0, -1.0, f64::NAN, 1e-320] {
+            let out = perturb_tf_shard(&fa, &candidates, 0, epsilon, 3);
+            assert!(matches!(out, Err(MechError::NonPositiveEpsilon { .. })), "{epsilon:e}");
+        }
     }
 
     #[test]
     fn perturb_tf_concentrates_with_large_epsilon() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let mut rng = StdRng::seed_from_u64(5);
         // ε = 1000 → noise ≈ 0 → rounded TF equals the original.
-        let p = perturb_tf(&fa, 1000.0, &mut rng).unwrap();
+        let p = perturb_all(&fa, 1000.0, 5);
         for (k, &v) in &p {
             assert_eq!(v, fa.candidate_tf[k] as u64);
         }
@@ -343,9 +314,8 @@ mod tests {
     fn apply_global_realizes_perturbed_tf() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let mut rng = StdRng::seed_from_u64(11);
         let (out, report) =
-            apply_global(&d, &fa, 0.5, IndexKind::default(), false, 1, &mut rng).unwrap();
+            apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), false, 1, 11).unwrap();
         assert_eq!(out.len(), d.len());
         for (p, &(_, target)) in &report.tf_changes {
             let realized = out.trajectory_frequency(*p) as u64;
@@ -357,9 +327,8 @@ mod tests {
     fn apply_global_with_zero_noise_is_identity_on_tf() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let mut rng = StdRng::seed_from_u64(17);
         let (out, report) =
-            apply_global(&d, &fa, 1000.0, IndexKind::default(), false, 1, &mut rng).unwrap();
+            apply_global_streamed(&d, &fa, 1000.0, IndexKind::default(), false, 1, 17).unwrap();
         assert_eq!(report.insertions, 0);
         assert_eq!(report.deletions, 0);
         assert_eq!(report.utility_loss, 0.0);
@@ -371,7 +340,7 @@ mod tests {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
         let candidates = fa.candidate_points();
-        let whole = perturb_tf_streamed(&fa, 0.5, 99).unwrap();
+        let whole = perturb_all(&fa, 0.5, 99);
         // Any shard boundary must reproduce the single-shard result.
         for cut in 0..=candidates.len() {
             let (a, b) = candidates.split_at(cut);
@@ -394,6 +363,13 @@ mod tests {
         let (c, _) =
             apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), false, 1, 6).unwrap();
         assert_ne!(a, c, "different root seeds must perturb differently");
+        // Sharding the perturbation over any worker count changes nothing.
+        for workers in [2usize, 3, 8] {
+            let (sharded, _) =
+                apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), false, workers, 5)
+                    .unwrap();
+            assert_eq!(sharded, a, "{workers} workers");
+        }
     }
 
     #[test]
@@ -404,7 +380,7 @@ mod tests {
         let world = generate(&GeneratorConfig::tdrive_profile(25, 50, 13));
         let d = &world.dataset;
         let fa = FrequencyAnalysis::compute(d, 4);
-        let perturbed = perturb_tf_streamed(&fa, 0.4, 21).unwrap();
+        let perturbed = perturb_all(&fa, 0.4, 21);
         for bbox in [false, true] {
             let (base, base_report) = realize_tf(d, &fa, &perturbed, IndexKind::default(), bbox, 1);
             for workers in [2usize, 3, 8] {
@@ -423,9 +399,8 @@ mod tests {
     fn report_counts_are_consistent() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let mut rng = StdRng::seed_from_u64(23);
         let (_, report) =
-            apply_global(&d, &fa, 0.2, IndexKind::default(), false, 1, &mut rng).unwrap();
+            apply_global_streamed(&d, &fa, 0.2, IndexKind::default(), false, 1, 23).unwrap();
         // Any modification must be accounted: if points moved, loss ≥ 0
         // and the counters reflect edits.
         if report.insertions == 0 && report.deletions == 0 {

@@ -23,8 +23,9 @@
 //! * [`pipeline`] — the published models: `PureG`, `PureL`, and the
 //!   composed `GL` with ε = ε_G + ε_L (Theorem 1).
 //! * [`pool`] — the scoped-thread chunked worker pool behind the
-//!   deterministic parallelism of the modification phase (and the
-//!   server's sharded executor).
+//!   deterministic parallelism of every phase: the sharded TF
+//!   perturbation, the modification scans, and the per-trajectory local
+//!   mechanism, all driven by `FreqDpConfig::workers`.
 //!
 //! ```
 //! use trajdp_core::pipeline::{anonymize, Model};
@@ -54,5 +55,5 @@ pub mod stream;
 
 pub use freq::{FrequencyAnalysis, SignatureEntry};
 pub use indexkind::IndexKind;
-pub use pipeline::{anonymize, run_model, AnonymizedOutput, FreqDpConfig, Model};
+pub use pipeline::{anonymize, total_budget, AnonymizedOutput, FreqDpConfig, Model};
 pub use stream::{stream_rng, stream_seed, PHASE_GLOBAL, PHASE_LOCAL};

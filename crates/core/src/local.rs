@@ -18,11 +18,12 @@
 use crate::editor::TrajectoryEditor;
 use crate::freq::FrequencyAnalysis;
 use crate::indexkind::IndexKind;
+use crate::pool::map_chunks;
 use crate::stream::{stream_rng, PHASE_LOCAL};
 use rand::Rng;
 use std::collections::HashMap;
 use trajdp_index::SearchStats;
-use trajdp_mech::{round_count, Laplace, MechError};
+use trajdp_mech::{round_count, Laplace, LaplaceMechanism, MechError};
 use trajdp_model::{Dataset, PointKey, Rect, Trajectory};
 
 /// Ablation switches for the local mechanism. Defaults reproduce the
@@ -123,10 +124,8 @@ pub fn perturb_pf<R: Rng + ?Sized>(
     opts: LocalOptions,
     rng: &mut R,
 ) -> Result<PfPlan, MechError> {
-    if epsilon <= 0.0 || !epsilon.is_finite() {
-        return Err(MechError::NonPositiveEpsilon { epsilon });
-    }
-    let scale = 1.0 / epsilon; // sensitivity of the point-counting query is 1
+    // The point-counting query has sensitivity 1, so the scale is 1/ε.
+    let scale = LaplaceMechanism::new(epsilon, 1.0)?.noise_scale();
     let mut pf: HashMap<PointKey, usize> = HashMap::new();
     for s in &traj.samples {
         *pf.entry(s.loc.key()).or_insert(0) += 1;
@@ -158,7 +157,7 @@ pub fn perturb_pf<R: Rng + ?Sized>(
 }
 
 /// The local mechanism's outcome on a single trajectory: the smallest
-/// unit of work a sharded executor schedules.
+/// unit of work [`apply_local_streamed`] shards over its workers.
 #[derive(Debug, Clone)]
 pub struct LocalUnit {
     /// The modified trajectory.
@@ -215,9 +214,8 @@ pub fn local_unit<R: Rng + ?Sized>(
 }
 
 /// [`local_unit`] drawing from the trajectory's **own RNG stream**
-/// `(root_seed, PHASE_LOCAL, slot)` — the entry point both the serial
-/// pipeline and the sharded executor use, making the result independent
-/// of processing order and shard boundaries.
+/// `(root_seed, PHASE_LOCAL, slot)`, making the result independent of
+/// processing order and shard boundaries.
 #[allow(clippy::too_many_arguments)]
 pub fn local_unit_streamed(
     traj: &Trajectory,
@@ -257,38 +255,41 @@ pub fn merge_local_units(domain: Rect, units: Vec<LocalUnit>) -> (Dataset, Local
     (Dataset::new(domain, out), report)
 }
 
-/// Runs the full local mechanism over the dataset with a single shared
-/// generator (the paper's presentation of Algorithm 2).
-pub fn apply_local<R: Rng + ?Sized>(
-    ds: &Dataset,
-    analysis: &FrequencyAnalysis,
-    epsilon: f64,
-    kind: IndexKind,
-    opts: LocalOptions,
-    rng: &mut R,
-) -> Result<(Dataset, LocalReport), MechError> {
-    let mut units = Vec::with_capacity(ds.len());
-    for (slot, traj) in ds.trajectories.iter().enumerate() {
-        units.push(local_unit(traj, analysis, slot, epsilon, kind, opts, ds.domain, rng)?);
-    }
-    Ok(merge_local_units(ds.domain, units))
-}
-
-/// [`apply_local`] with per-trajectory RNG streams — order-independent,
-/// so a sharded executor reproduces it exactly.
+/// Runs the full local mechanism over the dataset: trajectory slots are
+/// cut into one contiguous shard per worker, every slot draws from its
+/// own stream ([`local_unit_streamed`]), and the units merge in slot
+/// order — so the output is identical at every `workers`, and
+/// `workers == 1` runs inline on the calling thread.
 pub fn apply_local_streamed(
     ds: &Dataset,
     analysis: &FrequencyAnalysis,
     epsilon: f64,
     kind: IndexKind,
     opts: LocalOptions,
+    workers: usize,
     root_seed: u64,
 ) -> Result<(Dataset, LocalReport), MechError> {
+    let shards = map_chunks(workers, &ds.trajectories, |lo, chunk| {
+        chunk
+            .iter()
+            .enumerate()
+            .map(|(offset, traj)| {
+                local_unit_streamed(
+                    traj,
+                    analysis,
+                    lo + offset,
+                    epsilon,
+                    kind,
+                    opts,
+                    ds.domain,
+                    root_seed,
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()
+    });
     let mut units = Vec::with_capacity(ds.len());
-    for (slot, traj) in ds.trajectories.iter().enumerate() {
-        units.push(local_unit_streamed(
-            traj, analysis, slot, epsilon, kind, opts, ds.domain, root_seed,
-        )?);
+    for shard in shards {
+        units.extend(shard?);
     }
     Ok(merge_local_units(ds.domain, units))
 }
@@ -415,9 +416,8 @@ mod tests {
     fn apply_local_realizes_perturbed_pf() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let mut rng = StdRng::seed_from_u64(6);
         let (out, report) =
-            apply_local(&d, &fa, 0.5, IndexKind::default(), LocalOptions::default(), &mut rng)
+            apply_local_streamed(&d, &fa, 0.5, IndexKind::default(), LocalOptions::default(), 1, 6)
                 .unwrap();
         assert_eq!(out.len(), d.len());
         for (slot, plan) in report.plans.iter().enumerate() {
@@ -435,9 +435,16 @@ mod tests {
     fn streamed_local_is_order_and_shard_invariant() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let (whole, report) =
-            apply_local_streamed(&d, &fa, 0.5, IndexKind::default(), LocalOptions::default(), 77)
-                .unwrap();
+        let (whole, report) = apply_local_streamed(
+            &d,
+            &fa,
+            0.5,
+            IndexKind::default(),
+            LocalOptions::default(),
+            1,
+            77,
+        )
+        .unwrap();
         // Recompute each trajectory in reverse order — per-slot streams
         // make the result identical.
         let mut units: Vec<LocalUnit> = (0..d.len())
@@ -462,6 +469,21 @@ mod tests {
         assert_eq!(merged_report.utility_loss, report.utility_loss);
         assert_eq!(merged_report.insertions, report.insertions);
         assert_eq!(merged_report.deletions, report.deletions);
+        // Sharding over any worker count reproduces the serial run.
+        for workers in [2usize, 3, 8] {
+            let (sharded, sharded_report) = apply_local_streamed(
+                &d,
+                &fa,
+                0.5,
+                IndexKind::default(),
+                LocalOptions::default(),
+                workers,
+                77,
+            )
+            .unwrap();
+            assert_eq!(sharded, whole, "{workers} workers");
+            assert_eq!(sharded_report.utility_loss, report.utility_loss, "{workers} workers");
+        }
     }
 
     #[test]
@@ -469,8 +491,10 @@ mod tests {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
         let kind = IndexKind::default();
-        let (a, _) = apply_local_streamed(&d, &fa, 0.5, kind, LocalOptions::default(), 1).unwrap();
-        let (b, _) = apply_local_streamed(&d, &fa, 0.5, kind, LocalOptions::default(), 2).unwrap();
+        let (a, _) =
+            apply_local_streamed(&d, &fa, 0.5, kind, LocalOptions::default(), 1, 1).unwrap();
+        let (b, _) =
+            apply_local_streamed(&d, &fa, 0.5, kind, LocalOptions::default(), 1, 2).unwrap();
         assert_ne!(a, b, "different root seeds should perturb differently");
     }
 
@@ -478,9 +502,18 @@ mod tests {
     fn apply_local_rejects_bad_epsilon() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let mut rng = StdRng::seed_from_u64(7);
-        assert!(apply_local(&d, &fa, 0.0, IndexKind::default(), LocalOptions::default(), &mut rng)
-            .is_err());
+        for epsilon in [0.0, -1.0, f64::NAN, 1e-320] {
+            let out = apply_local_streamed(
+                &d,
+                &fa,
+                epsilon,
+                IndexKind::default(),
+                LocalOptions::default(),
+                1,
+                7,
+            );
+            assert!(matches!(out, Err(MechError::NonPositiveEpsilon { .. })), "{epsilon:e}");
+        }
     }
 
     #[test]
@@ -490,20 +523,26 @@ mod tests {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
         let original: usize = d.total_points();
-        let mut rng = StdRng::seed_from_u64(8);
-        let runs = 30;
         let (mut dev_full, mut dev_s1) = (0i64, 0i64);
-        for _ in 0..runs {
-            let (full, _) =
-                apply_local(&d, &fa, 1.0, IndexKind::default(), LocalOptions::default(), &mut rng)
-                    .unwrap();
-            let (s1, _) = apply_local(
+        for seed in 0..30u64 {
+            let (full, _) = apply_local_streamed(
+                &d,
+                &fa,
+                1.0,
+                IndexKind::default(),
+                LocalOptions::default(),
+                1,
+                seed,
+            )
+            .unwrap();
+            let (s1, _) = apply_local_streamed(
                 &d,
                 &fa,
                 1.0,
                 IndexKind::default(),
                 LocalOptions { stage2: false, ..Default::default() },
-                &mut rng,
+                1,
+                seed,
             )
             .unwrap();
             dev_full += (full.total_points() as i64 - original as i64).abs();

@@ -12,7 +12,7 @@ use crate::global::{apply_global_streamed, GlobalReport};
 use crate::indexkind::IndexKind;
 use crate::local::{apply_local_streamed, LocalOptions, LocalReport};
 use std::time::Duration;
-use trajdp_mech::{BudgetAccountant, MechError};
+use trajdp_mech::{LaplaceMechanism, MechError};
 use trajdp_model::Dataset;
 
 /// Which anonymization model to run.
@@ -45,9 +45,11 @@ pub struct FreqDpConfig {
     /// phase instead of the segment index (the §V-C future-work
     /// optimization; same output, different search).
     pub bbox_pruning: bool,
-    /// Worker threads for the global modification phase (`GlobalEdit`).
-    /// The phase draws no randomness, so the output is byte-identical at
-    /// every value; `1` runs fully serial.
+    /// Worker threads for all phases: the sharded TF perturbation, the
+    /// global modification (`GlobalEdit`), and the per-trajectory local
+    /// mechanism. Randomness comes from per-unit streams, so the output
+    /// is byte-identical at every value; `1` runs fully serial on the
+    /// calling thread.
     pub workers: usize,
     /// RNG seed for reproducible runs.
     pub seed: u64,
@@ -99,131 +101,96 @@ impl AnonymizedOutput {
     }
 }
 
-/// Runs a model end to end through caller-supplied phase
-/// implementations: the budget accounting, model dispatch, timing, and
-/// output assembly shared by every execution backend.
-///
-/// The serial pipeline ([`anonymize`]) and `trajdp_server`'s sharded
-/// executor both reduce to this driver with different `global` / `local`
-/// closures, so budget semantics and report assembly can never diverge
-/// between them. Each closure maps an input dataset (with the analysis
-/// of the *original* dataset) to a modified dataset plus report.
-pub fn run_model<G, L>(
-    ds: &Dataset,
-    model: Model,
-    cfg: &FreqDpConfig,
-    analysis: &FrequencyAnalysis,
-    mut global_phase: G,
-    mut local_phase: L,
-) -> Result<AnonymizedOutput, MechError>
-where
-    G: FnMut(&Dataset, &FrequencyAnalysis) -> Result<(Dataset, GlobalReport), MechError>,
-    L: FnMut(&Dataset, &FrequencyAnalysis) -> Result<(Dataset, LocalReport), MechError>,
-{
-    let total_budget = match model {
-        Model::PureGlobal => cfg.eps_global,
-        Model::PureLocal => cfg.eps_local,
-        Model::Combined | Model::CombinedLocalFirst => cfg.eps_global + cfg.eps_local,
+/// The end-to-end ε a model spends (Theorem 1): the sum of the budgets of
+/// the mechanisms it runs. Fails when any of those budgets is one the
+/// Laplace mechanism rejects — non-positive, non-finite, or so close to
+/// zero that the noise scale `1/ε` overflows — so callers can refuse a
+/// bad budget split before running anything.
+pub fn total_budget(model: Model, eps_global: f64, eps_local: f64) -> Result<f64, MechError> {
+    let spent: &[f64] = match model {
+        Model::PureGlobal => &[eps_global],
+        Model::PureLocal => &[eps_local],
+        Model::Combined | Model::CombinedLocalFirst => &[eps_global, eps_local],
     };
-    let mut accountant = BudgetAccountant::new(total_budget);
-
-    let mut run_global = |input: &Dataset,
-                          accountant: &mut BudgetAccountant|
-     -> Result<(Dataset, GlobalReport, Duration), MechError> {
-        accountant
-            .spend("global TF mechanism", cfg.eps_global)
-            .expect("budget sized for the model");
-        // lint: allow(determinism): phase wall-time is reporting-only; the phase output never reads it
-        let start = std::time::Instant::now();
-        let (out, report) = global_phase(input, analysis)?;
-        Ok((out, report, start.elapsed()))
-    };
-    let mut run_local = |input: &Dataset,
-                         accountant: &mut BudgetAccountant|
-     -> Result<(Dataset, LocalReport, Duration), MechError> {
-        accountant.spend("local PF mechanism", cfg.eps_local).expect("budget sized for the model");
-        // lint: allow(determinism): phase wall-time is reporting-only; the phase output never reads it
-        let start = std::time::Instant::now();
-        let (out, report) = local_phase(input, analysis)?;
-        Ok((out, report, start.elapsed()))
-    };
-
-    let (dataset, global, local, global_time, local_time) = match model {
-        Model::PureGlobal => {
-            let (out, g, t) = run_global(ds, &mut accountant)?;
-            (out, Some(g), None, t, Duration::ZERO)
-        }
-        Model::PureLocal => {
-            let (out, l, t) = run_local(ds, &mut accountant)?;
-            (out, None, Some(l), Duration::ZERO, t)
-        }
-        Model::Combined => {
-            let (mid, g, tg) = run_global(ds, &mut accountant)?;
-            let (out, l, tl) = run_local(&mid, &mut accountant)?;
-            (out, Some(g), Some(l), tg, tl)
-        }
-        Model::CombinedLocalFirst => {
-            let (mid, l, tl) = run_local(ds, &mut accountant)?;
-            let (out, g, tg) = run_global(&mid, &mut accountant)?;
-            (out, Some(g), Some(l), tg, tl)
-        }
-    };
-
-    Ok(AnonymizedOutput {
-        dataset,
-        epsilon_spent: accountant.spent(),
-        global,
-        local,
-        global_time,
-        local_time,
-    })
+    for &epsilon in spent {
+        // Both mechanisms answer point-counting queries of sensitivity 1.
+        LaplaceMechanism::new(epsilon, 1.0)?;
+    }
+    Ok(spent.iter().sum())
 }
 
-/// Runs a model end to end on a dataset.
+/// Runs a model end to end on a dataset — the one whole-pipeline entry
+/// point behind the CLI, the server, and the benches.
 ///
 /// The signature analysis runs once on the *original* dataset, as in the
 /// paper — both mechanisms perturb the same candidate set `P`, and the
-/// budget accountant enforces ε = ε_G + ε_L for the combined models.
+/// release is (ε_G + ε_L)-DP for the combined models ([`total_budget`]
+/// validates both budgets before either mechanism runs).
 ///
 /// Randomness comes from **per-unit streams** derived from `cfg.seed`
 /// (see [`crate::stream`]): one stream per candidate point in the global
-/// phase, one per trajectory in the local phase. This makes the output a
-/// pure function of `(dataset, model, cfg)` independent of execution
-/// order, so `trajdp_server`'s sharded executor reproduces it exactly at
-/// any worker count.
+/// phase, one per trajectory in the local phase. Both phases shard their
+/// units over `cfg.workers` threads, and because a unit's draws do not
+/// depend on which thread evaluates it, the output is a pure function of
+/// `(dataset, model, cfg)` — byte-identical at every worker count.
 pub fn anonymize(
     ds: &Dataset,
     model: Model,
     cfg: &FreqDpConfig,
 ) -> Result<AnonymizedOutput, MechError> {
+    let epsilon_spent = total_budget(model, cfg.eps_global, cfg.eps_local)?;
     let analysis = FrequencyAnalysis::compute(ds, cfg.m);
-    run_model(
-        ds,
-        model,
-        cfg,
-        &analysis,
-        |input, analysis| {
-            apply_global_streamed(
-                input,
-                analysis,
-                cfg.eps_global,
-                cfg.index,
-                cfg.bbox_pruning,
-                cfg.workers,
-                cfg.seed,
-            )
-        },
-        |input, analysis| {
-            apply_local_streamed(
-                input,
-                analysis,
-                cfg.eps_local,
-                cfg.index,
-                cfg.local_opts,
-                cfg.seed,
-            )
-        },
-    )
+    let run_global = |input: &Dataset| -> Result<(Dataset, GlobalReport, Duration), MechError> {
+        // lint: allow(determinism): phase wall-time is reporting-only; the phase output never reads it
+        let start = std::time::Instant::now();
+        let (out, report) = apply_global_streamed(
+            input,
+            &analysis,
+            cfg.eps_global,
+            cfg.index,
+            cfg.bbox_pruning,
+            cfg.workers,
+            cfg.seed,
+        )?;
+        Ok((out, report, start.elapsed()))
+    };
+    let run_local = |input: &Dataset| -> Result<(Dataset, LocalReport, Duration), MechError> {
+        // lint: allow(determinism): phase wall-time is reporting-only; the phase output never reads it
+        let start = std::time::Instant::now();
+        let (out, report) = apply_local_streamed(
+            input,
+            &analysis,
+            cfg.eps_local,
+            cfg.index,
+            cfg.local_opts,
+            cfg.workers,
+            cfg.seed,
+        )?;
+        Ok((out, report, start.elapsed()))
+    };
+
+    let (dataset, global, local, global_time, local_time) = match model {
+        Model::PureGlobal => {
+            let (out, g, t) = run_global(ds)?;
+            (out, Some(g), None, t, Duration::ZERO)
+        }
+        Model::PureLocal => {
+            let (out, l, t) = run_local(ds)?;
+            (out, None, Some(l), Duration::ZERO, t)
+        }
+        Model::Combined => {
+            let (mid, g, tg) = run_global(ds)?;
+            let (out, l, tl) = run_local(&mid)?;
+            (out, Some(g), Some(l), tg, tl)
+        }
+        Model::CombinedLocalFirst => {
+            let (mid, l, tl) = run_local(ds)?;
+            let (out, g, tg) = run_global(&mid)?;
+            (out, Some(g), Some(l), tg, tl)
+        }
+    };
+
+    Ok(AnonymizedOutput { dataset, epsilon_spent, global, local, global_time, local_time })
 }
 
 #[cfg(test)]
@@ -322,6 +289,83 @@ mod tests {
         let out = anonymize(&d, Model::PureGlobal, &c).unwrap();
         // Huge ε → negligible noise → TF unchanged → dataset unchanged.
         assert_eq!(out.dataset, d);
+    }
+
+    const MODELS: [Model; 4] =
+        [Model::PureGlobal, Model::PureLocal, Model::Combined, Model::CombinedLocalFirst];
+
+    #[test]
+    fn parallel_combined_matches_serial() {
+        // `cfg.workers > 1` shards the perturbation, the modification,
+        // and the local phase; every worker count must agree byte for
+        // byte with the serial run.
+        let d = ds();
+        let serial = anonymize(&d, Model::Combined, &FreqDpConfig { m: 3, ..cfg() }).unwrap();
+        for workers in [2usize, 8] {
+            let cfg = FreqDpConfig { m: 3, workers, ..Default::default() };
+            let sharded = anonymize(&d, Model::Combined, &cfg).unwrap();
+            assert_eq!(sharded.dataset, serial.dataset, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn matches_serial_for_every_model_and_worker_count() {
+        let d = ds();
+        let base = FreqDpConfig { m: 3, seed: 0xFEED, ..Default::default() };
+        for model in MODELS {
+            let serial = anonymize(&d, model, &base).unwrap();
+            for workers in [1usize, 2, 3, 8] {
+                let sharded = anonymize(&d, model, &FreqDpConfig { workers, ..base }).unwrap();
+                assert_eq!(
+                    sharded.dataset, serial.dataset,
+                    "{model:?} with {workers} workers diverged from serial"
+                );
+                assert_eq!(sharded.epsilon_spent, serial.epsilon_spent);
+                assert_eq!(sharded.total_edits(), serial.total_edits(), "{model:?}");
+                assert_eq!(sharded.utility_loss(), serial.utility_loss(), "{model:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn more_workers_than_units_is_fine() {
+        let d = ds();
+        let base = FreqDpConfig { m: 2, ..Default::default() };
+        let serial = anonymize(&d, Model::Combined, &base).unwrap();
+        let sharded =
+            anonymize(&d, Model::Combined, &FreqDpConfig { workers: 64, ..base }).unwrap();
+        assert_eq!(sharded.dataset, serial.dataset);
+    }
+
+    #[test]
+    fn empty_dataset_is_handled() {
+        let cfg = FreqDpConfig { m: 2, workers: 4, ..Default::default() };
+        let empty = Dataset::from_trajectories(vec![]);
+        for model in MODELS {
+            let out = anonymize(&empty, model, &cfg).unwrap();
+            assert_eq!(out.dataset.len(), 0, "{model:?}");
+        }
+    }
+
+    #[test]
+    fn unusable_epsilon_is_an_error_for_every_model() {
+        // 1e-320 is positive, but its noise scale 1/ε overflows; a zero
+        // share is what a tiny ε times an ε split underflows to. Both
+        // must come back as errors, not panics.
+        for tiny in [1e-320, 0.0] {
+            for model in MODELS {
+                let cfg = FreqDpConfig { m: 3, eps_global: tiny, eps_local: tiny, ..cfg() };
+                let err = anonymize(&ds(), model, &cfg).unwrap_err();
+                assert_eq!(err, MechError::NonPositiveEpsilon { epsilon: tiny }, "{model:?}");
+            }
+        }
+        // A combined model fails when either share is unusable; a pure
+        // model ignores the share it never spends.
+        let cfg = FreqDpConfig { eps_global: 1.0, eps_local: 1e-320, ..cfg() };
+        assert!(anonymize(&ds(), Model::Combined, &cfg).is_err());
+        assert!(anonymize(&ds(), Model::CombinedLocalFirst, &cfg).is_err());
+        assert!(anonymize(&ds(), Model::PureLocal, &cfg).is_err());
+        assert_eq!(anonymize(&ds(), Model::PureGlobal, &cfg).unwrap().epsilon_spent, 1.0);
     }
 
     #[test]

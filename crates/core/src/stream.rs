@@ -6,15 +6,14 @@
 //! mechanism. Each stream seed is derived from `(root seed, phase tag,
 //! unit index)` with a SplitMix64-style mixer, so:
 //!
-//! * the serial pipeline and a sharded executor draw **identical noise**
+//! * every `FreqDpConfig::workers` value draws **identical noise**,
 //!   regardless of how units are grouped into shards or interleaved
 //!   across threads, and
 //! * the two phases of a combined model never share a stream even when
 //!   they process the same unit index.
 //!
-//! This is the scheme `core::anonymize` itself uses, which is what makes
-//! `trajdp_server`'s `anonymize_parallel` bit-identical to the serial
-//! path at every worker count.
+//! These streams are the only randomness [`crate::anonymize`] draws,
+//! which is what makes its release bit-identical at every worker count.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

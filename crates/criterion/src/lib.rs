@@ -8,8 +8,8 @@
 //! Measurement is intentionally simple — calibrate the iteration count
 //! to a fixed measurement window, run, and report mean wall time per
 //! iteration on stdout. No statistics, plots, or baselines; the numbers
-//! are for quick relative comparisons (e.g. serial vs. sharded executor
-//! at different worker counts), not rigorous benchmarking.
+//! are for quick relative comparisons (e.g. the pipeline swept over
+//! worker counts), not rigorous benchmarking.
 
 #![forbid(unsafe_code)]
 

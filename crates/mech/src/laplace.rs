@@ -18,7 +18,8 @@ pub enum MechError {
         /// The offending scale value.
         scale: f64,
     },
-    /// Privacy budget must be strictly positive.
+    /// Privacy budget must be strictly positive, and small enough above
+    /// zero that the noise scale `∆φ/ε` stays finite.
     NonPositiveEpsilon {
         /// The offending ε value.
         epsilon: f64,
@@ -32,7 +33,10 @@ impl fmt::Display for MechError {
                 write!(f, "Laplace scale must be positive, got {scale}")
             }
             MechError::NonPositiveEpsilon { epsilon } => {
-                write!(f, "privacy budget must be positive, got {epsilon}")
+                write!(
+                    f,
+                    "privacy budget must be positive with a finite noise scale, got {epsilon:?}"
+                )
             }
         }
     }
@@ -134,13 +138,15 @@ pub struct LaplaceMechanism {
 
 impl LaplaceMechanism {
     /// Creates a mechanism with privacy budget `epsilon` for a query of
-    /// the given L1 `sensitivity`.
+    /// the given L1 `sensitivity`. An ε so close to zero that the noise
+    /// scale `sensitivity/ε` overflows is rejected like a non-positive
+    /// one: no finite Laplace distribution could release it.
     pub fn new(epsilon: f64, sensitivity: f64) -> Result<Self, MechError> {
-        if epsilon <= 0.0 || !epsilon.is_finite() {
-            return Err(MechError::NonPositiveEpsilon { epsilon });
-        }
         if sensitivity <= 0.0 || !sensitivity.is_finite() {
             return Err(MechError::NonPositiveScale { scale: sensitivity });
+        }
+        if epsilon <= 0.0 || !epsilon.is_finite() || !(sensitivity / epsilon).is_finite() {
+            return Err(MechError::NonPositiveEpsilon { epsilon });
         }
         Ok(Self { epsilon, sensitivity })
     }
@@ -190,6 +196,20 @@ mod tests {
         assert!(LaplaceMechanism::new(-1.0, 1.0).is_err());
         assert!(LaplaceMechanism::new(1.0, 0.0).is_err());
         assert!(LaplaceMechanism::new(f64::NAN, 1.0).is_err());
+    }
+
+    #[test]
+    fn rejects_epsilon_whose_noise_scale_overflows() {
+        // 1e-320 is a positive (subnormal) f64, but 1/1e-320 is +inf:
+        // the mechanism must refuse it instead of panicking on release.
+        for epsilon in [1e-320, 5e-324, 1e-309] {
+            assert_eq!(
+                LaplaceMechanism::new(epsilon, 1.0),
+                Err(MechError::NonPositiveEpsilon { epsilon }),
+                "{epsilon:e}"
+            );
+        }
+        assert!(LaplaceMechanism::new(1e-300, 1.0).unwrap().noise_scale().is_finite());
     }
 
     #[test]

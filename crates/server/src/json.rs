@@ -208,7 +208,7 @@ impl std::error::Error for ParseError {}
 
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -219,6 +219,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -350,15 +351,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    // PANIC: `peek()` returned `Some`, so `pos` is in
-                    // bounds and the open range is valid.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    // PANIC: `peek()` saw a byte, so `rest` is non-empty.
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // PANIC: `pos` only ever advances past ASCII bytes or
+                    // past whole runs like this one (which end before an
+                    // ASCII byte), so it is an in-bounds char boundary.
+                    let rest = &self.text[self.pos..];
+                    // Copy the whole run up to the next quote or backslash
+                    // at once: the input is already a `&str`, so no byte
+                    // needs re-validating.
+                    let run = rest.split(['"', '\\']).next().unwrap_or_default();
+                    out.push_str(run);
+                    self.pos += run.len();
                 }
             }
         }
@@ -447,6 +449,45 @@ mod tests {
         let text = v.to_string();
         assert!(!text.contains('\n'), "serialized form must be single-line");
         assert_eq!(parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn multibyte_utf8_runs_between_escapes() {
+        let text = "\"na\u{ef}ve caf\u{e9} \\u00e9\\n\u{4e2d}\u{6587}\\t\u{1F600}\\\"\u{1F600}\\\\end\u{e9}\"";
+        assert_eq!(
+            parse(text).unwrap(),
+            Json::Str(
+                "na\u{ef}ve caf\u{e9} \u{e9}\n\u{4e2d}\u{6587}\t\u{1F600}\"\u{1F600}\\end\u{e9}"
+                    .into()
+            )
+        );
+        // A key with multi-byte runs, and an escape right after one.
+        let v = parse("{\"\u{e9}t\u{e9}\":\"\u{1F600}\\u0041\"}").unwrap();
+        assert_eq!(v.get("\u{e9}t\u{e9}"), Some(&Json::Str("\u{1F600}A".into())));
+    }
+
+    #[test]
+    fn string_parse_is_linear_in_length() {
+        // Parse time of a string literal must grow linearly: 8x the
+        // length may cost at most 24x the time (a quadratic parse costs
+        // about 64x). The minimum of five runs damps scheduler noise.
+        fn best_of_5(n: usize) -> std::time::Duration {
+            let line = format!("\"{}\\n\"", "abc\u{e9}".repeat(n / 5));
+            (0..5)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    let v = parse(&line).unwrap();
+                    let elapsed = started.elapsed();
+                    assert!(matches!(v, Json::Str(s) if s.len() == n / 5 * 5 + 1));
+                    elapsed
+                })
+                .min()
+                .unwrap()
+        }
+        let n = 64 * 1024;
+        let (small, large) = (best_of_5(n), best_of_5(8 * n));
+        let ratio = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
+        assert!(ratio < 24.0, "t(8n)/t(n) = {ratio:.1} ({small:?} → {large:?})");
     }
 
     #[test]

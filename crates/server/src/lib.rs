@@ -1,13 +1,12 @@
 //! # trajdp-server
 //!
-//! The serving subsystem: a sharded parallel anonymization executor and
-//! a JSON-lines TCP service exposing the pipeline as a long-lived
+//! The serving subsystem: a JSON-lines TCP service exposing the
+//! anonymization pipeline (`trajdp_core::anonymize`) as a long-lived
 //! process.
 //!
 //! | module | contents |
 //! |---|---|
 //! | [`api`] | stable error codes ([`api::ErrorCode`]/[`api::ApiError`]), the typed [`api::Response`] model, and the versioned wire envelope with centralized serialization |
-//! | [`executor`] | `anonymize_parallel` — shard-parallel global/local mechanisms, bit-identical to the serial pipeline at any worker count |
 //! | [`json`] | serde-free JSON value, parser, single-line writer |
 //! | [`protocol`] | request parsing + the handlers behind each verb |
 //! | [`store`] | chunked-transfer dataset handles (`ds-<id>`), optionally persisted, with delete/LRU/TTL lifecycle and job pinning |
@@ -20,17 +19,18 @@
 //!
 //! ## Determinism
 //!
-//! The executor reproduces `trajdp_core::anonymize` exactly because the
-//! core pipeline derives an independent RNG stream per smallest work
-//! unit (per candidate point globally, per trajectory locally) from the
-//! root seed — see `trajdp_core::stream`. Sharding changes only which
-//! thread evaluates a unit, never what the unit draws.
+//! An `anonymize` request runs `trajdp_core::anonymize` with the
+//! request's `workers` as `FreqDpConfig::workers`. The release is
+//! byte-identical at every worker count because the core pipeline
+//! derives an independent RNG stream per smallest work unit (per
+//! candidate point globally, per trajectory locally) from the root seed
+//! — see `trajdp_core::stream`. Sharding changes only which thread
+//! evaluates a unit, never what the unit draws.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod api;
 pub mod client;
-pub mod executor;
 pub mod jobs;
 pub mod json;
 pub mod ledger;
@@ -42,7 +42,6 @@ pub mod store;
 
 pub use api::{ApiError, Envelope, ErrorCode, ProtocolVersion, Response};
 pub use client::Client;
-pub use executor::anonymize_parallel;
 pub use json::Json;
 pub use ledger::{EpsLedger, TenantLimits, TenantRegistry, DEFAULT_TENANT};
 pub use obs::{init_logger, LogLevel, Metrics, MetricsSnapshot, PhaseTimings};

@@ -44,7 +44,7 @@
 use crate::api::{ApiError, Envelope, Payload, ProtocolVersion, Response};
 use crate::json::Json;
 use crate::store::{DatasetStore, DEFAULT_DOWNLOAD_CHUNK_BYTES};
-use trajdp_core::{FreqDpConfig, Model};
+use trajdp_core::{total_budget, FreqDpConfig, Model};
 use trajdp_metrics::{
     diameter_divergence, frequent_pattern_f1, information_loss, mutual_information, trip_divergence,
 };
@@ -93,7 +93,7 @@ pub struct AnonymizeSpec {
     pub m: usize,
     /// Root RNG seed.
     pub seed: u64,
-    /// Executor worker threads.
+    /// Pipeline worker threads (`FreqDpConfig::workers`).
     pub workers: usize,
     /// Keep the released CSV server-side (answer with a `dataset`
     /// handle for chunked download) instead of inlining it.
@@ -125,7 +125,7 @@ pub struct AnonymizeParams {
     pub m: usize,
     /// Root RNG seed.
     pub seed: u64,
-    /// Executor worker threads.
+    /// Pipeline worker threads.
     pub workers: usize,
     /// Keep the released CSV server-side.
     pub store_result: bool,
@@ -136,7 +136,7 @@ pub struct AnonymizeParams {
 impl AnonymizeParams {
     /// Resolves the dataset reference against the store. A handle-based
     /// run is byte-identical to the inline run because both paths feed
-    /// the exact same CSV text to the executor.
+    /// the exact same CSV text to the pipeline.
     pub fn resolve(self, store: &DatasetStore) -> Result<AnonymizeSpec, ApiError> {
         let source = match &self.data {
             DataRef::Handle(id) => Some(id.clone()),
@@ -188,13 +188,13 @@ pub fn budget_split(model: Model, epsilon: f64, eps_split: f64) -> (f64, f64) {
     }
 }
 
-/// Caps on synthetic-generation and executor parameters: one request
+/// Caps on synthetic-generation and pipeline parameters: one request
 /// must not be able to allocate unbounded memory or spawn unbounded
 /// threads in a shared server process.
 pub const MAX_GEN_POINTS: u64 = 20_000_000;
 /// Upper bound on the signature size `m`.
 pub const MAX_M: u64 = 100_000;
-/// Upper bound on executor worker threads per request.
+/// Upper bound on pipeline worker threads per request.
 pub const MAX_WORKERS: u64 = 1_024;
 
 /// A parsed protocol request.
@@ -303,6 +303,25 @@ pub fn validate_eps_split(split: f64) -> Result<f64, ApiError> {
     } else {
         Err(ApiError::bad_request(format!("--eps-split must lie in (0, 1), got {split}")))
     }
+}
+
+/// Validates a total budget ε and its split for a model: ε must be
+/// positive and finite, the split must pass [`validate_eps_split`], and
+/// every mechanism the model runs must get a share the pipeline accepts
+/// (see [`total_budget`]) — a tiny ε times the split can underflow to
+/// zero, or leave a noise scale `1/ε` that overflows. Requests are
+/// checked at parse time, so a bad budget is refused before any ε-ledger
+/// charge.
+pub fn validate_budget(model: Model, epsilon: f64, eps_split: f64) -> Result<(), ApiError> {
+    if epsilon <= 0.0 || !epsilon.is_finite() {
+        return Err(ApiError::bad_request("epsilon must be positive"));
+    }
+    validate_eps_split(eps_split)?;
+    let (eps_global, eps_local) = budget_split(model, epsilon, eps_split);
+    total_budget(model, eps_global, eps_local).map_err(|e| {
+        ApiError::bad_request(format!("epsilon {epsilon:?} with eps_split {eps_split}: {e}"))
+    })?;
+    Ok(())
 }
 
 /// Validates a worker-thread count at the CLI/protocol boundary: must
@@ -512,10 +531,8 @@ fn parse_verb(v: &Json) -> Result<Request, ApiError> {
             )?;
             let model = parse_model(get_str(v, "model")?)?;
             let epsilon = get_f64(v, "epsilon", 1.0)?;
-            if epsilon <= 0.0 || !epsilon.is_finite() {
-                return Err(ApiError::bad_request("epsilon must be positive"));
-            }
-            let eps_split = validate_eps_split(get_f64(v, "eps_split", 0.5)?)?;
+            let eps_split = get_f64(v, "eps_split", 0.5)?;
+            validate_budget(model, epsilon, eps_split)?;
             let m = get_u64(v, "m", 10)?;
             if m == 0 || m > MAX_M {
                 return Err(ApiError::bad_request(format!("m must lie in [1, {MAX_M}]")));
@@ -662,12 +679,9 @@ pub fn spec_from_json(v: &Json) -> Result<AnonymizeParams, ApiError> {
     let want = |msg: &str| ApiError::bad_request(msg);
     let model = parse_model(get_str(v, "model")?)?;
     let epsilon = require("epsilon")?.as_f64().ok_or_else(|| want("epsilon must be a number"))?;
-    if epsilon <= 0.0 || !epsilon.is_finite() {
-        return Err(ApiError::bad_request("epsilon must be positive"));
-    }
-    let eps_split = validate_eps_split(
-        require("eps_split")?.as_f64().ok_or_else(|| want("eps_split must be a number"))?,
-    )?;
+    let eps_split =
+        require("eps_split")?.as_f64().ok_or_else(|| want("eps_split must be a number"))?;
+    validate_budget(model, epsilon, eps_split)?;
     let m = require("m")?.as_u64().ok_or_else(|| want("m must be a non-negative integer"))?;
     if m == 0 || m > MAX_M {
         return Err(ApiError::bad_request(format!("m must lie in [1, {MAX_M}]")));
@@ -769,13 +783,14 @@ pub fn run_gen(size: usize, len: usize, seed: u64) -> Response {
     }
 }
 
-/// Executes an `anonymize` request through the sharded executor.
+/// Executes an `anonymize` request through the pipeline, sharded over
+/// the request's `workers`.
 pub fn run_anonymize(spec: &AnonymizeSpec) -> Result<Response, ApiError> {
     let started = std::time::Instant::now();
     let ds = from_csv(&spec.csv)
         .map_err(|e| ApiError::invalid_dataset(format!("cannot parse csv: {e}")))?;
     let cfg = spec.config();
-    let result = crate::executor::anonymize_parallel(&ds, spec.model, &cfg, spec.workers)
+    let result = trajdp_core::anonymize(&ds, spec.model, &cfg)
         .map_err(|e| ApiError::internal(e.to_string()))?;
     let stage = result.global.as_ref().map(|g| g.timings).unwrap_or_default();
     let timings = crate::obs::PhaseTimings {
@@ -1116,6 +1131,41 @@ mod tests {
         assert!(validate_eps_split(1.0).is_err());
         assert!(validate_eps_split(-0.1).is_err());
         assert!(validate_eps_split(f64::NAN).is_err());
+    }
+
+    #[test]
+    fn unusable_budget_shares_are_bad_requests() {
+        // pureg at 1e-320: positive, but the noise scale 1/ε overflows.
+        // gl at 1e-323 with split 0.1: the global share underflows to 0.
+        for line in [
+            r#"{"cmd":"anonymize","model":"pureg","epsilon":1e-320,"csv":""}"#,
+            r#"{"cmd":"anonymize","model":"gl","epsilon":1e-323,"eps_split":0.1,"csv":""}"#,
+            r#"{"cmd":"anonymize","model":"purel","epsilon":1e-320,"dataset":"ds-1"}"#,
+        ] {
+            let err = parse_request(line).unwrap_err();
+            assert_eq!(err.code, crate::api::ErrorCode::BadRequest, "{line}");
+            assert!(err.message.contains("noise scale"), "{line}: {err}");
+        }
+        // The smallest ε with a finite scale still parses.
+        assert!(validate_budget(Model::PureGlobal, 1e-300, 0.5).is_ok());
+        assert!(validate_budget(Model::Combined, 1e-300, 0.5).is_ok());
+        // A journaled spec goes through the same gate on replay.
+        let mut spec = match spec_to_json(&AnonymizeSpec {
+            model: Model::Combined,
+            epsilon: 1.0,
+            eps_split: 0.1,
+            m: 4,
+            seed: 1,
+            workers: 1,
+            store_result: false,
+            source: None,
+            csv: std::sync::Arc::new(String::new()),
+        }) {
+            Json::Obj(map) => map,
+            other => panic!("spec must be an object: {other:?}"),
+        };
+        spec.insert("epsilon".to_string(), Json::Num(1e-323));
+        assert!(spec_from_json(&Json::Obj(spec)).unwrap_err().message.contains("noise scale"));
     }
 
     #[test]

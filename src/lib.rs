@@ -16,11 +16,11 @@
 //! | [`synth`] | `trajdp-synth` | road network + taxi-agent generator |
 //! | [`mech`] | `trajdp-mech` | Laplace mechanisms, budget accounting |
 //! | [`index`] | `trajdp-index` | hierarchical grid, KNN search strategies |
-//! | [`core`] | `trajdp-core` | signatures, global/local mechanisms, pipelines |
+//! | [`core`] | `trajdp-core` | signatures, global/local mechanisms, the sharded pipeline |
 //! | [`baselines`] | `trajdp-baselines` | SC, RSC, W4M, GLOVE, KLT, DPT, AdaTrace |
 //! | [`attacks`] | `trajdp-attacks` | linking attack, HMM map-matching recovery |
 //! | [`metrics`] | `trajdp-metrics` | MI, INF, DE, TE, FFP, recovery metrics |
-//! | [`server`] | `trajdp-server` | sharded parallel executor, JSON-lines service |
+//! | [`server`] | `trajdp-server` | JSON-lines service around `core::anonymize` |
 //!
 //! ## Quickstart
 //!

@@ -46,11 +46,9 @@ use traj_freq_dp::model::stats::DatasetStats;
 use traj_freq_dp::model::Dataset;
 use traj_freq_dp::server::api::{ApiError, ErrorCode};
 use traj_freq_dp::server::protocol::{
-    budget_split, parse_model, validate_eps_split, validate_workers,
+    budget_split, parse_model, validate_budget, validate_workers,
 };
-use traj_freq_dp::server::{
-    anonymize_parallel, init_logger, Client, LogLevel, Server, ServerConfig,
-};
+use traj_freq_dp::server::{init_logger, Client, LogLevel, Server, ServerConfig};
 use traj_freq_dp::synth::{generate, GeneratorConfig};
 
 /// A classified CLI failure; each class maps to a documented exit code.
@@ -293,11 +291,8 @@ fn run(args: &[String]) -> Result<(), CliError> {
             )?;
             let model = parse_model(required(&flags, "model")?).map_err(usage)?;
             let epsilon = opt_parse(&flags, "epsilon", 1.0f64)?;
-            if epsilon <= 0.0 || !epsilon.is_finite() {
-                return Err(CliError::Usage("--epsilon must be positive".into()));
-            }
-            let eps_split =
-                validate_eps_split(opt_parse(&flags, "eps-split", 0.5f64)?).map_err(usage)?;
+            let eps_split = opt_parse(&flags, "eps-split", 0.5f64)?;
+            validate_budget(model, epsilon, eps_split).map_err(usage)?;
             let m = opt_parse(&flags, "m", 10usize)?;
             let seed = opt_parse(&flags, "seed", 42u64)?;
             let parallel = validate_workers(opt_parse(&flags, "parallel", 1u64)?)
@@ -316,12 +311,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 workers: parallel,
                 ..Default::default()
             };
-            let result = if parallel > 1 {
-                anonymize_parallel(&ds, model, &cfg, parallel)
-                    .map_err(|e| CliError::Other(e.to_string()))?
-            } else {
-                anonymize(&ds, model, &cfg).map_err(|e| CliError::Other(e.to_string()))?
-            };
+            let result = anonymize(&ds, model, &cfg).map_err(|e| CliError::Other(e.to_string()))?;
             save(out, &result.dataset)?;
             eprintln!(
                 "wrote {out}: ε spent = {}, edits = {}, utility loss = {:.1} m",
@@ -822,6 +812,32 @@ mod tests {
             assert_eq!(err.exit_code(), 2, "{bad}: bad eps-split is a usage error");
             let err = msg(err);
             assert!(err.contains("eps-split") || err.contains("invalid"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn anonymize_rejects_unusable_epsilon_as_usage() {
+        // A positive ε whose noise scale overflows, and a split whose
+        // global share underflows to zero: both are usage errors caught
+        // before the input is read, never a panic in the pipeline.
+        for (model, epsilon, split) in [("pureg", "1e-320", "0.5"), ("gl", "1e-323", "0.1")] {
+            let err = run(&a(&[
+                "anonymize",
+                "--model",
+                model,
+                "--epsilon",
+                epsilon,
+                "--eps-split",
+                split,
+                "--input",
+                "no-such-input.csv",
+                "--out",
+                "y",
+            ]))
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{model} ε={epsilon}");
+            let err = msg(err);
+            assert!(err.contains("noise scale"), "{model} ε={epsilon}: {err}");
         }
     }
 
