@@ -1,6 +1,6 @@
 //! Reactor-blocking check.
 //!
-//! The PR 7 connection plane is a single epoll/poll thread: every
+//! The connection plane is a single `poll(2)` thread: every
 //! connection's readability, writability, and timeout handling shares
 //! it. Anything that blocks there — durable I/O, `thread::sleep`, or a
 //! contended lock — stalls *every* connection at once, which is exactly

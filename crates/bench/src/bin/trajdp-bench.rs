@@ -17,12 +17,15 @@
 //! Besides the pipeline/modification timings, the harness runs a
 //! connection storm against an in-process server: 128 concurrent
 //! clients — far past the old thread-per-connection worker cap — each
-//! holding its socket open for a run of request/response round trips.
-//! CI asserts the storm completes with zero dropped clients.
+//! holding its socket open for a run of request/response round trips,
+//! while enough idle connections stay open to fill the default
+//! `--max-conn` to within 32 slots, so every `poll` wait scans a nearly
+//! full set. CI asserts the storm completes with zero dropped clients
+//! and at least 864 idle connections held.
 
 #![forbid(unsafe_code)]
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 use trajdp_bench::standard_world;
@@ -42,6 +45,8 @@ struct BenchResult {
 /// round-trip latencies pooled, plus how many clients failed outright.
 struct StormResult {
     clients: usize,
+    /// Idle connections the server still held, unanswered, at the end.
+    idle: usize,
     requests_per_client: usize,
     completed: u64,
     dropped: u64,
@@ -57,10 +62,21 @@ struct StormResult {
 /// their sockets open for the whole run. A client counts as dropped if
 /// it fails to connect, loses its stream mid-run, or reads a non-`ok`
 /// response — on a healthy server all three are zero.
+///
+/// Alongside the clients, the storm holds `max_connections - clients -
+/// 32` idle sockets open for the whole run (the slack absorbs a client
+/// whose close has not landed yet), so the readiness loop works at
+/// nearly its full connection set.
 fn storm(clients: usize, per_client: usize) -> StormResult {
-    eprintln!("bench storm: {clients} clients x {per_client} requests...");
-    let server = Server::start(ServerConfig::default()).expect("bench server");
+    let cfg = ServerConfig::default();
+    let idle_target = cfg.max_connections.saturating_sub(clients + 32);
+    eprintln!("bench storm: {clients} clients x {per_client} requests, {idle_target} idle...");
+    let server = Server::start(cfg).expect("bench server");
     let addr = server.local_addr();
+    // The accept queue is FIFO, so once any client below is answered,
+    // every idle socket has been accepted.
+    let idle: Vec<TcpStream> =
+        (0..idle_target).map_while(|_| TcpStream::connect(addr).ok()).collect();
     let started = Instant::now();
     let handles: Vec<_> = (0..clients)
         .map(|_| {
@@ -97,6 +113,16 @@ fn storm(clients: usize, per_client: usize) -> StormResult {
         }
     }
     let elapsed = started.elapsed().as_secs_f64();
+    // An idle socket still held has nothing to read: a shed or closed
+    // one would show a refusal line or EOF.
+    let idle_held = idle
+        .iter()
+        .filter(|s| {
+            s.set_nonblocking(true).is_ok()
+                && matches!(s.peek(&mut [0u8; 1]), Err(e) if e.kind() == ErrorKind::WouldBlock)
+        })
+        .count();
+    drop(idle);
     server.shutdown();
     latencies.sort_by(|a, b| a.total_cmp(b));
     let percentile = |p: f64| -> f64 {
@@ -108,6 +134,7 @@ fn storm(clients: usize, per_client: usize) -> StormResult {
     };
     StormResult {
         clients,
+        idle: idle_held,
         requests_per_client: per_client,
         completed: latencies.len() as u64,
         dropped,
@@ -195,9 +222,11 @@ fn main() {
     // asserts it); only the per-client request count shrinks.
     let storm_result = storm(128, if quick { 8 } else { 32 });
     eprintln!(
-        "bench storm: {} completed, {} dropped, p50 {:.3} ms, p99 {:.3} ms, {:.0} req/s",
+        "bench storm: {} completed, {} dropped, {} idle held, p50 {:.3} ms, p99 {:.3} ms, \
+         {:.0} req/s",
         storm_result.completed,
         storm_result.dropped,
+        storm_result.idle,
         storm_result.p50_ms,
         storm_result.p99_ms,
         storm_result.throughput_rps
@@ -227,6 +256,7 @@ fn main() {
             "storm",
             Json::obj([
                 ("clients", (storm_result.clients as u64).into()),
+                ("idle", (storm_result.idle as u64).into()),
                 ("requests_per_client", (storm_result.requests_per_client as u64).into()),
                 ("completed", storm_result.completed.into()),
                 ("dropped", storm_result.dropped.into()),

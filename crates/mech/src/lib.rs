@@ -7,19 +7,14 @@
 //!   by inverse-CDF, including the paper's *non-trivial* non-zero-mean
 //!   variant (Theorem 2 proves it still yields ε-DP when the scale is
 //!   `∆φ/ε`).
-//! * [`budget`] — a privacy-budget accountant implementing the sequential
-//!   composition theorem (Theorem 1): spending ε₁, …, εₙ consumes
-//!   `Σᵢ εᵢ` of the total budget.
 //! * [`post`] — the post-processing operations the algorithms apply to
 //!   noisy frequencies (integer rounding, clamping to `[0, |D|]`), which
 //!   are DP-invariant.
 
 #![forbid(unsafe_code)]
 
-pub mod budget;
 pub mod laplace;
 pub mod post;
 
-pub use budget::{BudgetAccountant, BudgetError};
 pub use laplace::{Laplace, LaplaceMechanism, MechError};
 pub use post::{round_count, round_to_range};

@@ -49,6 +49,11 @@ pub fn decode_dataset(mut buf: impl Buf) -> Result<Dataset, ModelError> {
     }
     let domain = Rect::new(buf.get_f64_le(), buf.get_f64_le(), buf.get_f64_le(), buf.get_f64_le());
     let n = buf.get_u64_le() as usize;
+    // The count is untrusted: every trajectory needs a 16-byte header,
+    // so a larger count is truncated input, never an allocation.
+    if n > buf.remaining() / 16 {
+        return Err(ModelError::Truncated { context: "trajectory header" });
+    }
     let mut trajectories = Vec::with_capacity(n);
     for _ in 0..n {
         if buf.remaining() < 16 {
@@ -129,6 +134,22 @@ mod tests {
                 "cut at {cut} gave {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn huge_trajectory_count_is_truncation_not_a_panic() {
+        // A bare 44-byte header claiming u64::MAX trajectories used to
+        // reserve that many up front and abort with "capacity overflow".
+        let mut raw = encode_dataset(&Dataset::new(Rect::new(0.0, 0.0, 1.0, 1.0), vec![])).to_vec();
+        assert_eq!(raw.len(), 44);
+        raw[36..44].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = decode_dataset(&raw[..]).unwrap_err();
+        assert!(matches!(err, ModelError::Truncated { .. }), "{err:?}");
+        // One claimed trajectory too many for the bytes that follow.
+        let mut raw = encode_dataset(&sample_dataset()).to_vec();
+        raw[36..44].copy_from_slice(&4u64.to_le_bytes());
+        let err = decode_dataset(&raw[..]).unwrap_err();
+        assert!(matches!(err, ModelError::Truncated { .. }), "{err:?}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! | [`store`] | chunked-transfer dataset handles (`ds-<id>`), optionally persisted, with delete/LRU/TTL lifecycle and job pinning |
 //! | [`jobs`] | job queue with ids, per-job status, and a durable, compacting JSON-lines journal |
 //! | [`ledger`] | tenancy + privacy budget: the tenant registry (`--tenants`), per-tenant quotas, and the per-dataset ε accumulator |
-//! | [`reactor`] | non-blocking connection plane: `epoll`/`poll` readiness loop, per-connection state machines, read deadlines, load shedding, drain-window shutdown |
+//! | [`reactor`] | non-blocking connection plane: a `poll(2)` readiness loop whose interest set is rebuilt from connection state each turn, per-connection state machines, read deadlines, load shedding, drain-window shutdown |
 //! | [`service`] | server configuration, request dispatch, lifecycle around the reactor |
 //! | [`client`] | blocking JSON-lines client for tests and `trajdp submit` |
 //! | [`obs`] | observability: atomics-only metrics registry (the `metrics` verb), leveled JSON-lines logging, per-job phase timings |

@@ -5,13 +5,15 @@
 //! ## Shape
 //!
 //! One reactor thread owns the listener, every connection socket, and a
-//! [`Poller`] — an `epoll` instance on Linux (bound via direct
-//! `extern "C"` declarations, matching the repo's vendor-offline style)
-//! with a portable `poll(2)` fallback selected at runtime (forced by
-//! the `TRAJDP_FORCE_POLL` environment variable, so the fallback stays
-//! exercised on Linux too). Each connection is a small state machine:
-//! bytes read into a [`LineScanner`] → a complete request line handed
-//! to a small executor pool → the rendered response appended to a
+//! self-pipe waker, and waits on them with `poll(2)` (bound via a direct
+//! `extern "C"` declaration, matching the repo's vendor-offline style).
+//! `poll` keeps no kernel-side registration, so before every wait the
+//! loop rebuilds the interest set from the state it already holds — the
+//! waker, the listener while it is open, and each connection's
+//! `(want_read, want_write)` — and a connection wanting neither is left
+//! out. Each connection is a small state machine: bytes read into a
+//! [`LineScanner`] → a complete request line handed to a small
+//! executor pool → the rendered response appended to a
 //! write buffer flushed with partial-write continuation. The reactor
 //! itself never parses JSON and never runs a verb, so a CPU-heavy
 //! `anonymize` can never stall `accept` or another connection's I/O.
@@ -60,8 +62,8 @@ use std::time::{Duration, Instant};
 // Raw OS bindings (no libc crate — the workspace vendors everything)
 // ---------------------------------------------------------------------
 
-/// Portable POSIX pieces both backends need: `poll(2)`, a self-pipe,
-/// and non-blocking mode for raw fds.
+/// The POSIX pieces the reactor needs: `poll(2)`, a self-pipe, and
+/// non-blocking mode for raw fds.
 mod sys {
     use std::os::raw::{c_int, c_ulong, c_void};
 
@@ -98,43 +100,6 @@ mod sys {
     }
 }
 
-/// Linux `epoll`, the preferred backend: O(ready) wakeups instead of
-/// O(registered) scans per loop turn.
-#[cfg(target_os = "linux")]
-mod epoll_sys {
-    use std::os::raw::c_int;
-
-    pub const EPOLLIN: u32 = 0x1;
-    pub const EPOLLOUT: u32 = 0x4;
-    pub const EPOLLERR: u32 = 0x8;
-    pub const EPOLLHUP: u32 = 0x10;
-    pub const EPOLL_CTL_ADD: c_int = 1;
-    pub const EPOLL_CTL_DEL: c_int = 2;
-    pub const EPOLL_CTL_MOD: c_int = 3;
-    pub const EPOLL_CLOEXEC: c_int = 0o2000000;
-
-    /// The kernel's `struct epoll_event`: packed on x86-64, where the
-    /// ABI leaves the 64-bit payload unaligned.
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
-    }
-
-    extern "C" {
-        pub fn epoll_create1(flags: c_int) -> c_int;
-        pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        pub fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-    }
-}
-
 /// Puts a raw fd (not owned by a std type) into non-blocking mode.
 fn set_nonblocking_fd(fd: RawFd) -> io::Result<()> {
     // SAFETY: callers pass an fd they own and that is open for the
@@ -153,42 +118,22 @@ fn set_nonblocking_fd(fd: RawFd) -> io::Result<()> {
 }
 
 // ---------------------------------------------------------------------
-// Poller: one readiness-notification surface over both backends
+// Interest: the poll(2) set, rebuilt from connection state every turn
 // ---------------------------------------------------------------------
 
-/// One readiness event: which registration fired and how.
-#[derive(Debug, Clone, Copy)]
-pub struct Event {
-    pub token: u64,
-    pub readable: bool,
-    pub writable: bool,
-    /// Error or hangup — the peer is gone or going; always delivered
-    /// by both backends regardless of the requested interest.
-    pub hangup: bool,
+/// One readiness event: which fd (by token) fired and how.
+#[derive(Clone, Copy)]
+struct Event {
+    token: u64,
+    readable: bool,
+    writable: bool,
+    /// Error or hangup — the peer is gone or going; `poll` reports it
+    /// for every fd in the set regardless of the requested interest.
+    hangup: bool,
 }
 
-enum Backend {
-    #[cfg(target_os = "linux")]
-    Epoll { epfd: RawFd },
-    /// Portable fallback: the registration table is rebuilt into a
-    /// `pollfd` array every wait.
-    Poll { fds: Vec<(RawFd, u64, bool, bool)> },
-}
-
-/// Readiness notification over raw fds: register with a `u64` token,
-/// wait for [`Event`]s. Level-triggered on both backends.
-pub struct Poller {
-    backend: Backend,
-}
-
-#[cfg(target_os = "linux")]
-fn epoll_mask(readable: bool, writable: bool) -> u32 {
-    (if readable { epoll_sys::EPOLLIN } else { 0 })
-        | (if writable { epoll_sys::EPOLLOUT } else { 0 })
-}
-
-/// `poll`/`epoll_wait` timeout argument: `-1` blocks indefinitely;
-/// finite waits round up so a 100 µs deadline cannot spin at 0 ms.
+/// `poll` timeout argument: `-1` blocks indefinitely; finite waits
+/// round up so a 100 µs deadline cannot spin at 0 ms.
 fn timeout_ms(timeout: Option<Duration>) -> i32 {
     match timeout {
         None => -1,
@@ -196,205 +141,56 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
     }
 }
 
-impl Poller {
-    /// The platform's best backend: `epoll` on Linux unless
-    /// `TRAJDP_FORCE_POLL` is set, `poll` everywhere else.
-    pub fn new() -> io::Result<Poller> {
-        Poller::with_backend(std::env::var_os("TRAJDP_FORCE_POLL").is_some())
-    }
-
-    /// Backend selection split out so tests can drive the portable
-    /// fallback deterministically without mutating the environment.
-    pub fn with_backend(force_poll: bool) -> io::Result<Poller> {
-        #[cfg(target_os = "linux")]
-        if !force_poll {
-            // SAFETY: epoll_create1 takes no pointers; it returns a
-            // fresh fd (or -1) that Poller::drop closes exactly once.
-            let epfd = unsafe { epoll_sys::epoll_create1(epoll_sys::EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            return Ok(Poller { backend: Backend::Epoll { epfd } });
-        }
-        let _ = force_poll;
-        Ok(Poller { backend: Backend::Poll { fds: Vec::new() } })
-    }
-
-    pub fn register(
-        &mut self,
-        fd: RawFd,
-        token: u64,
-        readable: bool,
-        writable: bool,
-    ) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd } => {
-                let mut ev =
-                    epoll_sys::EpollEvent { events: epoll_mask(readable, writable), data: token };
-                // SAFETY: epfd is the live epoll fd this Poller owns;
-                // `ev` is an initialized repr(C) EpollEvent on the
-                // stack, valid for the duration of the call (the kernel
-                // copies it and keeps no reference).
-                if unsafe { epoll_sys::epoll_ctl(*epfd, epoll_sys::EPOLL_CTL_ADD, fd, &mut ev) } < 0
-                {
-                    return Err(io::Error::last_os_error());
-                }
-                Ok(())
-            }
-            Backend::Poll { fds } => {
-                fds.push((fd, token, readable, writable));
-                Ok(())
-            }
-        }
-    }
-
-    pub fn modify(
-        &mut self,
-        fd: RawFd,
-        token: u64,
-        readable: bool,
-        writable: bool,
-    ) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd } => {
-                let mut ev =
-                    epoll_sys::EpollEvent { events: epoll_mask(readable, writable), data: token };
-                // SAFETY: as for EPOLL_CTL_ADD — owned live epfd, and
-                // `ev` is initialized stack memory the kernel copies.
-                if unsafe { epoll_sys::epoll_ctl(*epfd, epoll_sys::EPOLL_CTL_MOD, fd, &mut ev) } < 0
-                {
-                    return Err(io::Error::last_os_error());
-                }
-                Ok(())
-            }
-            Backend::Poll { fds } => {
-                for entry in fds.iter_mut() {
-                    if entry.0 == fd {
-                        *entry = (fd, token, readable, writable);
-                        return Ok(());
-                    }
-                }
-                Err(io::Error::new(io::ErrorKind::NotFound, "fd is not registered"))
-            }
-        }
-    }
-
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd } => {
-                // Pre-2.6.9 kernels require a non-null event for DEL.
-                let mut ev = epoll_sys::EpollEvent { events: 0, data: 0 };
-                // SAFETY: owned live epfd; `ev` is initialized stack
-                // memory that DEL at most reads.
-                if unsafe { epoll_sys::epoll_ctl(*epfd, epoll_sys::EPOLL_CTL_DEL, fd, &mut ev) } < 0
-                {
-                    return Err(io::Error::last_os_error());
-                }
-                Ok(())
-            }
-            Backend::Poll { fds } => {
-                fds.retain(|&(f, ..)| f != fd);
-                Ok(())
-            }
-        }
-    }
-
-    /// Blocks until at least one registration is ready or `timeout`
-    /// elapses (`None` blocks indefinitely), filling `out`.
-    pub fn wait(&mut self, timeout: Option<Duration>, out: &mut Vec<Event>) -> io::Result<()> {
-        out.clear();
-        let ms = timeout_ms(timeout);
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd } => {
-                let mut events = [epoll_sys::EpollEvent { events: 0, data: 0 }; 64];
-                let n = loop {
-                    // SAFETY: epfd is the live epoll fd this Poller
-                    // owns; `events` is a fully initialized stack array
-                    // and maxevents equals its real length, so the
-                    // kernel writes at most events.len() entries into
-                    // memory that outlives the call.
-                    let n = unsafe {
-                        epoll_sys::epoll_wait(*epfd, events.as_mut_ptr(), events.len() as i32, ms)
-                    };
-                    if n >= 0 {
-                        break n as usize;
-                    }
-                    let e = io::Error::last_os_error();
-                    if e.kind() != io::ErrorKind::Interrupted {
-                        return Err(e);
-                    }
-                };
-                // PANIC: the kernel returns at most `events.len()`
-                // ready entries, so `n` is within the buffer.
-                for ev in &events[..n] {
-                    // Plain field reads copy out of the packed struct.
-                    let bits = ev.events;
-                    let token = ev.data;
-                    out.push(Event {
-                        token,
-                        readable: bits & epoll_sys::EPOLLIN != 0,
-                        writable: bits & epoll_sys::EPOLLOUT != 0,
-                        hangup: bits & (epoll_sys::EPOLLERR | epoll_sys::EPOLLHUP) != 0,
-                    });
-                }
-                Ok(())
-            }
-            Backend::Poll { fds } => {
-                let mut pfds: Vec<sys::PollFd> = fds
-                    .iter()
-                    .map(|&(fd, _, r, w)| sys::PollFd {
-                        fd,
-                        events: (if r { sys::POLLIN } else { 0 })
-                            | (if w { sys::POLLOUT } else { 0 }),
-                        revents: 0,
-                    })
-                    .collect();
-                let n = loop {
-                    // SAFETY: `pfds` is an initialized Vec of repr(C)
-                    // PollFd and nfds is its exact length; the kernel
-                    // only rewrites the `revents` field of each entry,
-                    // and the Vec outlives the call.
-                    let n = unsafe {
-                        sys::poll(pfds.as_mut_ptr(), pfds.len() as std::os::raw::c_ulong, ms)
-                    };
-                    if n >= 0 {
-                        break n;
-                    }
-                    let e = io::Error::last_os_error();
-                    if e.kind() != io::ErrorKind::Interrupted {
-                        return Err(e);
-                    }
-                };
-                if n > 0 {
-                    for (pfd, &(_, token, ..)) in pfds.iter().zip(fds.iter()) {
-                        if pfd.revents != 0 {
-                            out.push(Event {
-                                token,
-                                readable: pfd.revents & sys::POLLIN != 0,
-                                writable: pfd.revents & sys::POLLOUT != 0,
-                                hangup: pfd.revents & (sys::POLLERR | sys::POLLHUP) != 0,
-                            });
-                        }
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
+/// The `poll(2)` set for one loop turn. `poll` keeps no kernel-side
+/// registration, so the reactor pushes every fd it wants watched before
+/// each wait and the wait clears the set; both buffers are reused
+/// across turns. Level-triggered.
+#[derive(Default)]
+struct Interest {
+    fds: Vec<sys::PollFd>,
+    tokens: Vec<u64>,
 }
 
-impl Drop for Poller {
-    fn drop(&mut self) {
-        #[cfg(target_os = "linux")]
-        if let Backend::Epoll { epfd } = self.backend {
-            // SAFETY: this Poller is the sole owner of epfd and Drop
-            // runs once, so the fd is valid here and never double-closed.
-            unsafe { sys::close(epfd) };
+impl Interest {
+    fn push(&mut self, fd: RawFd, token: u64, (read, write): (bool, bool)) {
+        let events = (if read { sys::POLLIN } else { 0 }) | (if write { sys::POLLOUT } else { 0 });
+        self.fds.push(sys::PollFd { fd, events, revents: 0 });
+        self.tokens.push(token);
+    }
+
+    /// Blocks until a pushed fd is ready or `timeout` elapses (`None`
+    /// blocks indefinitely), filling `out`, then clears the set.
+    fn wait(&mut self, timeout: Option<Duration>, out: &mut Vec<Event>) -> io::Result<()> {
+        out.clear();
+        let ms = timeout_ms(timeout);
+        let result = loop {
+            // SAFETY: `fds` is an initialized Vec of repr(C) PollFd and
+            // nfds is its exact length; the kernel only rewrites the
+            // `revents` field of each entry, and the Vec outlives the
+            // call.
+            let n = unsafe {
+                sys::poll(self.fds.as_mut_ptr(), self.fds.len() as std::os::raw::c_ulong, ms)
+            };
+            if n >= 0 {
+                break Ok(());
+            }
+            let e = io::Error::last_os_error();
+            if e.kind() != io::ErrorKind::Interrupted {
+                break Err(e);
+            }
+        };
+        if result.is_ok() {
+            let fired = self.fds.iter().zip(&self.tokens).filter(|(pfd, _)| pfd.revents != 0);
+            out.extend(fired.map(|(pfd, &token)| Event {
+                token,
+                readable: pfd.revents & sys::POLLIN != 0,
+                writable: pfd.revents & sys::POLLOUT != 0,
+                hangup: pfd.revents & (sys::POLLERR | sys::POLLHUP) != 0,
+            }));
         }
+        self.fds.clear();
+        self.tokens.clear();
+        result
     }
 }
 
@@ -415,7 +211,7 @@ impl Drop for WakerFd {
     }
 }
 
-/// Wakes the reactor out of a blocked [`Poller::wait`] — used by
+/// Wakes the reactor out of a blocked `poll` wait — used by
 /// executor workers when a completion is ready and by
 /// [`crate::service::Server::shutdown`]. Cloneable and safe from any
 /// thread; a full pipe means a wake is already pending, so the write
@@ -708,14 +504,22 @@ struct Conn {
     dead: bool,
     /// Armed while an incomplete line is buffered.
     deadline: Option<Instant>,
-    /// What the poller currently watches for this socket.
-    registered: bool,
-    interest: (bool, bool),
+}
+
+impl Conn {
+    /// What the loop polls this socket for: `(read, write)`. A
+    /// connection wanting neither (dispatch in flight, nothing
+    /// buffered) is left out of the poll set entirely — `poll` reports
+    /// hangups on every listed fd whatever the interest, and a
+    /// half-dead peer must not spin the loop while its request runs.
+    fn wants(&self) -> (bool, bool) {
+        let read = !self.read_closed && !self.busy && !self.close_after_flush;
+        (read, self.written < self.outbuf.len())
+    }
 }
 
 pub struct Reactor {
     listener: Option<TcpListener>,
-    poller: Poller,
     wake_reader: PipeReader,
     conns: HashMap<u64, Conn>,
     next_token: u64,
@@ -739,15 +543,11 @@ impl Reactor {
         stop: Arc<AtomicBool>,
     ) -> io::Result<(Reactor, Waker)> {
         listener.set_nonblocking(true)?;
-        let mut poller = Poller::new()?;
         let (wake_reader, waker) = new_waker()?;
-        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, true, false)?;
-        poller.register(wake_reader.fd, WAKER_TOKEN, true, false)?;
         let (done_tx, done_rx) = mpsc::channel();
         let executor = Executor::new(cfg.executor_threads, dispatch, done_tx, waker.clone());
         let reactor = Reactor {
             listener: Some(listener),
-            poller,
             wake_reader,
             conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
@@ -764,10 +564,11 @@ impl Reactor {
     /// The readiness loop. Returns once shutdown has drained (or cut)
     /// every connection and the executor has been joined.
     pub fn run(mut self) {
+        let mut interest = Interest::default();
         let mut events: Vec<Event> = Vec::new();
         loop {
-            let timeout = self.next_timeout();
-            if self.poller.wait(timeout, &mut events).is_err() {
+            let timeout = self.fill_interest(&mut interest);
+            if interest.wait(timeout, &mut events).is_err() {
                 break;
             }
             let iter_start = Instant::now();
@@ -803,13 +604,24 @@ impl Reactor {
         self.executor.shutdown();
     }
 
-    /// The next wait's timeout: the nearest read deadline or the drain
-    /// deadline; `None` (block indefinitely) when neither is armed —
-    /// an idle reactor takes zero wakeups.
-    fn next_timeout(&self) -> Option<Duration> {
+    /// Fills the next wait's interest set from the state the reactor
+    /// already holds — the waker, the listener while it is open, and
+    /// every connection that [`Conn::wants`] something — and returns the
+    /// wait's timeout: the nearest read deadline or the drain deadline;
+    /// `None` (block indefinitely) when neither is armed, so an idle
+    /// reactor takes zero wakeups.
+    fn fill_interest(&self, interest: &mut Interest) -> Option<Duration> {
+        interest.push(self.wake_reader.fd, WAKER_TOKEN, (true, false));
+        if let Some(listener) = &self.listener {
+            interest.push(listener.as_raw_fd(), LISTENER_TOKEN, (true, false));
+        }
         let mut next: Option<Instant> = self.drain_deadline;
-        for c in self.conns.values() {
-            if let Some(d) = c.deadline {
+        for (&token, conn) in &self.conns {
+            let wants = conn.wants();
+            if wants != (false, false) {
+                interest.push(conn.stream.as_raw_fd(), token, wants);
+            }
+            if let Some(d) = conn.deadline {
                 next = Some(next.map_or(d, |n| n.min(d)));
             }
         }
@@ -855,9 +667,6 @@ impl Reactor {
         }
         let token = self.next_token;
         self.next_token += 1;
-        if self.poller.register(stream.as_raw_fd(), token, true, false).is_err() {
-            return;
-        }
         self.metrics.connections_total.fetch_add(1, Ordering::Relaxed);
         self.metrics.connections_active.fetch_add(1, Ordering::Relaxed);
         if log_enabled(LogLevel::Debug) {
@@ -875,8 +684,6 @@ impl Reactor {
                 close_after_flush: false,
                 dead: false,
                 deadline: None,
-                registered: true,
-                interest: (true, false),
             },
         );
     }
@@ -1062,9 +869,7 @@ impl Reactor {
     /// connections close now.
     fn begin_drain(&mut self) {
         self.drain_deadline = Some(Instant::now() + self.cfg.drain_window);
-        if let Some(listener) = self.listener.take() {
-            let _ = self.poller.deregister(listener.as_raw_fd());
-        }
+        self.listener = None;
         if log_enabled(LogLevel::Info) {
             log_event(
                 LogLevel::Info,
@@ -1089,7 +894,8 @@ impl Reactor {
     }
 
     /// Settles a connection after I/O: close it if it is finished (or
-    /// dead), otherwise re-arm the deadline and poller interest.
+    /// dead), otherwise re-arm the deadline. The next wait polls it for
+    /// whatever [`Conn::wants`] then says.
     fn finish_io(&mut self, token: u64) {
         let close = {
             let Some(conn) = self.conns.get_mut(&token) else { return };
@@ -1112,49 +918,11 @@ impl Reactor {
         };
         if close {
             self.close_conn(token);
-            return;
-        }
-        self.sync_interest(token);
-    }
-
-    /// Matches the poller registration to what the state machine can
-    /// use. A connection needing neither reads nor writes (dispatch in
-    /// flight, nothing buffered) is deregistered entirely — both
-    /// backends report hangups unconditionally on registered fds, and
-    /// a half-dead peer must not spin the loop while its request runs.
-    fn sync_interest(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else { return };
-        let want_read = !conn.read_closed && !conn.busy && !conn.close_after_flush;
-        let want_write = conn.written < conn.outbuf.len();
-        let want = (want_read, want_write);
-        let fd = conn.stream.as_raw_fd();
-        let result = if want == (false, false) {
-            if conn.registered {
-                conn.registered = false;
-                self.poller.deregister(fd)
-            } else {
-                Ok(())
-            }
-        } else if !conn.registered {
-            conn.registered = true;
-            conn.interest = want;
-            self.poller.register(fd, token, want.0, want.1)
-        } else if conn.interest != want {
-            conn.interest = want;
-            self.poller.modify(fd, token, want.0, want.1)
-        } else {
-            Ok(())
-        };
-        if result.is_err() {
-            self.close_conn(token);
         }
     }
 
     fn close_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            if conn.registered {
-                let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            }
+        if self.conns.remove(&token).is_some() {
             self.metrics.connections_active.fetch_sub(1, Ordering::Relaxed);
             if log_enabled(LogLevel::Debug) {
                 log_event(LogLevel::Debug, "connection closed", &[("conn", Json::from(token))]);
@@ -1261,37 +1029,28 @@ mod tests {
         );
     }
 
-    /// Exercises a poller backend directly through a self-pipe:
-    /// readiness, token delivery, timeouts, and deregistration.
-    fn poller_roundtrip(force_poll: bool) {
-        let mut poller = Poller::with_backend(force_poll).unwrap();
+    /// Drives the interest set directly through a self-pipe:
+    /// readiness, token delivery, timeouts, and the per-wait reset.
+    #[test]
+    fn interest_set_delivers_events() {
+        let mut interest = Interest::default();
         let (reader, waker) = new_waker().unwrap();
-        poller.register(reader.fd, 7, true, false).unwrap();
         let mut events = Vec::new();
         // Nothing pending: a finite wait times out empty.
-        poller.wait(Some(Duration::from_millis(5)), &mut events).unwrap();
+        interest.push(reader.fd, 7, (true, false));
+        interest.wait(Some(Duration::from_millis(5)), &mut events).unwrap();
         assert!(events.is_empty(), "no event before the wake");
         waker.wake();
-        poller.wait(Some(Duration::from_secs(5)), &mut events).unwrap();
+        interest.push(reader.fd, 7, (true, false));
+        interest.wait(Some(Duration::from_secs(5)), &mut events).unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].token, 7);
         assert!(events[0].readable);
         reader.drain();
-        // Deregistered fds never fire again.
-        poller.deregister(reader.fd).unwrap();
+        // The wait cleared the set: an fd not pushed again never fires.
         waker.wake();
-        poller.wait(Some(Duration::from_millis(5)), &mut events).unwrap();
-        assert!(events.is_empty(), "deregistered fd must not fire");
-    }
-
-    #[test]
-    fn poll_fallback_backend_delivers_events() {
-        poller_roundtrip(true);
-    }
-
-    #[test]
-    fn default_backend_delivers_events() {
-        poller_roundtrip(false);
+        interest.wait(Some(Duration::from_millis(5)), &mut events).unwrap();
+        assert!(events.is_empty(), "an fd left out of the set must not fire");
     }
 
     #[test]

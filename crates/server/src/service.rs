@@ -755,6 +755,62 @@ mod tests {
     }
 
     #[test]
+    fn peer_vanishing_mid_dispatch_does_not_spin_the_loop() {
+        // A connection whose dispatch is in flight and whose output is
+        // flushed wants neither reads nor writes, so the reactor leaves
+        // it out of the poll set. Were it listed, `poll` would report
+        // the dead peer's POLLERR|POLLHUP on every turn — and with the
+        // read side already at EOF nothing would consume the event — so
+        // the loop would spin until the dispatch finished.
+        let server = Server::start(ServerConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let mut observer = Client::connect(addr).unwrap();
+        // A synchronous request that runs for at least 100 ms here.
+        let mut size = 20;
+        let slow = loop {
+            let line = format!(r#"{{"cmd":"gen","size":{size},"len":100,"seed":1,"store":true}}"#);
+            let started = Instant::now();
+            assert!(observer.request_line(&line).is_ok());
+            if started.elapsed() >= Duration::from_millis(100) || size >= 100_000 {
+                break line;
+            }
+            size *= 2;
+        };
+        let before = observer.metrics().unwrap();
+        let mut victim = TcpStream::connect(addr).unwrap();
+        victim.write_all(format!("{{\"cmd\":\"health\"}}\n{slow}\n").as_bytes()).unwrap();
+        // EOF now: the server reads both lines and the end of input
+        // before the slow dispatch starts.
+        victim.shutdown(std::net::Shutdown::Write).unwrap();
+        // Wait for the health reply without consuming it, so the drop
+        // below finds unread data and the kernel answers with RST while
+        // the slow request is still running.
+        victim.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        assert_eq!(victim.peek(&mut [0u8; 1]).unwrap(), 1);
+        drop(victim);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut polls = 0u64;
+        let after = loop {
+            std::thread::sleep(Duration::from_millis(50));
+            let snapshot = observer.metrics().unwrap();
+            polls += 1;
+            if snapshot.connections_active == before.connections_active {
+                break snapshot;
+            }
+            assert!(Instant::now() < deadline, "the vanished peer's connection was never closed");
+        };
+        // A handful of turns for the victim's accept, reads and two
+        // completions, and a few per observer `metrics` round trip; a
+        // spinning loop would take thousands.
+        let turns = after.reactor_iterations.count - before.reactor_iterations.count;
+        assert!(turns <= 16 + 4 * polls, "{turns} loop turns over {polls} polls");
+        let r = observer.request_line(r#"{"cmd":"health"}"#).unwrap();
+        assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
+        drop(observer);
+        server.shutdown();
+    }
+
+    #[test]
     fn request_in_flight_at_shutdown_is_answered_during_drain() {
         let server = Server::start(ServerConfig::default()).unwrap();
         let addr = server.local_addr();
