@@ -1029,10 +1029,11 @@ mod tests {
         );
     }
 
-    /// Drives the interest set directly through a self-pipe:
-    /// readiness, token delivery, timeouts, and the per-wait reset.
+    /// Drives the interest set — `poll(2)`, the default and only
+    /// backend — directly through a self-pipe: readiness, token
+    /// delivery, timeouts, and the per-wait reset.
     #[test]
-    fn interest_set_delivers_events() {
+    fn default_backend_delivers_events() {
         let mut interest = Interest::default();
         let (reader, waker) = new_waker().unwrap();
         let mut events = Vec::new();
@@ -1051,6 +1052,33 @@ mod tests {
         waker.wake();
         interest.wait(Some(Duration::from_millis(5)), &mut events).unwrap();
         assert!(events.is_empty(), "an fd left out of the set must not fire");
+    }
+
+    /// `poll(2)`, once only the portable fallback, is the backend now.
+    /// Beyond readability it reports write readiness, and a hangup even
+    /// on an fd pushed with no interest at all — the reason the reactor
+    /// leaves interest-free connections out of the set.
+    #[test]
+    fn poll_fallback_backend_delivers_events() {
+        let mut interest = Interest::default();
+        let (reader, waker) = new_waker().unwrap();
+        let mut events = Vec::new();
+        // An empty pipe's write end is writable at once; the read end,
+        // pushed for reads only, stays quiet.
+        interest.push(reader.fd, 1, (true, false));
+        interest.push(waker.inner.fd, 2, (false, true));
+        interest.wait(Some(Duration::from_secs(5)), &mut events).unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].token, 2);
+        assert!(events[0].writable && !events[0].readable && !events[0].hangup);
+        // Closing the write end hangs up the read end, and poll says so
+        // though the fd asked for neither reads nor writes.
+        drop(waker);
+        interest.push(reader.fd, 1, (false, false));
+        interest.wait(Some(Duration::from_secs(5)), &mut events).unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].token, 1);
+        assert!(events[0].hangup && !events[0].readable && !events[0].writable);
     }
 
     #[test]
