@@ -2,12 +2,16 @@
 //!
 //! `crates/core` and `crates/mech` promise byte-identical output for a
 //! given seed at any worker count (`core::stream` gives every unit its
-//! own RNG stream; tie-breaking is total). Two things silently break
-//! that promise:
+//! own RNG stream; tie-breaking is total), and `crates/index` answers
+//! the searches that output depends on. Two things silently break that
+//! promise:
 //!
-//! * iterating a default-hasher `HashMap`/`HashSet` — iteration order
-//!   varies across processes (SipHash keys are randomized), so any
-//!   order-sensitive consumer becomes run-dependent;
+//! * iterating a `HashMap`/`HashSet` — with the default hasher the
+//!   order varies across processes (SipHash keys are randomized), and
+//!   with a fixed one (the index's `FxBuild`) it follows insertion
+//!   history and table capacity, so any order-sensitive consumer
+//!   depends on more than its inputs. Any type spelled `HashMap`/
+//!   `HashSet` is tracked, whatever its hasher parameter;
 //! * wall-clock reads (`SystemTime::now`, `Instant::now`) feeding
 //!   values into results.
 //!
@@ -162,7 +166,7 @@ pub fn check_source(sf: &SourceFile, out: &mut Vec<Finding>) {
                 Check::Determinism,
                 code[i + 2].line,
                 format!(
-                    "`{}.{method}()` iterates a default-hasher map/set in nondeterministic order; \
+                    "`{}.{method}()` iterates a hash map/set in an order no input defines; \
                      sort the result or use an ordered structure (or `// lint: allow(determinism): <why>`)",
                     t.text
                 ),
@@ -212,7 +216,7 @@ pub fn check_source(sf: &SourceFile, out: &mut Vec<Finding>) {
                         Check::Determinism,
                         h.line,
                         format!(
-                            "`for … in {}` iterates a default-hasher map/set in nondeterministic order; \
+                            "`for … in {}` iterates a hash map/set in an order no input defines; \
                              sort the keys first or use an ordered structure (or `// lint: allow(determinism): <why>`)",
                             h.text
                         ),
@@ -225,7 +229,7 @@ pub fn check_source(sf: &SourceFile, out: &mut Vec<Finding>) {
 }
 
 pub fn run(root: &Path, out: &mut Vec<Finding>) -> std::io::Result<()> {
-    for dir in ["crates/core/src", "crates/mech/src"] {
+    for dir in ["crates/core/src", "crates/mech/src", "crates/index/src"] {
         for path in collect_rs_files(&root.join(dir)) {
             let src = std::fs::read_to_string(&path)?;
             let sf = SourceFile::from_source(&rel_path(root, &path), &src);
@@ -262,6 +266,17 @@ mod tests {
         );
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].message.contains("for … in containing"));
+    }
+
+    #[test]
+    fn flags_iteration_of_a_map_with_a_custom_hasher() {
+        // The index's fixed-hasher maps stay in sight: the type is
+        // still spelled `HashMap`, whatever its third parameter.
+        let out = findings(
+            "struct G { nodes: HashMap<CellId, Node, FxBuild> }\nimpl G { fn f(&self) { for (c, n) in &self.nodes { use_it(c, n); } } }",
+        );
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.contains("for … in nodes"));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! * [`checks::lock_io`] — no `Mutex`/`RwLock` guard may be live across
 //!   a durable-write call (`sync_all`, `sync_data`, `persist`, `fsync`,
 //!   journal `append`/`rewrite`) in `crates/server`.
-//! * [`checks::determinism`] — `crates/core` and `crates/mech` must not
-//!   iterate default-hasher maps/sets or read wall clocks on
-//!   result-affecting paths.
+//! * [`checks::determinism`] — `crates/core`, `crates/mech` and
+//!   `crates/index` must not iterate hash maps/sets or read wall clocks
+//!   on result-affecting paths.
 //! * [`checks::drift`] — PROTOCOL.md's error-code, verb, and metric
 //!   tables must match `api.rs`/`obs.rs` exactly.
 //!

@@ -10,6 +10,18 @@
 //!   (Definition 7): raising/lowering a point's TF by inserting it into /
 //!   deleting it from the ∆l trajectories with the least utility loss
 //!   (Definition 8).
+//!
+//! Index upkeep is incremental in both editors: an edit rewrites only
+//! the segments it changes. An insertion replaces one segment with two;
+//! deleting a sample (the shared `delete_sample` step) removes the one
+//! or two segments touching it and registers the merged segment, so a
+//! complete deletion of a point costs a few index operations per
+//! occurrence, not a re-registration of the whole trajectory. Segment
+//! ids come from a counter and are never reused. [`DatasetEditor`]
+//! maps them to their trajectory slots in a dense owner vector, and
+//! each nearest-segment search filters through a per-query slot mask of
+//! the trajectories already containing the point, so the filter the
+//! index calls for every checked segment does no hashing.
 
 use crate::indexkind::{AnyIndex, IndexKind};
 use crate::pool;
@@ -158,30 +170,13 @@ impl TrajectoryEditor {
 
     /// Deletes the sample at `idx`, merging the index entries.
     fn delete_at(&mut self, idx: usize) -> f64 {
-        let len = self.traj.len();
-        debug_assert!(idx < len);
-        // Remove index entries of the segments touching the sample.
-        if idx > 0 {
-            self.index.remove(self.seg_ids[idx - 1]);
-        }
-        if idx + 1 < len {
-            self.index.remove(self.seg_ids[idx]);
-        }
-        let loss = self.traj.delete_at(idx);
+        let next_id = &mut self.next_id;
+        let loss = delete_sample(&mut self.traj, &mut self.seg_ids, &mut self.index, idx, || {
+            let id = *next_id;
+            *next_id += 1;
+            id
+        });
         self.deletions += 1;
-        // Update seg_ids: the two touching segments collapse into one
-        // (interior) or zero (endpoint).
-        if idx > 0 && idx < len - 1 {
-            let merged = self.fresh_id();
-            self.index.insert(SegmentEntry::new(merged, self.traj.segment(idx - 1)));
-            self.seg_ids.splice(idx - 1..=idx, [merged]);
-        } else if idx == 0 {
-            if !self.seg_ids.is_empty() {
-                self.seg_ids.remove(0);
-            }
-        } else if !self.seg_ids.is_empty() {
-            self.seg_ids.pop();
-        }
         loss
     }
 
@@ -211,6 +206,51 @@ impl TrajectoryEditor {
     }
 }
 
+/// Deletes sample `idx` of `traj` and keeps its segment index in step —
+/// the one deletion step both editors share. Only the one or two
+/// segments touching the sample change: their entries leave `index`
+/// and `seg_ids`, and an interior sample's two segments collapse into
+/// the merged segment `⟨idx − 1, idx + 1⟩`, registered under the id
+/// `fresh` hands out. Returns the reconnection loss.
+fn delete_sample(
+    traj: &mut Trajectory,
+    seg_ids: &mut Vec<u64>,
+    index: &mut AnyIndex,
+    idx: usize,
+    fresh: impl FnOnce() -> u64,
+) -> f64 {
+    let len = traj.len();
+    debug_assert!(idx < len);
+    if idx > 0 {
+        index.remove(seg_ids[idx - 1]);
+    }
+    if idx + 1 < len {
+        index.remove(seg_ids[idx]);
+    }
+    let loss = traj.delete_at(idx);
+    // The two touching segments collapse into one (interior) or zero
+    // (endpoint).
+    if idx > 0 && idx < len - 1 {
+        let merged = fresh();
+        index.insert(SegmentEntry::new(merged, traj.segment(idx - 1)));
+        seg_ids.splice(idx - 1..=idx, [merged]);
+    } else if idx == 0 {
+        if !seg_ids.is_empty() {
+            seg_ids.remove(0);
+        }
+    } else {
+        seg_ids.pop();
+    }
+    loss
+}
+
+/// Hands out the next segment id of a dense owner table, recording
+/// `t` as its owner: the id is the table's length.
+fn claim_id(owner: &mut Vec<usize>, t: usize) -> u64 {
+    owner.push(t);
+    (owner.len() - 1) as u64
+}
+
 /// Offers `entry` to a max-heap keeping the `delta` smallest
 /// `(loss, slot)` pairs — the fixed tie rule of the inter-trajectory
 /// selection: on equal loss the smallest slot wins, so merging chunk
@@ -230,9 +270,15 @@ fn push_bounded(best: &mut BinaryHeap<(TotalF64, usize)>, delta: usize, entry: (
 #[derive(Debug)]
 pub struct DatasetEditor {
     trajs: Vec<Trajectory>,
+    /// `seg_ids[t][i]` is the index payload of segment `i` of slot `t`.
     seg_ids: Vec<Vec<u64>>,
     index: AnyIndex,
-    owner: HashMap<u64, usize>,
+    /// Dense owner table: `owner[id]` is the slot of segment `id`. Every
+    /// id is handed out by `claim_id`, which pushes its owner, so the
+    /// table's length is the id counter and the search filter needs no
+    /// hash lookup. Entries of retired ids stay behind, unused: ids are
+    /// never reused.
+    owner: Vec<usize>,
     /// Inverted occurrence map: point → trajectory slots containing it.
     containing: HashMap<PointKey, HashSet<usize>>,
     /// Cached per-trajectory bounding boxes for branch-and-bound
@@ -246,7 +292,6 @@ pub struct DatasetEditor {
     /// The scans are pure, so the selection — and therefore the edited
     /// dataset — is identical at every value; `1` scans serially.
     pub workers: usize,
-    next_id: u64,
     domain: Rect,
     kind: IndexKind,
     /// Accumulated utility loss of all edits.
@@ -264,16 +309,14 @@ impl DatasetEditor {
     pub fn new(trajs: Vec<Trajectory>, kind: IndexKind, domain: Rect) -> Self {
         let mut index = AnyIndex::new(kind, domain);
         let mut seg_ids = Vec::with_capacity(trajs.len());
-        let mut owner = HashMap::new();
+        let mut owner = Vec::with_capacity(trajs.iter().map(Trajectory::num_segments).sum());
         let mut containing: HashMap<PointKey, HashSet<usize>> = HashMap::new();
-        let mut next_id = 0u64;
         for (t, traj) in trajs.iter().enumerate() {
             let mut ids = Vec::with_capacity(traj.num_segments());
             for (_, seg) in traj.segments() {
-                index.insert(SegmentEntry::new(next_id, seg));
-                owner.insert(next_id, t);
-                ids.push(next_id);
-                next_id += 1;
+                let id = claim_id(&mut owner, t);
+                index.insert(SegmentEntry::new(id, seg));
+                ids.push(id);
             }
             seg_ids.push(ids);
             for s in &traj.samples {
@@ -290,7 +333,6 @@ impl DatasetEditor {
             bboxes,
             use_bbox_pruning: false,
             workers: 1,
-            next_id,
             domain,
             kind,
             loss: 0.0,
@@ -300,10 +342,9 @@ impl DatasetEditor {
         }
     }
 
-    fn fresh_id(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
+    /// A new segment id, owned by slot `t`.
+    fn fresh_id(&mut self, t: usize) -> u64 {
+        claim_id(&mut self.owner, t)
     }
 
     /// Finishes editing, returning the modified trajectories.
@@ -344,10 +385,15 @@ impl DatasetEditor {
         if self.use_bbox_pruning {
             return self.increase_tf_bbox(q, delta);
         }
-        let qk = q.key();
-        let eligible = |editor: &Self, t: usize| -> bool {
-            !editor.containing.get(&qk).is_some_and(|s| s.contains(&t))
-        };
+        // Slot mask of the trajectories already passing through `q`, so
+        // the per-segment filter is two vector reads.
+        let mut excluded = vec![false; self.trajs.len()];
+        if let Some(set) = self.containing.get(&q.key()) {
+            // lint: allow(determinism): sets one flag per member; the mask is the same in any visit order
+            for &t in set {
+                excluded[t] = true;
+            }
+        }
         // Grow-k nearest-segment search: score each owning trajectory by
         // its nearest reported segment, then pick the ∆l best in
         // ascending `(distance, slot)` order — on equal distance the
@@ -356,11 +402,7 @@ impl DatasetEditor {
         let mut k = delta.saturating_mul(4).max(8);
         loop {
             let owner = &self.owner;
-            let containing = self.containing.get(&qk);
-            let filter = |id: u64| -> bool {
-                let t = owner[&id];
-                !containing.is_some_and(|s| s.contains(&t))
-            };
+            let filter = |id: u64| -> bool { !excluded[owner[id as usize]] };
             let (neighbors, stats) = self.index.knn_with_stats(&q, k, Some(&filter));
             self.accumulate(stats);
             let exhausted = neighbors.len() < k;
@@ -371,7 +413,7 @@ impl DatasetEditor {
             // first hit is its nearest reported segment.
             let mut scored: Vec<(f64, usize)> = Vec::new();
             for n in &neighbors {
-                let t = self.owner[&n.id];
+                let t = self.owner[n.id as usize];
                 if !scored.iter().any(|&(_, s)| s == t) {
                     scored.push((n.dist, t));
                 }
@@ -394,11 +436,11 @@ impl DatasetEditor {
         // Fallback: trajectories with no segments can still take an
         // appended point.
         if chosen.len() < delta {
-            for t in 0..self.trajs.len() {
+            for (t, traj) in self.trajs.iter().enumerate() {
                 if chosen.len() == delta {
                     break;
                 }
-                if self.trajs[t].num_segments() == 0 && eligible(self, t) && !chosen.contains(&t) {
+                if traj.num_segments() == 0 && !excluded[t] && !chosen.contains(&t) {
                     chosen.push(t);
                 }
             }
@@ -535,9 +577,8 @@ impl DatasetEditor {
             self.insertions += 1;
             if self.trajs[t].len() >= 2 {
                 let pos = self.trajs[t].num_segments() - 1;
-                let id = self.fresh_id();
+                let id = self.fresh_id(t);
                 self.index.insert(SegmentEntry::new(id, self.trajs[t].segment(pos)));
-                self.owner.insert(id, t);
                 self.seg_ids[t].push(id);
             }
         } else {
@@ -548,17 +589,13 @@ impl DatasetEditor {
                     traj.segment(a).dist_to_point(&q).total_cmp(&traj.segment(b).dist_to_point(&q))
                 })
                 .expect("non-empty segment list");
-            let old_id = self.seg_ids[t][pos];
-            self.index.remove(old_id);
-            self.owner.remove(&old_id);
+            self.index.remove(self.seg_ids[t][pos]);
             self.loss += self.trajs[t].insert_into_segment(q, pos);
             self.insertions += 1;
-            let left = self.fresh_id();
-            let right = self.fresh_id();
+            let left = self.fresh_id(t);
+            let right = self.fresh_id(t);
             self.index.insert(SegmentEntry::new(left, self.trajs[t].segment(pos)));
             self.index.insert(SegmentEntry::new(right, self.trajs[t].segment(pos + 1)));
-            self.owner.insert(left, t);
-            self.owner.insert(right, t);
             self.seg_ids[t].splice(pos..=pos, [left, right]);
         }
         self.containing.entry(q.key()).or_default().insert(t);
@@ -616,25 +653,26 @@ impl DatasetEditor {
         }
     }
 
-    /// Removes every occurrence of `q` from slot `t`, re-registering the
-    /// trajectory's segments.
+    /// Removes every occurrence of `q` from slot `t`. Each deletion
+    /// rewrites only the one or two segments touching the occurrence
+    /// (the step [`TrajectoryEditor`] takes too); the rest of the
+    /// trajectory keeps its index entries. Occurrences go first to last
+    /// and the losses are summed before they reach `self.loss`, exactly
+    /// as [`Trajectory::delete_all`] does.
     fn delete_point_from(&mut self, t: usize, q: PointKey) {
-        for &id in &self.seg_ids[t] {
-            self.index.remove(id);
-            self.owner.remove(&id);
+        let mut total = 0.0;
+        while let Some(idx) = self.trajs[t].samples.iter().position(|s| s.loc.key() == q) {
+            let owner = &mut self.owner;
+            total += delete_sample(
+                &mut self.trajs[t],
+                &mut self.seg_ids[t],
+                &mut self.index,
+                idx,
+                || claim_id(owner, t),
+            );
+            self.deletions += 1;
         }
-        self.seg_ids[t].clear();
-        let occurrences = self.trajs[t].occurrences(q).len();
-        self.loss += self.trajs[t].delete_all(q);
-        self.deletions += occurrences;
-        let mut ids = Vec::with_capacity(self.trajs[t].num_segments());
-        for i in 0..self.trajs[t].num_segments() {
-            let id = self.fresh_id();
-            self.index.insert(SegmentEntry::new(id, self.trajs[t].segment(i)));
-            self.owner.insert(id, t);
-            ids.push(id);
-        }
-        self.seg_ids[t] = ids;
+        self.loss += total;
         if let Some(s) = self.containing.get_mut(&q) {
             s.remove(&t);
             if s.is_empty() {
@@ -667,7 +705,7 @@ impl DatasetEditor {
         for (t, ids) in self.seg_ids.iter().enumerate() {
             assert_eq!(ids.len(), self.trajs[t].num_segments(), "slot {t} seg count");
             for &id in ids {
-                assert_eq!(self.owner[&id], t, "owner mismatch for id {id}");
+                assert_eq!(self.owner[id as usize], t, "owner mismatch for id {id}");
             }
             total += ids.len();
         }
@@ -903,16 +941,21 @@ mod tests {
         assert_eq!(ed.deletions, 1);
     }
 
-    #[test]
-    fn works_with_all_index_kinds() {
+    /// Every index backend and search strategy the editors can run on.
+    fn all_index_kinds() -> [IndexKind; 5] {
         use trajdp_index::Strategy;
-        for kind in [
+        [
             IndexKind::Linear,
             IndexKind::Uniform(32),
             IndexKind::Hier(64, Strategy::TopDown),
             IndexKind::Hier(64, Strategy::BottomUp),
             IndexKind::Hier(64, Strategy::BottomUpDown),
-        ] {
+        ]
+    }
+
+    #[test]
+    fn works_with_all_index_kinds() {
+        for kind in all_index_kinds() {
             let trajs = vec![
                 traj(0, &[(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)]),
                 traj(1, &[(0.0, 500.0), (100.0, 500.0)]),
@@ -1214,6 +1257,64 @@ mod tests {
         ed.decrease_tf(q.key(), 2);
         for (t, traj) in ed.trajectories().iter().enumerate() {
             assert_eq!(ed.bboxes[t], traj.bbox(), "bbox stale after deletion in slot {t}");
+        }
+    }
+
+    // ---------- incremental index upkeep vs. a fresh build ----------
+
+    /// Differential check of the incremental index upkeep: after every
+    /// edit, an editor built from scratch over the current trajectories
+    /// must make the same next selection, with the same loss and the
+    /// same search work. A stale or missing index entry (a segment left
+    /// behind by a deletion, or a merged segment with the wrong
+    /// geometry) passes the count-only `check_invariants` but changes
+    /// what a later search sees. Increases often target points deleted
+    /// earlier, right where a stale entry would sit.
+    #[test]
+    fn incremental_edits_match_a_fresh_index_build() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use trajdp_synth::{generate, GeneratorConfig};
+        for seed in [5u64, 23] {
+            let world = generate(&GeneratorConfig::tdrive_profile(16, 40, seed));
+            let domain = world.dataset.domain;
+            for kind in all_index_kinds() {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut ed = DatasetEditor::new(world.dataset.trajectories.clone(), kind, domain);
+                let mut deleted: Vec<Point> = Vec::new();
+                for step in 0..60 {
+                    let mut fresh = DatasetEditor::new(ed.trajectories().to_vec(), kind, domain);
+                    fresh.loss = ed.loss;
+                    fresh.stats = ed.stats;
+                    let live: Vec<&Trajectory> =
+                        ed.trajectories().iter().filter(|t| !t.is_empty()).collect();
+                    let traj = live[rng.gen_range(0..live.len())];
+                    let sample = traj.samples[rng.gen_range(0..traj.len())].loc;
+                    let what = if rng.gen_bool(0.4) {
+                        let delta = rng.gen_range(1..4usize);
+                        deleted.push(sample);
+                        assert_eq!(
+                            ed.decrease_tf(sample.key(), delta),
+                            fresh.decrease_tf(sample.key(), delta)
+                        );
+                        format!("decrease {sample:?} by {delta}")
+                    } else {
+                        let q = if !deleted.is_empty() && rng.gen_bool(0.5) {
+                            deleted[rng.gen_range(0..deleted.len())]
+                        } else {
+                            sample
+                        };
+                        let delta = rng.gen_range(1..5usize);
+                        assert_eq!(ed.increase_tf(q, delta), fresh.increase_tf(q, delta));
+                        format!("increase {q:?} by {delta}")
+                    };
+                    let at = format!("seed {seed}, {kind:?}, step {step}: {what}");
+                    ed.check_invariants();
+                    assert_eq!(ed.trajectories(), fresh.trajectories(), "{at}: selection differs");
+                    assert_eq!(ed.loss, fresh.loss, "{at}: loss differs");
+                    assert_eq!(ed.stats, fresh.stats, "{at}: search work differs");
+                }
+            }
         }
     }
 }

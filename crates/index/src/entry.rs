@@ -5,9 +5,9 @@ use trajdp_model::Segment;
 
 /// A segment registered in an index, tagged with an opaque payload id.
 ///
-/// Callers encode whatever they need in `id` — the core crate packs
-/// `(trajectory slot, segment position)` for inter-trajectory search and
-/// a plain segment position for intra-trajectory search.
+/// Callers give each live segment a distinct `id` and keep their own
+/// map back to it — the core crate's editors hand ids out from a
+/// counter and never reuse one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmentEntry {
     /// Opaque payload identifying the segment to the caller.
@@ -63,6 +63,35 @@ impl Ord for TotalF64 {
     }
 }
 
+/// One candidate held by [`TopK`], ordered by `(dist, id)` alone: the
+/// segment rides along so the result needs no side table.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    dist: TotalF64,
+    id: u64,
+    seg: Segment,
+}
+
+impl PartialEq for Candidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Candidate {}
+
+impl PartialOrd for Candidate {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Candidate {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.dist.cmp(&other.dist).then(self.id.cmp(&other.id))
+    }
+}
+
 /// Bounded max-heap collecting the K smallest distances seen so far.
 ///
 /// `threshold()` exposes the current K-th smallest distance — the pruning
@@ -70,17 +99,12 @@ impl Ord for TotalF64 {
 #[derive(Debug, Clone)]
 pub(crate) struct TopK {
     k: usize,
-    heap: std::collections::BinaryHeap<(TotalF64, u64)>,
-    segs: std::collections::HashMap<u64, Segment>,
+    heap: std::collections::BinaryHeap<Candidate>,
 }
 
 impl TopK {
     pub fn new(k: usize) -> Self {
-        Self {
-            k,
-            heap: std::collections::BinaryHeap::with_capacity(k + 1),
-            segs: std::collections::HashMap::with_capacity(k + 1),
-        }
+        Self { k, heap: std::collections::BinaryHeap::with_capacity(k + 1) }
     }
 
     /// Offers a candidate; keeps only the K nearest.
@@ -89,14 +113,10 @@ impl TopK {
             return;
         }
         if self.heap.len() < self.k {
-            self.heap.push((TotalF64(dist), id));
-            self.segs.insert(id, seg);
-        } else if dist < self.heap.peek().expect("non-empty at capacity").0 .0 {
-            if let Some((_, evicted)) = self.heap.pop() {
-                self.segs.remove(&evicted);
-            }
-            self.heap.push((TotalF64(dist), id));
-            self.segs.insert(id, seg);
+            self.heap.push(Candidate { dist: TotalF64(dist), id, seg });
+        } else if dist < self.heap.peek().expect("non-empty at capacity").dist.0 {
+            self.heap.pop();
+            self.heap.push(Candidate { dist: TotalF64(dist), id, seg });
         }
     }
 
@@ -109,22 +129,20 @@ impl TopK {
     /// or +∞ while fewer than K candidates exist.
     pub fn threshold(&self) -> f64 {
         if self.is_full() {
-            self.heap.peek().map_or(f64::INFINITY, |(d, _)| d.0)
+            self.heap.peek().map_or(f64::INFINITY, |c| c.dist.0)
         } else {
             f64::INFINITY
         }
     }
 
-    /// Consumes the collector, returning neighbours sorted by distance.
+    /// Consumes the collector, returning neighbours sorted by distance
+    /// (ties by id).
     pub fn into_sorted(self) -> Vec<Neighbor> {
-        let segs = self.segs;
-        let mut v: Vec<Neighbor> = self
-            .heap
+        self.heap
+            .into_sorted_vec()
             .into_iter()
-            .map(|(d, id)| Neighbor { id, dist: d.0, seg: segs[&id] })
-            .collect();
-        v.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-        v
+            .map(|c| Neighbor { id: c.id, dist: c.dist.0, seg: c.seg })
+            .collect()
     }
 }
 

@@ -20,6 +20,7 @@
 //!   root is reached, which then permits early termination.
 
 use crate::entry::{Neighbor, SearchStats, SegmentEntry, TopK, TotalF64};
+use crate::fx::FxBuild;
 use crate::SegmentIndex;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -75,8 +76,8 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct HierGrid {
     levels: Vec<GridLevel>,
-    nodes: HashMap<CellId, Node>,
-    locations: HashMap<u64, CellId>,
+    nodes: HashMap<CellId, Node, FxBuild>,
+    locations: HashMap<u64, CellId, FxBuild>,
     len: usize,
 }
 
@@ -88,7 +89,7 @@ impl HierGrid {
         assert!(finest.is_power_of_two(), "finest granularity must be a power of two");
         let num_levels = finest.trailing_zeros() as usize + 1;
         let levels = (0..num_levels).map(|l| GridLevel::new(domain, 1 << l, l as u8)).collect();
-        Self { levels, nodes: HashMap::new(), locations: HashMap::new(), len: 0 }
+        Self { levels, nodes: HashMap::default(), locations: HashMap::default(), len: 0 }
     }
 
     /// Builds the index from entries.
@@ -300,7 +301,7 @@ impl HierGrid {
         }
         let mut stack: Vec<(CellId, f64)> = vec![(start, 0.0)];
         let mut queue: BinaryHeap<Reverse<(TotalF64, CellId)>> = BinaryHeap::new();
-        let mut visited: HashSet<CellId> = HashSet::new();
+        let mut visited: HashSet<CellId, FxBuild> = HashSet::default();
         let mut root_access = false;
 
         while !stack.is_empty() || !queue.is_empty() {

@@ -22,6 +22,7 @@
 #![forbid(unsafe_code)]
 
 pub mod entry;
+mod fx;
 pub mod hier;
 pub mod linear;
 pub mod uniform;

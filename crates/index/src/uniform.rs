@@ -6,6 +6,7 @@
 //! K-th best distance.
 
 use crate::entry::{Neighbor, SearchStats, SegmentEntry, TopK};
+use crate::fx::FxBuild;
 use crate::SegmentIndex;
 use std::collections::{HashMap, HashSet};
 use trajdp_model::{GridLevel, Point, Rect};
@@ -14,9 +15,9 @@ use trajdp_model::{GridLevel, Point, Rect};
 #[derive(Debug, Clone)]
 pub struct UniformGrid {
     grid: GridLevel,
-    cells: HashMap<(u32, u32), Vec<SegmentEntry>>,
+    cells: HashMap<(u32, u32), Vec<SegmentEntry>, FxBuild>,
     /// Reverse map for O(cells-per-segment) removal.
-    locations: HashMap<u64, Vec<(u32, u32)>>,
+    locations: HashMap<u64, Vec<(u32, u32)>, FxBuild>,
     len: usize,
 }
 
@@ -26,8 +27,8 @@ impl UniformGrid {
     pub fn new(domain: Rect, granularity: u32) -> Self {
         Self {
             grid: GridLevel::new(domain, granularity, 0),
-            cells: HashMap::new(),
-            locations: HashMap::new(),
+            cells: HashMap::default(),
+            locations: HashMap::default(),
             len: 0,
         }
     }
@@ -159,7 +160,7 @@ impl UniformGrid {
         let cell_min = self.grid.cell_width().min(self.grid.cell_height());
         let g = self.grid.granularity as i64;
         let max_ring = g; // enough to cover the whole grid from any origin
-        let mut seen: HashSet<u64> = HashSet::new();
+        let mut seen: HashSet<u64, FxBuild> = HashSet::default();
         for ring in 0..=max_ring {
             // Cheap lower bound on the distance from q to any ring-`ring`
             // cell: q may sit at its cell's edge, hence the −1.

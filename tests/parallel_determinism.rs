@@ -87,6 +87,27 @@ fn release_bytes_match_golden_hashes() {
             );
         }
     }
+    // GL at the paper's settings (m = 10, ε = 1 split evenly) on a
+    // dataset large enough that TF-decreasing victims hold several
+    // occurrences of the deleted point, so the incremental deletion
+    // path of the global modification phase is pinned too.
+    let world = generate(&GeneratorConfig::tdrive_profile(40, 80, 11));
+    for workers in [1usize, 8] {
+        let cfg = FreqDpConfig {
+            m: 10,
+            eps_global: 0.5,
+            eps_local: 0.5,
+            seed: 0x60_1D,
+            workers,
+            ..Default::default()
+        };
+        let csv = to_csv(&anonymize(&world.dataset, Model::Combined, &cfg).unwrap().dataset);
+        assert_eq!(
+            fnv1a64(csv.as_bytes()),
+            0xE9C7_8AE3_24A4_1AAA,
+            "GL at publish scale, {workers} workers: release bytes moved"
+        );
+    }
 }
 
 #[test]
