@@ -9,7 +9,7 @@
 //! `trajdp-core`).
 //!
 //! ```text
-//! cargo run -p trajdp-bench --release --bin ablation_bboxprune
+//! cargo run -p trajdp_bench --release --bin ablation_bboxprune
 //! ```
 
 #![forbid(unsafe_code)]

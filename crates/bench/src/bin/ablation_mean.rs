@@ -8,7 +8,7 @@
 //! signature PF under both settings.
 //!
 //! ```text
-//! cargo run -p trajdp-bench --release --bin ablation_mean
+//! cargo run -p trajdp_bench --release --bin ablation_mean
 //! ```
 
 #![forbid(unsafe_code)]

@@ -5,7 +5,7 @@
 //! frontier, justifying (or challenging) the 50/50 choice.
 //!
 //! ```text
-//! cargo run -p trajdp-bench --release --bin ablation_split
+//! cargo run -p trajdp_bench --release --bin ablation_split
 //! ```
 
 #![forbid(unsafe_code)]

@@ -7,7 +7,7 @@
 //! drift and INF with and without stage 2, across ε.
 //!
 //! ```text
-//! cargo run -p trajdp-bench --release --bin ablation_stage2
+//! cargo run -p trajdp_bench --release --bin ablation_stage2
 //! ```
 
 #![forbid(unsafe_code)]

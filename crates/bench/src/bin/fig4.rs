@@ -5,8 +5,8 @@
 //! FFP, route-based F-score, route-based RMF, point-based accuracy.
 //!
 //! ```text
-//! cargo run -p trajdp-bench --release --bin fig4
-//! TRAJDP_SIZE=1000 cargo run -p trajdp-bench --release --bin fig4
+//! cargo run -p trajdp_bench --release --bin fig4
+//! TRAJDP_SIZE=1000 cargo run -p trajdp_bench --release --bin fig4
 //! ```
 
 #![forbid(unsafe_code)]

@@ -10,8 +10,8 @@
 //! modification under the best index (HG+).
 //!
 //! ```text
-//! cargo run -p trajdp-bench --release --bin fig5
-//! TRAJDP_SIZES="1000 2000 4000" cargo run -p trajdp-bench --release --bin fig5
+//! cargo run -p trajdp_bench --release --bin fig5
+//! TRAJDP_SIZES="1000 2000 4000" cargo run -p trajdp_bench --release --bin fig5
 //! ```
 
 #![forbid(unsafe_code)]

@@ -2,8 +2,8 @@
 //! (|D| = 1000, ε = 1.0, m = 10, k = 5, l = 3).
 //!
 //! ```text
-//! cargo run -p trajdp-bench --release --bin table2
-//! TRAJDP_SIZE=1000 TRAJDP_LEN=200 cargo run -p trajdp-bench --release --bin table2
+//! cargo run -p trajdp_bench --release --bin table2
+//! TRAJDP_SIZE=1000 TRAJDP_LEN=200 cargo run -p trajdp_bench --release --bin table2
 //! ```
 //!
 //! The default size is reduced so the full table finishes in minutes on

@@ -1,4 +1,4 @@
-//! # trajdp-bench
+//! # trajdp_bench
 //!
 //! Shared harness for regenerating the paper's experimental artifacts:
 //!

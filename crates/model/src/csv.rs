@@ -10,6 +10,7 @@ use crate::dataset::Dataset;
 use crate::error::ModelError;
 use crate::geometry::Point;
 use crate::trajectory::{Sample, TrajId, Trajectory};
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// Header line written by [`to_csv`] and required by [`from_csv`].
@@ -43,6 +44,8 @@ pub fn from_csv(text: &str) -> Result<Dataset, ModelError> {
     }
     let mut trajectories: Vec<Trajectory> = Vec::new();
     let mut current: Option<(TrajId, Vec<Sample>)> = None;
+    // Ids whose block has started, so a split block is caught in O(1).
+    let mut started: HashSet<TrajId> = HashSet::new();
     for (lineno, line) in lines.enumerate() {
         let line = line.trim();
         if line.is_empty() {
@@ -76,12 +79,12 @@ pub fn from_csv(text: &str) -> Result<Dataset, ModelError> {
                 samples.push(sample);
             }
             _ => {
+                if !started.insert(id) {
+                    return Err(ModelError::Invalid {
+                        reason: format!("trajectory {id} appears in two separate blocks"),
+                    });
+                }
                 if let Some((done_id, samples)) = current.take() {
-                    if trajectories.iter().any(|tr| tr.id == id) {
-                        return Err(ModelError::Invalid {
-                            reason: format!("trajectory {id} appears in two separate blocks"),
-                        });
-                    }
                     trajectories.push(Trajectory::new(done_id, samples));
                 }
                 current = Some((id, vec![sample]));
@@ -166,6 +169,34 @@ mod tests {
         let text = "traj_id,x,y,t\n1,0.0,0.0,0\n2,1.0,1.0,0\n1,2.0,2.0,5\n";
         let err = from_csv(text).unwrap_err();
         assert!(matches!(err, ModelError::Invalid { .. }));
+    }
+
+    #[test]
+    fn parse_is_linear_in_trajectory_count() {
+        // Parse time must grow linearly in the number of trajectories:
+        // 8x the one-sample trajectories may cost at most 24x the time
+        // (a quadratic split-block check costs about 64x). The minimum
+        // of five runs damps scheduler noise.
+        fn best_of_5(n: usize) -> std::time::Duration {
+            let mut text = String::from(CSV_HEADER);
+            for id in 0..n {
+                write!(text, "\n{id},{}.5,{}.25,{id}", id % 997, id % 991).unwrap();
+            }
+            (0..5)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    let ds = from_csv(&text).unwrap();
+                    let elapsed = started.elapsed();
+                    assert_eq!(ds.len(), n);
+                    elapsed
+                })
+                .min()
+                .unwrap()
+        }
+        let n = 10_000;
+        let (small, large) = (best_of_5(n), best_of_5(8 * n));
+        let ratio = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
+        assert!(ratio < 24.0, "t(8n)/t(n) = {ratio:.1} ({small:?} → {large:?})");
     }
 
     #[test]

@@ -571,7 +571,7 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use crate::json::Json;
-    use std::io::{BufRead, BufReader, Read, Write};
+    use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
     use std::net::TcpStream;
 
     #[test]
@@ -732,25 +732,58 @@ mod tests {
     fn storm_of_clients_beyond_the_old_thread_cap_all_complete() {
         // The old design capped concurrency at max_connections threads
         // (default 32). The reactor serves far more concurrent sockets
-        // than that from one thread; every client must get an answer.
-        let server = Server::start(ServerConfig::default()).unwrap();
+        // than that from one thread: 128 clients each hold a socket open
+        // for a run of round trips (health and metrics alternating),
+        // while idle sockets fill the default max_connections to within
+        // 32 slots (the slack absorbs a client whose close has not
+        // landed yet), so every poll wait scans a nearly full set.
+        const CLIENTS: usize = 128;
+        const PER_CLIENT: usize = 8;
+        let cfg = ServerConfig::default();
+        let idle_target = cfg.max_connections - CLIENTS - 32;
+        assert!(idle_target >= 864, "default max_connections shrank to {}", cfg.max_connections);
+        let server = Server::start(cfg).unwrap();
         let addr = server.local_addr();
-        let clients: Vec<_> = (0..64)
+        // The accept queue is FIFO, so once any client below is answered,
+        // every idle socket has been accepted.
+        let idle: Vec<TcpStream> =
+            (0..idle_target).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let clients: Vec<_> = (0..CLIENTS)
             .map(|_| {
-                std::thread::spawn(move || {
-                    let mut c = Client::connect(addr)?;
-                    c.request_line(r#"{"cmd":"health"}"#)
-                        .map_err(|e| std::io::Error::other(e.message))
+                std::thread::spawn(move || -> Option<usize> {
+                    let mut c = Client::connect(addr).ok()?;
+                    for i in 0..PER_CLIENT {
+                        let line =
+                            if i % 2 == 0 { r#"{"cmd":"health"}"# } else { r#"{"cmd":"metrics"}"# };
+                        let r = c.request_line(line).ok()?;
+                        if r.get("ok") != Some(&Json::Bool(true)) {
+                            return None;
+                        }
+                    }
+                    Some(PER_CLIENT)
                 })
             })
             .collect();
-        let mut ok = 0usize;
+        let (mut completed, mut dropped) = (0usize, 0usize);
         for handle in clients {
-            let r = handle.join().expect("client thread panicked").expect("client failed");
-            assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
-            ok += 1;
+            match handle.join().expect("client thread panicked") {
+                Some(n) => completed += n,
+                None => dropped += 1,
+            }
         }
-        assert_eq!(ok, 64);
+        // An idle socket still held has nothing to read: a shed or
+        // closed one would show a refusal line or EOF.
+        let idle_held = idle
+            .iter()
+            .filter(|s| {
+                s.set_nonblocking(true).is_ok()
+                    && matches!(s.peek(&mut [0u8; 1]), Err(e) if e.kind() == ErrorKind::WouldBlock)
+            })
+            .count();
+        assert_eq!(dropped, 0, "{dropped} of {CLIENTS} clients dropped");
+        assert_eq!(completed, CLIENTS * PER_CLIENT);
+        assert_eq!(idle_held, idle_target, "the server let idle sockets go");
+        drop(idle);
         server.shutdown();
     }
 
