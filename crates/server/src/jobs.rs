@@ -9,11 +9,17 @@
 //! ## Durability
 //!
 //! With a journal path (the server's `--state-dir`), every lifecycle
-//! transition is appended as one JSON line *before* it is acknowledged:
+//! transition is appended as one JSON line *before* it is acknowledged.
+//! `journal::Event` (in `journal.rs`) is the one definition of those
+//! lines; members serialize in sorted key order:
 //!
 //! ```text
-//! {"event":"submit","job":"job-3","spec":{...}}
-//! {"event":"finish","job":"job-3","result":{...response object...}}
+//! {"event":"submit","job":"job-3","spec":{...}}          job accepted
+//! {"event":"finish","job":"job-3","result":{...}}        job finished
+//! {"event":"cancel","job":"job-3"}                       queued job cancelled
+//! {"dataset":"ds-1","eps_budget":3.5,"event":"budget"}   explicit upload budget
+//! {"dataset":"ds-1","eps":0.5,"event":"spend"}           synchronous run charge
+//! {"dataset":"ds-1","event":"reset"}                     dataset deleted
 //! ```
 //!
 //! A submit whose dataset came from a store handle journals the handle
@@ -30,21 +36,14 @@
 //! a replayed run produces byte-identical output to the original.
 //! Replay is strict — a malformed line fails startup loudly rather than
 //! silently dropping jobs — except for a torn final line, which is
-//! exactly what a crash mid-append leaves behind and means that submit
+//! exactly what a crash mid-append leaves behind and means that event
 //! was never acknowledged.
 //!
 //! ## Privacy-budget ledger
 //!
 //! The queue owns the per-dataset ε accumulator ([`EpsLedger`]) under
-//! its existing mutex, and the journal makes it durable with four more
-//! event kinds:
-//!
-//! ```text
-//! {"event":"budget","dataset":"ds-1","eps_budget":3.5}   explicit upload budget
-//! {"event":"spend","dataset":"ds-1","eps":0.5}           synchronous run charge
-//! {"event":"reset","dataset":"ds-1"}                     dataset deleted
-//! {"event":"cancel","job":"job-3"}                       queued job cancelled
-//! ```
+//! its existing mutex; the budget, spend and reset events make it
+//! durable.
 //!
 //! The ledger's `spent` holds **settled** charges only (finished jobs
 //! and synchronous runs); the charge of an accepted-but-unfinished job
@@ -102,13 +101,13 @@
 //! written and read entirely outside the queue mutex as well.
 
 use crate::api::{render_v1, ApiError, Response};
+use crate::journal::{self, job_number, DoneRecord, Event, JournalWriter, Snapshot};
 use crate::json::Json;
 use crate::ledger::EpsLedger;
 use crate::obs::{log_enabled, log_event, LogLevel, Metrics, PhaseTimings};
-use crate::protocol::{run_anonymize, spec_from_json, spec_to_json, AnonymizeSpec, DataRef};
+use crate::protocol::{run_anonymize, AnonymizeParams, AnonymizeSpec, DataRef};
 use crate::store::DatasetStore;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -140,6 +139,15 @@ impl JobState {
             JobState::Queued => "queued",
             JobState::Running => "running",
             JobState::Done(_) | JobState::Spilled { .. } => "done",
+        }
+    }
+
+    /// The dataset handle a finished `store:true` job's result names.
+    pub(crate) fn result_handle(&self) -> Option<&str> {
+        match self {
+            JobState::Done(result) => result.get("dataset").and_then(Json::as_str),
+            JobState::Spilled { dataset, .. } => dataset.as_deref(),
+            _ => None,
         }
     }
 }
@@ -195,7 +203,7 @@ impl Spill {
 /// threshold it goes to the results dir and only its path (plus the
 /// dataset handle, for eviction) stays in memory; otherwise inline. A
 /// failed spill write degrades to inline — worse memory, same answers.
-fn done_state(spill: Option<&Spill>, id: &str, result: Json) -> JobState {
+fn done_state(spill: Option<&Spill>, id: &str, result: Arc<Json>) -> JobState {
     if let Some(spill) = spill {
         let text = result.to_string();
         if text.len() >= spill.threshold {
@@ -223,7 +231,7 @@ fn done_state(spill: Option<&Spill>, id: &str, result: Json) -> JobState {
             }
         }
     }
-    JobState::Done(Arc::new(result))
+    JobState::Done(result)
 }
 
 /// In-memory observability record of one job: submission/pickup clocks,
@@ -322,17 +330,11 @@ impl QueueInner {
         while self.finished_order.len() > MAX_FINISHED_RETAINED {
             if let Some(evicted) = self.finished_order.pop_front() {
                 self.meta.remove(&evicted);
-                match self.states.remove(&evicted) {
-                    Some(JobState::Done(result)) => {
-                        if let Some(handle) = result.get("dataset").and_then(Json::as_str) {
-                            dropped_handles.push(handle.to_string());
-                        }
-                    }
-                    Some(JobState::Spilled { path, dataset }) => {
-                        dropped_handles.extend(dataset);
+                if let Some(state) = self.states.remove(&evicted) {
+                    dropped_handles.extend(state.result_handle().map(str::to_string));
+                    if let JobState::Spilled { path, .. } = state {
                         dropped_files.push(path);
                     }
-                    _ => {}
                 }
             }
         }
@@ -370,139 +372,6 @@ impl QueueInner {
                 .collect(),
             ledger: self.ledger.clone(),
         }
-    }
-}
-
-/// State captured for one journal compaction: id counter, unfinished
-/// submits in id order, retained results in completion order, and the
-/// settled half of the ε ledger (in-flight charges re-derive from the
-/// re-recorded submits on replay).
-struct Snapshot {
-    next_id: u64,
-    submits: Vec<(String, AnonymizeSpec)>,
-    dones: Vec<(String, DoneRecord)>,
-    ledger: EpsLedger,
-}
-
-/// Where one retained result's bytes live at compaction time. Spilled
-/// results are recorded by path only — the rewrite streams the file
-/// straight into the journal, so a snapshot of 256 spilled results
-/// never materializes them in memory at once.
-enum DoneRecord {
-    Mem(Arc<Json>),
-    Spilled(PathBuf),
-}
-
-/// The append/rewrite half of the journal, behind its own lock so disk
-/// writes never hold the queue mutex.
-struct JournalWriter {
-    file: std::fs::File,
-    path: PathBuf,
-    /// Finish events appended since the last compaction.
-    finished_appends: usize,
-}
-
-impl JournalWriter {
-    fn open(path: &Path) -> std::io::Result<JournalWriter> {
-        let file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(JournalWriter { file, path: path.to_path_buf(), finished_appends: 0 })
-    }
-
-    /// Appends one event line and syncs it to disk — the "appended
-    /// before it is acknowledged" contract must hold across power
-    /// loss, not just process death, so this fsyncs rather than merely
-    /// flushing. Returns the pre-append file length, so a caller that
-    /// decides *after* the append that the event must not stand (a
-    /// shutdown raced the submit) can [`Self::rollback_to`] it. A
-    /// failed append rolls the file back itself: a torn fragment left
-    /// in place would fuse with the next successful append into one
-    /// corrupt mid-file line, which replay (rightly) refuses —
-    /// bricking every future restart on this state dir.
-    fn append(&mut self, event: &Json) -> std::io::Result<u64> {
-        // Seek explicitly: after a compaction the handle is the temp
-        // file's plain fd (not `O_APPEND`), and a preceding rollback
-        // truncates without moving the cursor — writing at a stale
-        // cursor past EOF would punch a NUL-filled gap into the
-        // journal, which strict replay (rightly) refuses forever.
-        let before = self.file.seek(std::io::SeekFrom::End(0))?;
-        let write = self
-            .file
-            .write_all(format!("{event}\n").as_bytes())
-            .and_then(|()| self.file.sync_data());
-        if let Err(e) = write {
-            self.rollback_to(before);
-            return Err(e);
-        }
-        Ok(before)
-    }
-
-    /// Truncates the journal back to `len` and parks the cursor at the
-    /// new EOF — only safe while the caller still holds the journal
-    /// lock it appended under, so no other event has landed after the
-    /// one being rolled back.
-    fn rollback_to(&mut self, len: u64) {
-        let _ = self.file.set_len(len);
-        let _ = self.file.seek(std::io::SeekFrom::Start(len));
-    }
-
-    /// Atomically replaces the journal with the snapshot (temp file +
-    /// fsync, then rename + directory fsync). A crash at any point
-    /// leaves either the old or the new journal complete on disk,
-    /// never a mixture. The temp file's own descriptor becomes the
-    /// append handle the moment the rename lands — re-opening by path
-    /// could fail (e.g. fd exhaustion) and leave acknowledged appends
-    /// going to the replaced, unlinked inode.
-    fn rewrite(&mut self, snapshot: &Snapshot) -> std::io::Result<()> {
-        let tmp = self.path.with_extension("jsonl.tmp");
-        // Stream each event straight into the temp file: the retained
-        // results can total hundreds of MB, so neither they nor the
-        // assembled journal text may be copied into a transient buffer
-        // (the `Arc`-shared results serialize via Display, no clone).
-        let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-        // The `ledger` member is omitted when empty so journals that
-        // never touched the budget machinery keep their pre-ledger
-        // byte shape.
-        if snapshot.ledger.is_empty() {
-            writeln!(f, "{{\"event\":\"snapshot\",\"next\":{}}}", snapshot.next_id)?;
-        } else {
-            writeln!(
-                f,
-                "{{\"event\":\"snapshot\",\"next\":{},\"ledger\":{}}}",
-                snapshot.next_id,
-                snapshot.ledger.to_json()
-            )?;
-        }
-        for (id, spec) in &snapshot.submits {
-            writeln!(
-                f,
-                "{{\"event\":\"submit\",\"job\":{},\"spec\":{}}}",
-                Json::from(id.clone()),
-                spec_to_json(spec)
-            )?;
-        }
-        for (id, record) in &snapshot.dones {
-            write!(f, "{{\"event\":\"done\",\"job\":{},\"result\":", Json::from(id.clone()))?;
-            match record {
-                DoneRecord::Mem(result) => write!(f, "{result}")?,
-                // A spilled file holds exactly the single-line JSON of
-                // the result, no trailing newline — copy it verbatim.
-                DoneRecord::Spilled(path) => {
-                    std::io::copy(&mut std::fs::File::open(path)?, &mut f)?;
-                }
-            }
-            writeln!(f, "}}")?;
-        }
-        let f = f.into_inner().map_err(|e| e.into_error())?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, &self.path)?;
-        // From here on `f` IS the live journal: later appends must go
-        // to it even if the directory fsync below fails.
-        self.file = f;
-        self.finished_appends = 0;
-        if let Some(dir) = self.path.parent() {
-            std::fs::File::open(dir)?.sync_all()?;
-        }
-        Ok(())
     }
 }
 
@@ -607,38 +476,7 @@ impl JobQueue {
             threshold: spill_threshold,
         });
         let mut inner = QueueInner::default();
-        let mut text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(format!("cannot read journal {}: {e}", path.display())),
-        };
-        // Repair a crash-torn tail *in the file*, not just in memory:
-        // the journal reopens in append mode, so a fragment left behind
-        // would fuse with the next event into one corrupt mid-file line
-        // — unreadable on every restart after that.
-        if !text.is_empty() && !text.ends_with('\n') {
-            let tail_start = text.rfind('\n').map_or(0, |i| i + 1);
-            if crate::json::parse(&text[tail_start..]).is_ok() {
-                // A complete event that lost only its terminator: the
-                // crash hit between the bytes and the newline. Keep it
-                // (replay treats it normally) and restore the newline.
-                std::fs::OpenOptions::new()
-                    .append(true)
-                    .open(path)
-                    .and_then(|mut f| f.write_all(b"\n"))
-                    .map_err(|e| format!("cannot repair journal {}: {e}", path.display()))?;
-                text.push('\n');
-            } else {
-                // A torn fragment; its submit was never acknowledged.
-                // Drop it from replay and truncate it out of the file.
-                std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(path)
-                    .and_then(|f| f.set_len(tail_start as u64))
-                    .map_err(|e| format!("cannot repair journal {}: {e}", path.display()))?;
-                text.truncate(tail_start);
-            }
-        }
+        let text = journal::read(path)?;
         replay(&text, &mut inner, &store, Some(&spill))
             .map_err(|e| format!("journal {}: {e}", path.display()))?;
 
@@ -666,25 +504,11 @@ impl JobQueue {
         // journal (crash, disk full) leaves a file no replay will ever
         // reference again — the re-run mints a fresh handle. Anything
         // the replayed state still names is kept.
-        let mut referenced: HashSet<String> = HashSet::new();
-        for state in inner.states.values() {
-            match state {
-                JobState::Done(result) => {
-                    if let Some(handle) = result.get("dataset").and_then(Json::as_str) {
-                        referenced.insert(handle.to_string());
-                    }
-                }
-                JobState::Spilled { dataset: Some(handle), .. } => {
-                    referenced.insert(handle.clone());
-                }
-                _ => {}
-            }
-        }
-        for spec in inner.live_specs.values() {
-            if let Some(handle) = &spec.source {
-                referenced.insert(handle.clone());
-            }
-        }
+        let referenced: HashSet<String> = (inner.states.values())
+            .filter_map(JobState::result_handle)
+            .chain(inner.live_specs.values().filter_map(|spec| spec.source.as_deref()))
+            .map(str::to_string)
+            .collect();
         store.reconcile_job_results(&referenced);
 
         let mut writer = JournalWriter::open(path)
@@ -696,7 +520,7 @@ impl JobQueue {
             // very disk an oversized journal correlates with) leaves
             // the complete append-only journal in place, which must
             // not brick a server that just replayed it successfully.
-            let _ = writer.rewrite(&inner.snapshot());
+            let _ = writer.rewrite(inner.snapshot());
         }
         Ok(Self {
             inner: Arc::new((Mutex::new(inner), Condvar::new())),
@@ -716,22 +540,13 @@ impl JobQueue {
     /// concurrent `status`/`list` reads never stall behind a large
     /// submit; the id is acknowledged only after the event is durable.
     pub fn submit(&self, spec: AnonymizeSpec) -> Result<String, ApiError> {
-        self.submit_with_cid(spec, None)
+        self.submit_scoped(spec, None, None, None)
     }
 
     /// [`Self::submit`] carrying the submitting request's correlation
-    /// id, so worker-side log lines correlate with the v2 envelope of
-    /// the request that queued the job.
-    pub fn submit_with_cid(
-        &self,
-        spec: AnonymizeSpec,
-        cid: Option<String>,
-    ) -> Result<String, ApiError> {
-        self.submit_scoped(spec, cid, None, None)
-    }
-
-    /// [`Self::submit_with_cid`] on behalf of an authenticated tenant:
-    /// refuses with `quota-exceeded` once the tenant already has
+    /// id (so worker-side log lines correlate with the v2 envelope of
+    /// the request that queued the job), on behalf of an authenticated
+    /// tenant: refuses with `quota-exceeded` once the tenant already has
     /// `max_jobs` unfinished jobs, and attributes the job to the tenant
     /// for later slot accounting. Both checks — this one and the ε
     /// budget check every submit runs — happen under the journal lock
@@ -785,19 +600,10 @@ impl JobQueue {
         }
         let mut appended_at = None;
         if let Some(writer) = journal.as_mut() {
-            let event = Json::obj([
-                ("event", Json::from("submit")),
-                ("job", Json::from(id.clone())),
-                ("spec", spec_to_json(&spec)),
-            ]);
-            let append_started = Instant::now();
+            let event = Event::Submit { job: id.clone(), spec: spec.unresolved() };
             // lint: allow(lock-across-io): the journal mutex is the dedicated disk-write lock (order: journal -> queue); the read path never takes it
-            match writer.append(&event) {
-                Ok(before) => {
-                    self.metrics.journal_appends.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    self.metrics.journal_fsync.observe(append_started.elapsed());
-                    appended_at = Some(before);
-                }
+            match writer.append(event, &self.metrics) {
+                Ok(before) => appended_at = Some(before),
                 Err(e) => {
                     if let Some(handle) = &spec.source {
                         self.store.unpin(handle);
@@ -916,24 +722,16 @@ impl JobQueue {
     /// on the done job can report them.
     fn finish_with_timings(&self, id: &str, result: Json, timings: Option<PhaseTimings>) {
         let mut journal = self.journal.lock().expect("journal poisoned");
+        let result = Arc::new(result);
         if let Some(writer) = journal.as_mut() {
-            let event = Json::obj([
-                ("event", Json::from("finish")),
-                ("job", Json::from(id.to_string())),
-                ("result", result.clone()),
-            ]);
             // A failed finish append is not fatal: the in-memory table
             // still answers `status`, and a restart re-runs the job
             // from its journaled submit to the same bytes. The result
             // handle a `store:true` re-run strands is cleaned up by the
             // startup orphan reconciliation.
-            let append_started = Instant::now();
+            let event = Event::Finish { job: id.to_string(), result: Arc::clone(&result) };
             // lint: allow(lock-across-io): the journal mutex is the dedicated disk-write lock (order: journal -> queue); the read path never takes it
-            if writer.append(&event).is_ok() {
-                self.metrics.journal_appends.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.metrics.journal_fsync.observe(append_started.elapsed());
-            }
-            writer.finished_appends += 1;
+            let _ = writer.append(event, &self.metrics);
         }
         // Spill before taking the queue mutex: the write is disk I/O
         // (the journal lock held here already serializes disk work),
@@ -1009,7 +807,7 @@ impl JobQueue {
             // journal is still complete, just longer than it needs to
             // be; the next threshold crossing (or startup) retries.
             // lint: allow(lock-across-io): compaction must see a frozen journal; the mutex is the dedicated disk-write lock and the read path never takes it
-            if writer.rewrite(&snapshot).is_ok() {
+            if writer.rewrite(snapshot).is_ok() {
                 self.metrics.journal_compactions.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
         }
@@ -1164,16 +962,9 @@ impl JobQueue {
         }
         let mut appended_at = None;
         if let Some(writer) = journal.as_mut() {
-            let event =
-                Json::obj([("event", Json::from("cancel")), ("job", Json::from(id.to_string()))]);
-            let append_started = Instant::now();
             // lint: allow(lock-across-io): the journal mutex is the dedicated disk-write lock (order: journal -> queue); the read path never takes it
-            match writer.append(&event) {
-                Ok(before) => {
-                    self.metrics.journal_appends.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    self.metrics.journal_fsync.observe(append_started.elapsed());
-                    appended_at = Some(before);
-                }
+            match writer.append(Event::Cancel { job: id.to_string() }, &self.metrics) {
+                Ok(before) => appended_at = Some(before),
                 Err(e) => return Err(ApiError::io(format!("cannot journal cancel: {e}"))),
             }
         }
@@ -1218,19 +1009,10 @@ impl JobQueue {
         let poisoned = || ApiError::internal("job queue state poisoned by a panic");
         let mut journal = self.journal.lock().map_err(|_| poisoned())?;
         if let Some(writer) = journal.as_mut() {
-            let event = Json::obj([
-                ("event", Json::from("budget")),
-                ("dataset", Json::from(handle.to_string())),
-                ("eps_budget", Json::from(budget)),
-            ]);
-            let append_started = Instant::now();
+            let event = Event::Budget { dataset: handle.to_string(), eps_budget: budget };
             // lint: allow(lock-across-io): the journal mutex is the dedicated disk-write lock (order: journal -> queue); the read path never takes it
-            match writer.append(&event) {
-                Ok(_) => {
-                    self.metrics.journal_appends.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    self.metrics.journal_fsync.observe(append_started.elapsed());
-                }
-                Err(e) => return Err(ApiError::io(format!("cannot journal budget: {e}"))),
+            if let Err(e) = writer.append(event, &self.metrics) {
+                return Err(ApiError::io(format!("cannot journal budget: {e}")));
             }
         }
         let (lock, _) = &*self.inner;
@@ -1247,16 +1029,8 @@ impl JobQueue {
     pub fn reset_eps(&self, handle: &str) {
         let Ok(mut journal) = self.journal.lock() else { return };
         if let Some(writer) = journal.as_mut() {
-            let event = Json::obj([
-                ("event", Json::from("reset")),
-                ("dataset", Json::from(handle.to_string())),
-            ]);
-            let append_started = Instant::now();
             // lint: allow(lock-across-io): the journal mutex is the dedicated disk-write lock (order: journal -> queue); the read path never takes it
-            if writer.append(&event).is_ok() {
-                self.metrics.journal_appends.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.metrics.journal_fsync.observe(append_started.elapsed());
-            }
+            let _ = writer.append(Event::Reset { dataset: handle.to_string() }, &self.metrics);
         }
         let (lock, _) = &*self.inner;
         if let Ok(mut q) = lock.lock() {
@@ -1282,19 +1056,10 @@ impl JobQueue {
             q.ledger.check(handle, q.in_flight(handle), eps, self.default_eps_budget)?;
         }
         if let Some(writer) = journal.as_mut() {
-            let event = Json::obj([
-                ("event", Json::from("spend")),
-                ("dataset", Json::from(handle.to_string())),
-                ("eps", Json::from(eps)),
-            ]);
-            let append_started = Instant::now();
+            let event = Event::Spend { dataset: handle.to_string(), eps };
             // lint: allow(lock-across-io): the journal mutex is the dedicated disk-write lock (order: journal -> queue); the read path never takes it
-            match writer.append(&event) {
-                Ok(_) => {
-                    self.metrics.journal_appends.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    self.metrics.journal_fsync.observe(append_started.elapsed());
-                }
-                Err(e) => return Err(ApiError::io(format!("cannot journal spend: {e}"))),
+            if let Err(e) = writer.append(event, &self.metrics) {
+                return Err(ApiError::io(format!("cannot journal spend: {e}")));
             }
         }
         let mut q = lock.lock().map_err(|_| poisoned())?;
@@ -1341,105 +1106,57 @@ impl JobQueue {
     }
 }
 
-/// Numeric suffix of a `job-<n>` id.
-fn job_number(id: &str) -> Result<u64, String> {
-    id.strip_prefix("job-")
-        .and_then(|n| n.parse::<u64>().ok())
-        .ok_or_else(|| format!("malformed job id {id:?}"))
-}
-
-/// Rebuilds queue state from journal text. Strict except for a torn
-/// final line (the signature of a crash mid-append), which is ignored:
-/// its submit was never acknowledged to any client. Handle-backed specs
-/// of unfinished jobs are re-resolved against `store` (and re-pinned);
-/// finished jobs never touch the store, so an input deleted after its
-/// job completed cannot brick replay.
+/// Rebuilds queue state from journal text, one [`Event`] per line,
+/// failing on a line that does not decode or contradicts the events
+/// before it. Handle-backed specs of unfinished jobs are re-resolved
+/// against `store` (and re-pinned); finished jobs never touch the
+/// store, so an input deleted after its job completed cannot brick
+/// replay.
 fn replay(
     text: &str,
     inner: &mut QueueInner,
     store: &DatasetStore,
     spill: Option<&Spill>,
 ) -> Result<(), String> {
-    let lines: Vec<(usize, &str)> =
-        text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()).collect();
     // Submit order and unresolved specs of jobs not yet seen to finish.
     let mut unfinished: Vec<String> = Vec::new();
-    let mut specs: HashMap<String, crate::protocol::AnonymizeParams> = HashMap::new();
+    let mut specs: HashMap<String, AnonymizeParams> = HashMap::new();
     // Result handles of jobs aged out of the retention window during
     // replay. Deleted only after the unfinished jobs below re-resolve
     // and pin their inputs: one of them may legitimately reference an
     // old job's result as its dataset, and the pin must win.
     let mut dropped: Vec<String> = Vec::new();
-    for (idx, (lineno, line)) in lines.iter().enumerate() {
-        let last = idx + 1 == lines.len();
-        let v = match crate::json::parse(line) {
-            Ok(v) => v,
-            Err(_) if last && !text.ends_with('\n') => break, // torn final append
-            Err(e) => return Err(format!("line {}: {e}", lineno + 1)),
-        };
-        let fail = |msg: String| format!("line {}: {msg}", lineno + 1);
-        let event =
-            v.get("event").and_then(Json::as_str).ok_or_else(|| fail("missing event".into()))?;
-        if event == "snapshot" {
-            // Compaction header: preserves the id counter across jobs
-            // whose records were dropped entirely (finished + evicted)
-            // and the settled ε spend those jobs charged.
-            let next = v
-                .get("next")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| fail("snapshot without next id".into()))?;
-            inner.next_id = inner.next_id.max(next);
-            if let Some(ledger) = v.get("ledger") {
-                inner.ledger = EpsLedger::from_json(ledger).map_err(fail)?;
-            }
-            continue;
+    // The shared tail of `finish` and `done`.
+    let mut record = |inner: &mut QueueInner, job: &str, result: Arc<Json>| {
+        let (handles, files) = inner.record_done(job, done_state(spill, job, result));
+        dropped.extend(handles);
+        for file in files {
+            let _ = std::fs::remove_file(file);
         }
-        if matches!(event, "budget" | "spend" | "reset") {
-            // Ledger events carry a dataset handle, not a job id.
-            let dataset = v
-                .get("dataset")
-                .and_then(Json::as_str)
-                .ok_or_else(|| fail(format!("{event} without dataset")))?;
-            match event {
-                "budget" => {
-                    let budget = v
-                        .get("eps_budget")
-                        .and_then(Json::as_f64)
-                        .filter(|b| b.is_finite() && *b > 0.0)
-                        .ok_or_else(|| fail("budget without a positive eps_budget".into()))?;
-                    inner.ledger.set_budget(dataset, budget);
-                }
-                "spend" => {
-                    let eps = v
-                        .get("eps")
-                        .and_then(Json::as_f64)
-                        .filter(|e| e.is_finite() && *e > 0.0)
-                        .ok_or_else(|| fail("spend without a positive eps".into()))?;
-                    inner.ledger.settle(dataset, eps);
-                }
-                _ => inner.ledger.forget(dataset),
-            }
-            continue;
-        }
-        let id = v
-            .get("job")
-            .and_then(Json::as_str)
-            .ok_or_else(|| fail("missing job id".into()))?
-            .to_string();
-        inner.next_id = inner.next_id.max(job_number(&id).map_err(fail)?);
+    };
+    for (idx, line) in text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()) {
+        let fail = |msg: String| format!("line {}: {msg}", idx + 1);
+        let event = Event::from_json(line).map_err(fail)?;
         match event {
-            "submit" => {
-                let spec_json = v.get("spec").ok_or_else(|| fail("submit without spec".into()))?;
-                let spec = spec_from_json(spec_json).map_err(|e| fail(e.message))?;
-                if specs.insert(id.clone(), spec).is_some() || inner.states.contains_key(&id) {
-                    return Err(fail(format!("duplicate submit for {id:?}")));
-                }
-                unfinished.push(id);
+            Event::Snapshot { next, ledger } => {
+                inner.next_id = inner.next_id.max(next);
+                inner.ledger = ledger;
             }
-            "finish" => {
-                let result = v.get("result").ok_or_else(|| fail("finish without result".into()))?;
-                let Some(params) = specs.remove(&id) else {
-                    return Err(fail(format!("finish for unsubmitted job {id:?}")));
+            Event::Budget { dataset, eps_budget } => inner.ledger.set_budget(&dataset, eps_budget),
+            Event::Spend { dataset, eps } => inner.ledger.settle(&dataset, eps),
+            Event::Reset { dataset } => inner.ledger.forget(&dataset),
+            Event::Submit { job, spec } => {
+                // A finish or cancel needs this submit first, so only
+                // submits and compacted `done` lines advance the counter.
+                inner.next_id = inner.next_id.max(job_number(&job).map_err(fail)?);
+                if specs.insert(job.clone(), spec).is_some() || inner.states.contains_key(&job) {
+                    return Err(fail(format!("duplicate submit for {job:?}")));
+                }
+                unfinished.push(job);
+            }
+            Event::Finish { job, result } => {
+                let Some(params) = specs.remove(&job) else {
+                    return Err(fail(format!("finish for unsubmitted job {job:?}")));
                 };
                 // Settle the finished job's ε exactly as the original
                 // run did: same f64, added in journal (= completion)
@@ -1447,37 +1164,25 @@ fn replay(
                 if let DataRef::Handle(handle) = &params.data {
                     inner.ledger.settle(handle, params.epsilon);
                 }
-                unfinished.retain(|u| u != &id);
-                let state = done_state(spill, &id, result.clone());
-                let (handles, files) = inner.record_done(&id, state);
-                dropped.extend(handles);
-                for file in files {
-                    let _ = std::fs::remove_file(file);
-                }
+                unfinished.retain(|u| u != &job);
+                record(inner, &job, result);
             }
-            "done" => {
-                // Compacted form of submit + finish; the spec is gone.
-                let result = v.get("result").ok_or_else(|| fail("done without result".into()))?;
-                if specs.contains_key(&id) || inner.states.contains_key(&id) {
-                    return Err(fail(format!("duplicate record for {id:?}")));
+            Event::Done { job, result } => {
+                inner.next_id = inner.next_id.max(job_number(&job).map_err(fail)?);
+                if specs.contains_key(&job) || inner.states.contains_key(&job) {
+                    return Err(fail(format!("duplicate record for {job:?}")));
                 }
-                let state = done_state(spill, &id, result.clone());
-                let (handles, files) = inner.record_done(&id, state);
-                dropped.extend(handles);
-                for file in files {
-                    let _ = std::fs::remove_file(file);
-                }
+                record(inner, &job, result);
             }
-            "cancel" => {
+            Event::Cancel { job } => {
                 // A cancelled job's record was removed entirely; its
                 // in-flight charge went with its spec, so the ledger
                 // needs no adjustment.
-                if specs.remove(&id).is_none() {
-                    return Err(fail(format!("cancel for a job not queued: {id:?}")));
+                if specs.remove(&job).is_none() {
+                    return Err(fail(format!("cancel for a job not queued: {job:?}")));
                 }
-                unfinished.retain(|u| u != &id);
+                unfinished.retain(|u| u != &job);
             }
-            other => return Err(fail(format!("unknown event {other:?}"))),
         }
     }
     // Jobs caught mid-flight re-queue in their original submit order,
@@ -1970,7 +1675,10 @@ mod tests {
             // sequence a shutdown-raced submit performs.
             let mut journal = q2.journal.lock().unwrap();
             let writer = journal.as_mut().unwrap();
-            let before = writer.append(&Json::obj([("event", Json::from("rolled-back"))])).unwrap();
+            // Replay rejects a cancel for a job it never saw queued,
+            // so the line must be gone from disk, not just skipped.
+            let event = Event::Cancel { job: "job-99".to_string() };
+            let before = writer.append(event, &q2.metrics).unwrap();
             writer.rollback_to(before);
         }
         let second = q2.submit(spec()).unwrap();
@@ -1978,6 +1686,7 @@ mod tests {
 
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(!text.contains('\0'), "rollback left a NUL gap: {text:?}");
+        assert!(!text.contains("job-99"), "rolled-back event survived: {text:?}");
         let q3 = JobQueue::with_journal(DatasetStore::new(), &path).unwrap();
         assert_eq!(q3.outstanding(), 2, "both real submits must replay");
         assert_eq!(q3.state(&second), Some(JobState::Queued));
@@ -2105,7 +1814,7 @@ mod tests {
     fn queue_publishes_job_counters_and_latencies() {
         let metrics = Arc::new(Metrics::new());
         let q = JobQueue::new().with_metrics(Arc::clone(&metrics));
-        let id = q.submit_with_cid(spec(), Some("req-77".to_string())).unwrap();
+        let id = q.submit_scoped(spec(), Some("req-77".to_string()), None, None).unwrap();
         assert_eq!(metrics.snapshot().queue_depth, 1);
         let worker = {
             let q = q.clone();
@@ -2492,11 +2201,19 @@ mod tests {
             ("{\"event\":\"spend\",\"eps\":0.5}", "without dataset"),
             ("{\"event\":\"spend\",\"dataset\":\"ds-1\",\"eps\":-1}", "positive"),
             ("{\"event\":\"budget\",\"dataset\":\"ds-1\"}", "eps_budget"),
+            // A snapshot's ledger obeys the rule its events do.
+            ("{\"event\":\"snapshot\",\"ledger\":{\"ds-1\":{\"spent\":-0.5}},\"next\":1}", "spent"),
+            (
+                "{\"event\":\"snapshot\",\"ledger\":{\"ds-1\":{\"budget\":0,\"spent\":0}},\"next\":1}",
+                "budget",
+            ),
         ] {
             let good = std::fs::read_to_string(&path).unwrap();
             std::fs::write(&path, format!("{good}{bad}\n")).unwrap();
             let err = JobQueue::with_journal(DatasetStore::new(), &path).map(|_| ()).unwrap_err();
             assert!(err.contains(diagnostic), "{bad} must fail with {diagnostic}: {err}");
+            let line = format!("line {}:", good.lines().count() + 1);
+            assert!(err.contains(&line), "{bad} must fail at {line} {err}");
             std::fs::write(&path, good).unwrap();
         }
         std::fs::remove_dir_all(&dir).ok();

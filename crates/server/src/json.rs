@@ -206,9 +206,16 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses one complete JSON value; trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound one short line of `[`s overflows
+/// the parsing thread's stack and aborts the process. The deepest
+/// document the server or client writes is about 5 levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one complete JSON value; trailing non-whitespace is an error,
+/// and so is nesting deeper than 128 arrays/objects.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -222,6 +229,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -265,12 +274,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Json, ParseError> {
@@ -488,6 +510,35 @@ mod tests {
         let (small, large) = (best_of_5(n), best_of_5(8 * n));
         let ratio = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
         assert!(ratio < 24.0, "t(8n)/t(n) = {ratio:.1} ({small:?} → {large:?})");
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        // On a thread with the default stack, as the server's executor
+        // threads are: an unbounded recursion would abort the process
+        // here instead of returning an error.
+        std::thread::spawn(|| {
+            let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+            let mut v = parse(&nested(MAX_DEPTH)).unwrap();
+            for _ in 1..MAX_DEPTH {
+                v = match v {
+                    Json::Arr(mut items) => items.pop().unwrap(),
+                    other => panic!("expected an array, got {other}"),
+                };
+            }
+            assert_eq!(v, Json::Arr(Vec::new()));
+            let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+            assert!(parse(&objects).is_ok());
+            for depth in [MAX_DEPTH + 1, 100_000] {
+                let err = parse(&nested(depth)).unwrap_err();
+                assert!(err.message.contains("nesting"), "{err}");
+                assert_eq!(err.at, MAX_DEPTH, "the first byte past the bound");
+            }
+            assert!(parse(&format!("[{}1{}]", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH)))
+                .is_err());
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! | [`protocol`] | request parsing + the handlers behind each verb |
 //! | [`store`] | chunked-transfer dataset handles (`ds-<id>`), optionally persisted, with delete/LRU/TTL lifecycle and job pinning |
 //! | [`jobs`] | job queue with ids, per-job status, and a durable, compacting JSON-lines journal |
+//! | `journal` (private) | the journal's on-disk format: one typed `Event` per line with its JSON codec, the fsyncing append/compaction writer, and torn-tail repair |
 //! | [`ledger`] | tenancy + privacy budget: the tenant registry (`--tenants`), per-tenant quotas, and the per-dataset ε accumulator |
 //! | [`reactor`] | non-blocking connection plane: a `poll(2)` readiness loop whose interest set is rebuilt from connection state each turn, per-connection state machines, read deadlines, load shedding, drain-window shutdown |
 //! | [`service`] | server configuration, request dispatch, lifecycle around the reactor |
@@ -32,6 +33,7 @@
 pub mod api;
 pub mod client;
 pub mod jobs;
+mod journal;
 pub mod json;
 pub mod ledger;
 pub mod obs;

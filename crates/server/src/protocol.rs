@@ -157,6 +157,24 @@ impl AnonymizeParams {
 }
 
 impl AnonymizeSpec {
+    /// The spec as a request names it: the dataset is the handle it
+    /// was resolved from, or else the inline text.
+    pub(crate) fn unresolved(&self) -> AnonymizeParams {
+        AnonymizeParams {
+            model: self.model,
+            epsilon: self.epsilon,
+            eps_split: self.eps_split,
+            m: self.m,
+            seed: self.seed,
+            workers: self.workers,
+            store_result: self.store_result,
+            data: match &self.source {
+                Some(handle) => DataRef::Handle(handle.clone()),
+                None => DataRef::Inline(self.csv.to_string()),
+            },
+        }
+    }
+
     /// The derived core pipeline configuration.
     pub fn config(&self) -> FreqDpConfig {
         let (eps_global, eps_local) = budget_split(self.model, self.epsilon, self.eps_split);
@@ -640,26 +658,23 @@ pub fn model_name(model: Model) -> &'static str {
 /// handle id (`"dataset"`), not the resolved CSV: the bytes are already
 /// durable in the store and pinned for the job's lifetime, so
 /// re-recording megabytes of text per submit would only bloat the
-/// journal and slow every restart.
-pub fn spec_to_json(spec: &AnonymizeSpec) -> Json {
-    let mut obj = match Json::obj([
-        ("model", Json::from(model_name(spec.model))),
-        ("epsilon", Json::from(spec.epsilon)),
-        ("eps_split", Json::from(spec.eps_split)),
-        ("m", Json::from(spec.m)),
-        ("seed", Json::from(spec.seed)),
-        ("workers", Json::from(spec.workers)),
-        ("store", Json::from(spec.store_result)),
-    ]) {
-        Json::Obj(m) => m,
-        // PANIC: `Json::obj` returns the `Obj` variant by construction.
-        _ => unreachable!(),
+/// journal and slow every restart. Consumes the params so inline text
+/// moves into the `Json` rather than being copied.
+pub fn spec_to_json(params: AnonymizeParams) -> Json {
+    let data = match params.data {
+        DataRef::Handle(handle) => ("dataset", Json::from(handle)),
+        DataRef::Inline(csv) => ("csv", Json::from(csv)),
     };
-    match &spec.source {
-        Some(handle) => obj.insert("dataset".to_string(), Json::from(handle.clone())),
-        None => obj.insert("csv".to_string(), Json::from(spec.csv.as_str())),
-    };
-    Json::Obj(obj)
+    Json::obj([
+        ("model", Json::from(model_name(params.model))),
+        ("epsilon", Json::from(params.epsilon)),
+        ("eps_split", Json::from(params.eps_split)),
+        ("m", Json::from(params.m)),
+        ("seed", Json::from(params.seed)),
+        ("workers", Json::from(params.workers)),
+        ("store", Json::from(params.store_result)),
+        data,
+    ])
 }
 
 /// Deserializes a journaled spec, re-validating every field: a replayed
@@ -1033,7 +1048,7 @@ mod tests {
             source: None,
             csv: std::sync::Arc::new("traj_id,x,y,t\n0,1.0,2.0,3\n".to_string()),
         };
-        let v = spec_to_json(&spec);
+        let v = spec_to_json(spec.unresolved());
         assert!(v.get("csv").is_some() && v.get("dataset").is_none());
         assert_eq!(spec_from_json(&v).unwrap().resolve(&store).unwrap(), spec);
         // A handle-backed spec journals the handle, not the text —
@@ -1041,14 +1056,14 @@ mod tests {
         let (handle, _) = store.insert("traj_id,x,y,t\n0,1.0,2.0,3\n".to_string()).unwrap();
         let mut by_handle = spec.clone();
         by_handle.source = Some(handle.clone());
-        let v = spec_to_json(&by_handle);
+        let v = spec_to_json(by_handle.unresolved());
         assert_eq!(v.get("dataset").and_then(Json::as_str), Some(handle.as_str()));
         assert!(v.get("csv").is_none(), "handle-backed spec must not re-record the CSV");
         let resolved = spec_from_json(&v).unwrap().resolve(&store).unwrap();
         assert_eq!(resolved.csv, spec.csv);
         assert_eq!(resolved.source, Some(handle));
         // Tampered journals fail re-validation.
-        let mut bad = match spec_to_json(&spec) {
+        let mut bad = match spec_to_json(spec.unresolved()) {
             Json::Obj(m) => m,
             _ => unreachable!(),
         };
@@ -1150,17 +1165,20 @@ mod tests {
         assert!(validate_budget(Model::PureGlobal, 1e-300, 0.5).is_ok());
         assert!(validate_budget(Model::Combined, 1e-300, 0.5).is_ok());
         // A journaled spec goes through the same gate on replay.
-        let mut spec = match spec_to_json(&AnonymizeSpec {
-            model: Model::Combined,
-            epsilon: 1.0,
-            eps_split: 0.1,
-            m: 4,
-            seed: 1,
-            workers: 1,
-            store_result: false,
-            source: None,
-            csv: std::sync::Arc::new(String::new()),
-        }) {
+        let mut spec = match spec_to_json(
+            AnonymizeSpec {
+                model: Model::Combined,
+                epsilon: 1.0,
+                eps_split: 0.1,
+                m: 4,
+                seed: 1,
+                workers: 1,
+                store_result: false,
+                source: None,
+                csv: std::sync::Arc::new(String::new()),
+            }
+            .unresolved(),
+        ) {
             Json::Obj(map) => map,
             other => panic!("spec must be an object: {other:?}"),
         };

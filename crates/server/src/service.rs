@@ -599,6 +599,25 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_a_bad_request_and_connection_survives() {
+        // 20 KB of nesting used to recurse the parser through the
+        // executor thread's stack and abort the whole server.
+        let server = Server::start(ServerConfig::default()).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let nested = format!("{}{}", "[".repeat(10_000), "]".repeat(10_000));
+        let r = client.request_line(&nested).unwrap();
+        assert_eq!(r.get("ok"), Some(&Json::Bool(false)));
+        let msg = r.get("error").and_then(Json::as_str).unwrap_or_default();
+        assert!(msg.contains("nesting"), "{msg}");
+        let r = client.request_line(r#"{"cmd":"health"}"#).unwrap();
+        assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
+        let errors = client.metrics().unwrap().errors;
+        assert!(errors.contains(&("bad-request".to_string(), 1)), "{errors:?}");
+        drop(client);
+        server.shutdown();
+    }
+
+    #[test]
     fn blank_lines_count_toward_bytes_in() {
         // Regression: blank request lines used to `continue` before the
         // bytes_in increment, so their bytes never reached the metrics

@@ -6,7 +6,8 @@
 # dataset cap (LRU eviction, `delete` freeing a slot, re-upload),
 # restart the server on the same --state-dir and check that the
 # compacted journal still resolves the finished job and its stored
-# result. A final two-tenant phase spends a dataset's ε budget to the
+# result. A hostile 20 KB line of nested brackets must get an error
+# answer and leave the server up. A final two-tenant phase spends a dataset's ε budget to the
 # brim, kills the server, and proves the replayed ledger still refuses
 # further spend. Exercises the code paths `cargo test` cannot: the
 # actual process boundary, CLI flag plumbing, and journal
@@ -225,6 +226,18 @@ rc=0; "$BIN" gen --sizee 5 --out "$TMP/x.csv" 2>/dev/null || rc=$?
 rc=0; "$BIN" stats --input "$TMP/definitely-missing.csv" 2>/dev/null || rc=$?
 [ "$rc" = 1 ] || { echo "FAIL: local failure must exit 1 (got $rc)" >&2; exit 1; }
 
+# ---- hostile input: a deeply nested line ----------------------------
+# 10,000 `[` then 10,000 `]` on one 20 KB line. The JSON parser bounds
+# its nesting depth, so this is one error answer rather than a stack
+# overflow that aborts the server; `health` must still answer on a new
+# connection afterwards.
+NESTED="$(head -c 10000 /dev/zero | tr '\0' '[')$(head -c 10000 /dev/zero | tr '\0' ']')"
+DEEP=$(printf '%s\n' "$NESTED" | "$BIN" submit --addr "$ADDR2" || true)
+printf '%s' "$DEEP" | grep -q '"ok":false' \
+    || { echo "FAIL: a deeply nested line must get an error answer: $DEEP" >&2; exit 1; }
+echo '{"cmd":"health"}' | "$BIN" submit --addr "$ADDR2" | grep -q '"ok":true' \
+    || { echo "FAIL: the server must survive a deeply nested line" >&2; exit 1; }
+
 # ---- tenancy + ε ledger: spend survives a kill ----------------------
 # Two tenants and a per-dataset ε budget of 0.5. acme spends its
 # dataset to exactly the budget, the server dies, and the restarted
@@ -283,4 +296,4 @@ STILL=$(echo "{\"cmd\":\"anonymize\",\"dataset\":\"$ADS\",\"model\":\"gl\",\"m\"
 printf '%s' "$STILL" | grep -q '"code":"budget-exhausted"' \
     || { echo "FAIL: ε spend must survive the restart: $STILL" >&2; exit 1; }
 
-echo "smoke test passed: chunked transfer byte-identical, lifecycle at the cap OK, compacted journal replays, v2 envelope + error codes + metrics scrape + parallel burst + exit classes OK, tenant budget survives kill+restart"
+echo "smoke test passed: chunked transfer byte-identical, lifecycle at the cap OK, compacted journal replays, v2 envelope + error codes + metrics scrape + parallel burst + exit classes OK, nested-line hostile input survived, tenant budget survives kill+restart"
