@@ -18,18 +18,13 @@
 
 use std::time::{Duration, Instant};
 use trajdp_attacks::{HmmMapMatcher, LinkingAttack, SignatureType};
-use trajdp_metrics::{
-    diameter_divergence, frequent_pattern_f1, information_loss, mutual_information,
-    recovery_metrics, trip_divergence, RecoveryMetrics,
-};
+use trajdp_metrics::{recovery_metrics, scores, RecoveryMetrics, Scores};
 use trajdp_model::Dataset;
 use trajdp_synth::{generate, GeneratorConfig};
 
 /// Re-export the world type for binaries.
 pub use trajdp_synth::generator::SyntheticWorld;
 
-/// Default evaluation grid granularity for metrics.
-pub const METRIC_GRID: u32 = 64;
 /// Point tolerance for recovery accuracy, metres.
 pub const POINT_TOLERANCE: f64 = 50.0;
 
@@ -111,11 +106,7 @@ pub fn evaluate(
     } else {
         (0.0, None, None, 0.0)
     };
-    let mi = mutual_information(original, anonymized, METRIC_GRID);
-    let inf = information_loss(original, anonymized);
-    let de = diameter_divergence(original, anonymized, 24);
-    let te = trip_divergence(original, anonymized, 16);
-    let ffp = frequent_pattern_f1(original, anonymized, METRIC_GRID, 2, 200);
+    let Scores { mi, inf, de, te, ffp } = scores(original, anonymized);
     let recovery = if opts.recovery && !opts.generative {
         let matcher = HmmMapMatcher::new(&world.network);
         let recovered = recover_parallel(&matcher, &anonymized.trajectories);

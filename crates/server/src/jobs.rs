@@ -1096,14 +1096,6 @@ impl JobQueue {
             })
             .collect()
     }
-
-    /// How many unfinished jobs `tenant` currently has — the quantity
-    /// its `max_jobs` quota caps.
-    pub fn jobs_for_tenant(&self, tenant: &str) -> usize {
-        let (lock, _) = &*self.inner;
-        let Ok(q) = lock.lock() else { return 0 };
-        q.tenant_job_slots(tenant)
-    }
 }
 
 /// Rebuilds queue state from journal text, one [`Event`] per line,

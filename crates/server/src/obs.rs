@@ -38,6 +38,7 @@
 use crate::api::{ErrorCode, WIRE_ERROR_CODES};
 use crate::json::Json;
 use std::collections::BTreeMap;
+use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -126,35 +127,12 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("count", Json::from(self.count)),
-            ("sum_us", Json::from(self.sum_us)),
-            ("bounds_us", Json::Arr(LATENCY_BOUNDS_US.iter().map(|&b| Json::from(b)).collect())),
-            ("counts", Json::Arr(self.counts.iter().map(|&c| Json::from(c)).collect())),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<HistogramSnapshot, String> {
-        let count = v.get("count").and_then(Json::as_u64).ok_or("histogram missing count")?;
-        let sum_us = v.get("sum_us").and_then(Json::as_u64).ok_or("histogram missing sum_us")?;
-        let counts = match v.get("counts") {
-            Some(Json::Arr(a)) => a
-                .iter()
-                .map(|c| c.as_u64().ok_or_else(|| "histogram count not an integer".to_string()))
-                .collect::<Result<Vec<u64>, String>>()?,
-            _ => return Err("histogram missing counts".to_string()),
-        };
-        Ok(HistogramSnapshot { counts, count, sum_us })
-    }
-
     /// Appends this histogram as Prometheus `_bucket`/`_sum`/`_count`
     /// lines for metric `name` with `labels` (e.g. `verb="health"`).
     /// Bucket `le` labels are in **seconds**, formatted so they parse
     /// back to the exact microsecond bound (asserted by a round-trip
     /// test).
     fn write_prometheus(&self, out: &mut String, name: &str, labels: &str) {
-        use std::fmt::Write;
         let sep = if labels.is_empty() { "" } else { "," };
         let mut cumulative = 0u64;
         for (i, bound) in LATENCY_BOUNDS_US.iter().enumerate() {
@@ -179,6 +157,114 @@ fn bound_secs(bound_us: u64) -> f64 {
     bound_us as f64 / 1e6
 }
 
+/// A registry cell the metric table can declare, frozen by
+/// [`Metrics::snapshot`].
+trait Cell {
+    type Frozen;
+    fn freeze(&self) -> Self::Frozen;
+}
+
+impl Cell for AtomicU64 {
+    type Frozen = u64;
+    fn freeze(&self) -> u64 {
+        self.load(Ordering::Relaxed)
+    }
+}
+
+impl Cell for Histogram {
+    type Frozen = HistogramSnapshot;
+    fn freeze(&self) -> HistogramSnapshot {
+        self.snapshot()
+    }
+}
+
+/// A frozen table cell's two wire forms: its member of the `metrics`
+/// JSON and its lines of the text exposition.
+trait Frozen {
+    fn to_json(&self) -> Json;
+    fn from_json(v: &Json) -> Result<Self, String>
+    where
+        Self: Sized;
+    /// Appends this cell's exposition lines under `family`.
+    fn write_family(&self, out: &mut String, family: &str);
+}
+
+impl Frozen for u64 {
+    fn to_json(&self) -> Json {
+        Json::from(*self)
+    }
+
+    fn from_json(v: &Json) -> Result<u64, String> {
+        v.as_u64().ok_or_else(|| "not an integer".to_string())
+    }
+
+    fn write_family(&self, out: &mut String, family: &str) {
+        let _ = writeln!(out, "{family} {self}");
+    }
+}
+
+impl Frozen for HistogramSnapshot {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("count", Json::from(self.count)),
+            ("sum_us", Json::from(self.sum_us)),
+            ("bounds_us", Json::Arr(LATENCY_BOUNDS_US.iter().map(|&b| Json::from(b)).collect())),
+            ("counts", Json::Arr(self.counts.iter().map(|&c| Json::from(c)).collect())),
+        ])
+    }
+
+    fn from_json(v: &Json) -> Result<HistogramSnapshot, String> {
+        let count = v.get("count").and_then(Json::as_u64).ok_or("histogram missing count")?;
+        let sum_us = v.get("sum_us").and_then(Json::as_u64).ok_or("histogram missing sum_us")?;
+        let counts = match v.get("counts") {
+            Some(Json::Arr(a)) => a.iter().map(Json::as_u64).collect::<Option<Vec<u64>>>(),
+            _ => None,
+        };
+        let counts = counts.ok_or("histogram counts must be an array of integers")?;
+        Ok(HistogramSnapshot { counts, count, sum_us })
+    }
+
+    fn write_family(&self, out: &mut String, family: &str) {
+        self.write_prometheus(out, family, "");
+    }
+}
+
+/// Decodes the table cell at `section.member` of the `metrics` JSON
+/// `v`. Strict: a missing section or member is an error.
+fn decode<T: Frozen>(v: &Json, section: &str, member: &str) -> Result<T, String> {
+    let s = v.get(section).ok_or_else(|| format!("metrics missing section {section:?}"))?;
+    let m = s.get(member).ok_or_else(|| format!("metrics missing member {section}.{member}"))?;
+    T::from_json(m).map_err(|e| format!("metrics {section}.{member}: {e}"))
+}
+
+/// A `{label: value}` object of `(label, value)` rows — the JSON shape
+/// of every labelled counter family and of the ε gauge.
+fn labelled_to_json<T: Copy + Into<Json>>(rows: &[(String, T)]) -> Json {
+    Json::Obj(rows.iter().map(|(k, v)| (k.clone(), (*v).into())).collect())
+}
+
+/// The `(label, value)` rows of the `{label: value}` object at member
+/// `key` of `v`; `value` decodes each value.
+fn labelled_from_json<T>(
+    v: &Json,
+    key: &str,
+    value: fn(&Json) -> Option<T>,
+) -> Result<Vec<(String, T)>, String> {
+    let Some(Json::Obj(map)) = v.get(key) else { return Err(format!("{key} must be an object")) };
+    map.iter()
+        .map(|(k, n)| {
+            value(n).map(|n| (k.clone(), n)).ok_or_else(|| format!("{key}.{k}: bad value"))
+        })
+        .collect()
+}
+
+/// Appends one `family{label="…"} value` line per row.
+fn write_labelled(out: &mut String, family: &str, label: &str, rows: &[(String, impl Display)]) {
+    for (k, v) in rows {
+        let _ = writeln!(out, "{family}{{{label}=\"{k}\"}} {v}");
+    }
+}
+
 /// Per-verb request statistics: a counter and a latency histogram.
 #[derive(Debug, Default)]
 pub struct VerbStats {
@@ -188,69 +274,165 @@ pub struct VerbStats {
     pub latency: Histogram,
 }
 
-/// The process-wide metrics registry. Every cell is an atomic; there
-/// is no interior lock, so recording from inside the store/queue/
-/// journal critical sections and snapshotting from the `metrics` verb
-/// can never contend.
-#[derive(Debug)]
-pub struct Metrics {
-    started: Instant,
-    /// Per-verb request stats, indexed by [`verb_index`].
-    pub requests: [VerbStats; VERBS.len()],
-    /// Per-code rejection counts, indexed by position in
-    /// [`WIRE_ERROR_CODES`].
-    pub errors: [AtomicU64; WIRE_ERROR_CODES.len()],
-    /// Request bytes read off sockets.
-    pub bytes_in: AtomicU64,
-    /// Response bytes written to sockets.
-    pub bytes_out: AtomicU64,
-    /// Currently served connections (gauge).
-    pub connections_active: AtomicU64,
-    /// Connections accepted over the process lifetime.
-    pub connections_total: AtomicU64,
-    /// Connections shed at accept because the server was at
-    /// `--max-conn` (answered `overloaded`, never served).
-    pub connections_shed: AtomicU64,
-    /// Connections closed because a partial request line outlived the
-    /// read deadline (slowloris / half-open peers).
-    pub deadline_closes: AtomicU64,
-    /// Wall-clock of each readiness-loop iteration (poll wait +
-    /// event handling) — the reactor's heartbeat.
-    pub reactor_iterations: Histogram,
+/// Declares the unlabelled metrics, one row each:
+///
+/// ```text
+/// /// doc
+/// field: RegistryCell => SnapshotValue, ("json_section", "json_member"), "trajdp_family";
+/// ```
+///
+/// and derives from the rows the [`Metrics`] cells and their `Default`,
+/// the [`MetricsSnapshot`] fields, the freeze in [`Metrics::snapshot`],
+/// and the table part of the JSON codec and the exposition, in row
+/// order. The labelled families are written by hand around it.
+macro_rules! metric_table {
+    ($(
+        $(#[doc = $doc:literal])*
+        $field:ident: $cell:ty => $frozen:ty, ($section:literal, $member:literal), $family:literal;
+    )*) => {
+        /// The process-wide metrics registry. Every cell is an atomic;
+        /// there is no interior lock, so recording from inside the
+        /// store/queue/journal critical sections and snapshotting from
+        /// the `metrics` verb can never contend.
+        #[derive(Debug)]
+        pub struct Metrics {
+            started: Instant,
+            /// Per-verb request stats, indexed by [`verb_index`].
+            pub requests: [VerbStats; VERBS.len()],
+            /// Per-code rejection counts, indexed by position in
+            /// [`WIRE_ERROR_CODES`].
+            pub errors: [AtomicU64; WIRE_ERROR_CODES.len()],
+            $($(#[doc = $doc])* pub $field: $cell,)*
+            /// Label-keyed families (per-tenant counters, per-dataset ε).
+            /// These are the one exception to the atomics-only rule: the
+            /// key sets are dynamic, so they live behind a private mutex.
+            /// Writers only touch it *outside* the store/queue/journal
+            /// locks, and the `metrics` read path takes it alone — it can
+            /// never participate in a lock cycle.
+            tenancy: Mutex<TenancyMetrics>,
+        }
+
+        impl Default for Metrics {
+            fn default() -> Self {
+                Metrics {
+                    started: Instant::now(),
+                    requests: Default::default(),
+                    errors: Default::default(),
+                    $($field: Default::default(),)*
+                    tenancy: Mutex::default(),
+                }
+            }
+        }
+
+        impl Metrics {
+            /// The table's cells frozen; the labelled parts empty.
+            fn freeze_table(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($field: Cell::freeze(&self.$field),)*
+                    ..MetricsSnapshot::empty()
+                }
+            }
+        }
+
+        /// A frozen [`Metrics`] registry — the payload of the `metrics`
+        /// verb. (`Eq` would be wrong here: the ε gauge values are `f64`.)
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct MetricsSnapshot {
+            /// Seconds since the registry (≈ the server) started.
+            pub uptime_secs: u64,
+            /// Per-verb request stats, sorted by verb.
+            pub requests: Vec<VerbSnapshot>,
+            /// `(code, count)` per wire error code, sorted by code.
+            pub errors: Vec<(String, u64)>,
+            $($(#[doc = $doc])* pub $field: $frozen,)*
+            /// `(tenant, count)` of authenticated requests, sorted by tenant.
+            pub tenant_requests: Vec<(String, u64)>,
+            /// `(tenant, count)` of rejected requests, sorted by tenant.
+            pub tenant_rejections: Vec<(String, u64)>,
+            /// `(dataset, ε)` settled + in-flight spend, sorted by handle.
+            pub eps_spent: Vec<(String, f64)>,
+        }
+
+        impl MetricsSnapshot {
+            /// Every labelled part empty, every table cell zero.
+            fn empty() -> MetricsSnapshot {
+                MetricsSnapshot {
+                    uptime_secs: 0,
+                    requests: Vec::new(),
+                    errors: Vec::new(),
+                    $($field: Default::default(),)*
+                    tenant_requests: Vec::new(),
+                    tenant_rejections: Vec::new(),
+                    eps_spent: Vec::new(),
+                }
+            }
+
+            /// The table's cells decoded from the `metrics` JSON `v`;
+            /// the labelled parts empty.
+            fn table_from_json(v: &Json) -> Result<MetricsSnapshot, String> {
+                Ok(MetricsSnapshot { $($field: decode(v, $section, $member)?,)* ..Self::empty() })
+            }
+
+            /// `(section, member, family, value)` of every table cell,
+            /// in row order.
+            fn cells(&self) -> Vec<(&'static str, &'static str, &'static str, &dyn Frozen)> {
+                vec![$(($section, $member, $family, &self.$field as &dyn Frozen),)*]
+            }
+        }
+    };
+}
+
+metric_table! {
     /// Jobs accepted by `submit`.
-    pub jobs_submitted: AtomicU64,
+    jobs_submitted: AtomicU64 => u64, ("jobs", "submitted"), "trajdp_jobs_submitted_total";
     /// Jobs that reached `done`.
-    pub jobs_completed: AtomicU64,
-    /// Jobs queued or running right now (gauge).
-    pub queue_depth: AtomicU64,
-    /// Submit → worker pickup.
-    pub queue_wait: Histogram,
-    /// Worker pickup → done.
-    pub run_time: Histogram,
-    /// Bytes held by the dataset store (gauge).
-    pub store_bytes: AtomicU64,
-    /// Handles held by the dataset store (gauge).
-    pub store_handles: AtomicU64,
-    /// Handles evicted (LRU pressure or TTL expiry).
-    pub store_evictions: AtomicU64,
-    /// TTL sweep passes run.
-    pub store_ttl_sweeps: AtomicU64,
-    /// Journal events appended.
-    pub journal_appends: AtomicU64,
-    /// Durable append latency (write + fsync).
-    pub journal_fsync: Histogram,
-    /// Journal compactions (rewrites) completed.
-    pub journal_compactions: AtomicU64,
+    jobs_completed: AtomicU64 => u64, ("jobs", "completed"), "trajdp_jobs_completed_total";
     /// Submits refused because the queue was at `--max-queue`
     /// (answered `overloaded`, never enqueued).
-    pub jobs_shed: AtomicU64,
-    /// Label-keyed families (per-tenant counters, per-dataset ε). These
-    /// are the one exception to the atomics-only rule: the key sets are
-    /// dynamic, so they live behind a private mutex. Writers only touch
-    /// it *outside* the store/queue/journal locks, and the `metrics`
-    /// read path takes it alone — it can never participate in a lock
-    /// cycle.
-    tenancy: Mutex<TenancyMetrics>,
+    jobs_shed: AtomicU64 => u64, ("jobs", "shed"), "trajdp_jobs_shed_total";
+    /// Jobs queued or running right now (gauge).
+    queue_depth: AtomicU64 => u64, ("jobs", "queue_depth"), "trajdp_job_queue_depth";
+    /// Submit → worker pickup.
+    queue_wait: Histogram => HistogramSnapshot, ("jobs", "queue_wait"),
+        "trajdp_job_queue_wait_seconds";
+    /// Worker pickup → done.
+    run_time: Histogram => HistogramSnapshot, ("jobs", "run_time"), "trajdp_job_run_seconds";
+    /// Bytes held by the dataset store: committed datasets plus
+    /// pending upload buffers (gauge).
+    store_bytes: AtomicU64 => u64, ("store", "bytes"), "trajdp_store_bytes";
+    /// Handles held by the dataset store (gauge).
+    store_handles: AtomicU64 => u64, ("store", "handles"), "trajdp_store_handles";
+    /// Handles evicted (LRU pressure or TTL expiry).
+    store_evictions: AtomicU64 => u64, ("store", "evictions"), "trajdp_store_evictions_total";
+    /// TTL sweep passes run.
+    store_ttl_sweeps: AtomicU64 => u64, ("store", "ttl_sweeps"), "trajdp_store_ttl_sweeps_total";
+    /// Journal events appended.
+    journal_appends: AtomicU64 => u64, ("journal", "appends"), "trajdp_journal_appends_total";
+    /// Durable append latency (write + fsync).
+    journal_fsync: Histogram => HistogramSnapshot, ("journal", "fsync"),
+        "trajdp_journal_fsync_seconds";
+    /// Journal compactions (rewrites) completed.
+    journal_compactions: AtomicU64 => u64, ("journal", "compactions"),
+        "trajdp_journal_compactions_total";
+    /// Currently served connections (gauge).
+    connections_active: AtomicU64 => u64, ("connections", "active"), "trajdp_connections_active";
+    /// Connections accepted over the process lifetime.
+    connections_total: AtomicU64 => u64, ("connections", "total"), "trajdp_connections_total";
+    /// Connections shed at accept because the server was at
+    /// `--max-conn` (answered `overloaded`, never served).
+    connections_shed: AtomicU64 => u64, ("reactor", "shed"), "trajdp_connections_shed_total";
+    /// Connections closed because a partial request line outlived the
+    /// read deadline (slowloris / half-open peers).
+    deadline_closes: AtomicU64 => u64, ("reactor", "deadline_closes"),
+        "trajdp_deadline_closes_total";
+    /// Wall-clock of each readiness-loop iteration's event handling
+    /// (the poll wait excluded) — the reactor's heartbeat.
+    reactor_iterations: Histogram => HistogramSnapshot, ("reactor", "iterations"),
+        "trajdp_reactor_iteration_seconds";
+    /// Request bytes read off sockets.
+    bytes_in: AtomicU64 => u64, ("bytes", "in"), "trajdp_bytes_in_total";
+    /// Response bytes written to sockets.
+    bytes_out: AtomicU64 => u64, ("bytes", "out"), "trajdp_bytes_out_total";
 }
 
 /// The label-keyed half of the registry: per-tenant request/rejection
@@ -260,37 +442,6 @@ struct TenancyMetrics {
     requests: BTreeMap<String, u64>,
     rejections: BTreeMap<String, u64>,
     eps_spent: BTreeMap<String, f64>,
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics {
-            started: Instant::now(),
-            requests: Default::default(),
-            errors: Default::default(),
-            bytes_in: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
-            connections_active: AtomicU64::new(0),
-            connections_total: AtomicU64::new(0),
-            connections_shed: AtomicU64::new(0),
-            deadline_closes: AtomicU64::new(0),
-            reactor_iterations: Histogram::default(),
-            jobs_submitted: AtomicU64::new(0),
-            jobs_completed: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            queue_wait: Histogram::default(),
-            run_time: Histogram::default(),
-            store_bytes: AtomicU64::new(0),
-            store_handles: AtomicU64::new(0),
-            store_evictions: AtomicU64::new(0),
-            store_ttl_sweeps: AtomicU64::new(0),
-            journal_appends: AtomicU64::new(0),
-            journal_fsync: Histogram::default(),
-            journal_compactions: AtomicU64::new(0),
-            jobs_shed: AtomicU64::new(0),
-            tenancy: Mutex::default(),
-        }
-    }
 }
 
 impl Metrics {
@@ -398,29 +549,10 @@ impl Metrics {
             uptime_secs: self.started.elapsed().as_secs(),
             requests,
             errors,
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            connections_active: self.connections_active.load(Ordering::Relaxed),
-            connections_total: self.connections_total.load(Ordering::Relaxed),
-            connections_shed: self.connections_shed.load(Ordering::Relaxed),
-            deadline_closes: self.deadline_closes.load(Ordering::Relaxed),
-            reactor_iterations: self.reactor_iterations.snapshot(),
-            jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
-            jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            queue_wait: self.queue_wait.snapshot(),
-            run_time: self.run_time.snapshot(),
-            store_bytes: self.store_bytes.load(Ordering::Relaxed),
-            store_handles: self.store_handles.load(Ordering::Relaxed),
-            store_evictions: self.store_evictions.load(Ordering::Relaxed),
-            store_ttl_sweeps: self.store_ttl_sweeps.load(Ordering::Relaxed),
-            journal_appends: self.journal_appends.load(Ordering::Relaxed),
-            journal_fsync: self.journal_fsync.snapshot(),
-            journal_compactions: self.journal_compactions.load(Ordering::Relaxed),
-            jobs_shed: self.jobs_shed.load(Ordering::Relaxed),
             tenant_requests,
             tenant_rejections,
             eps_spent,
+            ..self.freeze_table()
         }
     }
 }
@@ -436,189 +568,54 @@ pub struct VerbSnapshot {
     pub latency: HistogramSnapshot,
 }
 
-/// A frozen [`Metrics`] registry — the payload of the `metrics` verb.
-/// (`Eq` would be wrong here: the ε gauge values are `f64`.)
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Seconds since the registry (≈ the server) started.
-    pub uptime_secs: u64,
-    /// Per-verb request stats, in [`VERBS`] order.
-    pub requests: Vec<VerbSnapshot>,
-    /// `(code, count)` per wire error code, in documentation order.
-    pub errors: Vec<(String, u64)>,
-    /// Request bytes read.
-    pub bytes_in: u64,
-    /// Response bytes written.
-    pub bytes_out: u64,
-    /// Currently served connections.
-    pub connections_active: u64,
-    /// Connections accepted over the lifetime.
-    pub connections_total: u64,
-    /// Connections shed at accept (`overloaded`).
-    pub connections_shed: u64,
-    /// Connections closed at the read deadline.
-    pub deadline_closes: u64,
-    /// Readiness-loop iteration wall-clock.
-    pub reactor_iterations: HistogramSnapshot,
-    /// Jobs accepted.
-    pub jobs_submitted: u64,
-    /// Jobs finished.
-    pub jobs_completed: u64,
-    /// Jobs queued or running now.
-    pub queue_depth: u64,
-    /// Submit → pickup latency.
-    pub queue_wait: HistogramSnapshot,
-    /// Pickup → done latency.
-    pub run_time: HistogramSnapshot,
-    /// Bytes held by the store.
-    pub store_bytes: u64,
-    /// Handles held by the store.
-    pub store_handles: u64,
-    /// Evictions performed.
-    pub store_evictions: u64,
-    /// TTL sweep passes.
-    pub store_ttl_sweeps: u64,
-    /// Journal events appended.
-    pub journal_appends: u64,
-    /// Durable append latency.
-    pub journal_fsync: HistogramSnapshot,
-    /// Journal compactions.
-    pub journal_compactions: u64,
-    /// Submits refused at `--max-queue`.
-    pub jobs_shed: u64,
-    /// `(tenant, count)` of authenticated requests, sorted by tenant.
-    pub tenant_requests: Vec<(String, u64)>,
-    /// `(tenant, count)` of rejected requests, sorted by tenant.
-    pub tenant_rejections: Vec<(String, u64)>,
-    /// `(dataset, ε)` settled + in-flight spend, sorted by handle.
-    pub eps_spent: Vec<(String, f64)>,
-}
-
 impl MetricsSnapshot {
     /// The typed wire shape of the `metrics` verb (identical across
     /// protocol versions — the verb is new, nothing is frozen).
     pub fn to_json(&self) -> Json {
-        Json::obj([
+        let requests = self.requests.iter().map(|r| {
+            let stats =
+                Json::obj([("count", Json::from(r.count)), ("latency", r.latency.to_json())]);
+            (r.verb.clone(), stats)
+        });
+        let tenants = Json::obj([
+            ("requests", labelled_to_json(&self.tenant_requests)),
+            ("rejections", labelled_to_json(&self.tenant_rejections)),
+        ]);
+        let mut top: BTreeMap<String, Json> = [
             ("uptime_secs", Json::from(self.uptime_secs)),
-            (
-                "requests",
-                Json::Obj(
-                    self.requests
-                        .iter()
-                        .map(|r| {
-                            (
-                                r.verb.clone(),
-                                Json::obj([
-                                    ("count", Json::from(r.count)),
-                                    ("latency", r.latency.to_json()),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "errors",
-                Json::Obj(
-                    self.errors.iter().map(|(code, n)| (code.clone(), Json::from(*n))).collect(),
-                ),
-            ),
-            (
-                "jobs",
-                Json::obj([
-                    ("submitted", Json::from(self.jobs_submitted)),
-                    ("completed", Json::from(self.jobs_completed)),
-                    ("shed", Json::from(self.jobs_shed)),
-                    ("queue_depth", Json::from(self.queue_depth)),
-                    ("queue_wait", self.queue_wait.to_json()),
-                    ("run_time", self.run_time.to_json()),
-                ]),
-            ),
-            (
-                "tenants",
-                Json::obj([
-                    (
-                        "requests",
-                        Json::Obj(
-                            self.tenant_requests
-                                .iter()
-                                .map(|(t, n)| (t.clone(), Json::from(*n)))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "rejections",
-                        Json::Obj(
-                            self.tenant_rejections
-                                .iter()
-                                .map(|(t, n)| (t.clone(), Json::from(*n)))
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "eps_spent",
-                Json::Obj(
-                    self.eps_spent.iter().map(|(ds, e)| (ds.clone(), Json::from(*e))).collect(),
-                ),
-            ),
-            (
-                "store",
-                Json::obj([
-                    ("bytes", Json::from(self.store_bytes)),
-                    ("handles", Json::from(self.store_handles)),
-                    ("evictions", Json::from(self.store_evictions)),
-                    ("ttl_sweeps", Json::from(self.store_ttl_sweeps)),
-                ]),
-            ),
-            (
-                "journal",
-                Json::obj([
-                    ("appends", Json::from(self.journal_appends)),
-                    ("fsync", self.journal_fsync.to_json()),
-                    ("compactions", Json::from(self.journal_compactions)),
-                ]),
-            ),
-            (
-                "connections",
-                Json::obj([
-                    ("active", Json::from(self.connections_active)),
-                    ("total", Json::from(self.connections_total)),
-                ]),
-            ),
-            (
-                "reactor",
-                Json::obj([
-                    ("shed", Json::from(self.connections_shed)),
-                    ("deadline_closes", Json::from(self.deadline_closes)),
-                    ("iterations", self.reactor_iterations.to_json()),
-                ]),
-            ),
-            (
-                "bytes",
-                Json::obj([("in", Json::from(self.bytes_in)), ("out", Json::from(self.bytes_out))]),
-            ),
-        ])
+            ("requests", Json::Obj(requests.collect())),
+            ("errors", labelled_to_json(&self.errors)),
+            ("tenants", tenants),
+            ("eps_spent", labelled_to_json(&self.eps_spent)),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
+        for (section, member, _, cell) in self.cells() {
+            let section = top.entry(section.to_string()).or_insert_with(|| Json::obj([]));
+            if let Json::Obj(members) = section {
+                members.insert(member.to_string(), cell.to_json());
+            }
+        }
+        Json::Obj(top)
     }
 
     /// Parses the wire shape back — the client half of the `metrics`
-    /// verb. Strict: a missing section is a protocol violation.
+    /// verb. Strict: a missing section or member is a protocol
+    /// violation.
     pub fn from_json(v: &Json) -> Result<MetricsSnapshot, String> {
         let section =
             |key: &str| v.get(key).ok_or_else(|| format!("metrics missing section {key:?}"));
-        let num = |obj: &Json, key: &str| {
-            obj.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("metrics missing integer member {key:?}"))
-        };
         let requests = match section("requests")? {
             Json::Obj(map) => map
                 .iter()
                 .map(|(verb, stats)| {
                     Ok(VerbSnapshot {
                         verb: verb.clone(),
-                        count: num(stats, "count")?,
+                        count: stats
+                            .get("count")
+                            .and_then(Json::as_u64)
+                            .ok_or("verb stats missing count")?,
                         latency: HistogramSnapshot::from_json(
                             stats.get("latency").ok_or("verb stats missing latency")?,
                         )?,
@@ -627,87 +624,22 @@ impl MetricsSnapshot {
                 .collect::<Result<Vec<_>, String>>()?,
             _ => return Err("requests must be an object".to_string()),
         };
-        let errors = match section("errors")? {
-            Json::Obj(map) => map
-                .iter()
-                .map(|(code, n)| {
-                    n.as_u64()
-                        .map(|n| (code.clone(), n))
-                        .ok_or_else(|| format!("error count for {code:?} not an integer"))
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            _ => return Err("errors must be an object".to_string()),
-        };
-        let jobs = section("jobs")?;
-        let store = section("store")?;
-        let journal = section("journal")?;
-        let connections = section("connections")?;
-        let reactor = section("reactor")?;
-        let bytes = section("bytes")?;
         let tenants = section("tenants")?;
-        let counter_map = |obj: Option<&Json>, what: &str| match obj {
-            Some(Json::Obj(map)) => map
-                .iter()
-                .map(|(k, n)| {
-                    n.as_u64()
-                        .map(|n| (k.clone(), n))
-                        .ok_or_else(|| format!("{what} count for {k:?} not an integer"))
-                })
-                .collect::<Result<Vec<_>, String>>(),
-            _ => Err(format!("{what} must be an object")),
-        };
-        let eps_spent = match section("eps_spent")? {
-            Json::Obj(map) => map
-                .iter()
-                .map(|(ds, e)| {
-                    e.as_f64()
-                        .map(|e| (ds.clone(), e))
-                        .ok_or_else(|| format!("eps_spent for {ds:?} not a number"))
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            _ => return Err("eps_spent must be an object".to_string()),
-        };
         Ok(MetricsSnapshot {
-            uptime_secs: num(v, "uptime_secs")?,
+            uptime_secs: v.get("uptime_secs").and_then(Json::as_u64).ok_or("metrics uptime")?,
             requests,
-            errors,
-            bytes_in: num(bytes, "in")?,
-            bytes_out: num(bytes, "out")?,
-            connections_active: num(connections, "active")?,
-            connections_total: num(connections, "total")?,
-            connections_shed: num(reactor, "shed")?,
-            deadline_closes: num(reactor, "deadline_closes")?,
-            reactor_iterations: HistogramSnapshot::from_json(
-                reactor.get("iterations").ok_or("reactor missing iterations")?,
-            )?,
-            jobs_submitted: num(jobs, "submitted")?,
-            jobs_completed: num(jobs, "completed")?,
-            queue_depth: num(jobs, "queue_depth")?,
-            queue_wait: HistogramSnapshot::from_json(
-                jobs.get("queue_wait").ok_or("jobs missing queue_wait")?,
-            )?,
-            run_time: HistogramSnapshot::from_json(
-                jobs.get("run_time").ok_or("jobs missing run_time")?,
-            )?,
-            store_bytes: num(store, "bytes")?,
-            store_handles: num(store, "handles")?,
-            store_evictions: num(store, "evictions")?,
-            store_ttl_sweeps: num(store, "ttl_sweeps")?,
-            journal_appends: num(journal, "appends")?,
-            journal_fsync: HistogramSnapshot::from_json(
-                journal.get("fsync").ok_or("journal missing fsync")?,
-            )?,
-            journal_compactions: num(journal, "compactions")?,
-            jobs_shed: num(jobs, "shed")?,
-            tenant_requests: counter_map(tenants.get("requests"), "tenant request")?,
-            tenant_rejections: counter_map(tenants.get("rejections"), "tenant rejection")?,
-            eps_spent,
+            errors: labelled_from_json(v, "errors", Json::as_u64)?,
+            tenant_requests: labelled_from_json(tenants, "requests", Json::as_u64)?,
+            tenant_rejections: labelled_from_json(tenants, "rejections", Json::as_u64)?,
+            eps_spent: labelled_from_json(v, "eps_spent", Json::as_f64)?,
+            ..Self::table_from_json(v)?
         })
     }
 
-    /// Renders a Prometheus-style text exposition of the snapshot.
+    /// Renders a Prometheus-style text exposition of the snapshot:
+    /// uptime, the per-verb and per-code families, the table's families
+    /// in row order, then the per-tenant and per-dataset families.
     pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write;
         let mut out = String::new();
         let _ = writeln!(out, "trajdp_uptime_seconds {}", self.uptime_secs);
         for r in &self.requests {
@@ -720,38 +652,17 @@ impl MetricsSnapshot {
                 &format!("verb=\"{}\"", r.verb),
             );
         }
-        for (code, n) in &self.errors {
-            let _ = writeln!(out, "trajdp_errors_total{{code=\"{code}\"}} {n}");
+        write_labelled(&mut out, "trajdp_errors_total", "code", &self.errors);
+        for (_, _, family, cell) in self.cells() {
+            cell.write_family(&mut out, family);
         }
-        let _ = writeln!(out, "trajdp_jobs_submitted_total {}", self.jobs_submitted);
-        let _ = writeln!(out, "trajdp_jobs_completed_total {}", self.jobs_completed);
-        let _ = writeln!(out, "trajdp_jobs_shed_total {}", self.jobs_shed);
-        let _ = writeln!(out, "trajdp_job_queue_depth {}", self.queue_depth);
-        for (tenant, n) in &self.tenant_requests {
-            let _ = writeln!(out, "trajdp_tenant_requests_total{{tenant=\"{tenant}\"}} {n}");
+        for (family, rows) in [
+            ("trajdp_tenant_requests_total", &self.tenant_requests),
+            ("trajdp_tenant_rejections_total", &self.tenant_rejections),
+        ] {
+            write_labelled(&mut out, family, "tenant", rows);
         }
-        for (tenant, n) in &self.tenant_rejections {
-            let _ = writeln!(out, "trajdp_tenant_rejections_total{{tenant=\"{tenant}\"}} {n}");
-        }
-        for (dataset, eps) in &self.eps_spent {
-            let _ = writeln!(out, "trajdp_eps_spent{{dataset=\"{dataset}\"}} {eps}");
-        }
-        self.queue_wait.write_prometheus(&mut out, "trajdp_job_queue_wait_seconds", "");
-        self.run_time.write_prometheus(&mut out, "trajdp_job_run_seconds", "");
-        let _ = writeln!(out, "trajdp_store_bytes {}", self.store_bytes);
-        let _ = writeln!(out, "trajdp_store_handles {}", self.store_handles);
-        let _ = writeln!(out, "trajdp_store_evictions_total {}", self.store_evictions);
-        let _ = writeln!(out, "trajdp_store_ttl_sweeps_total {}", self.store_ttl_sweeps);
-        let _ = writeln!(out, "trajdp_journal_appends_total {}", self.journal_appends);
-        self.journal_fsync.write_prometheus(&mut out, "trajdp_journal_fsync_seconds", "");
-        let _ = writeln!(out, "trajdp_journal_compactions_total {}", self.journal_compactions);
-        let _ = writeln!(out, "trajdp_connections_active {}", self.connections_active);
-        let _ = writeln!(out, "trajdp_connections_total {}", self.connections_total);
-        let _ = writeln!(out, "trajdp_connections_shed_total {}", self.connections_shed);
-        let _ = writeln!(out, "trajdp_deadline_closes_total {}", self.deadline_closes);
-        self.reactor_iterations.write_prometheus(&mut out, "trajdp_reactor_iteration_seconds", "");
-        let _ = writeln!(out, "trajdp_bytes_in_total {}", self.bytes_in);
-        let _ = writeln!(out, "trajdp_bytes_out_total {}", self.bytes_out);
+        write_labelled(&mut out, "trajdp_eps_spent", "dataset", &self.eps_spent);
         out
     }
 }
@@ -885,7 +796,6 @@ pub fn log_event(level: LogLevel, msg: &str, fields: &[(&str, Json)]) {
         }
         eprintln!("{}", Json::Obj(obj));
     } else {
-        use std::fmt::Write;
         let mut line = format!("{ts} {} {msg}", level.as_str());
         for (k, v) in fields {
             match v {
@@ -1064,6 +974,26 @@ mod tests {
             "trajdp_eps_spent{dataset=\"ds-1\"} 0.5",
         ] {
             assert!(text.contains(family), "exposition must contain {family}:\n{text}");
+        }
+        // Every family of PROTOCOL.md's table is exposed, and first
+        // appearances follow the table, which claims exposition order.
+        let documented: Vec<&str> = include_str!("../../../PROTOCOL.md")
+            .lines()
+            .filter_map(|l| l.strip_prefix("| `trajdp_").map(|_| l.split('`').nth(1).unwrap()))
+            .collect();
+        assert!(documented.len() >= 27, "PROTOCOL.md family table not found: {documented:?}");
+        let first_line = |family: &str| {
+            text.lines().position(|l| {
+                let name = l.split(['{', ' ']).next().unwrap();
+                ["", "_bucket", "_sum", "_count"].iter().any(|s| name == format!("{family}{s}"))
+            })
+        };
+        let mut last = None;
+        for family in documented {
+            let at = first_line(family);
+            assert!(at.is_some(), "documented {family} not exposed:\n{text}");
+            assert!(at > last, "{family} is exposed out of PROTOCOL.md's table order");
+            last = at;
         }
     }
 

@@ -45,9 +45,6 @@ use crate::api::{ApiError, Envelope, Payload, ProtocolVersion, Response};
 use crate::json::Json;
 use crate::store::{DatasetStore, DEFAULT_DOWNLOAD_CHUNK_BYTES};
 use trajdp_core::{total_budget, FreqDpConfig, Model};
-use trajdp_metrics::{
-    diameter_divergence, frequent_pattern_f1, information_loss, mutual_information, trip_divergence,
-};
 use trajdp_model::csv::{from_csv, to_csv};
 use trajdp_model::stats::DatasetStats;
 use trajdp_synth::{generate, GeneratorConfig};
@@ -745,11 +742,6 @@ pub fn store_result(
     Ok(response)
 }
 
-/// Executes an `upload` request: opens a pending dataset handle.
-pub fn run_upload(store: &DatasetStore) -> Result<Response, ApiError> {
-    store.begin().map(|dataset| Response::Upload { dataset })
-}
-
 /// Executes a `chunk` request: appends one piece to a pending handle.
 pub fn run_chunk(store: &DatasetStore, dataset: &str, data: &str) -> Result<Response, ApiError> {
     store.append(dataset, data).map(|bytes| Response::Chunk { dataset: dataset.to_string(), bytes })
@@ -838,13 +830,8 @@ pub fn run_evaluate(original: &str, anonymized: &str) -> Result<Response, ApiErr
             "datasets must contain the same number of trajectories",
         ));
     }
-    Ok(Response::Evaluate {
-        mi: mutual_information(&orig, &anon, 64),
-        inf: information_loss(&orig, &anon),
-        de: diameter_divergence(&orig, &anon, 24),
-        te: trip_divergence(&orig, &anon, 16),
-        ffp: frequent_pattern_f1(&orig, &anon, 64, 2, 200),
-    })
+    let trajdp_metrics::Scores { mi, inf, de, te, ffp } = trajdp_metrics::scores(&orig, &anon);
+    Ok(Response::Evaluate { mi, inf, de, te, ffp })
 }
 
 /// Executes a `stats` request.
@@ -1242,9 +1229,7 @@ mod tests {
         let csv = inline_csv(&gen).to_string();
 
         // Stream the dataset through the chunked-upload handlers.
-        let Response::Upload { dataset: id } = run_upload(&store).unwrap() else {
-            panic!("wrong response")
-        };
+        let id = store.begin().unwrap();
         for piece in csv.as_bytes().chunks(37) {
             let piece = std::str::from_utf8(piece).unwrap();
             run_chunk(&store, &id, piece).unwrap();

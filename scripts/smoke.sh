@@ -195,6 +195,18 @@ NOTFOUND=$(printf '%s\n' "$METRICS" | grep '^trajdp_errors_total{code="dataset-n
     || { echo "FAIL: dataset-not-found rejections must be counted (got ${NOTFOUND:-none})" >&2; exit 1; }
 printf '%s\n' "$METRICS" | grep '^trajdp_errors_total{code="unknown-verb"}' \
     | grep -q ' [1-9]' || { echo "FAIL: unknown-verb rejection must be counted" >&2; exit 1; }
+# Every family of PROTOCOL.md's table is in the shipped binary's scrape,
+# except those labelled by tenant or dataset (this server has neither
+# rows yet). A histogram shows up as <family>_bucket.
+FAMILIES=$(grep '^| `trajdp_' "$(dirname "$0")/../PROTOCOL.md" \
+    | grep -v 'labelled by `tenant`\|labelled by `dataset`' \
+    | awk -F'`' '{ print ($0 ~ /\| histogram \|/) ? $2 "_bucket" : $2 }')
+[ "$(printf '%s\n' "$FAMILIES" | wc -l)" -ge 20 ] \
+    || { echo "FAIL: PROTOCOL.md metric-family table not found" >&2; exit 1; }
+for family in $FAMILIES; do
+    printf '%s\n' "$METRICS" | grep -q "^$family[{ ]" \
+        || { echo "FAIL: scrape lacks documented family $family" >&2; exit 1; }
+done
 # The JSON exposition parses and carries the same sections.
 "$BIN" metrics --addr "$ADDR2" --json | grep -q '"requests":' \
     || { echo "FAIL: metrics --json must emit the wire shape" >&2; exit 1; }

@@ -38,9 +38,6 @@
 use std::collections::{HashMap, HashSet};
 use std::process::ExitCode;
 use traj_freq_dp::core::{anonymize, FreqDpConfig};
-use traj_freq_dp::metrics::{
-    diameter_divergence, frequent_pattern_f1, information_loss, mutual_information, trip_divergence,
-};
 use traj_freq_dp::model::csv::{from_csv, to_csv};
 use traj_freq_dp::model::stats::DatasetStats;
 use traj_freq_dp::model::Dataset;
@@ -330,11 +327,12 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     "datasets must contain the same number of trajectories".into(),
                 ));
             }
-            println!("MI  = {:.4}", mutual_information(&original, &anonymized, 64));
-            println!("INF = {:.4}", information_loss(&original, &anonymized));
-            println!("DE  = {:.4}", diameter_divergence(&original, &anonymized, 24));
-            println!("TE  = {:.4}", trip_divergence(&original, &anonymized, 16));
-            println!("FFP = {:.4}", frequent_pattern_f1(&original, &anonymized, 64, 2, 200));
+            let s = traj_freq_dp::metrics::scores(&original, &anonymized);
+            println!("MI  = {:.4}", s.mi);
+            println!("INF = {:.4}", s.inf);
+            println!("DE  = {:.4}", s.de);
+            println!("TE  = {:.4}", s.te);
+            println!("FFP = {:.4}", s.ffp);
             Ok(())
         }
         "stats" => {
