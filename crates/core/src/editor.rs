@@ -50,24 +50,42 @@ pub struct TrajectoryEditor {
 impl TrajectoryEditor {
     /// Builds an editor (and its index) for `traj` over `domain`.
     pub fn new(traj: Trajectory, kind: IndexKind, domain: Rect) -> Self {
-        let mut index = AnyIndex::new(kind, domain);
-        let mut seg_ids = Vec::with_capacity(traj.num_segments());
-        for (i, seg) in traj.segments() {
-            let id = i as u64;
-            index.insert(SegmentEntry::new(id, seg));
-            seg_ids.push(id);
-        }
-        let next_id = seg_ids.len() as u64;
-        Self {
+        let mut editor = Self {
             traj,
-            seg_ids,
-            index,
-            next_id,
+            seg_ids: Vec::new(),
+            index: AnyIndex::new(kind, domain),
+            next_id: 0,
             loss: 0.0,
             stats: SearchStats::default(),
             insertions: 0,
             deletions: 0,
+        };
+        editor.register_segments();
+        editor
+    }
+
+    /// Starts over on a copy of `traj`, in the state [`Self::new`] builds
+    /// — fresh index, segment ids and counters — while keeping the
+    /// index's and the trajectory's allocations.
+    pub fn reset(&mut self, traj: &Trajectory) {
+        self.traj.id = traj.id;
+        self.traj.samples.clone_from(&traj.samples);
+        self.index.clear();
+        self.seg_ids.clear();
+        self.loss = 0.0;
+        self.stats = SearchStats::default();
+        self.insertions = 0;
+        self.deletions = 0;
+        self.register_segments();
+    }
+
+    /// Registers every segment of the trajectory under ids `0..n`.
+    fn register_segments(&mut self) {
+        for (i, seg) in self.traj.segments() {
+            self.index.insert(SegmentEntry::new(i as u64, seg));
+            self.seg_ids.push(i as u64);
         }
+        self.next_id = self.seg_ids.len() as u64;
     }
 
     fn fresh_id(&mut self) -> u64 {
@@ -155,14 +173,20 @@ impl TrajectoryEditor {
     /// than `delta` exist. Returns the utility loss incurred.
     pub fn delete_occurrences(&mut self, q: PointKey, delta: usize) -> f64 {
         let mut incurred = 0.0;
+        // Positions of `q`, ascending; a deletion shifts the later ones
+        // down by one, so the trajectory is scanned once, not per
+        // deletion.
+        let mut occ = self.traj.occurrences(q);
         for _ in 0..delta {
-            let occ = self.traj.occurrences(q);
-            let Some(&best) = occ.iter().min_by(|&&a, &&b| {
-                self.traj.deletion_loss(a).total_cmp(&self.traj.deletion_loss(b))
+            let Some(i) = (0..occ.len()).min_by(|&a, &b| {
+                self.traj.deletion_loss(occ[a]).total_cmp(&self.traj.deletion_loss(occ[b]))
             }) else {
                 break;
             };
-            incurred += self.delete_at(best);
+            incurred += self.delete_at(occ.remove(i));
+            for o in &mut occ[i..] {
+                *o -= 1;
+            }
         }
         self.loss += incurred;
         incurred
@@ -768,6 +792,33 @@ mod tests {
 
     fn ed_count(t: &Trajectory, q: Point) -> usize {
         t.count_point(q.key())
+    }
+
+    #[test]
+    fn reset_editor_edits_like_a_fresh_one() {
+        let used = traj(0, &[(0.0, 0.0), (500.0, 500.0), (900.0, 100.0), (0.0, 0.0)]);
+        let next = traj(1, &[(0.0, 0.0), (100.0, 0.0), (200.0, 0.0), (100.0, 0.0), (300.0, 0.0)]);
+        let edit = |ed: &mut TrajectoryEditor| {
+            ed.delete_occurrences(Point::new(100.0, 0.0).key(), 1);
+            ed.insert_occurrences(Point::new(150.0, 10.0), 2);
+            ed.check_invariants();
+        };
+        for kind in [IndexKind::Linear, IndexKind::Uniform(16), IndexKind::default()] {
+            let mut reused = TrajectoryEditor::new(used.clone(), kind, domain());
+            reused.insert_occurrences(Point::new(700.0, 700.0), 3);
+            reused.delete_occurrences(Point::new(0.0, 0.0).key(), 2);
+            reused.reset(&next);
+            reused.check_invariants();
+            let mut fresh = TrajectoryEditor::new(next.clone(), kind, domain());
+            edit(&mut reused);
+            edit(&mut fresh);
+            assert_eq!(reused.trajectory(), fresh.trajectory(), "{kind:?}");
+            assert_eq!(
+                (reused.loss, reused.stats, reused.insertions, reused.deletions),
+                (fresh.loss, fresh.stats, fresh.insertions, fresh.deletions),
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]

@@ -396,6 +396,34 @@ mod tests {
     }
 
     #[test]
+    fn global_phase_is_index_independent() {
+        use trajdp_index::Strategy;
+        use trajdp_synth::{generate, GeneratorConfig};
+        // Trajectories are picked by the total `(distance, slot)` order,
+        // so no index's traversal order can decide a tie: every kind
+        // releases the same dataset, loss and TF changes.
+        let world = generate(&GeneratorConfig::tdrive_profile(40, 80, 11));
+        let d = &world.dataset;
+        let fa = FrequencyAnalysis::compute(d, 10);
+        let kinds = [
+            IndexKind::Linear,
+            IndexKind::Uniform(64),
+            IndexKind::Hier(512, Strategy::TopDown),
+            IndexKind::Hier(512, Strategy::BottomUp),
+            IndexKind::Hier(512, Strategy::BottomUpDown),
+        ];
+        let run = |kind| apply_global_streamed(d, &fa, 0.5, kind, false, 1, 0x60_1D).unwrap();
+        let (base, base_report) = run(IndexKind::default());
+        assert!(base_report.insertions > 0 && base_report.deletions > 0, "too few edits to tell");
+        for kind in kinds {
+            let (out, report) = run(kind);
+            assert_eq!(out, base, "{kind:?} released a different dataset");
+            assert_eq!(report.utility_loss, base_report.utility_loss, "{kind:?}");
+            assert_eq!(report.tf_changes, base_report.tf_changes, "{kind:?}");
+        }
+    }
+
+    #[test]
     fn report_counts_are_consistent() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);

@@ -65,6 +65,15 @@ impl AnyIndex {
         }
     }
 
+    /// Removes every segment, keeping the backend's allocations.
+    pub fn clear(&mut self) {
+        match self {
+            AnyIndex::Linear(i) => i.clear(),
+            AnyIndex::Uniform(i) => i.clear(),
+            AnyIndex::Hier(i, _) => i.clear(),
+        }
+    }
+
     /// K-nearest segments with work counters.
     pub fn knn_with_stats(
         &self,

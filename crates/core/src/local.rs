@@ -190,9 +190,24 @@ pub fn local_unit<R: Rng + ?Sized>(
     domain: Rect,
     rng: &mut R,
 ) -> Result<LocalUnit, MechError> {
+    let mut editor = TrajectoryEditor::new(Trajectory::new(traj.id, Vec::new()), kind, domain);
+    local_unit_on(&mut editor, traj, analysis, slot, epsilon, opts, rng)
+}
+
+/// [`local_unit`] on a reusable editor: the editor restarts on a copy of
+/// `traj`, so one editor (and one index arena) serves a whole shard.
+fn local_unit_on<R: Rng + ?Sized>(
+    editor: &mut TrajectoryEditor,
+    traj: &Trajectory,
+    analysis: &FrequencyAnalysis,
+    slot: usize,
+    epsilon: f64,
+    opts: LocalOptions,
+    rng: &mut R,
+) -> Result<LocalUnit, MechError> {
     let list = select_point_list(traj, analysis, slot, rng);
     let plan = perturb_pf(traj, &list, analysis.m, epsilon, opts, rng)?;
-    let mut editor = TrajectoryEditor::new(traj.clone(), kind, domain);
+    editor.reset(traj);
     for &(p, f, f_star) in &plan.entries {
         if (f_star as usize) < f {
             editor.delete_occurrences(p, f - f_star as usize);
@@ -208,7 +223,7 @@ pub fn local_unit<R: Rng + ?Sized>(
         insertions: editor.insertions,
         deletions: editor.deletions,
         search_stats: editor.stats,
-        trajectory: editor.into_trajectory(),
+        trajectory: editor.trajectory().clone(),
         plan,
     })
 }
@@ -257,9 +272,10 @@ pub fn merge_local_units(domain: Rect, units: Vec<LocalUnit>) -> (Dataset, Local
 
 /// Runs the full local mechanism over the dataset: trajectory slots are
 /// cut into one contiguous shard per worker, every slot draws from its
-/// own stream ([`local_unit_streamed`]), and the units merge in slot
-/// order — so the output is identical at every `workers`, and
-/// `workers == 1` runs inline on the calling thread.
+/// own stream (as in [`local_unit_streamed`]), and the units merge in
+/// slot order — so the output is identical at every `workers`, and
+/// `workers == 1` runs inline on the calling thread. Each shard edits
+/// its trajectories one after another on a single reused editor.
 pub fn apply_local_streamed(
     ds: &Dataset,
     analysis: &FrequencyAnalysis,
@@ -270,20 +286,14 @@ pub fn apply_local_streamed(
     root_seed: u64,
 ) -> Result<(Dataset, LocalReport), MechError> {
     let shards = map_chunks(workers, &ds.trajectories, |lo, chunk| {
+        let mut editor = TrajectoryEditor::new(Trajectory::new(0, Vec::new()), kind, ds.domain);
         chunk
             .iter()
             .enumerate()
             .map(|(offset, traj)| {
-                local_unit_streamed(
-                    traj,
-                    analysis,
-                    lo + offset,
-                    epsilon,
-                    kind,
-                    opts,
-                    ds.domain,
-                    root_seed,
-                )
+                let slot = lo + offset;
+                let mut rng = stream_rng(root_seed, PHASE_LOCAL, slot as u64);
+                local_unit_on(&mut editor, traj, analysis, slot, epsilon, opts, &mut rng)
             })
             .collect::<Result<Vec<_>, _>>()
     });
@@ -469,6 +479,9 @@ mod tests {
         assert_eq!(merged_report.utility_loss, report.utility_loss);
         assert_eq!(merged_report.insertions, report.insertions);
         assert_eq!(merged_report.deletions, report.deletions);
+        // A fresh editor per trajectory searches exactly like the one
+        // editor a shard reuses.
+        assert_eq!(merged_report.search_stats, report.search_stats);
         // Sharding over any worker count reproduces the serial run.
         for workers in [2usize, 3, 8] {
             let (sharded, sharded_report) = apply_local_streamed(

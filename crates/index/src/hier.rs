@@ -4,10 +4,13 @@
 //! The index stacks nested power-of-two grid levels (granularity 1, 2, 4,
 //! …, `finest`). Every segment lives in its **best-fit cell**
 //! (Definition 11): the finest cell that contains both endpoints. Cells
-//! record parent/child relationships implicitly through their
-//! coordinates (`parent(col) = col >> 1`); nodes are materialized
-//! sparsely, with ancestors created on demand so every occupied cell is
-//! reachable from the root.
+//! are materialized sparsely as nodes of an arena: each node holds its
+//! cell, its parent's slot and its four child slots (in quadrant order
+//! `(col & 1) | (row & 1) << 1`), and ancestors are created on demand, so
+//! every occupied cell is reachable from the root. A node lives while it
+//! holds entries or has children; a freed slot goes on a free list and
+//! keeps its entry allocation for the next node, and [`HierGrid::clear`]
+//! frees every slot at once.
 //!
 //! Searches are exact; they differ in how quickly they shrink the pruning
 //! threshold θ_K of Theorem 4:
@@ -18,12 +21,16 @@
 //! * [`Strategy::BottomUpDown`] — Algorithm 3: a bottom-up stack phase
 //!   that tightens θ_K early, switching to best-first top-down once the
 //!   root is reached, which then permits early termination.
+//!
+//! Best-first queues order by `(distance, cell)`, so which of two
+//! equidistant segments a search offers first — and therefore which one
+//! it keeps — does not depend on where the nodes sit in the arena.
 
 use crate::entry::{Neighbor, SearchStats, SegmentEntry, TopK, TotalF64};
 use crate::fx::FxBuild;
 use crate::SegmentIndex;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use trajdp_model::{CellId, GridLevel, Point, Rect};
 
 /// Which traversal order a KNN search uses. All strategies return the
@@ -38,12 +45,22 @@ pub enum Strategy {
     BottomUpDown,
 }
 
-#[derive(Debug, Clone, Default)]
+/// The absent parent or child slot.
+const NONE: u32 = u32::MAX;
+
+/// The child slot of a cell within its parent.
+fn quadrant(col: u32, row: u32) -> usize {
+    ((col & 1) | (row & 1) << 1) as usize
+}
+
+#[derive(Debug, Clone)]
 struct Node {
+    cell: CellId,
+    /// Slot of the parent node; `NONE` for the root.
+    parent: u32,
+    /// Slots of the materialized children, indexed by [`quadrant`].
+    children: [u32; 4],
     entries: Vec<SegmentEntry>,
-    /// Segments stored in this cell or any descendant; nodes are dropped
-    /// when this reaches zero.
-    subtree_count: usize,
 }
 
 /// The hierarchical grid index.
@@ -76,8 +93,13 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct HierGrid {
     levels: Vec<GridLevel>,
-    nodes: HashMap<CellId, Node, FxBuild>,
-    locations: HashMap<u64, CellId, FxBuild>,
+    /// The node arena; freed slots are listed in `free`.
+    nodes: Vec<Node>,
+    free: Vec<u32>,
+    /// Slot of the level-0 node, `NONE` while the index is empty.
+    root: u32,
+    /// Payload id → slot of its best-fit node.
+    locations: HashMap<u64, u32, FxBuild>,
     len: usize,
 }
 
@@ -89,7 +111,14 @@ impl HierGrid {
         assert!(finest.is_power_of_two(), "finest granularity must be a power of two");
         let num_levels = finest.trailing_zeros() as usize + 1;
         let levels = (0..num_levels).map(|l| GridLevel::new(domain, 1 << l, l as u8)).collect();
-        Self { levels, nodes: HashMap::default(), locations: HashMap::default(), len: 0 }
+        Self {
+            levels,
+            nodes: Vec::new(),
+            free: Vec::new(),
+            root: NONE,
+            locations: HashMap::default(),
+            len: 0,
+        }
     }
 
     /// Builds the index from entries.
@@ -101,6 +130,19 @@ impl HierGrid {
         g
     }
 
+    /// Removes every segment, keeping the arena and its allocations for
+    /// the next build.
+    pub fn clear(&mut self) {
+        for n in &mut self.nodes {
+            n.entries.clear();
+        }
+        self.free.clear();
+        self.free.extend((0..self.nodes.len() as u32).rev());
+        self.root = NONE;
+        self.locations.clear();
+        self.len = 0;
+    }
+
     /// Number of grid levels (`log₂(finest) + 1`).
     pub fn num_levels(&self) -> usize {
         self.levels.len()
@@ -108,11 +150,15 @@ impl HierGrid {
 
     /// Number of materialized cells (for diagnostics).
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.nodes.len() - self.free.len()
     }
 
     fn finest(&self) -> &GridLevel {
         self.levels.last().expect("at least one level")
+    }
+
+    fn node(&self, slot: u32) -> &Node {
+        &self.nodes[slot as usize]
     }
 
     /// Best-fit cell of a segment: the finest level at which both
@@ -121,34 +167,39 @@ impl HierGrid {
     pub fn best_fit(&self, e: &SegmentEntry) -> CellId {
         let fa = self.finest().locate(&e.seg.a);
         let fb = self.finest().locate(&e.seg.b);
-        let h = self.levels.len() - 1;
-        // At level l, col = finest_col >> (h − l). Find the deepest l
-        // where both coordinates agree.
-        for l in (0..=h).rev() {
-            let shift = (h - l) as u32;
-            if fa.col >> shift == fb.col >> shift && fa.row >> shift == fb.row >> shift {
-                return CellId::new(l as u8, fa.col >> shift, fb.row >> shift);
-            }
-        }
-        CellId::new(0, 0, 0)
+        // At level l, col = finest_col >> (h − l), so both endpoints share
+        // a level-l cell once the shift drops every bit in which their
+        // finest coordinates differ.
+        let h = (self.levels.len() - 1) as u32;
+        let bits = |x: u32| u32::BITS - x.leading_zeros();
+        let shift = bits(fa.col ^ fb.col).max(bits(fa.row ^ fb.row));
+        CellId::new((h - shift) as u8, fa.col >> shift, fb.row >> shift)
     }
 
-    fn parent(cell: CellId) -> Option<CellId> {
-        (cell.level > 0).then(|| CellId::new(cell.level - 1, cell.col >> 1, cell.row >> 1))
-    }
-
-    /// The up-to-four direct children of `cell` that are materialized.
-    fn children(&self, cell: CellId) -> impl Iterator<Item = CellId> + '_ {
-        let next = cell.level + 1;
-        let exists = (next as usize) < self.levels.len();
-        let base = (cell.col << 1, cell.row << 1);
-        (0..4u32)
-            .map(move |i| CellId::new(next, base.0 + (i & 1), base.1 + (i >> 1)))
-            .filter(move |c| exists && self.nodes.contains_key(c))
+    /// The materialized children of a node, in quadrant order.
+    fn children(&self, slot: u32) -> impl Iterator<Item = u32> {
+        self.node(slot).children.into_iter().filter(|&c| c != NONE)
     }
 
     fn cell_rect(&self, cell: CellId) -> Rect {
         self.levels[cell.level as usize].cell_rect(cell)
+    }
+
+    /// Takes a free slot (or grows the arena) for a childless `cell`.
+    fn alloc(&mut self, cell: CellId, parent: u32) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            let n = &mut self.nodes[slot as usize];
+            n.cell = cell;
+            n.parent = parent;
+            n.children = [NONE; 4];
+            return slot;
+        }
+        let slot = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&s| s != NONE)
+            .expect("node arena outgrew its u32 slots");
+        self.nodes.push(Node { cell, parent, children: [NONE; 4], entries: Vec::new() });
+        slot
     }
 
     /// Adds one segment into its best-fit cell, materializing ancestors.
@@ -156,42 +207,50 @@ impl HierGrid {
     pub fn insert(&mut self, e: SegmentEntry) {
         assert!(!self.locations.contains_key(&e.id), "duplicate segment id {}", e.id);
         let target = self.best_fit(&e);
-        let mut cell = target;
-        loop {
-            let node = self.nodes.entry(cell).or_default();
-            node.subtree_count += 1;
-            if cell == target {
-                node.entries.push(e);
-            }
-            match Self::parent(cell) {
-                Some(p) => cell = p,
-                None => break,
-            }
+        if self.root == NONE {
+            self.root = self.alloc(CellId::new(0, 0, 0), NONE);
         }
-        self.locations.insert(e.id, target);
+        let mut slot = self.root;
+        for level in 1..=target.level {
+            let shift = u32::from(target.level - level);
+            let (col, row) = (target.col >> shift, target.row >> shift);
+            let q = quadrant(col, row);
+            let child = self.node(slot).children[q];
+            slot = if child != NONE {
+                child
+            } else {
+                let child = self.alloc(CellId::new(level, col, row), slot);
+                self.nodes[slot as usize].children[q] = child;
+                child
+            };
+        }
+        self.nodes[slot as usize].entries.push(e);
+        self.locations.insert(e.id, slot);
         self.len += 1;
     }
 
     /// Removes the segment with payload `id`, pruning emptied nodes;
     /// returns whether it existed.
     pub fn remove(&mut self, id: u64) -> bool {
-        let Some(target) = self.locations.remove(&id) else {
+        let Some(mut slot) = self.locations.remove(&id) else {
             return false;
         };
-        let mut cell = target;
-        loop {
-            let node = self.nodes.get_mut(&cell).expect("ancestor chain must exist");
-            if cell == target {
-                node.entries.retain(|e| e.id != id);
+        self.nodes[slot as usize].entries.retain(|e| e.id != id);
+        // Climb, unlinking every node left with neither entries nor
+        // children.
+        while slot != NONE {
+            let n = self.node(slot);
+            if !n.entries.is_empty() || n.children.iter().any(|&c| c != NONE) {
+                break;
             }
-            node.subtree_count -= 1;
-            if node.subtree_count == 0 {
-                self.nodes.remove(&cell);
+            let (parent, q) = (n.parent, quadrant(n.cell.col, n.cell.row));
+            if parent == NONE {
+                self.root = NONE;
+            } else {
+                self.nodes[parent as usize].children[q] = NONE;
             }
-            match Self::parent(cell) {
-                Some(p) => cell = p,
-                None => break,
-            }
+            self.free.push(slot);
+            slot = parent;
         }
         self.len -= 1;
         true
@@ -199,20 +258,22 @@ impl HierGrid {
 
     /// The deepest materialized cell whose region contains `q` — the
     /// starting point of the bottom-up strategies (Algorithm 3, line 1).
-    fn deepest_occupied(&self, q: &Point) -> Option<CellId> {
-        if self.nodes.is_empty() {
+    fn deepest_occupied(&self, q: &Point) -> Option<u32> {
+        if self.root == NONE {
             return None;
         }
         let f = self.finest().locate(q);
         let h = self.levels.len() - 1;
-        for l in (0..=h).rev() {
+        let mut slot = self.root;
+        for l in 1..=h {
             let shift = (h - l) as u32;
-            let cell = CellId::new(l as u8, f.col >> shift, f.row >> shift);
-            if self.nodes.contains_key(&cell) {
-                return Some(cell);
+            let child = self.node(slot).children[quadrant(f.col >> shift, f.row >> shift)];
+            if child == NONE {
+                break;
             }
+            slot = child;
         }
-        None
+        Some(slot)
     }
 
     /// KNN with an explicit strategy and work counters.
@@ -232,15 +293,14 @@ impl HierGrid {
 
     fn check_cell(
         &self,
-        cell: CellId,
+        slot: u32,
         q: &Point,
         top: &mut TopK,
         stats: &mut SearchStats,
         filter: Option<&dyn Fn(u64) -> bool>,
     ) {
         stats.cells_visited += 1;
-        let node = &self.nodes[&cell];
-        for e in &node.entries {
+        for e in &self.node(slot).entries {
             if let Some(f) = filter {
                 if !f(e.id) {
                     continue;
@@ -251,6 +311,12 @@ impl HierGrid {
         }
     }
 
+    /// A best-first queue item: ordered by `(distance, cell)`, carrying
+    /// the node's slot.
+    fn queued(&self, dist: f64, slot: u32) -> Reverse<(TotalF64, CellId, u32)> {
+        Reverse((TotalF64(dist), self.node(slot).cell, slot))
+    }
+
     fn search_top_down(
         &self,
         q: &Point,
@@ -259,21 +325,20 @@ impl HierGrid {
     ) -> (Vec<Neighbor>, SearchStats) {
         let mut top = TopK::new(k);
         let mut stats = SearchStats::default();
-        let root = CellId::new(0, 0, 0);
-        if k == 0 || !self.nodes.contains_key(&root) {
+        if k == 0 || self.root == NONE {
             return (top.into_sorted(), stats);
         }
-        let mut queue: BinaryHeap<Reverse<(TotalF64, CellId)>> = BinaryHeap::new();
-        queue.push(Reverse((TotalF64(0.0), root)));
-        while let Some(Reverse((TotalF64(dist), cell))) = queue.pop() {
+        let mut queue = BinaryHeap::new();
+        queue.push(self.queued(0.0, self.root));
+        while let Some(Reverse((TotalF64(dist), _, slot))) = queue.pop() {
             if top.is_full() && dist > top.threshold() {
                 break; // best-first order: everything remaining is worse
             }
-            self.check_cell(cell, q, &mut top, &mut stats, filter);
-            for child in self.children(cell) {
-                let d = self.cell_rect(child).min_dist(q);
+            self.check_cell(slot, q, &mut top, &mut stats, filter);
+            for child in self.children(slot) {
+                let d = self.cell_rect(self.node(child).cell).min_dist(q);
                 if !(top.is_full() && d > top.threshold()) {
-                    queue.push(Reverse((TotalF64(d), child)));
+                    queue.push(self.queued(d, child));
                 }
             }
         }
@@ -299,27 +364,27 @@ impl HierGrid {
         if k == 0 {
             return (top.into_sorted(), stats);
         }
-        let mut stack: Vec<(CellId, f64)> = vec![(start, 0.0)];
-        let mut queue: BinaryHeap<Reverse<(TotalF64, CellId)>> = BinaryHeap::new();
-        let mut visited: HashSet<CellId, FxBuild> = HashSet::default();
+        let mut stack: Vec<(u32, f64)> = vec![(start, 0.0)];
+        let mut queue = BinaryHeap::new();
+        let mut visited = vec![false; self.nodes.len()];
         let mut root_access = false;
 
         while !stack.is_empty() || !queue.is_empty() {
-            let (cell, dist, from_queue) = if !root_access || !switch_top_down {
+            let (slot, dist, from_queue) = if !root_access || !switch_top_down {
                 match stack.pop() {
-                    Some((c, d)) => (c, d, false),
+                    Some((s, d)) => (s, d, false),
                     None => match queue.pop() {
-                        Some(Reverse((TotalF64(d), c))) => (c, d, true),
+                        Some(Reverse((TotalF64(d), _, s))) => (s, d, true),
                         None => break,
                     },
                 }
             } else {
                 match queue.pop() {
-                    Some(Reverse((TotalF64(d), c))) => (c, d, true),
+                    Some(Reverse((TotalF64(d), _, s))) => (s, d, true),
                     None => break,
                 }
             };
-            if !visited.insert(cell) {
+            if std::mem::replace(&mut visited[slot as usize], true) {
                 continue;
             }
             if top.is_full() && dist > top.threshold() {
@@ -328,36 +393,35 @@ impl HierGrid {
                 }
                 continue; // stack is not ordered: skip only this cell
             }
-            self.check_cell(cell, q, &mut top, &mut stats, filter);
+            self.check_cell(slot, q, &mut top, &mut stats, filter);
 
             // Push the parent first so finer-grained children are
             // examined before coarser regions (Algorithm 3, lines 24–29).
-            if let Some(parent) = Self::parent(cell) {
-                if !visited.contains(&parent) {
-                    if parent.level == 0 {
-                        root_access = true;
-                        if switch_top_down {
-                            queue.push(Reverse((TotalF64(0.0), parent)));
-                        } else {
-                            stack.push((parent, 0.0));
-                        }
+            let parent = self.node(slot).parent;
+            if parent == NONE {
+                root_access = true;
+            } else if !visited[parent as usize] {
+                if parent == self.root {
+                    root_access = true;
+                    if switch_top_down {
+                        queue.push(self.queued(0.0, parent));
                     } else {
                         stack.push((parent, 0.0));
                     }
+                } else {
+                    stack.push((parent, 0.0));
                 }
-            } else {
-                root_access = true;
             }
-            for child in self.children(cell) {
-                if visited.contains(&child) {
+            for child in self.children(slot) {
+                if visited[child as usize] {
                     continue;
                 }
-                let d = self.cell_rect(child).min_dist(q);
+                let d = self.cell_rect(self.node(child).cell).min_dist(q);
                 if top.is_full() && d > top.threshold() {
                     continue;
                 }
                 if root_access && switch_top_down {
-                    queue.push(Reverse((TotalF64(d), child)));
+                    queue.push(self.queued(d, child));
                 } else {
                     stack.push((child, d));
                 }
@@ -543,6 +607,87 @@ mod tests {
             work_plus <= work_top + work_top / 4,
             "HG+ checked {work_plus} segments vs HGt {work_top}"
         );
+    }
+
+    /// The node count a grid holding `live` must have: every best-fit
+    /// cell and all of its ancestors, each once.
+    fn cells_on_root_paths(g: &HierGrid, live: &[SegmentEntry]) -> usize {
+        let mut cells = std::collections::HashSet::new();
+        for e in live {
+            let mut c = g.best_fit(e);
+            while cells.insert(c) && c.level > 0 {
+                c = CellId::new(c.level - 1, c.col >> 1, c.row >> 1);
+            }
+        }
+        cells.len()
+    }
+
+    #[test]
+    fn arena_holds_exactly_the_live_cells_and_clear_rebuilds_exactly() {
+        let mut rng = StdRng::seed_from_u64(0xA7E4A);
+        let mut g = HierGrid::new(domain(), 64);
+        let mut lin = LinearScan::new();
+        let mut live: Vec<SegmentEntry> = Vec::new();
+        let mut next_id = 0u64;
+        for step in 0..1500 {
+            match rng.gen_range(0..10) {
+                0..=4 => {
+                    // Mostly short segments (deep cells), some long ones.
+                    let span: f64 = if rng.gen_bool(0.2) { 400.0 } else { 12.0 };
+                    let (ax, ay): (f64, f64) =
+                        (rng.gen_range(0.0..1024.0), rng.gen_range(0.0..1024.0));
+                    let bx = (ax + rng.gen_range(-span..span)).clamp(0.0, 1024.0);
+                    let by = (ay + rng.gen_range(-span..span)).clamp(0.0, 1024.0);
+                    let seg = Segment::new(Point::new(ax, ay), Point::new(bx, by));
+                    let e = SegmentEntry::new(next_id, seg);
+                    next_id += 1;
+                    g.insert(e);
+                    lin.insert(e);
+                    live.push(e);
+                }
+                5..=7 if !live.is_empty() => {
+                    let e = live.swap_remove(rng.gen_range(0..live.len()));
+                    assert!(g.remove(e.id) && lin.remove(e.id), "step {step}");
+                    assert!(!g.remove(e.id), "step {step}: removed twice");
+                }
+                _ => {
+                    let q = Point::new(rng.gen_range(0.0..1024.0), rng.gen_range(0.0..1024.0));
+                    let k = rng.gen_range(1..6);
+                    let expected: Vec<f64> = lin.knn(&q, k).iter().map(|n| n.dist).collect();
+                    for s in STRATEGIES {
+                        let got: Vec<f64> =
+                            g.knn_with_stats(&q, k, s, None).0.iter().map(|n| n.dist).collect();
+                        assert_eq!(got, expected, "step {step} {s:?}");
+                    }
+                }
+            }
+            assert_eq!(g.len(), live.len(), "step {step}");
+            assert_eq!(g.num_nodes(), cells_on_root_paths(&g, &live), "step {step}: stale nodes");
+        }
+
+        // Re-filling a cleared (and well-used) arena searches exactly
+        // like a fresh build of the same entries.
+        g.clear();
+        assert_eq!((g.len(), g.num_nodes()), (0, 0));
+        assert!(g.knn(&Point::new(512.0, 512.0), 3).is_empty());
+        for &e in &live {
+            g.insert(e);
+        }
+        let fresh = HierGrid::from_entries(domain(), 64, live.clone());
+        assert_eq!(g.num_nodes(), fresh.num_nodes());
+        let key = |(hits, stats): (Vec<Neighbor>, SearchStats)| {
+            (hits.iter().map(|n| (n.id, n.dist)).collect::<Vec<_>>(), stats)
+        };
+        for _ in 0..50 {
+            let q = Point::new(rng.gen_range(0.0..1024.0), rng.gen_range(0.0..1024.0));
+            for s in STRATEGIES {
+                assert_eq!(
+                    key(g.knn_with_stats(&q, 4, s, None)),
+                    key(fresh.knn_with_stats(&q, 4, s, None)),
+                    "{s:?} at {q:?}"
+                );
+            }
+        }
     }
 
     #[test]

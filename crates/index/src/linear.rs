@@ -29,6 +29,11 @@ impl LinearScan {
         self.entries.push(entry);
     }
 
+    /// Removes every segment, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
     /// Removes the segment with payload `id`; returns whether it existed.
     pub fn remove(&mut self, id: u64) -> bool {
         match self.entries.iter().position(|e| e.id == id) {

@@ -127,6 +127,13 @@ impl UniformGrid {
         self.len += 1;
     }
 
+    /// Removes every segment, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.cells.clear();
+        self.locations.clear();
+        self.len = 0;
+    }
+
     /// Removes the segment with payload `id`; returns whether it existed.
     pub fn remove(&mut self, id: u64) -> bool {
         let Some(covered) = self.locations.remove(&id) else {

@@ -70,16 +70,16 @@ impl Dataset {
     /// TF of every distinct location in the dataset in one pass.
     pub fn tf_table(&self) -> HashMap<PointKey, usize> {
         let mut tf: HashMap<PointKey, usize> = HashMap::new();
-        let mut seen: Vec<PointKey> = Vec::new();
+        let mut distinct: Vec<PointKey> = Vec::new();
         for t in &self.trajectories {
-            seen.clear();
-            for s in &t.samples {
-                let k = s.loc.key();
-                if !seen.contains(&k) {
-                    seen.push(k);
-                }
-            }
-            for &k in &seen {
+            // A trajectory counts once per distinct point: sorting its
+            // keys and dropping repeats keeps this O(n log n) in its
+            // length.
+            distinct.clear();
+            distinct.extend(t.samples.iter().map(|s| s.loc.key()));
+            distinct.sort_unstable();
+            distinct.dedup();
+            for &k in &distinct {
                 *tf.entry(k).or_insert(0) += 1;
             }
         }
@@ -171,6 +171,38 @@ mod tests {
             assert_eq!(table[&p.key()], d.trajectory_frequency(p.key()), "TF mismatch at {p:?}");
         }
         assert_eq!(table.len(), d.distinct_points().len());
+    }
+
+    #[test]
+    fn tf_table_is_linear_in_distinct_points() {
+        // One trajectory visiting each of its n distinct points twice:
+        // 8x the points may cost at most 24x the time (a quadratic
+        // per-trajectory dedup costs about 64x). The minimum of five
+        // runs damps scheduler noise.
+        fn best_of_5(n: usize) -> std::time::Duration {
+            let samples = (0..2 * n)
+                .map(|i| {
+                    let p = i % n;
+                    Sample::new(Point::new(p as f64, (p % 97) as f64), i as i64)
+                })
+                .collect();
+            let d = Dataset::from_trajectories(vec![Trajectory::new(0, samples)]);
+            (0..5)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    let table = d.tf_table();
+                    let elapsed = started.elapsed();
+                    assert_eq!(table.len(), n);
+                    assert!(table.values().all(|&tf| tf == 1));
+                    elapsed
+                })
+                .min()
+                .unwrap()
+        }
+        let n = 5_000;
+        let (small, large) = (best_of_5(n), best_of_5(8 * n));
+        let ratio = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
+        assert!(ratio < 24.0, "t(8n)/t(n) = {ratio:.1} ({small:?} → {large:?})");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! must reproduce the serial run **byte for byte** (as released CSV),
 //! for every model, on realistic synthetic data.
 
-use traj_freq_dp::core::{anonymize, FreqDpConfig, Model};
+use traj_freq_dp::core::{anonymize, FreqDpConfig, IndexKind, Model};
+use traj_freq_dp::index::{SearchStats, Strategy};
 use traj_freq_dp::model::csv::to_csv;
 use traj_freq_dp::synth::{generate, GeneratorConfig};
 
@@ -117,4 +118,65 @@ fn different_seeds_still_differ_in_parallel() {
     let a = anonymize(&world.dataset, Model::Combined, &cfg(1)).unwrap();
     let b = anonymize(&world.dataset, Model::Combined, &cfg(2)).unwrap();
     assert_ne!(to_csv(&a.dataset), to_csv(&b.dataset));
+}
+
+#[test]
+fn release_bytes_and_search_work_match_goldens_for_every_hier_strategy() {
+    // Local bytes depend on the index: the k-nearest insertions of the
+    // local phase break distance ties in traversal order, so each
+    // HierGrid strategy releases its own bytes. The hashes and GL's
+    // search counters were captured once per strategy; a change to the
+    // grid's layout must leave every traversal, and so all of them, as
+    // they are. (The counters are pinned at one worker only: chunked
+    // parallel global scans prune differently.)
+    let world = generate(&GeneratorConfig::tdrive_profile(40, 80, 11));
+    let stats = |cells_visited, segments_checked| SearchStats { cells_visited, segments_checked };
+    let golden = [
+        (
+            IndexKind::Hier(512, Strategy::TopDown),
+            0xD905_5A64_939F_245D,
+            0xDD5E_CE3F_DCAF_32FA,
+            stats(1837, 6327),
+            stats(1578, 42766),
+        ),
+        (
+            IndexKind::Hier(512, Strategy::BottomUp),
+            0xEC96_D226_3E84_0838,
+            0x2A6F_9429_BDEA_557A,
+            stats(2283, 6625),
+            stats(2089, 43326),
+        ),
+        (
+            IndexKind::Hier(64, Strategy::BottomUpDown),
+            0x4F20_7ACC_B8DA_8F38,
+            0xE9C7_8AE3_24A4_1AAA,
+            stats(1871, 6489),
+            stats(1416, 43329),
+        ),
+        (
+            IndexKind::default(),
+            0x4F20_7ACC_B8DA_8F38,
+            0xE9C7_8AE3_24A4_1AAA,
+            stats(2135, 6477),
+            stats(2082, 43265),
+        ),
+    ];
+    for (index, pure_local, combined, local_work, global_work) in golden {
+        for workers in [1usize, 8] {
+            let cfg = FreqDpConfig { m: 10, seed: 0x60_1D, workers, index, ..Default::default() };
+            for (model, expected) in [(Model::PureLocal, pure_local), (Model::Combined, combined)] {
+                let out = anonymize(&world.dataset, model, &cfg).unwrap();
+                assert_eq!(
+                    fnv1a64(to_csv(&out.dataset).as_bytes()),
+                    expected,
+                    "{index:?} {model:?} at {workers} workers: release bytes moved"
+                );
+                if model == Model::Combined && workers == 1 {
+                    let (local, global) = (out.local.unwrap(), out.global.unwrap());
+                    assert_eq!(local.search_stats, local_work, "{index:?} GL local search work");
+                    assert_eq!(global.search_stats, global_work, "{index:?} GL global search work");
+                }
+            }
+        }
+    }
 }
