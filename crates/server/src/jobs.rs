@@ -289,8 +289,8 @@ impl QueueInner {
     fn in_flight(&self, handle: &str) -> f64 {
         self.live_specs
             .values()
-            .filter(|s| s.source.as_deref() == Some(handle))
-            .map(|s| s.epsilon)
+            .filter(|s| s.source() == Some(handle))
+            .map(|s| s.params.epsilon)
             .sum()
     }
 
@@ -355,7 +355,7 @@ impl QueueInner {
                 // PANIC: `unfinished` was collected from `live_specs.keys()`
                 // above, with no mutation in between, so every id indexes
                 // a present entry.
-                .map(|id| (id.clone(), self.live_specs[id].clone()))
+                .map(|id| (id.clone(), self.live_specs[id].params.clone()))
                 .collect(),
             dones: self
                 .finished_order
@@ -429,7 +429,7 @@ impl JobQueue {
             let Ok(q) = lock.lock() else { return self };
             let mut handles: HashSet<String> =
                 q.ledger.iter().map(|(h, _)| h.to_string()).collect();
-            handles.extend(q.live_specs.values().filter_map(|s| s.source.clone()));
+            handles.extend(q.live_specs.values().filter_map(|s| s.source().map(str::to_string)));
             handles.into_iter().map(|h| (q.eps_spent(&h), h)).collect::<Vec<_>>()
         };
         // Publish outside the queue mutex: the gauge family is behind
@@ -506,7 +506,7 @@ impl JobQueue {
         // the replayed state still names is kept.
         let referenced: HashSet<String> = (inner.states.values())
             .filter_map(JobState::result_handle)
-            .chain(inner.live_specs.values().filter_map(|spec| spec.source.as_deref()))
+            .chain(inner.live_specs.values().filter_map(AnonymizeSpec::source))
             .map(str::to_string)
             .collect();
         store.reconcile_job_results(&referenced);
@@ -570,11 +570,11 @@ impl JobQueue {
             // Budget check before anything is minted or journaled: the
             // job's charge is implicit in its live spec once enqueued,
             // so refusal here leaves no state to unwind.
-            if let Some(handle) = &spec.source {
+            if let Some(handle) = spec.source() {
                 q.ledger.check(
                     handle,
                     q.in_flight(handle),
-                    spec.epsilon,
+                    spec.params.epsilon,
                     self.default_eps_budget,
                 )?;
             }
@@ -593,19 +593,19 @@ impl JobQueue {
         // handle vanished since dispatch resolved it (a raced delete),
         // fall back to journaling the resolved text inline — the job
         // still owns its data either way.
-        if let Some(handle) = spec.source.clone() {
-            if self.store.pin(&handle).is_err() {
-                spec.source = None;
+        if let Some(handle) = spec.source() {
+            if self.store.pin(handle).is_err() {
+                spec.params.data = DataRef::Inline(Arc::clone(&spec.csv));
             }
         }
         let mut appended_at = None;
         if let Some(writer) = journal.as_mut() {
-            let event = Event::Submit { job: id.clone(), spec: spec.unresolved() };
+            let event = Event::Submit { job: id.clone(), spec: spec.params.clone() };
             // lint: allow(lock-across-io): the journal mutex is the dedicated disk-write lock (order: journal -> queue); the read path never takes it
             match writer.append(event, &self.metrics) {
                 Ok(before) => appended_at = Some(before),
                 Err(e) => {
-                    if let Some(handle) = &spec.source {
+                    if let Some(handle) = spec.source() {
                         self.store.unpin(handle);
                     }
                     return Err(ApiError::io(format!("cannot journal submit: {e}")));
@@ -624,14 +624,14 @@ impl JobQueue {
             if let (Some(writer), Some(before)) = (journal.as_mut(), appended_at) {
                 writer.rollback_to(before);
             }
-            if let Some(handle) = &spec.source {
+            if let Some(handle) = spec.source() {
                 self.store.unpin(handle);
             }
             return Err(ApiError::shutting_down("server is shutting down; submit rejected"));
         }
         q.pending.push_back(id.clone());
         q.states.insert(id.clone(), JobState::Queued);
-        let charged = spec.source.clone();
+        let charged = spec.source().map(str::to_string);
         q.live_specs.insert(id.clone(), spec);
         q.meta.insert(
             id.clone(),
@@ -746,13 +746,11 @@ impl JobQueue {
             // the ledger's durable `spent`. Replay performs the same
             // settle from the journaled finish event.
             let mut eps_gauge = None;
-            if let Some(spec) = &removed {
-                if let Some(handle) = &spec.source {
-                    q.ledger.settle(handle, spec.epsilon);
-                    eps_gauge = Some((q.eps_spent(handle), handle.clone()));
-                }
+            let source = removed.as_ref().and_then(|spec| spec.source().map(str::to_string));
+            if let (Some(spec), Some(handle)) = (&removed, &source) {
+                q.ledger.settle(handle, spec.params.epsilon);
+                eps_gauge = Some((q.eps_spent(handle), handle.clone()));
             }
-            let source = removed.and_then(|spec| spec.source);
             let dropped = q.record_done(id, done);
             let now = Instant::now();
             let meta = q.meta.entry(id.to_string()).or_default();
@@ -855,7 +853,7 @@ impl JobQueue {
                         Err(ApiError::internal(format!("job panicked: {msg}")))
                     });
             let result = match result {
-                Ok(response) if spec.store_result => {
+                Ok(response) if spec.params.store_result => {
                     crate::protocol::store_result(response, &self.store, true)
                 }
                 other => other,
@@ -985,7 +983,7 @@ impl JobQueue {
         q.pending.retain(|pending| pending != id);
         q.states.remove(id);
         q.meta.remove(id);
-        let source = q.live_specs.remove(id).and_then(|spec| spec.source);
+        let source = q.live_specs.remove(id).and_then(|spec| spec.source().map(str::to_string));
         self.metrics.set_queue_depth(q.live_specs.len() as u64);
         let eps_gauge = source.as_ref().map(|h| (q.eps_spent(h), h.clone()));
         drop(q);
@@ -1087,7 +1085,7 @@ impl JobQueue {
         let (lock, _) = &*self.inner;
         let Ok(q) = lock.lock() else { return HashMap::new() };
         let mut handles: HashSet<String> = q.ledger.iter().map(|(h, _)| h.to_string()).collect();
-        handles.extend(q.live_specs.values().filter_map(|s| s.source.clone()));
+        handles.extend(q.live_specs.values().filter_map(|s| s.source().map(str::to_string)));
         handles
             .into_iter()
             .map(|h| {
@@ -1184,7 +1182,7 @@ fn replay(
         let spec = params
             .resolve(store)
             .map_err(|e| format!("cannot re-resolve journaled job {id:?}: {e}"))?;
-        if let Some(handle) = &spec.source {
+        if let Some(handle) = spec.source() {
             let _ = store.pin(handle);
         }
         inner.states.insert(id.clone(), JobState::Queued);
@@ -1211,17 +1209,10 @@ mod tests {
 
     fn spec() -> AnonymizeSpec {
         let world = generate(&GeneratorConfig::tdrive_profile(4, 20, 3));
-        AnonymizeSpec {
-            model: Model::PureLocal,
-            epsilon: 1.0,
-            eps_split: 0.5,
-            m: 2,
-            seed: 5,
-            workers: 1,
-            store_result: false,
-            source: None,
-            csv: std::sync::Arc::new(to_csv(&world.dataset)),
-        }
+        let data = DataRef::Inline(Arc::new(to_csv(&world.dataset)));
+        AnonymizeParams { m: 2, seed: 5, ..AnonymizeParams::new(Model::PureLocal, data) }
+            .resolve(&DatasetStore::new())
+            .unwrap()
     }
 
     fn wait_done(q: &JobQueue, id: &str) -> Arc<Json> {
@@ -1357,15 +1348,10 @@ mod tests {
         // a new queued job (content need not parse — a failed run still
         // finishes and unpins).
         let (ds_r, _) = store.insert_with_provenance("not,really,csv\n".to_string(), true).unwrap();
-        let params = crate::protocol::AnonymizeParams {
-            model: Model::PureLocal,
-            epsilon: 1.0,
-            eps_split: 0.5,
+        let params = AnonymizeParams {
             m: 2,
             seed: 5,
-            workers: 1,
-            store_result: false,
-            data: crate::protocol::DataRef::Handle(ds_r.clone()),
+            ..AnonymizeParams::new(Model::PureLocal, DataRef::Handle(ds_r.clone()))
         };
         let pinned_job = q.submit(params.resolve(&store).unwrap()).unwrap();
         // Age job-0's record (which names ds_r) out of retention.
@@ -1541,15 +1527,10 @@ mod tests {
     fn handle_spec(store: &DatasetStore) -> (AnonymizeSpec, String) {
         let world = generate(&GeneratorConfig::tdrive_profile(4, 20, 3));
         let (handle, _) = store.insert(to_csv(&world.dataset)).unwrap();
-        let params = crate::protocol::AnonymizeParams {
-            model: Model::PureLocal,
-            epsilon: 1.0,
-            eps_split: 0.5,
+        let params = AnonymizeParams {
             m: 2,
             seed: 5,
-            workers: 1,
-            store_result: false,
-            data: crate::protocol::DataRef::Handle(handle.clone()),
+            ..AnonymizeParams::new(Model::PureLocal, DataRef::Handle(handle.clone()))
         };
         (params.resolve(store).unwrap(), handle)
     }
@@ -1827,7 +1808,7 @@ mod tests {
     fn done_status_reports_duration_and_phase_timings() {
         let q = JobQueue::new();
         let mut the_spec = spec();
-        the_spec.model = Model::PureGlobal; // exercises realize_tf → stage timings
+        the_spec.params.model = Model::PureGlobal; // exercises realize_tf → stage timings
         let id = q.submit(the_spec).unwrap();
         let worker = {
             let q = q.clone();
@@ -1872,7 +1853,7 @@ mod tests {
         // A store:true job runs to completion; its result handle is
         // journaled in the finish event and must survive restarts.
         let mut stored_spec = spec();
-        stored_spec.store_result = true;
+        stored_spec.params.store_result = true;
         let id = q.submit(stored_spec).unwrap();
         let worker = {
             let q = q.clone();
@@ -2045,7 +2026,7 @@ mod tests {
     /// (0.25, 0.5) keep the budget arithmetic exact in the asserts.
     fn handle_spec_eps(store: &DatasetStore, epsilon: f64) -> (AnonymizeSpec, String) {
         let (mut s, handle) = handle_spec(store);
-        s.epsilon = epsilon;
+        s.params.epsilon = epsilon;
         (s, handle)
     }
 

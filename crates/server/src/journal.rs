@@ -6,7 +6,7 @@
 use crate::json::Json;
 use crate::ledger::{EpsLedger, LedgerRow};
 use crate::obs::Metrics;
-use crate::protocol::{spec_from_json, spec_to_json, AnonymizeParams, AnonymizeSpec};
+use crate::protocol::{spec_from_json, spec_to_json, AnonymizeParams};
 use std::io::{Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -171,7 +171,7 @@ pub(crate) fn read(path: &Path) -> Result<String, String> {
 /// id order, retained results in completion order, settled ε ledger.
 pub(crate) struct Snapshot {
     pub(crate) next_id: u64,
-    pub(crate) submits: Vec<(String, AnonymizeSpec)>,
+    pub(crate) submits: Vec<(String, AnonymizeParams)>,
     pub(crate) dones: Vec<(String, DoneRecord)>,
     pub(crate) ledger: EpsLedger,
 }
@@ -256,9 +256,8 @@ impl JournalWriter {
         let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
         let header = Event::Snapshot { next: snapshot.next_id, ledger: snapshot.ledger };
         writeln!(f, "{}", header.into_json())?;
-        for (job, spec) in &snapshot.submits {
-            let submit = Event::Submit { job: job.clone(), spec: spec.unresolved() };
-            writeln!(f, "{}", submit.into_json())?;
+        for (job, spec) in snapshot.submits {
+            writeln!(f, "{}", Event::Submit { job, spec }.into_json())?;
         }
         for (job, record) in snapshot.dones {
             // `result` sorts last, so the line encoded with a `null`
@@ -407,7 +406,7 @@ mod tests {
             Event::Submit { job: "job-1".into(), spec: params(DataRef::Handle("ds-1".into())) },
             Event::Submit {
                 job: "job-2".into(),
-                spec: params(DataRef::Inline("a,\"b\"\n".into())),
+                spec: params(DataRef::Inline(Arc::new("a,\"b\"\n".into()))),
             },
             Event::Finish { job: "job-1".into(), result: Arc::clone(&result) },
             Event::Done { job: "job-2".into(), result },

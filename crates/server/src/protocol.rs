@@ -44,6 +44,7 @@
 use crate::api::{ApiError, Envelope, Payload, ProtocolVersion, Response};
 use crate::json::Json;
 use crate::store::{DatasetStore, DEFAULT_DOWNLOAD_CHUNK_BYTES};
+use std::sync::Arc;
 use trajdp_core::{total_budget, FreqDpConfig, Model};
 use trajdp_model::csv::{from_csv, to_csv};
 use trajdp_model::stats::DatasetStats;
@@ -53,8 +54,9 @@ use trajdp_synth::{generate, GeneratorConfig};
 /// server-side handle from the chunked-upload commands.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DataRef {
-    /// CSV text shipped inside the request line.
-    Inline(String),
+    /// CSV text shipped inside the request line — shared, so the spec
+    /// resolved from it aliases the request's text instead of copying.
+    Inline(Arc<String>),
     /// A `ds-<id>` handle minted by `upload` and sealed by `commit`.
     Handle(String),
 }
@@ -66,17 +68,21 @@ impl DataRef {
     /// memory on resolution). Resolution happens once, at dispatch
     /// time, so a job owns its data: restarting the store after submit
     /// cannot change what a queued job computes.
-    pub fn resolve_shared(self, store: &DatasetStore) -> Result<std::sync::Arc<String>, ApiError> {
+    pub fn resolve_shared(&self, store: &DatasetStore) -> Result<Arc<String>, ApiError> {
         match self {
-            DataRef::Inline(csv) => Ok(std::sync::Arc::new(csv)),
-            DataRef::Handle(id) => store.resolve(&id),
+            DataRef::Inline(csv) => Ok(Arc::clone(csv)),
+            DataRef::Handle(id) => store.resolve(id),
         }
     }
 }
 
-/// A fully validated anonymize request, ready to execute.
+/// An anonymize request: the one declaration of its members. The wire,
+/// the job journal and the CLI all start from [`AnonymizeParams::new`]'s
+/// defaults and pass [`AnonymizeParams::check`];
+/// [`AnonymizeParams::resolve`] turns the request into an executable
+/// [`AnonymizeSpec`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct AnonymizeSpec {
+pub struct AnonymizeParams {
     /// Which published model to run.
     pub model: Model,
     /// Total privacy budget ε — the end-to-end guarantee of the run,
@@ -95,81 +101,72 @@ pub struct AnonymizeSpec {
     /// Keep the released CSV server-side (answer with a `dataset`
     /// handle for chunked download) instead of inlining it.
     pub store_result: bool,
-    /// The store handle the dataset was resolved from, when it came by
-    /// reference. The job journal records this id instead of the
-    /// resolved text (the handle's bytes are already durable in the
-    /// store), and the queue pins it while the job is queued/running so
-    /// neither `delete` nor eviction can yank the data a replay needs.
-    pub source: Option<String>,
-    /// The private dataset as CSV text — shared, not owned, so a
-    /// handle-based spec aliases the store's copy instead of
-    /// duplicating it.
-    pub csv: std::sync::Arc<String>,
-}
-
-/// A parsed anonymize request whose dataset may still be a handle;
-/// [`AnonymizeParams::resolve`] turns it into an executable
-/// [`AnonymizeSpec`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnonymizeParams {
-    /// Which published model to run.
-    pub model: Model,
-    /// Total privacy budget ε.
-    pub epsilon: f64,
-    /// Global-share fraction of ε for combined models.
-    pub eps_split: f64,
-    /// Signature size `m`.
-    pub m: usize,
-    /// Root RNG seed.
-    pub seed: u64,
-    /// Pipeline worker threads.
-    pub workers: usize,
-    /// Keep the released CSV server-side.
-    pub store_result: bool,
     /// The private dataset, inline or by handle.
     pub data: DataRef,
 }
 
+/// An anonymize request with its dataset resolved, ready to execute.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AnonymizeSpec {
+    /// The request as made; the job journal records these.
+    pub params: AnonymizeParams,
+    /// The private dataset as CSV text — shared, not owned, so a
+    /// handle-based spec aliases the store's copy instead of
+    /// duplicating it.
+    pub csv: Arc<String>,
+}
+
 impl AnonymizeParams {
+    /// `model` on `data` with every optional member at its default: ε
+    /// 1.0 split evenly, m 10, seed 42, one worker, the result inline.
+    pub fn new(model: Model, data: DataRef) -> AnonymizeParams {
+        AnonymizeParams {
+            model,
+            epsilon: 1.0,
+            eps_split: 0.5,
+            m: 10,
+            seed: 42,
+            workers: 1,
+            store_result: false,
+            data,
+        }
+    }
+
+    /// Decodes the members of a request (or journaled spec) object,
+    /// absent ones taking [`Self::new`]'s defaults, and checks them.
+    fn from_json(v: &Json) -> Result<AnonymizeParams, ApiError> {
+        let model = parse_model(get_str(v, "model")?)?;
+        let d = AnonymizeParams::new(model, get_data_ref(v, "csv", "dataset")?);
+        AnonymizeParams {
+            epsilon: get_f64(v, "epsilon", d.epsilon)?,
+            eps_split: get_f64(v, "eps_split", d.eps_split)?,
+            m: get_u64(v, "m", d.m as u64)? as usize,
+            seed: get_u64(v, "seed", d.seed)?,
+            workers: get_u64(v, "workers", d.workers as u64)? as usize,
+            store_result: get_bool(v, "store", d.store_result)?,
+            ..d
+        }
+        .check()
+    }
+
+    /// The checks every request passes, however it arrived: a budget
+    /// the model can spend ([`validate_budget`]), `m` in `[1, MAX_M]`
+    /// and workers in `[1, MAX_WORKERS]`. The seed takes any `u64`.
+    pub fn check(self) -> Result<AnonymizeParams, ApiError> {
+        validate_budget(self.model, self.epsilon, self.eps_split)?;
+        if self.m == 0 || self.m as u64 > MAX_M {
+            return Err(ApiError::bad_request(format!("m must lie in [1, {MAX_M}]")));
+        }
+        validate_workers(self.workers as u64)?;
+        Ok(self)
+    }
+
     /// Resolves the dataset reference against the store. A handle-based
     /// run is byte-identical to the inline run because both paths feed
     /// the exact same CSV text to the pipeline.
     pub fn resolve(self, store: &DatasetStore) -> Result<AnonymizeSpec, ApiError> {
-        let source = match &self.data {
-            DataRef::Handle(id) => Some(id.clone()),
-            DataRef::Inline(_) => None,
-        };
-        Ok(AnonymizeSpec {
-            model: self.model,
-            epsilon: self.epsilon,
-            eps_split: self.eps_split,
-            m: self.m,
-            seed: self.seed,
-            workers: self.workers,
-            store_result: self.store_result,
-            source,
-            csv: self.data.resolve_shared(store)?,
-        })
-    }
-}
-
-impl AnonymizeSpec {
-    /// The spec as a request names it: the dataset is the handle it
-    /// was resolved from, or else the inline text.
-    pub(crate) fn unresolved(&self) -> AnonymizeParams {
-        AnonymizeParams {
-            model: self.model,
-            epsilon: self.epsilon,
-            eps_split: self.eps_split,
-            m: self.m,
-            seed: self.seed,
-            workers: self.workers,
-            store_result: self.store_result,
-            data: match &self.source {
-                Some(handle) => DataRef::Handle(handle.clone()),
-                None => DataRef::Inline(self.csv.to_string()),
-            },
-        }
+        let csv = self.data.resolve_shared(store)?;
+        Ok(AnonymizeSpec { params: self, csv })
     }
 
     /// The derived core pipeline configuration.
@@ -182,6 +179,20 @@ impl AnonymizeSpec {
             seed: self.seed,
             workers: self.workers,
             ..Default::default()
+        }
+    }
+}
+
+impl AnonymizeSpec {
+    /// The store handle the dataset was resolved from, when it came by
+    /// reference. The job journal records this id instead of the
+    /// resolved text (the handle's bytes are already durable in the
+    /// store), and the queue pins it while the job is queued/running so
+    /// neither `delete` nor eviction can yank the data a replay needs.
+    pub fn source(&self) -> Option<&str> {
+        match &self.params.data {
+            DataRef::Handle(id) => Some(id),
+            DataRef::Inline(_) => None,
         }
     }
 }
@@ -339,6 +350,24 @@ pub fn validate_budget(model: Model, epsilon: f64, eps_split: f64) -> Result<(),
     Ok(())
 }
 
+/// Validates a synthetic-generation shape: at least one trajectory of
+/// at least two samples (the generator's contract), and at most
+/// [`MAX_GEN_POINTS`] points in all.
+pub fn validate_gen(size: u64, len: u64) -> Result<(), ApiError> {
+    if size == 0 || len == 0 {
+        return Err(ApiError::bad_request("size and len must be at least 1"));
+    }
+    if len < 2 {
+        return Err(ApiError::bad_request("len must be at least 2"));
+    }
+    if size.saturating_mul(len) > MAX_GEN_POINTS {
+        return Err(ApiError::bad_request(format!(
+            "size * len must not exceed {MAX_GEN_POINTS} points"
+        )));
+    }
+    Ok(())
+}
+
 /// Validates a worker-thread count at the CLI/protocol boundary: must
 /// lie in `[1, MAX_WORKERS]`. A zero count used to be clamped silently
 /// deep inside the chunking helper; rejecting it here keeps the
@@ -429,7 +458,7 @@ fn get_data_ref(v: &Json, inline_key: &str, handle_key: &str) -> Result<DataRef,
         (Some(_), Some(_)) => Err(ApiError::bad_request(format!(
             "members {inline_key:?} and {handle_key:?} are mutually exclusive"
         ))),
-        (Some(j), None) => Ok(DataRef::Inline(want_str(j, inline_key)?)),
+        (Some(j), None) => Ok(DataRef::Inline(Arc::new(want_str(j, inline_key)?))),
         (None, Some(j)) => Ok(DataRef::Handle(want_str(j, handle_key)?)),
         (None, None) => {
             Err(ApiError::bad_request(format!("missing member {inline_key:?} or {handle_key:?}")))
@@ -512,14 +541,7 @@ fn parse_verb(v: &Json) -> Result<Request, ApiError> {
             check_members(v, cmd, &["size", "len", "seed", "store"])?;
             let size = get_u64(v, "size", 200)?;
             let len = get_u64(v, "len", 150)?;
-            if size == 0 || len == 0 {
-                return Err(ApiError::bad_request("size and len must be at least 1"));
-            }
-            if size.saturating_mul(len) > MAX_GEN_POINTS {
-                return Err(ApiError::bad_request(format!(
-                    "size * len must not exceed {MAX_GEN_POINTS} points"
-                )));
-            }
+            validate_gen(size, len)?;
             Ok(Request::Gen {
                 size: size as usize,
                 len: len as usize,
@@ -544,27 +566,8 @@ fn parse_verb(v: &Json) -> Result<Request, ApiError> {
                     "store",
                 ],
             )?;
-            let model = parse_model(get_str(v, "model")?)?;
-            let epsilon = get_f64(v, "epsilon", 1.0)?;
-            let eps_split = get_f64(v, "eps_split", 0.5)?;
-            validate_budget(model, epsilon, eps_split)?;
-            let m = get_u64(v, "m", 10)?;
-            if m == 0 || m > MAX_M {
-                return Err(ApiError::bad_request(format!("m must lie in [1, {MAX_M}]")));
-            }
-            let workers = validate_workers(get_u64(v, "workers", 1)?)?;
-            let params = AnonymizeParams {
-                model,
-                epsilon,
-                eps_split,
-                m: m as usize,
-                seed: get_u64(v, "seed", 42)?,
-                workers,
-                store_result: get_bool(v, "store", false)?,
-                data: get_data_ref(v, "csv", "dataset")?,
-            };
-            let asynchronous = get_bool(v, "async", false)?;
-            Ok(Request::Anonymize { params, asynchronous })
+            let params = AnonymizeParams::from_json(v)?;
+            Ok(Request::Anonymize { params, asynchronous: get_bool(v, "async", false)? })
         }
         "evaluate" => {
             check_members(
@@ -655,12 +658,12 @@ pub fn model_name(model: Model) -> &'static str {
 /// handle id (`"dataset"`), not the resolved CSV: the bytes are already
 /// durable in the store and pinned for the job's lifetime, so
 /// re-recording megabytes of text per submit would only bloat the
-/// journal and slow every restart. Consumes the params so inline text
-/// moves into the `Json` rather than being copied.
+/// journal and slow every restart. Consumes the params so unshared
+/// inline text moves into the `Json`; shared text is copied once.
 pub fn spec_to_json(params: AnonymizeParams) -> Json {
     let data = match params.data {
         DataRef::Handle(handle) => ("dataset", Json::from(handle)),
-        DataRef::Inline(csv) => ("csv", Json::from(csv)),
+        DataRef::Inline(csv) => ("csv", Json::from(Arc::unwrap_or_clone(csv))),
     };
     Json::obj([
         ("model", Json::from(model_name(params.model))),
@@ -674,45 +677,25 @@ pub fn spec_to_json(params: AnonymizeParams) -> Json {
     ])
 }
 
-/// Deserializes a journaled spec, re-validating every field: a replayed
-/// job must satisfy the same contracts a live request does, so a
-/// corrupted or hand-edited journal fails loudly instead of executing
-/// out-of-contract work. Returns unresolved [`AnonymizeParams`]: a
-/// handle-backed spec is re-resolved against the store only when the
-/// job actually re-queues — a job that also has a journaled finish
-/// never touches the store, so deleting its input after it finished
-/// cannot brick replay.
+/// Deserializes a journaled spec: every member [`spec_to_json`] writes
+/// must be present, and the rest is the request decoder, so a replayed
+/// job satisfies the same checks a live request does and a corrupted or
+/// hand-edited journal fails loudly instead of executing out-of-contract
+/// work. Returns unresolved [`AnonymizeParams`]: a handle-backed spec is
+/// re-resolved against the store only when the job actually re-queues —
+/// a job that also has a journaled finish never touches the store, so
+/// deleting its input after it finished cannot brick replay.
 pub fn spec_from_json(v: &Json) -> Result<AnonymizeParams, ApiError> {
-    let require = |key: &str| {
-        v.get(key).ok_or_else(|| {
-            ApiError::bad_request(format!("journaled spec is missing member {key:?}"))
-        })
-    };
-    let want = |msg: &str| ApiError::bad_request(msg);
-    let model = parse_model(get_str(v, "model")?)?;
-    let epsilon = require("epsilon")?.as_f64().ok_or_else(|| want("epsilon must be a number"))?;
-    let eps_split =
-        require("eps_split")?.as_f64().ok_or_else(|| want("eps_split must be a number"))?;
-    validate_budget(model, epsilon, eps_split)?;
-    let m = require("m")?.as_u64().ok_or_else(|| want("m must be a non-negative integer"))?;
-    if m == 0 || m > MAX_M {
-        return Err(ApiError::bad_request(format!("m must lie in [1, {MAX_M}]")));
+    let has = |key: &str| v.get(key).is_some();
+    let absent = ["model", "epsilon", "eps_split", "m", "seed", "workers", "store"]
+        .into_iter()
+        .find(|key| !has(key))
+        .map(|key| format!("{key:?}"))
+        .or_else(|| (!has("csv") && !has("dataset")).then(|| "\"csv\" or \"dataset\"".into()));
+    if let Some(key) = absent {
+        return Err(ApiError::bad_request(format!("journaled spec is missing member {key}")));
     }
-    let workers = validate_workers(
-        require("workers")?.as_u64().ok_or_else(|| want("workers must be an integer"))?,
-    )?;
-    Ok(AnonymizeParams {
-        model,
-        epsilon,
-        eps_split,
-        m: m as usize,
-        seed: require("seed")?
-            .as_u64()
-            .ok_or_else(|| want("seed must be a non-negative integer"))?,
-        workers,
-        store_result: require("store")?.as_bool().ok_or_else(|| want("store must be a boolean"))?,
-        data: get_data_ref(v, "csv", "dataset")?,
-    })
+    AnonymizeParams::from_json(v)
 }
 
 /// Moves an inline result payload of a `gen`/`anonymize` response into
@@ -740,11 +723,6 @@ pub fn store_result(
         }
     }
     Ok(response)
-}
-
-/// Executes a `chunk` request: appends one piece to a pending handle.
-pub fn run_chunk(store: &DatasetStore, dataset: &str, data: &str) -> Result<Response, ApiError> {
-    store.append(dataset, data).map(|bytes| Response::Chunk { dataset: dataset.to_string(), bytes })
 }
 
 /// Executes a `commit` request: seals a pending handle.
@@ -796,8 +774,8 @@ pub fn run_anonymize(spec: &AnonymizeSpec) -> Result<Response, ApiError> {
     let started = std::time::Instant::now();
     let ds = from_csv(&spec.csv)
         .map_err(|e| ApiError::invalid_dataset(format!("cannot parse csv: {e}")))?;
-    let cfg = spec.config();
-    let result = trajdp_core::anonymize(&ds, spec.model, &cfg)
+    let cfg = spec.params.config();
+    let result = trajdp_core::anonymize(&ds, spec.params.model, &cfg)
         .map_err(|e| ApiError::internal(e.to_string()))?;
     let stage = result.global.as_ref().map(|g| g.timings).unwrap_or_default();
     let timings = crate::obs::PhaseTimings {
@@ -814,7 +792,7 @@ pub fn run_anonymize(spec: &AnonymizeSpec) -> Result<Response, ApiError> {
         epsilon_spent: result.epsilon_spent,
         edits: result.total_edits() as u64,
         utility_loss: result.utility_loss(),
-        workers: spec.workers,
+        workers: spec.params.workers,
         timings: Some(timings),
     })
 }
@@ -873,9 +851,9 @@ mod tests {
                 assert_eq!(params.eps_split, 0.25);
                 assert_eq!(params.m, 4);
                 assert_eq!(params.workers, 8);
-                assert_eq!(params.data, DataRef::Inline("traj_id,x,y,t\n".to_string()));
+                assert_eq!(params.data, DataRef::Inline(Arc::new("traj_id,x,y,t\n".to_string())));
                 assert!(!asynchronous);
-                let cfg = params.resolve(&DatasetStore::new()).unwrap().config();
+                let cfg = params.config();
                 assert!((cfg.eps_global - 0.5).abs() < 1e-12);
                 assert!((cfg.eps_local - 1.5).abs() < 1e-12);
             }
@@ -954,7 +932,7 @@ mod tests {
         {
             Request::Evaluate { original, anonymized } => {
                 assert_eq!(original, DataRef::Handle("ds-1".to_string()));
-                assert_eq!(anonymized, DataRef::Inline("x".to_string()));
+                assert_eq!(anonymized, DataRef::Inline(Arc::new("x".to_string())));
             }
             other => panic!("wrong request {other:?}"),
         }
@@ -1024,7 +1002,8 @@ mod tests {
     #[test]
     fn journaled_spec_roundtrips_and_is_validated() {
         let store = DatasetStore::new();
-        let spec = AnonymizeSpec {
+        let csv = "traj_id,x,y,t\n0,1.0,2.0,3\n";
+        let params = AnonymizeParams {
             model: Model::CombinedLocalFirst,
             epsilon: 2.5,
             eps_split: 0.25,
@@ -1032,25 +1011,24 @@ mod tests {
             seed: 99,
             workers: 3,
             store_result: true,
-            source: None,
-            csv: std::sync::Arc::new("traj_id,x,y,t\n0,1.0,2.0,3\n".to_string()),
+            data: DataRef::Inline(Arc::new(csv.to_string())),
         };
-        let v = spec_to_json(spec.unresolved());
+        let spec = params.clone().resolve(&store).unwrap();
+        let v = spec_to_json(params.clone());
         assert!(v.get("csv").is_some() && v.get("dataset").is_none());
         assert_eq!(spec_from_json(&v).unwrap().resolve(&store).unwrap(), spec);
         // A handle-backed spec journals the handle, not the text —
         // and re-resolution restores the identical bytes.
-        let (handle, _) = store.insert("traj_id,x,y,t\n0,1.0,2.0,3\n".to_string()).unwrap();
-        let mut by_handle = spec.clone();
-        by_handle.source = Some(handle.clone());
-        let v = spec_to_json(by_handle.unresolved());
+        let (handle, _) = store.insert(csv.to_string()).unwrap();
+        let by_handle = AnonymizeParams { data: DataRef::Handle(handle.clone()), ..params.clone() };
+        let v = spec_to_json(by_handle);
         assert_eq!(v.get("dataset").and_then(Json::as_str), Some(handle.as_str()));
         assert!(v.get("csv").is_none(), "handle-backed spec must not re-record the CSV");
         let resolved = spec_from_json(&v).unwrap().resolve(&store).unwrap();
         assert_eq!(resolved.csv, spec.csv);
-        assert_eq!(resolved.source, Some(handle));
+        assert_eq!(resolved.source(), Some(handle.as_str()));
         // Tampered journals fail re-validation.
-        let mut bad = match spec_to_json(spec.unresolved()) {
+        let mut bad = match spec_to_json(params.clone()) {
             Json::Obj(m) => m,
             _ => unreachable!(),
         };
@@ -1058,6 +1036,16 @@ mod tests {
         assert!(spec_from_json(&Json::Obj(bad.clone())).is_err());
         bad.remove("workers");
         assert!(spec_from_json(&Json::Obj(bad)).unwrap_err().message.contains("workers"));
+        // Every member the encoder writes must be present, defaults or
+        // not: a journal line is a record, not a request.
+        let Json::Obj(full) = spec_to_json(params) else { unreachable!() };
+        for key in full.keys() {
+            let mut partial = full.clone();
+            partial.remove(key);
+            let err = spec_from_json(&Json::Obj(partial)).unwrap_err();
+            assert!(err.message.contains("journaled spec is missing member"), "{key}: {err}");
+            assert!(err.message.contains(&format!("{key:?}")), "{key}: {err}");
+        }
     }
 
     #[test]
@@ -1083,17 +1071,7 @@ mod tests {
         assert_eq!(budget_split(Model::Combined, 2.0, 0.25), (0.5, 1.5));
         // End to end: a pureg run reports ε spent = the requested total.
         let world = generate(&GeneratorConfig::tdrive_profile(4, 15, 2));
-        let spec = AnonymizeSpec {
-            model: Model::PureGlobal,
-            epsilon: 1.0,
-            eps_split: 0.5,
-            m: 2,
-            seed: 1,
-            workers: 1,
-            store_result: false,
-            source: None,
-            csv: std::sync::Arc::new(to_csv(&world.dataset)),
-        };
+        let spec = inline_spec(Model::PureGlobal, 2, 1, 1, to_csv(&world.dataset));
         match run_anonymize(&spec).unwrap() {
             Response::Anonymize { epsilon_spent, .. } => assert_eq!(epsilon_spent, 1.0),
             other => panic!("wrong response {other:?}"),
@@ -1152,20 +1130,12 @@ mod tests {
         assert!(validate_budget(Model::PureGlobal, 1e-300, 0.5).is_ok());
         assert!(validate_budget(Model::Combined, 1e-300, 0.5).is_ok());
         // A journaled spec goes through the same gate on replay.
-        let mut spec = match spec_to_json(
-            AnonymizeSpec {
-                model: Model::Combined,
-                epsilon: 1.0,
-                eps_split: 0.1,
-                m: 4,
-                seed: 1,
-                workers: 1,
-                store_result: false,
-                source: None,
-                csv: std::sync::Arc::new(String::new()),
-            }
-            .unresolved(),
-        ) {
+        let mut spec = match spec_to_json(AnonymizeParams {
+            eps_split: 0.1,
+            m: 4,
+            seed: 1,
+            ..AnonymizeParams::new(Model::Combined, DataRef::Inline(Arc::default()))
+        }) {
             Json::Obj(map) => map,
             other => panic!("spec must be an object: {other:?}"),
         };
@@ -1186,6 +1156,20 @@ mod tests {
             .contains("workers"));
     }
 
+    /// An inline-data spec at the default ε and split.
+    fn inline_spec(
+        model: Model,
+        m: usize,
+        seed: u64,
+        workers: usize,
+        csv: String,
+    ) -> AnonymizeSpec {
+        let data = DataRef::Inline(Arc::new(csv));
+        AnonymizeParams { m, seed, workers, ..AnonymizeParams::new(model, data) }
+            .resolve(&DatasetStore::new())
+            .unwrap()
+    }
+
     /// The inline CSV of a `gen`/`anonymize` response, for tests.
     fn inline_csv(response: &Response) -> &str {
         match response {
@@ -1199,17 +1183,7 @@ mod tests {
     fn gen_anonymize_stats_roundtrip_inline() {
         let gen = run_gen(6, 30, 5);
         let csv = inline_csv(&gen).to_string();
-        let spec = AnonymizeSpec {
-            model: Model::Combined,
-            epsilon: 1.0,
-            eps_split: 0.5,
-            m: 4,
-            seed: 7,
-            workers: 2,
-            store_result: false,
-            source: None,
-            csv: std::sync::Arc::new(csv.clone()),
-        };
+        let spec = inline_spec(Model::Combined, 4, 7, 2, csv.clone());
         let anon = run_anonymize(&spec).unwrap();
         let released = inline_csv(&anon).to_string();
         match run_evaluate(&csv, &released).unwrap() {
@@ -1232,7 +1206,7 @@ mod tests {
         let id = store.begin().unwrap();
         for piece in csv.as_bytes().chunks(37) {
             let piece = std::str::from_utf8(piece).unwrap();
-            run_chunk(&store, &id, piece).unwrap();
+            store.append(&id, piece).unwrap();
         }
         match run_commit(&store, &id).unwrap() {
             Response::Commit { bytes, .. } => assert_eq!(bytes, csv.len()),
@@ -1250,7 +1224,7 @@ mod tests {
             data: DataRef::Handle(id.clone()),
         };
         let mut inline = params.clone();
-        inline.data = DataRef::Inline(csv.clone());
+        inline.data = DataRef::Inline(Arc::new(csv.clone()));
         let by_handle = run_anonymize(&params.resolve(&store).unwrap()).unwrap();
         let by_inline = run_anonymize(&inline.resolve(&store).unwrap()).unwrap();
         // Strip the wall-clock phase timings before comparing: they are
@@ -1302,17 +1276,8 @@ mod tests {
 
     #[test]
     fn run_anonymize_reports_csv_errors() {
-        let spec = AnonymizeSpec {
-            model: Model::PureLocal,
-            epsilon: 1.0,
-            eps_split: 0.5,
-            m: 2,
-            seed: 1,
-            workers: 1,
-            store_result: false,
-            source: None,
-            csv: std::sync::Arc::new("complete garbage\nwith, too, many, commas, here".into()),
-        };
+        let garbage = "complete garbage\nwith, too, many, commas, here".to_string();
+        let spec = inline_spec(Model::PureLocal, 2, 1, 1, garbage);
         let err = run_anonymize(&spec).unwrap_err();
         assert_eq!(err.code, crate::api::ErrorCode::InvalidDataset);
         assert!(err.message.contains("cannot parse csv"), "{err}");
@@ -1410,5 +1375,141 @@ mod tests {
         let (envelope, req) = parse_request_line(r#"{"cmd":"health","id":"x"}"#);
         assert_eq!(envelope.version, ProtocolVersion::V1);
         assert!(req.unwrap_err().message.contains("requires"), "id without v:2 must be rejected");
+    }
+
+    #[test]
+    fn gen_needs_two_samples_per_trajectory() {
+        // The generator asserts `len >= 2`; the parser refuses first,
+        // so a `len: 1` request cannot panic the handler.
+        let err = parse_request(r#"{"cmd":"gen","size":3,"len":1}"#).unwrap_err();
+        assert_eq!(err.code, crate::api::ErrorCode::BadRequest);
+        assert_eq!(err.message, "len must be at least 2");
+        // Zero keeps the frozen v1 text.
+        for line in [r#"{"cmd":"gen","size":0}"#, r#"{"cmd":"gen","len":0}"#] {
+            let err = parse_request(line).unwrap_err();
+            assert_eq!(err.message, "size and len must be at least 1", "{line}");
+        }
+        // The smallest accepted shape runs.
+        assert_eq!(
+            parse_request(r#"{"cmd":"gen","size":1,"len":2,"seed":4}"#).unwrap(),
+            Request::Gen { size: 1, len: 2, seed: 4, store_result: false }
+        );
+        assert!(matches!(run_gen(1, 2, 4), Response::Gen { points: 2, .. }));
+    }
+
+    #[test]
+    fn anonymize_parse_is_linear_in_inline_csv() {
+        // Parsing and decoding an anonymize line must grow linearly with
+        // its inline CSV: 8x the bytes may cost at most 24x the time (a
+        // quadratic decode costs about 64x). The minimum of five runs
+        // damps scheduler noise.
+        fn best_of_5(n: usize) -> std::time::Duration {
+            let csv = "traj_id,x,y,t\n".to_string() + &"0,1.5,2.5,3\n".repeat(n / 12);
+            let line = Json::obj([
+                ("cmd", Json::from("anonymize")),
+                ("model", Json::from("gl")),
+                ("csv", Json::from(csv.as_str())),
+                ("v", Json::from(2u64)),
+                ("id", Json::from("r-1")),
+            ])
+            .to_string();
+            (0..5)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    let (_, req) = parse_request_line(&line);
+                    let elapsed = started.elapsed();
+                    match req {
+                        Ok(Request::Anonymize { params, .. }) => {
+                            assert_eq!(params.data, DataRef::Inline(Arc::new(csv.clone())));
+                        }
+                        other => panic!("wrong request {other:?}"),
+                    }
+                    elapsed
+                })
+                .min()
+                .unwrap()
+        }
+        let n = 64 * 1024;
+        let (small, large) = (best_of_5(n), best_of_5(8 * n));
+        let ratio = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
+        assert!(ratio < 24.0, "t(8n)/t(n) = {ratio:.1} ({small:?} → {large:?})");
+    }
+
+    #[test]
+    fn fuzzed_request_lines_fail_cleanly() {
+        // Byte flips, truncations, and dropped or duplicated members of
+        // a valid line of every verb: whatever comes out must parse or
+        // be refused as `bad-request`/`unknown-verb` — never panic.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let valid = [
+            r#"{"cmd":"health","v":2,"id":"a"}"#,
+            r#"{"cmd":"info"}"#,
+            r#"{"cmd":"metrics","v":1}"#,
+            r#"{"cmd":"gen","size":3,"len":20,"seed":7,"store":true}"#,
+            r#"{"cmd":"anonymize","model":"gl","csv":"traj_id,x,y,t\n0,1,2,3\n","epsilon":0.5,"eps_split":0.25,"m":4,"seed":9,"workers":2,"async":true,"store":false}"#,
+            r#"{"cmd":"anonymize","model":"purel","dataset":"ds-1","v":2,"tenant":"acme:t"}"#,
+            r#"{"cmd":"evaluate","original":"a","anonymized_dataset":"ds-2"}"#,
+            r#"{"cmd":"stats","dataset":"ds-3"}"#,
+            r#"{"cmd":"status","job":"job-1"}"#,
+            r#"{"cmd":"cancel","job":"job-2","v":2}"#,
+            r#"{"cmd":"upload","eps_budget":1.5}"#,
+            r#"{"cmd":"chunk","dataset":"ds-1","data":"0,1,2,3\n"}"#,
+            r#"{"cmd":"commit","dataset":"ds-1"}"#,
+            r#"{"cmd":"download","dataset":"ds-1","offset":4,"max_bytes":64}"#,
+            r#"{"cmd":"delete","dataset":"ds-1"}"#,
+            r#"{"cmd":"list"}"#,
+        ];
+        for line in valid {
+            assert!(parse_request_line(line).1.is_ok(), "{line}");
+        }
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let (mut refused, mut accepted) = (0, 0);
+        for _ in 0..20_000 {
+            let mut line = valid[rng.gen_range(0..valid.len())].as_bytes().to_vec();
+            for _ in 0..rng.gen_range(1..4usize) {
+                match rng.gen_range(0..4u32) {
+                    0 if !line.is_empty() => {
+                        let i = rng.gen_range(0..line.len());
+                        line[i] = rng.gen_range(0..128u32) as u8;
+                    }
+                    1 => line.truncate(rng.gen_range(0..=line.len())),
+                    op => {
+                        let Ok(Json::Obj(mut map)) =
+                            crate::json::parse(&String::from_utf8_lossy(&line))
+                        else {
+                            continue;
+                        };
+                        let Some(key) = map.keys().nth(rng.gen_range(0..map.len().max(1))).cloned()
+                        else {
+                            continue;
+                        };
+                        let member = format!("{}:{}", Json::from(key.as_str()), map[&key]);
+                        if op == 2 {
+                            map.remove(&key);
+                            line = Json::Obj(map).to_string().into_bytes();
+                        } else {
+                            line.splice(1..1, format!("{member},").into_bytes());
+                        }
+                    }
+                }
+            }
+            let line = String::from_utf8_lossy(&line);
+            match parse_request_line(&line).1 {
+                Ok(_) => accepted += 1,
+                Err(e) => {
+                    refused += 1;
+                    assert!(
+                        matches!(
+                            e.code,
+                            crate::api::ErrorCode::BadRequest | crate::api::ErrorCode::UnknownVerb
+                        ),
+                        "{line}: {e}"
+                    );
+                }
+            }
+        }
+        // Both outcomes are exercised, not just the trivial one.
+        assert!(refused > 1_000 && accepted > 100, "refused {refused}, accepted {accepted}");
     }
 }

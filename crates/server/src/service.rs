@@ -217,11 +217,11 @@ fn dispatch(
                 // against the budget) before the run. A run that then
                 // fails leaves the charge in place — over-counting is
                 // the safe direction for a privacy ledger.
-                if let Some(handle) = &spec.source {
-                    jobs.charge_sync(handle, spec.epsilon)?;
+                if let Some(handle) = spec.source() {
+                    jobs.charge_sync(handle, spec.params.epsilon)?;
                 }
                 let response = protocol::run_anonymize(&spec)?;
-                if spec.store_result {
+                if spec.params.store_result {
                     // Synchronous results are acknowledged inline, not
                     // via the journal — never orphan-reconciled.
                     protocol::store_result(response, store, false)
@@ -238,15 +238,7 @@ fn dispatch(
         Request::Stats { data } => protocol::run_stats(&data.resolve_shared(store)?),
         Request::Status { job } => jobs.status_response(&job),
         Request::Upload { eps_budget } => {
-            if let Some(cap) = ctx.registry.limits(tenant).max_datasets {
-                let (datasets, _) = store.usage(tenant);
-                if datasets >= cap {
-                    return Err(ApiError::quota_exceeded(format!(
-                        "tenant {tenant:?} already holds {cap} datasets (max_datasets quota)"
-                    )));
-                }
-            }
-            let dataset = store.begin_for(Some(tenant))?;
+            let dataset = store.begin_for(Some((tenant, ctx.registry.limits(tenant))))?;
             if let Some(budget) = eps_budget {
                 // The budget must be journaled before the handle is
                 // acknowledged: an acked budget that evaporated on
@@ -260,22 +252,13 @@ fn dispatch(
             }
             Ok(Response::Upload { dataset })
         }
-        Request::Chunk { dataset, data } => {
-            // The byte quota is enforced per chunk against the bytes
-            // already attributed to the requesting tenant (pending
-            // buffers included), so a tenant cannot stream past its cap
-            // one append at a time.
-            if let Some(cap) = ctx.registry.limits(tenant).max_bytes {
-                let (_, bytes) = store.usage(tenant);
-                if bytes + data.len() > cap {
-                    return Err(ApiError::quota_exceeded(format!(
-                        "chunk would put tenant {tenant:?} over its {cap}-byte quota \
-                         ({bytes} bytes already stored)"
-                    )));
-                }
-            }
-            protocol::run_chunk(store, &dataset, &data)
-        }
+        // The byte quota is enforced per chunk against the bytes
+        // already attributed to the requesting tenant (pending buffers
+        // included), so a tenant cannot stream past its cap one append
+        // at a time.
+        Request::Chunk { dataset, data } => store
+            .append_for(&dataset, &data, Some((tenant, ctx.registry.limits(tenant))))
+            .map(|bytes| Response::Chunk { dataset, bytes }),
         Request::Commit { dataset } => protocol::run_commit(store, &dataset),
         Request::Download { dataset, offset, max_bytes } => {
             protocol::run_download(store, &dataset, offset, max_bytes)

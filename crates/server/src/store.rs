@@ -50,6 +50,7 @@
 //! rejects concurrent mutation until the write lands.
 
 use crate::api::ApiError;
+use crate::ledger::TenantLimits;
 use crate::obs::Metrics;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -131,7 +132,7 @@ enum Entry {
         /// startup orphan reconciliation.
         from_job: bool,
         /// The authenticated tenant that uploaded the dataset, for
-        /// quota accounting ([`DatasetStore::usage`]). In-memory only:
+        /// quota accounting ([`StoreInner::usage`]). In-memory only:
         /// ownership is admission control, not durable state, so
         /// datasets reloaded from disk (and job results) are unowned.
         owner: Option<String>,
@@ -164,6 +165,25 @@ struct StoreInner {
 }
 
 impl StoreInner {
+    /// Datasets and bytes currently attributed to `owner` — pending
+    /// uploads count too (their bytes are already resident), so a
+    /// tenant cannot dodge its byte quota by never committing.
+    fn usage(&self, owner: &str) -> (usize, usize) {
+        let mut datasets = 0;
+        let mut bytes = 0;
+        for entry in self.entries.values() {
+            if entry.owner() == Some(owner) {
+                datasets += 1;
+                bytes += match entry {
+                    Entry::Pending { buf, .. } => buf.len(),
+                    Entry::Committing { .. } => 0,
+                    Entry::Committed { text, .. } => text.len(),
+                };
+            }
+        }
+        (datasets, bytes)
+    }
+
     /// Publishes the store gauges. Called at the tail of every mutating
     /// operation, while this mutex is already held; the write side is a
     /// pair of relaxed atomic stores, so readers never queue behind it.
@@ -470,10 +490,19 @@ impl DatasetStore {
     }
 
     /// [`Self::begin`] attributing the handle to an authenticated
-    /// tenant, so [`Self::usage`] can enforce per-tenant dataset and
-    /// byte quotas. Ownership follows the handle through commit.
-    pub fn begin_for(&self, owner: Option<&str>) -> Result<String, ApiError> {
+    /// tenant, refused once the tenant holds its `max_datasets` quota.
+    /// The check runs under the lock that inserts the handle, so
+    /// concurrent uploads cannot all pass it. Ownership follows the
+    /// handle through commit.
+    pub fn begin_for(&self, tenant: Option<(&str, TenantLimits)>) -> Result<String, ApiError> {
         let mut s = self.lock()?;
+        if let Some((tenant, TenantLimits { max_datasets: Some(cap), .. })) = tenant {
+            if s.usage(tenant).0 >= cap {
+                return Err(ApiError::quota_exceeded(format!(
+                    "tenant {tenant:?} already holds {cap} datasets (max_datasets quota)"
+                )));
+            }
+        }
         s.make_room()?;
         s.next_id += 1;
         let id = format!("ds-{}", s.next_id);
@@ -482,37 +511,39 @@ impl DatasetStore {
             Entry::Pending {
                 buf: String::new(),
                 touched: Instant::now(),
-                owner: owner.map(str::to_string),
+                owner: tenant.map(|(tenant, _)| tenant.to_string()),
             },
         );
         s.publish_gauges();
         Ok(id)
     }
 
-    /// Datasets and bytes currently attributed to `owner` — pending
-    /// uploads count too (their bytes are already resident), so a
-    /// tenant cannot dodge its byte quota by never committing.
-    pub fn usage(&self, owner: &str) -> (usize, usize) {
-        let Ok(s) = self.lock() else { return (0, 0) };
-        let mut datasets = 0;
-        let mut bytes = 0;
-        for entry in s.entries.values() {
-            if entry.owner() == Some(owner) {
-                datasets += 1;
-                bytes += match entry {
-                    Entry::Pending { buf, .. } => buf.len(),
-                    Entry::Committing { .. } => 0,
-                    Entry::Committed { text, .. } => text.len(),
-                };
-            }
-        }
-        (datasets, bytes)
-    }
-
     /// Appends one piece to a pending handle, returning the assembled
     /// size so far.
     pub fn append(&self, id: &str, data: &str) -> Result<usize, ApiError> {
+        self.append_for(id, data, None)
+    }
+
+    /// [`Self::append`] on behalf of an authenticated tenant, refused
+    /// when the piece would put the tenant's bytes (pending buffers
+    /// included) over its `max_bytes` quota. The check runs under the
+    /// lock that appends, so concurrent chunks cannot all pass it.
+    pub fn append_for(
+        &self,
+        id: &str,
+        data: &str,
+        tenant: Option<(&str, TenantLimits)>,
+    ) -> Result<usize, ApiError> {
         let mut s = self.lock()?;
+        if let Some((tenant, TenantLimits { max_bytes: Some(cap), .. })) = tenant {
+            let bytes = s.usage(tenant).1;
+            if bytes + data.len() > cap {
+                return Err(ApiError::quota_exceeded(format!(
+                    "chunk would put tenant {tenant:?} over its {cap}-byte quota \
+                     ({bytes} bytes already stored)"
+                )));
+            }
+        }
         let assembled = match s.entries.get_mut(id) {
             None => return Err(ApiError::dataset_not_found(format!("unknown dataset {id:?}"))),
             Some(Entry::Committed { .. }) => {
@@ -1220,5 +1251,49 @@ mod tests {
         assert_eq!(committer.join().unwrap().unwrap(), "big dataset\n".len());
         assert_eq!(store.resolve(&id).unwrap().as_str(), "big dataset\n");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn tenant_quotas_hold_under_concurrent_requests() {
+        // Threads released together race uploads, then chunks, against
+        // one capped tenant: the cap is checked under the lock that
+        // inserts or appends, so none can slip past it.
+        const THREADS: usize = 8;
+        let limits = TenantLimits { max_datasets: Some(3), max_bytes: Some(40), max_jobs: None };
+        let race = |op: &(dyn Fn(usize) -> Result<usize, ApiError> + Sync)| {
+            let barrier = std::sync::Barrier::new(THREADS);
+            let outcomes: Vec<_> = std::thread::scope(|scope| {
+                let threads: Vec<_> = (0..THREADS)
+                    .map(|i| {
+                        let barrier = &barrier;
+                        scope.spawn(move || {
+                            barrier.wait();
+                            op(i)
+                        })
+                    })
+                    .collect();
+                threads.into_iter().map(|t| t.join().unwrap()).collect()
+            });
+            for e in outcomes.iter().filter_map(|r| r.as_ref().err()) {
+                assert_eq!(e.code, crate::api::ErrorCode::QuotaExceeded, "{e}");
+            }
+            outcomes.iter().filter(|r| r.is_ok()).count()
+        };
+        for round in 0..20 {
+            let store = DatasetStore::new();
+            let ids = Mutex::new(Vec::new());
+            let opened = race(&|_| {
+                let id = store.begin_for(Some(("acme", limits)))?;
+                ids.lock().unwrap().push(id);
+                Ok(0)
+            });
+            assert_eq!(opened, 3, "round {round}");
+            let ids = ids.into_inner().unwrap();
+            let appended = race(&|i| {
+                store.append_for(&ids[i % ids.len()], "0123456789", Some(("acme", limits)))
+            });
+            assert_eq!(appended, 4, "round {round}");
+            assert_eq!(store.lock().unwrap().usage("acme"), (3, 40), "round {round}");
+        }
     }
 }

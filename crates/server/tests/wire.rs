@@ -762,3 +762,32 @@ fn cancel_shapes_and_max_queue_back_pressure() {
     drop(c);
     server.shutdown();
 }
+
+/// A `gen` shorter than the generator's two-sample minimum is refused
+/// at parse time in the caller's envelope, with the id echoed and the
+/// `bad-request` code — it used to reach the generator's assert, and
+/// the handler answered a code-less, id-less panic line.
+#[test]
+fn gen_below_two_samples_is_a_bad_request_in_the_callers_envelope() {
+    let server = parity_server();
+    let mut c = Raw::connect(server.local_addr());
+    let r = c.send(r#"{"cmd":"gen","size":3,"len":1,"v":2,"id":"x1"}"#);
+    let v = trajdp_server::json::parse(&r).unwrap();
+    assert_eq!(v.get("id").and_then(Json::as_str), Some("x1"), "{r}");
+    assert_eq!(v.get("ok"), Some(&Json::Bool(false)), "{r}");
+    let error = v.get("error").unwrap();
+    assert_eq!(error.get("code").and_then(Json::as_str), Some("bad-request"), "{r}");
+    assert_eq!(error.get("message").and_then(Json::as_str), Some("len must be at least 2"));
+    // v1 answers the same refusal flat; zero keeps its frozen text.
+    assert_eq!(
+        c.send(r#"{"cmd":"gen","size":3,"len":1}"#),
+        r#"{"error":"len must be at least 2","ok":false}"#
+    );
+    assert_eq!(
+        c.send(r#"{"cmd":"gen","len":0}"#),
+        r#"{"error":"size and len must be at least 1","ok":false}"#
+    );
+    // The smallest accepted shape generates.
+    assert!(c.send(r#"{"cmd":"gen","size":1,"len":2,"seed":1}"#).contains(r#""ok":true"#));
+    server.shutdown();
+}

@@ -37,13 +37,13 @@
 
 use std::collections::{HashMap, HashSet};
 use std::process::ExitCode;
-use traj_freq_dp::core::{anonymize, FreqDpConfig};
+use traj_freq_dp::core::anonymize;
 use traj_freq_dp::model::csv::{from_csv, to_csv};
 use traj_freq_dp::model::stats::DatasetStats;
 use traj_freq_dp::model::Dataset;
 use traj_freq_dp::server::api::{ApiError, ErrorCode};
 use traj_freq_dp::server::protocol::{
-    budget_split, parse_model, validate_budget, validate_workers,
+    parse_model, validate_gen, validate_workers, AnonymizeParams, DataRef,
 };
 use traj_freq_dp::server::{init_logger, Client, LogLevel, Server, ServerConfig};
 use traj_freq_dp::synth::{generate, GeneratorConfig};
@@ -267,11 +267,13 @@ fn run(args: &[String]) -> Result<(), CliError> {
     match cmd {
         "gen" => {
             let flags = parse_flags(cmd, rest, &["size", "len", "seed", "out"])?;
-            let size = opt_parse(&flags, "size", 200usize)?;
-            let len = opt_parse(&flags, "len", 150usize)?;
+            let size = opt_parse(&flags, "size", 200u64)?;
+            let len = opt_parse(&flags, "len", 150u64)?;
+            validate_gen(size, len).map_err(usage)?;
             let seed = opt_parse(&flags, "seed", 42u64)?;
             let out = required(&flags, "out")?;
-            let world = generate(&GeneratorConfig::tdrive_profile(size, len, seed));
+            let world =
+                generate(&GeneratorConfig::tdrive_profile(size as usize, len as usize, seed));
             save(out, &world.dataset)?;
             let stats = DatasetStats::compute(&world.dataset);
             eprintln!(
@@ -287,28 +289,25 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 &["model", "epsilon", "eps-split", "m", "seed", "parallel", "input", "out"],
             )?;
             let model = parse_model(required(&flags, "model")?).map_err(usage)?;
-            let epsilon = opt_parse(&flags, "epsilon", 1.0f64)?;
-            let eps_split = opt_parse(&flags, "eps-split", 0.5f64)?;
-            validate_budget(model, epsilon, eps_split).map_err(usage)?;
-            let m = opt_parse(&flags, "m", 10usize)?;
-            let seed = opt_parse(&flags, "seed", 42u64)?;
-            let parallel = validate_workers(opt_parse(&flags, "parallel", 1u64)?)
-                .map_err(|e| CliError::Usage(format!("--parallel: {e}")))?;
+            // The wire's defaults and checks; the input file is read
+            // only once they pass, so its (empty) text stands in here.
+            let d = AnonymizeParams::new(model, DataRef::Inline(Default::default()));
+            let params = AnonymizeParams {
+                epsilon: opt_parse(&flags, "epsilon", d.epsilon)?,
+                eps_split: opt_parse(&flags, "eps-split", d.eps_split)?,
+                m: opt_parse(&flags, "m", d.m)?,
+                seed: opt_parse(&flags, "seed", d.seed)?,
+                workers: validate_workers(opt_parse(&flags, "parallel", d.workers as u64)?)
+                    .map_err(|e| CliError::Usage(format!("--parallel: {e}")))?,
+                ..d
+            }
+            .check()
+            .map_err(usage)?;
             let input = required(&flags, "input")?;
             let out = required(&flags, "out")?;
             let ds = load(input)?;
-            // Pure models spend the full ε on their single mechanism;
-            // combined models split it by --eps-split (global share).
-            let (eps_global, eps_local) = budget_split(model, epsilon, eps_split);
-            let cfg = FreqDpConfig {
-                m,
-                eps_global,
-                eps_local,
-                seed,
-                workers: parallel,
-                ..Default::default()
-            };
-            let result = anonymize(&ds, model, &cfg).map_err(|e| CliError::Other(e.to_string()))?;
+            let result = anonymize(&ds, model, &params.config())
+                .map_err(|e| CliError::Other(e.to_string()))?;
             save(out, &result.dataset)?;
             eprintln!(
                 "wrote {out}: ε spent = {}, edits = {}, utility loss = {:.1} m",
@@ -1112,5 +1111,51 @@ mod tests {
         ]))
         .unwrap_err());
         assert!(err.contains("positive"));
+    }
+
+    #[test]
+    fn out_of_range_values_are_usage_errors_not_panics() {
+        // Each of these used to reach an assert in the pipeline or the
+        // generator and exit 101; they share the wire's checks now.
+        let too_big_m = (traj_freq_dp::server::protocol::MAX_M + 1).to_string();
+        for args in [
+            &["anonymize", "--model", "gl", "--m", "0", "--input", "x", "--out", "y"][..],
+            &["anonymize", "--model", "gl", "--m", &too_big_m, "--input", "x", "--out", "y"],
+            &["gen", "--size", "0", "--out", "never-written.csv"],
+            &["gen", "--len", "0", "--out", "never-written.csv"],
+            &["gen", "--len", "1", "--out", "never-written.csv"],
+        ] {
+            let err = run(&a(args)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
+            assert_eq!(err.exit_code(), 2, "{args:?}");
+        }
+    }
+
+    #[test]
+    fn cli_seeds_keep_the_full_u64_range() {
+        // The 2^53 cap is a JSON-transit rule; a flag carries any u64.
+        let dir = std::env::temp_dir().join("trajdp-cli-seed-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let private = dir.join("private.csv");
+        let release = dir.join("release.csv");
+        let (p, r) = (private.to_str().unwrap(), release.to_str().unwrap());
+        let max = u64::MAX.to_string();
+        run(&a(&["gen", "--size", "4", "--len", "20", "--seed", &max, "--out", p])).unwrap();
+        run(&a(&[
+            "anonymize",
+            "--model",
+            "purel",
+            "--m",
+            "2",
+            "--seed",
+            &max,
+            "--input",
+            p,
+            "--out",
+            r,
+        ]))
+        .unwrap();
+        assert_eq!(load(r).unwrap().len(), 4);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
