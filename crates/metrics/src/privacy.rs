@@ -8,7 +8,7 @@
 //! normalized by the joint entropy so it lies in `[0, 1]`; smaller
 //! means better protection.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use trajdp_model::{Dataset, GridLevel};
 
 /// Normalized mutual information between paired samples of `original`
@@ -21,7 +21,9 @@ use trajdp_model::{Dataset, GridLevel};
 pub fn mutual_information(original: &Dataset, anonymized: &Dataset, granularity: u32) -> f64 {
     assert_eq!(original.len(), anonymized.len(), "datasets must contain the same objects");
     let grid = GridLevel::new(original.domain, granularity, 0);
-    let mut joint: HashMap<(u64, u64), f64> = HashMap::new();
+    // Ordered, so the float sums below add in one fixed order and the
+    // score is the same bits on every call.
+    let mut joint: BTreeMap<(u64, u64), f64> = BTreeMap::new();
     let mut total = 0.0f64;
     for (o, a) in original.trajectories.iter().zip(&anonymized.trajectories) {
         for (so, sa) in o.samples.iter().zip(&a.samples) {

@@ -1,6 +1,6 @@
 //! Utility-preservation metrics (§V-A): INF, DE, TE, FFP.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use trajdp_model::stats::{histogram, jensen_shannon};
 use trajdp_model::{Dataset, GridLevel, PointKey};
 
@@ -66,8 +66,9 @@ pub fn trip_divergence(original: &Dataset, anonymized: &Dataset, granularity: u3
     };
     let h_o = key(original);
     let h_a = key(anonymized);
-    // Union support, aligned vectors.
-    let support: HashSet<_> = h_o.keys().chain(h_a.keys()).copied().collect();
+    // Union support, aligned vectors, in key order so the divergence
+    // sums add in one fixed order.
+    let support: BTreeSet<_> = h_o.keys().chain(h_a.keys()).copied().collect();
     if support.is_empty() {
         return 0.0;
     }
@@ -167,7 +168,8 @@ pub fn query_avre(original: &Dataset, anonymized: &Dataset, granularity: u32) ->
     let h_o = counts(original);
     let h_a = counts(anonymized);
     let sanity = (original.len() as f64 * 0.01).max(1.0);
-    let support: HashSet<_> = h_o.keys().chain(h_a.keys()).copied().collect();
+    // In key order, so the sum adds in one fixed order.
+    let support: BTreeSet<_> = h_o.keys().chain(h_a.keys()).copied().collect();
     if support.is_empty() {
         return 0.0;
     }

@@ -23,13 +23,57 @@ pub fn to_csv(ds: &Dataset) -> String {
     out.push('\n');
     for t in &ds.trajectories {
         for s in &t.samples {
-            // `{}` on f64 prints the shortest representation that
-            // round-trips, so parsing recovers bit-identical points.
-            writeln!(out, "{},{},{},{}", t.id, s.loc.x, s.loc.y, s.t)
-                .expect("writing to a String cannot fail");
+            write_line(&mut out, t.id, s);
         }
     }
     out
+}
+
+/// Appends the CSV line of one sample, newline included.
+fn write_line(out: &mut String, id: TrajId, s: &Sample) {
+    // `{}` on f64 prints the shortest representation that round-trips,
+    // so parsing recovers bit-identical points.
+    writeln!(out, "{},{},{},{}", id, s.loc.x, s.loc.y, s.t)
+        .expect("writing to a String cannot fail");
+}
+
+/// Whether `to_csv(ds) == text`, checked line by line without building
+/// the rendered string. When `ds` was parsed from `text`, this says the
+/// text is canonical: the parsed dataset renders back to exactly its
+/// bytes.
+pub fn renders_to(ds: &Dataset, text: &str) -> bool {
+    let Some(mut rest) = text.strip_prefix(CSV_HEADER).and_then(|r| r.strip_prefix('\n')) else {
+        return false;
+    };
+    let mut line = String::with_capacity(64);
+    for t in &ds.trajectories {
+        for s in &t.samples {
+            line.clear();
+            write_line(&mut line, t.id, s);
+            match rest.strip_prefix(line.as_str()) {
+                Some(r) => rest = r,
+                None => return false,
+            }
+        }
+    }
+    rest.is_empty()
+}
+
+/// The dataset `from_csv(&to_csv(&ds))` parses back, built without the
+/// text: the same trajectories with the domain recomputed from the data.
+/// `None` when `ds` does not survive the trip unchanged — an empty
+/// trajectory (it renders no line), a repeated id (its blocks merge or
+/// are refused), unordered timestamps (refused) or a NaN coordinate
+/// (never equal to itself).
+pub fn round_trip(ds: Dataset) -> Option<Dataset> {
+    let mut ids = HashSet::with_capacity(ds.len());
+    let survives = ds.trajectories.iter().all(|t| {
+        ids.insert(t.id)
+            && !t.samples.is_empty()
+            && t.samples.windows(2).all(|w| w[0].t <= w[1].t)
+            && t.samples.iter().all(|s| !s.loc.x.is_nan() && !s.loc.y.is_nan())
+    });
+    survives.then(|| Dataset::from_trajectories(ds.trajectories))
 }
 
 /// Parses a dataset from CSV text produced by [`to_csv`] (or any file in
@@ -197,6 +241,63 @@ mod tests {
         let (small, large) = (best_of_5(n), best_of_5(8 * n));
         let ratio = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
         assert!(ratio < 24.0, "t(8n)/t(n) = {ratio:.1} ({small:?} → {large:?})");
+    }
+
+    #[test]
+    fn renders_to_matches_only_the_exact_rendering() {
+        let ds = sample_dataset();
+        let text = to_csv(&ds);
+        assert!(renders_to(&ds, &text));
+        for other in [
+            text.replace('\n', "\r\n"),
+            text.replace("1.5", "1.50"),
+            text.replace("3.25,", " 3.25 ,"),
+            format!("{text}\n"),
+            text[..text.len() - 1].to_string(),
+            text.replace("traj_id", "id"),
+        ] {
+            assert!(!renders_to(&ds, &other), "{other:?}");
+            // Each variant parses to the same samples: only the bytes differ.
+            if !other.starts_with("id") {
+                assert_eq!(from_csv(&other).unwrap().trajectories, ds.trajectories);
+            }
+        }
+    }
+
+    #[test]
+    fn round_trip_equals_the_parse_of_the_rendering() {
+        let traj = |id, samples: &[(f64, i64)]| {
+            let samples = samples.iter().map(|&(x, t)| Sample::new(Point::new(x, -x), t)).collect();
+            Trajectory::new(id, samples)
+        };
+        let cases = [
+            sample_dataset(),
+            Dataset::from_trajectories(vec![traj(7, &[(0.1 + 0.2, 1), (-0.0, 2)])]),
+            Dataset::new(Rect::new(0.0, 0.0, 1.0, 1.0), vec![]),
+            Dataset::new(Rect::new(0.0, 0.0, 1.0, 1.0), vec![traj(1, &[(f64::INFINITY, 3)])]),
+        ];
+        for ds in cases {
+            let parsed = from_csv(&to_csv(&ds)).unwrap();
+            assert_eq!(round_trip(ds).unwrap(), parsed);
+        }
+        // Built by hand: `Trajectory::new` debug-asserts the order.
+        let unordered = Trajectory {
+            id: 2,
+            samples: vec![
+                Sample::new(Point::new(0.0, 0.0), 9),
+                Sample::new(Point::new(1.0, 1.0), 1),
+            ],
+        };
+        for ds in [
+            Dataset::from_trajectories(vec![traj(1, &[(1.0, 0)]), traj(2, &[])]),
+            Dataset::from_trajectories(vec![traj(1, &[(1.0, 0)]), traj(1, &[(2.0, 1)])]),
+            Dataset::from_trajectories(vec![traj(1, &[(f64::NAN, 0)])]),
+            Dataset::from_trajectories(vec![unordered]),
+        ] {
+            let reparsed = from_csv(&to_csv(&ds)).ok();
+            assert_ne!(reparsed.as_ref(), Some(&ds), "{ds:?} does round-trip");
+            assert_eq!(round_trip(ds), None);
+        }
     }
 
     #[test]

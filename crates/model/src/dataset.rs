@@ -55,6 +55,15 @@ impl Dataset {
         self.trajectories.iter().map(Trajectory::len).sum()
     }
 
+    /// Drops the spare capacity of every sample vector, for a dataset
+    /// that is kept resident long after it was built.
+    pub fn shrink_to_fit(&mut self) {
+        self.trajectories.shrink_to_fit();
+        for t in &mut self.trajectories {
+            t.samples.shrink_to_fit();
+        }
+    }
+
     /// Borrow a trajectory by its object identifier.
     pub fn by_id(&self, id: TrajId) -> Option<&Trajectory> {
         self.trajectories.iter().find(|t| t.id == id)

@@ -595,7 +595,7 @@ impl JobQueue {
         // still owns its data either way.
         if let Some(handle) = spec.source() {
             if self.store.pin(handle).is_err() {
-                spec.params.data = DataRef::Inline(Arc::clone(&spec.csv));
+                spec.params.data = DataRef::Inline(spec.data.text());
             }
         }
         let mut appended_at = None;
@@ -842,22 +842,16 @@ impl JobQueue {
             if log_enabled(LogLevel::Debug) {
                 log_event(LogLevel::Debug, "job started", &log_fields(&id, &cid));
             }
-            let result =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_anonymize(&spec)))
-                    .unwrap_or_else(|panic| {
-                        let msg = panic
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| panic.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "job panicked".to_string());
-                        Err(ApiError::internal(format!("job panicked: {msg}")))
-                    });
-            let result = match result {
-                Ok(response) if spec.params.store_result => {
-                    crate::protocol::store_result(response, &self.store, true)
-                }
-                other => other,
-            };
+            let run = || run_anonymize(&spec, &self.store, true);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .unwrap_or_else(|panic| {
+                    let msg = panic
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| panic.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "job panicked".to_string());
+                    Err(ApiError::internal(format!("job panicked: {msg}")))
+                });
             // Pull the executor's phase timings off the response before
             // it is rendered to the version-less journal shape (which
             // deliberately omits them).
@@ -1203,6 +1197,7 @@ fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::StoredData;
     use trajdp_core::Model;
     use trajdp_model::csv::to_csv;
     use trajdp_synth::{generate, GeneratorConfig};
@@ -1317,7 +1312,7 @@ mod tests {
         let q = JobQueue::with_store(store.clone());
         let mut handles = Vec::new();
         for i in 1..=MAX_FINISHED_RETAINED + 1 {
-            let (h, _) = store.insert_with_provenance(format!("result {i}\n"), true).unwrap();
+            let (h, _) = store.insert_data(format!("result {i}\n"), None, true).unwrap();
             q.finish(
                 &format!("job-{i}"),
                 Json::obj([("ok", Json::Bool(true)), ("dataset", Json::from(h.clone()))]),
@@ -1347,7 +1342,7 @@ mod tests {
         // ds_r: old job-0's store:true result, re-used as the input of
         // a new queued job (content need not parse — a failed run still
         // finishes and unpins).
-        let (ds_r, _) = store.insert_with_provenance("not,really,csv\n".to_string(), true).unwrap();
+        let (ds_r, _) = store.insert_data("not,really,csv\n".to_string(), None, true).unwrap();
         let params = AnonymizeParams {
             m: 2,
             seed: 5,
@@ -1448,7 +1443,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("jobs.jsonl");
         let the_spec = spec();
-        let reference = render_v1(run_anonymize(&the_spec));
+        let reference = render_v1(run_anonymize(&the_spec, &DatasetStore::new(), false));
 
         // Submit, then "crash" before any worker runs.
         let q1 = JobQueue::with_journal(DatasetStore::new(), &path).unwrap();
@@ -1544,7 +1539,7 @@ mod tests {
         let store = DatasetStore::open(Some(dir.join("datasets"))).unwrap();
         let q = JobQueue::with_journal(store.clone(), &path).unwrap();
         let (the_spec, handle) = handle_spec(&store);
-        let csv = std::sync::Arc::clone(&the_spec.csv);
+        let csv = the_spec.data.text();
         let id = q.submit(the_spec).unwrap();
 
         // The journal records the handle id, not the resolved CSV.
@@ -1570,7 +1565,7 @@ mod tests {
         let replayed = wait_done(&q2, &id);
         assert_eq!(
             replayed.get("csv"),
-            render_v1(run_anonymize(&handle_spec(&store2).0)).get("csv")
+            render_v1(run_anonymize(&handle_spec(&store2).0, &store2, false)).get("csv")
         );
         q2.shutdown();
         worker.join().unwrap();
@@ -1784,6 +1779,28 @@ mod tests {
     }
 
     #[test]
+    fn jobs_on_one_handle_parse_it_once() {
+        let metrics = Arc::new(Metrics::new());
+        let store = DatasetStore::new().with_metrics(Arc::clone(&metrics));
+        let q = JobQueue::with_store(store.clone());
+        let (the_spec, handle) = handle_spec(&store);
+        let worker = {
+            let q = q.clone();
+            std::thread::spawn(move || q.work())
+        };
+        let mut results = Vec::new();
+        for _ in 0..4 {
+            let id = q.submit(the_spec.params.clone().resolve(&store).unwrap()).unwrap();
+            results.push(wait_done(&q, &id));
+        }
+        q.shutdown();
+        worker.join().unwrap();
+        assert_eq!(metrics.snapshot().dataset_parses, 1, "a canonical handle is parsed once");
+        assert!(matches!(store.resolve(&handle), Ok(StoredData::Parsed(_))));
+        assert!(results.iter().all(|r| r.get("csv") == results[0].get("csv")));
+    }
+
+    #[test]
     fn queue_publishes_job_counters_and_latencies() {
         let metrics = Arc::new(Metrics::new());
         let q = JobQueue::new().with_metrics(Arc::clone(&metrics));
@@ -1867,7 +1884,7 @@ mod tests {
 
         // Simulate the bug scenario: a result insert whose finish event
         // never reached the journal (crash between the two).
-        let orphan = store.insert_with_provenance("orphan,result\n".to_string(), true).unwrap().0;
+        let orphan = store.insert_data("orphan,result\n".to_string(), None, true).unwrap().0;
         // And a plain client upload, which no journal ever references.
         let upload = store.insert("client,upload\n".to_string()).unwrap().0;
         drop(store);
@@ -1978,7 +1995,7 @@ mod tests {
         let q = JobQueue::with_journal_opts(store.clone(), &dir.join("jobs.jsonl"), 1).unwrap();
         let mut handles = Vec::new();
         for i in 1..=MAX_FINISHED_RETAINED + 1 {
-            let (h, _) = store.insert_with_provenance(format!("result {i}\n"), true).unwrap();
+            let (h, _) = store.insert_data(format!("result {i}\n"), None, true).unwrap();
             q.finish(
                 &format!("job-{i}"),
                 Json::obj([("ok", Json::Bool(true)), ("dataset", Json::from(h.clone()))]),

@@ -490,26 +490,12 @@ mod tests {
 
     #[test]
     fn string_parse_is_linear_in_length() {
-        // Parse time of a string literal must grow linearly: 8x the
-        // length may cost at most 24x the time (a quadratic parse costs
-        // about 64x). The minimum of five runs damps scheduler noise.
-        fn best_of_5(n: usize) -> std::time::Duration {
-            let line = format!("\"{}\\n\"", "abc\u{e9}".repeat(n / 5));
-            (0..5)
-                .map(|_| {
-                    let started = std::time::Instant::now();
-                    let v = parse(&line).unwrap();
-                    let elapsed = started.elapsed();
-                    assert!(matches!(v, Json::Str(s) if s.len() == n / 5 * 5 + 1));
-                    elapsed
-                })
-                .min()
-                .unwrap()
-        }
-        let n = 64 * 1024;
-        let (small, large) = (best_of_5(n), best_of_5(8 * n));
-        let ratio = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
-        assert!(ratio < 24.0, "t(8n)/t(n) = {ratio:.1} ({small:?} → {large:?})");
+        // Parse time of a string literal must grow linearly in its length.
+        crate::assert_linear(
+            64 * 1024,
+            |n| (n / 5 * 5 + 1, format!("\"{}\\n\"", "abc\u{e9}".repeat(n / 5))),
+            |(len, line)| assert!(matches!(parse(line).unwrap(), Json::Str(s) if s.len() == *len)),
+        );
     }
 
     #[test]

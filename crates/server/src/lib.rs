@@ -49,3 +49,25 @@ pub use ledger::{EpsLedger, TenantLimits, TenantRegistry, DEFAULT_TENANT};
 pub use obs::{init_logger, LogLevel, Metrics, MetricsSnapshot, PhaseTimings};
 pub use service::{Server, ServerConfig};
 pub use store::{DatasetStore, StoreConfig};
+
+/// Asserts that `run` takes time linear in its input: on `input(8 * n)`
+/// it may cost at most 24× its time on `input(n)`, where a quadratic
+/// costs about 64×. Inputs are built untimed, once per size; the
+/// minimum of five runs damps scheduler noise.
+#[cfg(test)]
+pub(crate) fn assert_linear<I>(n: usize, input: impl Fn(usize) -> I, run: impl Fn(&I)) {
+    let best_of_5 = |n| {
+        let input = input(n);
+        (0..5)
+            .map(|_| {
+                let started = std::time::Instant::now();
+                run(&input);
+                started.elapsed()
+            })
+            .min()
+            .unwrap_or_default()
+    };
+    let (small, large) = (best_of_5(n), best_of_5(8 * n));
+    let ratio = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
+    assert!(ratio < 24.0, "t(8n)/t(n) = {ratio:.1} ({small:?} → {large:?})");
+}

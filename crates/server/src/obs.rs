@@ -406,6 +406,10 @@ metric_table! {
     store_evictions: AtomicU64 => u64, ("store", "evictions"), "trajdp_store_evictions_total";
     /// TTL sweep passes run.
     store_ttl_sweeps: AtomicU64 => u64, ("store", "ttl_sweeps"), "trajdp_store_ttl_sweeps_total";
+    /// Parses of a stored handle's CSV text. A canonical handle is
+    /// parsed once and then kept parsed, so this stays at one per
+    /// handle however many jobs read it.
+    dataset_parses: AtomicU64 => u64, ("store", "parses"), "trajdp_dataset_parses_total";
     /// Journal events appended.
     journal_appends: AtomicU64 => u64, ("journal", "appends"), "trajdp_journal_appends_total";
     /// Durable append latency (write + fsync).

@@ -43,11 +43,12 @@
 
 use crate::api::{ApiError, Envelope, Payload, ProtocolVersion, Response};
 use crate::json::Json;
-use crate::store::{DatasetStore, DEFAULT_DOWNLOAD_CHUNK_BYTES};
+use crate::store::{DatasetStore, StoredData, DEFAULT_DOWNLOAD_CHUNK_BYTES};
 use std::sync::Arc;
 use trajdp_core::{total_budget, FreqDpConfig, Model};
 use trajdp_model::csv::{from_csv, to_csv};
 use trajdp_model::stats::DatasetStats;
+use trajdp_model::Dataset;
 use trajdp_synth::{generate, GeneratorConfig};
 
 /// Dataset input of a request: inline CSV text or a committed
@@ -62,17 +63,35 @@ pub enum DataRef {
 }
 
 impl DataRef {
-    /// The full CSV text, fetching handles from the store without
-    /// deep-copying them (committed handles are immutable, so sharing
-    /// the `Arc` is safe — a multi-GB handle must not double peak
-    /// memory on resolution). Resolution happens once, at dispatch
-    /// time, so a job owns its data: restarting the store after submit
-    /// cannot change what a queued job computes.
-    pub fn resolve_shared(&self, store: &DatasetStore) -> Result<Arc<String>, ApiError> {
+    /// The dataset, fetching handles from the store in whichever form
+    /// they are held, without deep-copying them (committed handles are
+    /// immutable, so sharing the `Arc` is safe — a multi-GB handle must
+    /// not double peak memory on resolution). Resolution happens once,
+    /// at dispatch time, so a job owns its data: restarting the store
+    /// after submit cannot change what a queued job computes.
+    pub fn resolve_shared(&self, store: &DatasetStore) -> Result<StoredData, ApiError> {
         match self {
-            DataRef::Inline(csv) => Ok(Arc::clone(csv)),
+            DataRef::Inline(csv) => Ok(StoredData::Text(Arc::clone(csv))),
             DataRef::Handle(id) => store.resolve(id),
         }
+    }
+
+    /// The parsed form of `data`, resolved from this reference. A
+    /// handle's text is parsed through the store, which keeps the parse
+    /// in place of a canonical text ([`DatasetStore::parse`]); inline
+    /// text is parsed on every use. A parse error names `what`.
+    pub fn parse(
+        &self,
+        data: &StoredData,
+        store: &DatasetStore,
+        what: &str,
+    ) -> Result<Arc<Dataset>, ApiError> {
+        let parsed = match (self, data) {
+            (DataRef::Handle(id), _) => store.parse(id, data),
+            (DataRef::Inline(_), StoredData::Text(csv)) => from_csv(csv).map(Arc::new),
+            (DataRef::Inline(_), StoredData::Parsed(ds)) => Ok(Arc::clone(ds)),
+        };
+        parsed.map_err(|e| ApiError::invalid_dataset(format!("cannot parse {what}: {e}")))
     }
 }
 
@@ -110,10 +129,11 @@ pub struct AnonymizeParams {
 pub struct AnonymizeSpec {
     /// The request as made; the job journal records these.
     pub params: AnonymizeParams,
-    /// The private dataset as CSV text — shared, not owned, so a
+    /// The private dataset, as text or parsed — shared, not owned, so a
     /// handle-based spec aliases the store's copy instead of
-    /// duplicating it.
-    pub csv: Arc<String>,
+    /// duplicating it. Text is parsed only when the run starts, so a
+    /// bad inline CSV fails the job, not its submit.
+    pub data: StoredData,
 }
 
 impl AnonymizeParams {
@@ -163,10 +183,10 @@ impl AnonymizeParams {
 
     /// Resolves the dataset reference against the store. A handle-based
     /// run is byte-identical to the inline run because both paths feed
-    /// the exact same CSV text to the pipeline.
+    /// the pipeline the dataset parsed from the same CSV text.
     pub fn resolve(self, store: &DatasetStore) -> Result<AnonymizeSpec, ApiError> {
-        let csv = self.data.resolve_shared(store)?;
-        Ok(AnonymizeSpec { params: self, csv })
+        let data = self.data.resolve_shared(store)?;
+        Ok(AnonymizeSpec { params: self, data })
     }
 
     /// The derived core pipeline configuration.
@@ -194,6 +214,40 @@ impl AnonymizeSpec {
             DataRef::Handle(id) => Some(id),
             DataRef::Inline(_) => None,
         }
+    }
+}
+
+/// A `gen` request: the one declaration of its members, defaults and
+/// checks, shared by the wire and the CLI's `trajdp gen`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GenParams {
+    /// Number of trajectories.
+    pub size: usize,
+    /// Points per trajectory.
+    pub len: usize,
+    /// Generator seed.
+    pub seed: u64,
+    /// Keep the generated dataset server-side as a dataset handle.
+    pub store_result: bool,
+}
+
+impl GenParams {
+    /// Every member at its default: 200 trajectories of 150 points,
+    /// seed 42, the result inline.
+    pub fn new() -> GenParams {
+        GenParams { size: 200, len: 150, seed: 42, store_result: false }
+    }
+
+    /// The shape check every `gen` passes ([`validate_gen`]).
+    pub fn check(self) -> Result<GenParams, ApiError> {
+        validate_gen(self.size as u64, self.len as u64)?;
+        Ok(self)
+    }
+}
+
+impl Default for GenParams {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -234,16 +288,7 @@ pub enum Request {
     /// latency histograms).
     Metrics,
     /// Generate a synthetic dataset.
-    Gen {
-        /// Number of trajectories.
-        size: usize,
-        /// Points per trajectory.
-        len: usize,
-        /// Generator seed.
-        seed: u64,
-        /// Keep the generated CSV server-side as a dataset handle.
-        store_result: bool,
-    },
+    Gen(GenParams),
     /// Anonymize a dataset; `asynchronous` requests become queued jobs.
     Anonymize {
         /// The validated parameters (dataset possibly still a handle).
@@ -539,15 +584,14 @@ fn parse_verb(v: &Json) -> Result<Request, ApiError> {
         }
         "gen" => {
             check_members(v, cmd, &["size", "len", "seed", "store"])?;
-            let size = get_u64(v, "size", 200)?;
-            let len = get_u64(v, "len", 150)?;
-            validate_gen(size, len)?;
-            Ok(Request::Gen {
-                size: size as usize,
-                len: len as usize,
-                seed: get_u64(v, "seed", 42)?,
-                store_result: get_bool(v, "store", false)?,
-            })
+            let d = GenParams::new();
+            let params = GenParams {
+                size: get_u64(v, "size", d.size as u64)? as usize,
+                len: get_u64(v, "len", d.len as u64)? as usize,
+                seed: get_u64(v, "seed", d.seed)?,
+                store_result: get_bool(v, "store", d.store_result)?,
+            };
+            Ok(Request::Gen(params.check()?))
         }
         "anonymize" => {
             check_members(
@@ -698,31 +742,24 @@ pub fn spec_from_json(v: &Json) -> Result<AnonymizeParams, ApiError> {
     AnonymizeParams::from_json(v)
 }
 
-/// Moves an inline result payload of a `gen`/`anonymize` response into
-/// the dataset store, so the response answers with a `dataset` handle
-/// and its byte size instead of the inline text. A full store turns
-/// the outcome into an error (the computed result would otherwise be
-/// silently dropped) — with the underlying code preserved. `from_job`
-/// marks results minted by async jobs, whose handles are reconciled
-/// against the replayed journal at startup (a synchronous `store:true`
-/// response has no journal record, so its handle must never be treated
-/// as an orphan).
-pub fn store_result(
-    response: Response,
-    store: &DatasetStore,
-    from_job: bool,
-) -> Result<Response, ApiError> {
-    let mut response = response;
-    if let Response::Gen { data, .. } | Response::Anonymize { data, .. } = &mut response {
-        if let Payload::Inline(csv) = data {
-            let csv = std::mem::take(csv);
-            let (dataset, bytes) = store
-                .insert_with_provenance(csv, from_job)
-                .map_err(|e| e.context("cannot store result"))?;
-            *data = Payload::Stored { dataset, bytes };
+/// The response payload of a produced `gen`/`anonymize` result: its CSV
+/// inline, or — given a `store` — the `dataset` handle and byte size of
+/// the result kept there, held parsed. `from_job` marks results minted
+/// by async jobs, whose handles are reconciled against the replayed
+/// journal at startup (a synchronous `store:true` response has no
+/// journal record, so its handle must never be treated as an orphan).
+/// A full store turns the outcome into an error (the computed result
+/// would otherwise be silently dropped) — with the underlying code
+/// preserved.
+fn payload(ds: Dataset, store: Option<&DatasetStore>, from_job: bool) -> Result<Payload, ApiError> {
+    match store {
+        None => Ok(Payload::Inline(to_csv(&ds))),
+        Some(store) => {
+            let (dataset, bytes) =
+                store.insert_dataset(ds, from_job).map_err(|e| e.context("cannot store result"))?;
+            Ok(Payload::Stored { dataset, bytes })
         }
     }
-    Ok(response)
 }
 
 /// Executes a `commit` request: seals a pending handle.
@@ -755,25 +792,30 @@ pub fn run_delete(store: &DatasetStore, dataset: &str) -> Result<Response, ApiEr
     store.delete(dataset).map(|bytes| Response::Delete { dataset: dataset.to_string(), bytes })
 }
 
-/// Executes a `gen` request (infallible: parameters were validated at
-/// parse time).
-pub fn run_gen(size: usize, len: usize, seed: u64) -> Response {
-    let world = generate(&GeneratorConfig::tdrive_profile(size, len, seed));
+/// Executes a `gen` request (parameters were checked at parse time, so
+/// only storing a `store_result` in `store` can fail).
+pub fn run_gen(params: &GenParams, store: &DatasetStore) -> Result<Response, ApiError> {
+    let world = generate(&GeneratorConfig::tdrive_profile(params.size, params.len, params.seed));
     let stats = DatasetStats::compute(&world.dataset);
-    Response::Gen {
-        data: Payload::Inline(to_csv(&world.dataset)),
+    Ok(Response::Gen {
+        data: payload(world.dataset, params.store_result.then_some(store), false)?,
         trajectories: stats.num_trajectories as u64,
         points: stats.total_points as u64,
         distinct_locations: stats.distinct_locations as u64,
-    }
+    })
 }
 
 /// Executes an `anonymize` request through the pipeline, sharded over
-/// the request's `workers`.
-pub fn run_anonymize(spec: &AnonymizeSpec) -> Result<Response, ApiError> {
+/// the request's `workers`. A handle's text is parsed through `store`
+/// (and kept parsed when canonical); with `store_result` the release
+/// goes to `store` as well, `from_job` marking an async job's result.
+pub fn run_anonymize(
+    spec: &AnonymizeSpec,
+    store: &DatasetStore,
+    from_job: bool,
+) -> Result<Response, ApiError> {
     let started = std::time::Instant::now();
-    let ds = from_csv(&spec.csv)
-        .map_err(|e| ApiError::invalid_dataset(format!("cannot parse csv: {e}")))?;
+    let ds = spec.params.data.parse(&spec.data, store, "csv")?;
     let cfg = spec.params.config();
     let result = trajdp_core::anonymize(&ds, spec.params.model, &cfg)
         .map_err(|e| ApiError::internal(e.to_string()))?;
@@ -787,22 +829,31 @@ pub fn run_anonymize(spec: &AnonymizeSpec) -> Result<Response, ApiError> {
         decrease_secs: stage.decrease.as_secs_f64(),
         realize_secs: stage.realize.as_secs_f64(),
     };
+    let edits = result.total_edits() as u64;
+    let utility_loss = result.utility_loss();
+    let data = payload(result.dataset, spec.params.store_result.then_some(store), from_job)?;
     Ok(Response::Anonymize {
-        data: Payload::Inline(to_csv(&result.dataset)),
+        data,
         epsilon_spent: result.epsilon_spent,
-        edits: result.total_edits() as u64,
-        utility_loss: result.utility_loss(),
+        edits,
+        utility_loss,
         workers: spec.params.workers,
         timings: Some(timings),
     })
 }
 
-/// Executes an `evaluate` request.
-pub fn run_evaluate(original: &str, anonymized: &str) -> Result<Response, ApiError> {
-    let orig = from_csv(original)
-        .map_err(|e| ApiError::invalid_dataset(format!("cannot parse original: {e}")))?;
-    let anon = from_csv(anonymized)
-        .map_err(|e| ApiError::invalid_dataset(format!("cannot parse anonymized: {e}")))?;
+/// Executes an `evaluate` request. Both references resolve before
+/// either parses, so an unknown handle is reported ahead of a parse
+/// error.
+pub fn run_evaluate(
+    original: &DataRef,
+    anonymized: &DataRef,
+    store: &DatasetStore,
+) -> Result<Response, ApiError> {
+    let orig_data = original.resolve_shared(store)?;
+    let anon_data = anonymized.resolve_shared(store)?;
+    let orig = original.parse(&orig_data, store, "original")?;
+    let anon = anonymized.parse(&anon_data, store, "anonymized")?;
     if orig.len() != anon.len() {
         return Err(ApiError::invalid_dataset(
             "datasets must contain the same number of trajectories",
@@ -813,9 +864,8 @@ pub fn run_evaluate(original: &str, anonymized: &str) -> Result<Response, ApiErr
 }
 
 /// Executes a `stats` request.
-pub fn run_stats(csv: &str) -> Result<Response, ApiError> {
-    let ds =
-        from_csv(csv).map_err(|e| ApiError::invalid_dataset(format!("cannot parse csv: {e}")))?;
+pub fn run_stats(data: &DataRef, store: &DatasetStore) -> Result<Response, ApiError> {
+    let ds = data.parse(&data.resolve_shared(store)?, store, "csv")?;
     let s = DatasetStats::compute(&ds);
     Ok(Response::Stats {
         trajectories: s.num_trajectories as u64,
@@ -838,7 +888,7 @@ mod tests {
         assert_eq!(parse_request(r#"{"cmd":"metrics"}"#).unwrap(), Request::Metrics);
         assert_eq!(
             parse_request(r#"{"cmd":"gen","size":10,"len":20,"seed":3}"#).unwrap(),
-            Request::Gen { size: 10, len: 20, seed: 3, store_result: false }
+            Request::Gen(GenParams { size: 10, len: 20, seed: 3, store_result: false })
         );
         let r = parse_request(
             r#"{"cmd":"anonymize","model":"gl","epsilon":2.0,"eps_split":0.25,"m":4,"seed":9,"workers":8,"csv":"traj_id,x,y,t\n"}"#,
@@ -892,6 +942,10 @@ mod tests {
 
     #[test]
     fn defaults_applied() {
+        assert_eq!(
+            parse_request(r#"{"cmd":"gen"}"#).unwrap(),
+            Request::Gen(GenParams { size: 200, len: 150, seed: 42, store_result: false })
+        );
         let r = parse_request(r#"{"cmd":"anonymize","model":"pureg","csv":""}"#).unwrap();
         match r {
             Request::Anonymize { params, asynchronous } => {
@@ -1025,7 +1079,7 @@ mod tests {
         assert_eq!(v.get("dataset").and_then(Json::as_str), Some(handle.as_str()));
         assert!(v.get("csv").is_none(), "handle-backed spec must not re-record the CSV");
         let resolved = spec_from_json(&v).unwrap().resolve(&store).unwrap();
-        assert_eq!(resolved.csv, spec.csv);
+        assert_eq!(resolved.data, spec.data);
         assert_eq!(resolved.source(), Some(handle.as_str()));
         // Tampered journals fail re-validation.
         let mut bad = match spec_to_json(params.clone()) {
@@ -1072,7 +1126,7 @@ mod tests {
         // End to end: a pureg run reports ε spent = the requested total.
         let world = generate(&GeneratorConfig::tdrive_profile(4, 15, 2));
         let spec = inline_spec(Model::PureGlobal, 2, 1, 1, to_csv(&world.dataset));
-        match run_anonymize(&spec).unwrap() {
+        match run_anonymize(&spec, &DatasetStore::new(), false).unwrap() {
             Response::Anonymize { epsilon_spent, .. } => assert_eq!(epsilon_spent, 1.0),
             other => panic!("wrong response {other:?}"),
         }
@@ -1181,16 +1235,19 @@ mod tests {
 
     #[test]
     fn gen_anonymize_stats_roundtrip_inline() {
-        let gen = run_gen(6, 30, 5);
+        let store = DatasetStore::new();
+        let gen =
+            run_gen(&GenParams { size: 6, len: 30, seed: 5, ..GenParams::new() }, &store).unwrap();
         let csv = inline_csv(&gen).to_string();
         let spec = inline_spec(Model::Combined, 4, 7, 2, csv.clone());
-        let anon = run_anonymize(&spec).unwrap();
-        let released = inline_csv(&anon).to_string();
-        match run_evaluate(&csv, &released).unwrap() {
+        let anon = run_anonymize(&spec, &store, false).unwrap();
+        let released = DataRef::Inline(Arc::new(inline_csv(&anon).to_string()));
+        let original = DataRef::Inline(Arc::new(csv));
+        match run_evaluate(&original, &released, &store).unwrap() {
             Response::Evaluate { mi, .. } => assert!(mi.is_finite()),
             other => panic!("wrong response {other:?}"),
         }
-        match run_stats(&released).unwrap() {
+        match run_stats(&released, &store).unwrap() {
             Response::Stats { trajectories, .. } => assert_eq!(trajectories, 6),
             other => panic!("wrong response {other:?}"),
         }
@@ -1199,7 +1256,8 @@ mod tests {
     #[test]
     fn handle_based_run_is_byte_identical_to_inline() {
         let store = DatasetStore::new();
-        let gen = run_gen(5, 25, 8);
+        let gen =
+            run_gen(&GenParams { size: 5, len: 25, seed: 8, ..GenParams::new() }, &store).unwrap();
         let csv = inline_csv(&gen).to_string();
 
         // Stream the dataset through the chunked-upload handlers.
@@ -1225,8 +1283,8 @@ mod tests {
         };
         let mut inline = params.clone();
         inline.data = DataRef::Inline(Arc::new(csv.clone()));
-        let by_handle = run_anonymize(&params.resolve(&store).unwrap()).unwrap();
-        let by_inline = run_anonymize(&inline.resolve(&store).unwrap()).unwrap();
+        let by_handle = run_anonymize(&params.clone().resolve(&store).unwrap(), &store, false);
+        let by_inline = run_anonymize(&inline.resolve(&store).unwrap(), &store, false).unwrap();
         // Strip the wall-clock phase timings before comparing: they are
         // observability, not output, and never identical across runs.
         let strip = |r: &Response| match r.clone() {
@@ -1243,20 +1301,21 @@ mod tests {
             other => other,
         };
         assert_eq!(
-            strip(&by_handle),
+            strip(&by_handle.unwrap()),
             strip(&by_inline),
             "handle-based run must match the inline run exactly"
         );
 
-        // `store` moves the result CSV behind a handle; downloading it
+        // `store` keeps the release behind a handle; downloading it
         // piecewise reassembles the identical bytes.
         let released = inline_csv(&by_inline).to_string();
-        let stored = store_result(by_handle, &store, false).unwrap();
+        let keep = AnonymizeParams { store_result: true, ..params };
+        let stored = run_anonymize(&keep.resolve(&store).unwrap(), &store, false).unwrap();
         let (result_id, bytes) = match &stored {
             Response::Anonymize { data: Payload::Stored { dataset, bytes }, .. } => {
                 (dataset.clone(), *bytes)
             }
-            other => panic!("store_result must swap the payload: {other:?}"),
+            other => panic!("store must swap the payload: {other:?}"),
         };
         assert_eq!(bytes, released.len());
         let mut out = String::new();
@@ -1278,7 +1337,7 @@ mod tests {
     fn run_anonymize_reports_csv_errors() {
         let garbage = "complete garbage\nwith, too, many, commas, here".to_string();
         let spec = inline_spec(Model::PureLocal, 2, 1, 1, garbage);
-        let err = run_anonymize(&spec).unwrap_err();
+        let err = run_anonymize(&spec, &DatasetStore::new(), false).unwrap_err();
         assert_eq!(err.code, crate::api::ErrorCode::InvalidDataset);
         assert!(err.message.contains("cannot parse csv"), "{err}");
     }
@@ -1392,18 +1451,20 @@ mod tests {
         // The smallest accepted shape runs.
         assert_eq!(
             parse_request(r#"{"cmd":"gen","size":1,"len":2,"seed":4}"#).unwrap(),
-            Request::Gen { size: 1, len: 2, seed: 4, store_result: false }
+            Request::Gen(GenParams { size: 1, len: 2, seed: 4, store_result: false })
         );
-        assert!(matches!(run_gen(1, 2, 4), Response::Gen { points: 2, .. }));
+        let smallest = GenParams { size: 1, len: 2, seed: 4, store_result: false };
+        assert!(matches!(
+            run_gen(&smallest, &DatasetStore::new()),
+            Ok(Response::Gen { points: 2, .. })
+        ));
     }
 
     #[test]
     fn anonymize_parse_is_linear_in_inline_csv() {
         // Parsing and decoding an anonymize line must grow linearly with
-        // its inline CSV: 8x the bytes may cost at most 24x the time (a
-        // quadratic decode costs about 64x). The minimum of five runs
-        // damps scheduler noise.
-        fn best_of_5(n: usize) -> std::time::Duration {
+        // its inline CSV.
+        let input = |n: usize| {
             let csv = "traj_id,x,y,t\n".to_string() + &"0,1.5,2.5,3\n".repeat(n / 12);
             let line = Json::obj([
                 ("cmd", Json::from("anonymize")),
@@ -1413,26 +1474,14 @@ mod tests {
                 ("id", Json::from("r-1")),
             ])
             .to_string();
-            (0..5)
-                .map(|_| {
-                    let started = std::time::Instant::now();
-                    let (_, req) = parse_request_line(&line);
-                    let elapsed = started.elapsed();
-                    match req {
-                        Ok(Request::Anonymize { params, .. }) => {
-                            assert_eq!(params.data, DataRef::Inline(Arc::new(csv.clone())));
-                        }
-                        other => panic!("wrong request {other:?}"),
-                    }
-                    elapsed
-                })
-                .min()
-                .unwrap()
-        }
-        let n = 64 * 1024;
-        let (small, large) = (best_of_5(n), best_of_5(8 * n));
-        let ratio = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
-        assert!(ratio < 24.0, "t(8n)/t(n) = {ratio:.1} ({small:?} → {large:?})");
+            (csv, line)
+        };
+        crate::assert_linear(64 * 1024, input, |(csv, line)| match parse_request_line(line).1 {
+            Ok(Request::Anonymize { params, .. }) => {
+                assert_eq!(params.data, DataRef::Inline(Arc::new(csv.clone())));
+            }
+            other => panic!("wrong request {other:?}"),
+        });
     }
 
     #[test]

@@ -180,14 +180,7 @@ fn dispatch(
             eps_budget: ctx.eps_budget,
         }),
         Request::Metrics => Ok(Response::Metrics { snapshot: Box::new(ctx.metrics.snapshot()) }),
-        Request::Gen { size, len, seed, store_result } => {
-            let response = protocol::run_gen(size, len, seed);
-            if store_result {
-                protocol::store_result(response, store, false)
-            } else {
-                Ok(response)
-            }
-        }
+        Request::Gen(params) => protocol::run_gen(&params, store),
         Request::Anonymize { params, asynchronous } => {
             let spec = params.resolve(store)?;
             if asynchronous {
@@ -220,22 +213,15 @@ fn dispatch(
                 if let Some(handle) = spec.source() {
                     jobs.charge_sync(handle, spec.params.epsilon)?;
                 }
-                let response = protocol::run_anonymize(&spec)?;
-                if spec.params.store_result {
-                    // Synchronous results are acknowledged inline, not
-                    // via the journal — never orphan-reconciled.
-                    protocol::store_result(response, store, false)
-                } else {
-                    Ok(response)
-                }
+                // Synchronous results are acknowledged inline, not via
+                // the journal — never orphan-reconciled.
+                protocol::run_anonymize(&spec, store, false)
             }
         }
         Request::Evaluate { original, anonymized } => {
-            let original = original.resolve_shared(store)?;
-            let anonymized = anonymized.resolve_shared(store)?;
-            protocol::run_evaluate(&original, &anonymized)
+            protocol::run_evaluate(&original, &anonymized, store)
         }
-        Request::Stats { data } => protocol::run_stats(&data.resolve_shared(store)?),
+        Request::Stats { data } => protocol::run_stats(&data, store),
         Request::Status { job } => jobs.status_response(&job),
         Request::Upload { eps_budget } => {
             let dataset = store.begin_for(Some((tenant, ctx.registry.limits(tenant))))?;
@@ -296,7 +282,7 @@ fn verb_name(req: &Request) -> &'static str {
         Request::Health => "health",
         Request::Info => "info",
         Request::Metrics => "metrics",
-        Request::Gen { .. } => "gen",
+        Request::Gen(_) => "gen",
         Request::Anonymize { .. } => "anonymize",
         Request::Evaluate { .. } => "evaluate",
         Request::Stats { .. } => "stats",

@@ -48,6 +48,35 @@
 //! stall every concurrent `download`/`status` that merely reads the
 //! table. The entry being persisted sits in a `Committing` state that
 //! rejects concurrent mutation until the write lands.
+//!
+//! ## One form per dataset
+//!
+//! A committed entry holds its data in exactly one form
+//! ([`StoredData`]): the CSV text, or the parsed [`Dataset`] whose
+//! rendering is exactly that text. Its `bytes` — the CSV length — is
+//! what quotas, gauges, `list` and `download` report in either form.
+//! The entry changes form when a reader needs the other one:
+//!
+//! * **Text → parsed**: the first pipeline read of a handle
+//!   ([`DatasetStore::parse`], from a job worker or a synchronous verb)
+//!   parses the text outside the mutex. If the text is canonical — the
+//!   parse renders back to exactly its bytes — and the entry still
+//!   holds that same text, the parse replaces it, so later jobs skip
+//!   the parse. A non-canonical upload stays text and is parsed per use.
+//! * **Results**: job and `gen` results are stored parsed directly
+//!   ([`DatasetStore::insert_dataset`]); they are rendered once to
+//!   persist the file and to count their bytes.
+//! * **Parsed → text**: `download` renders a parsed entry once, outside
+//!   the mutex, and the entry becomes text again, so the pieces of a
+//!   chunked download slice one rendering.
+//!
+//! An entry changes form at most once each way. Once its text proves
+//! non-canonical, or a download renders it, it is *settled*: it stays
+//! text and later jobs parse it per use without the canonical check.
+//! So jobs and download pieces alternating on one handle cost one
+//! rendering and one check, never one per piece.
+//!
+//! Files on disk are always CSV; a reopened store holds text.
 
 use crate::api::ApiError;
 use crate::ledger::TenantLimits;
@@ -57,6 +86,8 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use trajdp_model::csv::{from_csv, renders_to, round_trip, to_csv};
+use trajdp_model::{Dataset, ModelError};
 
 /// Upper bound on one assembled dataset (pending or committed).
 pub const MAX_DATASET_BYTES: usize = 4 * (1 << 30);
@@ -109,17 +140,47 @@ pub(crate) fn floor_char_boundary(s: &str, i: usize) -> usize {
     i
 }
 
+/// A committed dataset in the one form its entry holds. Both forms are
+/// shared, so a request resolving a handle aliases the store's copy
+/// instead of duplicating it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StoredData {
+    /// The CSV text.
+    Text(Arc<String>),
+    /// The parsed dataset; `to_csv` of it is exactly the text it
+    /// stands for.
+    Parsed(Arc<Dataset>),
+}
+
+impl StoredData {
+    /// The CSV text, rendering a parsed dataset.
+    pub fn text(&self) -> Arc<String> {
+        match self {
+            StoredData::Text(text) => Arc::clone(text),
+            StoredData::Parsed(ds) => Arc::new(to_csv(ds)),
+        }
+    }
+}
+
 enum Entry {
     /// Being assembled by `chunk` commands. `touched` is the last
     /// `begin`/`append` time, for the abandoned-upload sweep.
     Pending { buf: String, touched: Instant, owner: Option<String> },
     /// Owned by an in-flight `commit`/`insert` that is persisting to
     /// disk outside the lock; rejects all mutation until it lands. The
-    /// tenant owner rides along so the commit tail can restore it.
-    Committing { owner: Option<String> },
+    /// tenant owner rides along so the commit tail can restore it, and
+    /// the byte length so the tenant's quota still counts it.
+    Committing { owner: Option<String>, bytes: usize },
     /// Sealed; usable as a request dataset and by `download`.
     Committed {
-        text: Arc<String>,
+        data: StoredData,
+        /// Length of the CSV text, whichever form `data` holds.
+        bytes: usize,
+        /// The entry keeps the form it holds: set once its text proved
+        /// non-canonical or a download rendered it, so a job and a
+        /// download alternating on the handle cannot flip it back and
+        /// forth, re-parsing and re-rendering the whole dataset.
+        settled: bool,
         /// Monotonic LRU stamp: larger = used more recently.
         last_used: u64,
         /// Wall-clock of the last use, for the TTL sweep.
@@ -143,8 +204,16 @@ impl Entry {
     fn owner(&self) -> Option<&str> {
         match self {
             Entry::Pending { owner, .. }
-            | Entry::Committing { owner }
+            | Entry::Committing { owner, .. }
             | Entry::Committed { owner, .. } => owner.as_deref(),
+        }
+    }
+
+    /// CSV bytes the entry holds or stands for.
+    fn bytes(&self) -> usize {
+        match self {
+            Entry::Pending { buf, .. } => buf.len(),
+            Entry::Committing { bytes, .. } | Entry::Committed { bytes, .. } => *bytes,
         }
     }
 }
@@ -174,11 +243,7 @@ impl StoreInner {
         for entry in self.entries.values() {
             if entry.owner() == Some(owner) {
                 datasets += 1;
-                bytes += match entry {
-                    Entry::Pending { buf, .. } => buf.len(),
-                    Entry::Committing { .. } => 0,
-                    Entry::Committed { text, .. } => text.len(),
-                };
+                bytes += entry.bytes();
             }
         }
         (datasets, bytes)
@@ -188,15 +253,7 @@ impl StoreInner {
     /// operation, while this mutex is already held; the write side is a
     /// pair of relaxed atomic stores, so readers never queue behind it.
     fn publish_gauges(&self) {
-        let bytes: usize = self
-            .entries
-            .values()
-            .map(|e| match e {
-                Entry::Pending { buf, .. } => buf.len(),
-                Entry::Committing { .. } => 0,
-                Entry::Committed { text, .. } => text.len(),
-            })
-            .sum();
+        let bytes: usize = self.entries.values().map(Entry::bytes).sum();
         self.metrics.set_store_gauges(bytes as u64, self.entries.len() as u64);
     }
 
@@ -209,17 +266,26 @@ impl StoreInner {
         }
     }
 
-    /// Installs `text` as the committed entry of `id` with a fresh
-    /// LRU/TTL stamp — the single tail of both `commit` and
-    /// `insert_with_provenance`, so a future `Committed` field cannot
-    /// be threaded into one path and missed in the other.
-    fn install_committed(&mut self, id: &str, text: String, from_job: bool, owner: Option<String>) {
+    /// Installs `data` (`bytes` of CSV) as the committed entry of `id`
+    /// with a fresh LRU/TTL stamp — the single tail of both `commit`
+    /// and `insert_data`, so a future `Committed` field cannot be
+    /// threaded into one path and missed in the other.
+    fn install_committed(
+        &mut self,
+        id: &str,
+        data: StoredData,
+        bytes: usize,
+        from_job: bool,
+        owner: Option<String>,
+    ) {
         self.clock += 1;
         let stamp = self.clock;
         self.entries.insert(
             id.to_string(),
             Entry::Committed {
-                text: Arc::new(text),
+                data,
+                bytes,
+                settled: false,
                 last_used: stamp,
                 touched: Instant::now(),
                 pins: 0,
@@ -410,7 +476,9 @@ impl DatasetStore {
                 entries.insert(
                     format!("ds-{n}"),
                     Entry::Committed {
-                        text: Arc::new(text),
+                        bytes: text.len(),
+                        data: StoredData::Text(Arc::new(text)),
+                        settled: false,
                         last_used: clock,
                         touched: now,
                         pins: 0,
@@ -595,8 +663,9 @@ impl DatasetStore {
                 Some(Entry::Pending { .. }) => {}
             }
             let owner = s.entries.get(id).and_then(|e| e.owner().map(str::to_string));
+            let bytes = s.entries.get(id).map_or(0, Entry::bytes);
             let Some(Entry::Pending { buf, .. }) =
-                s.entries.insert(id.to_string(), Entry::Committing { owner: owner.clone() })
+                s.entries.insert(id.to_string(), Entry::Committing { owner: owner.clone(), bytes })
             else {
                 // PANIC: the match above saw `Entry::Pending` for this id
                 // and the mutex has been held since.
@@ -614,22 +683,49 @@ impl DatasetStore {
         }
         let mut s = self.lock()?;
         let bytes = buf.len();
-        s.install_committed(id, buf, false, owner);
+        s.install_committed(id, StoredData::Text(Arc::new(buf)), bytes, false, owner);
         s.publish_gauges();
         Ok(bytes)
     }
 
-    /// Stores an already-complete dataset (e.g. an anonymization result
-    /// kept server-side for chunked download), returning its handle and
-    /// size. `from_job` marks results minted by async jobs for startup
-    /// orphan reconciliation. Like `commit`, the persist runs outside
-    /// the store mutex.
-    pub fn insert_with_provenance(
+    /// Stores already-complete CSV text of a client-owned dataset,
+    /// returning its handle and size. Like `commit`, the persist runs
+    /// outside the store mutex.
+    pub fn insert(&self, csv: String) -> Result<(String, usize), ApiError> {
+        self.insert_data(csv, None, false)
+    }
+
+    /// Stores a produced dataset (a job or `gen` result kept
+    /// server-side), held parsed: it is rendered once, here, to persist
+    /// the file and count its bytes. The held dataset is exactly what
+    /// parsing that text gives back ([`round_trip`], which skips that
+    /// parse); one that does not survive the trip (an empty trajectory,
+    /// say) is held as the text.
+    pub fn insert_dataset(&self, ds: Dataset, from_job: bool) -> Result<(String, usize), ApiError> {
+        let csv = to_csv(&ds);
+        let parsed = round_trip(ds).map(|mut ds| {
+            ds.shrink_to_fit();
+            Arc::new(ds)
+        });
+        debug_assert!(
+            parsed.as_deref().is_none_or(|ds| from_csv(&csv).as_ref() == Ok(ds)),
+            "a held result must equal the parse of its text"
+        );
+        self.insert_data(csv, parsed, from_job)
+    }
+
+    /// The one insert path: persists `csv` and installs `parsed` (when
+    /// given, the dataset `csv` renders) or else the text itself.
+    /// `from_job` marks results minted by async jobs for startup orphan
+    /// reconciliation.
+    pub(crate) fn insert_data(
         &self,
         csv: String,
+        parsed: Option<Arc<Dataset>>,
         from_job: bool,
     ) -> Result<(String, usize), ApiError> {
-        if csv.len() > MAX_DATASET_BYTES {
+        let bytes = csv.len();
+        if bytes > MAX_DATASET_BYTES {
             return Err(ApiError::payload_too_large(format!(
                 "dataset would exceed {MAX_DATASET_BYTES} bytes"
             )));
@@ -639,7 +735,7 @@ impl DatasetStore {
             s.make_room()?;
             s.next_id += 1;
             let id = format!("ds-{}", s.next_id);
-            s.entries.insert(id.clone(), Entry::Committing { owner: None });
+            s.entries.insert(id.clone(), Entry::Committing { owner: None, bytes });
             (id, s.dir.clone())
         };
         if let Some(dir) = dir {
@@ -648,18 +744,16 @@ impl DatasetStore {
                 return Err(e);
             }
         }
-        let bytes = csv.len();
+        let data = match parsed {
+            Some(ds) => StoredData::Parsed(ds),
+            None => StoredData::Text(Arc::new(csv)),
+        };
         let mut s = self.lock()?;
         // Job results are unowned: they are minted by the server, not
         // uploaded by a tenant, so they never count against a quota.
-        s.install_committed(&id, csv, from_job, None);
+        s.install_committed(&id, data, bytes, from_job, None);
         s.publish_gauges();
         Ok((id, bytes))
-    }
-
-    /// [`Self::insert_with_provenance`] for client-owned datasets.
-    pub fn insert(&self, csv: String) -> Result<(String, usize), ApiError> {
-        self.insert_with_provenance(csv, false)
     }
 
     /// Deletes a handle, freeing its slot and removing its persisted
@@ -681,19 +775,12 @@ impl DatasetStore {
                 )))
             }
             Some(Entry::Committed { .. } | Entry::Pending { .. }) => {
-                let bytes = match s.entries.remove(id) {
-                    Some(Entry::Committed { text, from_job, .. }) => {
-                        s.unlink(id, from_job);
-                        text.len()
-                    }
-                    Some(Entry::Pending { buf, .. }) => buf.len(),
-                    // PANIC: this arm is guarded by the outer
-                    // `Committed | Pending` match and the mutex has been
-                    // held since.
-                    _ => unreachable!(),
-                };
+                let removed = s.entries.remove(id);
+                if let Some(Entry::Committed { from_job, .. }) = removed {
+                    s.unlink(id, from_job);
+                }
                 s.publish_gauges();
-                Ok(bytes)
+                Ok(removed.map_or(0, |e| e.bytes()))
             }
         }
     }
@@ -767,9 +854,9 @@ impl DatasetStore {
         orphans
     }
 
-    /// The full text of a committed dataset (refreshes its LRU/TTL
-    /// stamp).
-    pub fn resolve(&self, id: &str) -> Result<Arc<String>, ApiError> {
+    /// A committed dataset in the form its entry holds (refreshes its
+    /// LRU/TTL stamp).
+    pub fn resolve(&self, id: &str) -> Result<StoredData, ApiError> {
         let mut s = self.lock()?;
         s.touch(id);
         match s.entries.get(id) {
@@ -777,8 +864,75 @@ impl DatasetStore {
             Some(Entry::Pending { .. } | Entry::Committing { .. }) => {
                 Err(ApiError::dataset_state(format!("dataset {id:?} is not committed yet")))
             }
-            Some(Entry::Committed { text, .. }) => Ok(Arc::clone(text)),
+            Some(Entry::Committed { data, .. }) => Ok(data.clone()),
         }
+    }
+
+    /// The parsed dataset of `data`, as resolved from handle `id`. Text
+    /// is parsed here, outside the store mutex. While the entry still
+    /// holds that same text and is not settled, the parse is checked
+    /// against it ([`renders_to`]): a canonical text is replaced by its
+    /// parse, so the handle is parsed once however many jobs read it; a
+    /// non-canonical one settles as text and is parsed per use without
+    /// the check. Every parse of a handle's text is counted in
+    /// `trajdp_dataset_parses_total`.
+    pub fn parse(&self, id: &str, data: &StoredData) -> Result<Arc<Dataset>, ModelError> {
+        let text = match data {
+            StoredData::Parsed(ds) => return Ok(Arc::clone(ds)),
+            StoredData::Text(text) => text,
+        };
+        let holds_text = |s: &StoreInner| {
+            matches!(s.entries.get(id), Some(Entry::Committed {
+                data: StoredData::Text(held),
+                settled: false,
+                ..
+            }) if Arc::ptr_eq(held, text))
+        };
+        let installable = self.lock().is_ok_and(|s| {
+            s.metrics.dataset_parses.fetch_add(1, Relaxed);
+            holds_text(&s)
+        });
+        let mut ds = from_csv(text)?;
+        if !installable {
+            return Ok(Arc::new(ds));
+        }
+        let canonical = renders_to(&ds, text);
+        if canonical {
+            ds.shrink_to_fit();
+        }
+        let ds = Arc::new(ds);
+        if let Ok(mut s) = self.lock() {
+            if holds_text(&s) {
+                if let Some(Entry::Committed { data, settled, .. }) = s.entries.get_mut(id) {
+                    if canonical {
+                        *data = StoredData::Parsed(Arc::clone(&ds));
+                    } else {
+                        *settled = true;
+                    }
+                }
+            }
+        }
+        Ok(ds)
+    }
+
+    /// The CSV text of a committed dataset. A parsed entry is rendered
+    /// here, outside the store mutex, and settles as text: the pieces of
+    /// one chunked download slice a single rendering, and later jobs
+    /// parse the text without installing their parse.
+    fn text(&self, id: &str) -> Result<Arc<String>, ApiError> {
+        let ds = match self.resolve(id)? {
+            StoredData::Text(text) => return Ok(text),
+            StoredData::Parsed(ds) => ds,
+        };
+        let text = Arc::new(to_csv(&ds));
+        let mut s = self.lock()?;
+        if let Some(Entry::Committed { data, settled, .. }) = s.entries.get_mut(id) {
+            if matches!(data, StoredData::Parsed(held) if Arc::ptr_eq(held, &ds)) {
+                *data = StoredData::Text(Arc::clone(&text));
+                *settled = true;
+            }
+        }
+        Ok(text)
     }
 
     /// One entry per held handle: `(id, bytes, state, pins)` where
@@ -792,9 +946,9 @@ impl DatasetStore {
             .entries
             .iter()
             .map(|(id, e)| match e {
-                Entry::Pending { buf, .. } => (id.clone(), buf.len(), "pending", 0),
-                Entry::Committing { .. } => (id.clone(), 0, "committing", 0),
-                Entry::Committed { text, pins, .. } => (id.clone(), text.len(), "committed", *pins),
+                Entry::Pending { .. } => (id.clone(), e.bytes(), "pending", 0),
+                Entry::Committing { .. } => (id.clone(), e.bytes(), "committing", 0),
+                Entry::Committed { pins, .. } => (id.clone(), e.bytes(), "committed", *pins),
             })
             .collect();
         out.sort_by_key(|(id, ..)| id.strip_prefix("ds-").and_then(|n| n.parse::<u64>().ok()));
@@ -810,7 +964,7 @@ impl DatasetStore {
         offset: usize,
         max_bytes: usize,
     ) -> Result<(String, usize, bool), ApiError> {
-        let text = self.resolve(id)?;
+        let text = self.text(id)?;
         if offset > text.len() || !text.is_char_boundary(offset) {
             return Err(ApiError::bad_request(format!(
                 "offset {offset} is not a piece boundary of dataset {id:?} ({} bytes)",
@@ -870,7 +1024,7 @@ mod tests {
         assert_eq!(store.append(&id, "traj_id,x,y,t\n").unwrap(), 14);
         assert_eq!(store.append(&id, "0,1.0,2.0,3\n").unwrap(), 26);
         assert_eq!(store.commit(&id).unwrap(), 26);
-        assert_eq!(store.resolve(&id).unwrap().as_str(), "traj_id,x,y,t\n0,1.0,2.0,3\n");
+        assert_eq!(store.resolve(&id).unwrap().text().as_str(), "traj_id,x,y,t\n0,1.0,2.0,3\n");
     }
 
     #[test]
@@ -1065,8 +1219,8 @@ mod tests {
             ..StoreConfig::default()
         })
         .unwrap();
-        assert_eq!(reopened.resolve(&id).unwrap().as_str(), "hello\n");
-        assert_eq!(reopened.resolve(&id2).unwrap().as_str(), "world\n");
+        assert_eq!(reopened.resolve(&id).unwrap().text().as_str(), "hello\n");
+        assert_eq!(reopened.resolve(&id2).unwrap().text().as_str(), "world\n");
         assert!(reopened.resolve(&pending).unwrap_err().message.contains("unknown"));
         // Reloaded handles are LRU-cold in id order: at capacity, the
         // lower-id reloaded entry is evicted first — and its file goes
@@ -1127,10 +1281,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = DatasetStore::open(Some(dir.clone())).unwrap();
         let (upload, _) = store.insert("client upload\n".to_string()).unwrap();
-        let (kept, _) =
-            store.insert_with_provenance("journaled result\n".to_string(), true).unwrap();
-        let (orphan, _) =
-            store.insert_with_provenance("orphan result\n".to_string(), true).unwrap();
+        let (kept, _) = store.insert_data("journaled result\n".to_string(), None, true).unwrap();
+        let (orphan, _) = store.insert_data("orphan result\n".to_string(), None, true).unwrap();
         assert!(dir.join(format!("{kept}.job.csv")).exists());
         drop(store);
 
@@ -1141,8 +1293,8 @@ mod tests {
         let referenced: HashSet<String> = [kept.clone()].into_iter().collect();
         assert_eq!(reopened.reconcile_job_results(&referenced), vec![orphan.clone()]);
         assert!(reopened.resolve(&orphan).unwrap_err().message.contains("unknown"));
-        assert_eq!(reopened.resolve(&kept).unwrap().as_str(), "journaled result\n");
-        assert_eq!(reopened.resolve(&upload).unwrap().as_str(), "client upload\n");
+        assert_eq!(reopened.resolve(&kept).unwrap().text().as_str(), "journaled result\n");
+        assert_eq!(reopened.resolve(&upload).unwrap().text().as_str(), "client upload\n");
         assert!(!dir.join(format!("{orphan}.job.csv")).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1236,7 +1388,7 @@ mod tests {
             let store = store.clone();
             let existing = existing.clone();
             std::thread::spawn(move || {
-                let text = store.resolve(&existing).unwrap();
+                let text = store.resolve(&existing).unwrap().text();
                 let n = store.count();
                 tx.send((text.len(), n)).unwrap();
             })
@@ -1249,8 +1401,169 @@ mod tests {
         reader.join().unwrap();
         drop(blocked);
         assert_eq!(committer.join().unwrap().unwrap(), "big dataset\n".len());
-        assert_eq!(store.resolve(&id).unwrap().as_str(), "big dataset\n");
+        assert_eq!(store.resolve(&id).unwrap().text().as_str(), "big dataset\n");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_committing_handle_still_counts_against_its_tenant() {
+        // While a commit persists outside the lock, its bytes stay on
+        // the tenant's account: a second upload cannot borrow them.
+        let dir = std::env::temp_dir().join("trajdp-store-committing-quota-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = DatasetStore::open(Some(dir.clone())).unwrap();
+        let gate = Arc::new(Mutex::new(()));
+        store.persist_gate = Some(Arc::clone(&gate));
+        let limits = TenantLimits { max_datasets: None, max_bytes: Some(40), max_jobs: None };
+        let tenant = Some(("acme", limits));
+        let first = store.begin_for(tenant).unwrap();
+        store.append_for(&first, &"a".repeat(30), tenant).unwrap();
+        let blocked = gate.lock().unwrap();
+        let committer = {
+            let store = store.clone();
+            let first = first.clone();
+            std::thread::spawn(move || store.commit(&first))
+        };
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !dir.join(format!("{first}.csv.tmp")).exists() {
+            assert!(Instant::now() < deadline, "commit never reached the disk write");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(store.list()[0], (first.clone(), 30, "committing", 0));
+        let second = store.begin_for(tenant).unwrap();
+        let err = store.append_for(&second, &"b".repeat(30), tenant).unwrap_err();
+        assert_eq!(err.code, crate::api::ErrorCode::QuotaExceeded, "{err}");
+        drop(blocked);
+        assert_eq!(committer.join().unwrap().unwrap(), 30);
+        assert_eq!(store.lock().unwrap().usage("acme"), (2, 30));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn synthetic(trajectories: usize, points: usize) -> Dataset {
+        let config = trajdp_synth::GeneratorConfig::tdrive_profile(trajectories, points, 9);
+        trajdp_synth::generate(&config).dataset
+    }
+
+    #[test]
+    fn canonical_text_is_parsed_once_and_downloads_unchanged() {
+        let metrics = Arc::new(Metrics::new());
+        let store = DatasetStore::new().with_metrics(Arc::clone(&metrics));
+        let canonical = to_csv(&synthetic(3, 20));
+        let padded = canonical.replace('\n', "\r\n");
+        let (id, bytes) = store.insert(canonical.clone()).unwrap();
+        let (raw, _) = store.insert(padded.clone()).unwrap();
+        let stale = store.resolve(&id).unwrap();
+        let ds = store.parse(&id, &stale).unwrap();
+        assert_eq!(*ds, from_csv(&canonical).unwrap());
+        assert_eq!(store.resolve(&id).unwrap(), StoredData::Parsed(Arc::clone(&ds)));
+        // A reader still holding the text parses it again, but the entry
+        // keeps the parse it already has.
+        let again = store.parse(&id, &stale).unwrap();
+        assert!(
+            matches!(store.resolve(&id).unwrap(), StoredData::Parsed(held) if Arc::ptr_eq(&held, &ds))
+        );
+        assert_eq!(again, ds);
+        // Once parsed, readers share the held dataset without parsing.
+        store.parse(&id, &store.resolve(&id).unwrap()).unwrap();
+        assert_eq!(metrics.snapshot().dataset_parses, 2);
+        // Non-canonical text stays text and is parsed per use.
+        for _ in 0..2 {
+            assert_eq!(*store.parse(&raw, &store.resolve(&raw).unwrap()).unwrap(), *ds);
+        }
+        assert!(matches!(store.resolve(&raw).unwrap(), StoredData::Text(_)));
+        assert!(matches!(
+            store.lock().unwrap().entries.get(&raw),
+            Some(Entry::Committed { settled: true, .. })
+        ));
+        assert_eq!(metrics.snapshot().dataset_parses, 4);
+        // Bytes are the CSV length in either form; a download renders
+        // the parse once and the entry holds the text again.
+        assert_eq!(store.list()[0].1, bytes);
+        assert_eq!(metrics.snapshot().store_bytes as usize, canonical.len() + padded.len());
+        let (piece, total, eof) = store.read_chunk(&id, 0, 100).unwrap();
+        assert_eq!((piece.as_str(), total, eof), (&canonical[..100], bytes, false));
+        assert!(matches!(store.resolve(&id).unwrap(), StoredData::Text(_)));
+        assert_eq!(store.resolve(&id).unwrap().text().as_str(), canonical);
+        assert_eq!(store.delete(&id).unwrap(), bytes);
+    }
+
+    #[test]
+    fn jobs_between_download_pieces_render_the_handle_once() {
+        // A job parses the handle and installs the parse; the download
+        // that follows renders it once and settles it as text. The jobs
+        // between its pieces then parse that text without installing,
+        // so every piece slices the one rendering.
+        let metrics = Arc::new(Metrics::new());
+        let store = DatasetStore::new().with_metrics(Arc::clone(&metrics));
+        let canonical = to_csv(&synthetic(3, 20));
+        let (id, bytes) = store.insert(canonical.clone()).unwrap();
+        let job = || store.parse(&id, &store.resolve(&id).unwrap()).unwrap();
+        let parsed = job();
+        assert!(matches!(store.resolve(&id).unwrap(), StoredData::Parsed(_)));
+        let (mut jobs, mut offset, mut out) = (1, 0, String::new());
+        let mut rendering: Option<Arc<String>> = None;
+        loop {
+            let (piece, _, eof) = store.read_chunk(&id, offset, 100).unwrap();
+            offset += piece.len();
+            out.push_str(&piece);
+            let StoredData::Text(text) = store.resolve(&id).unwrap() else {
+                panic!("a download leaves the entry as text")
+            };
+            assert!(Arc::ptr_eq(rendering.get_or_insert_with(|| Arc::clone(&text)), &text));
+            assert_eq!(job(), parsed);
+            jobs += 1;
+            if eof {
+                break;
+            }
+        }
+        assert!(jobs > 3, "the download took {jobs} pieces");
+        assert_eq!((out.as_str(), offset), (canonical.as_str(), bytes));
+        assert!(matches!(store.resolve(&id).unwrap(), StoredData::Text(_)));
+        assert_eq!(metrics.snapshot().dataset_parses, jobs);
+    }
+
+    #[test]
+    fn results_are_held_as_their_own_reparse() {
+        let store = DatasetStore::new();
+        // The pipeline keeps the input's domain; a reparse derives it
+        // from the samples. The held dataset must be the reparse.
+        let mut ds = synthetic(3, 20);
+        ds.domain = trajdp_model::Rect::new(-1e6, -1e6, 1e6, 1e6);
+        let (id, bytes) = store.insert_dataset(ds.clone(), false).unwrap();
+        let text = to_csv(&ds);
+        assert_eq!(bytes, text.len());
+        assert_eq!(
+            store.resolve(&id).unwrap(),
+            StoredData::Parsed(Arc::new(from_csv(&text).unwrap()))
+        );
+        // An empty trajectory renders no line, so the result stays text.
+        ds.trajectories[1].samples.clear();
+        let (id, _) = store.insert_dataset(ds.clone(), true).unwrap();
+        assert_eq!(store.resolve(&id).unwrap(), StoredData::Text(Arc::new(to_csv(&ds))));
+    }
+
+    #[test]
+    fn chunked_download_of_a_parsed_handle_is_linear() {
+        // Reading a held parse piece by piece renders it once: a render
+        // per piece would cost O(pieces × size).
+        let store = DatasetStore::new();
+        crate::assert_linear(
+            16,
+            |n| synthetic(n, 100),
+            |ds| {
+                let (id, bytes) = store.insert_dataset(ds.clone(), false).unwrap();
+                let mut offset = 0;
+                loop {
+                    let (piece, _, eof) = store.read_chunk(&id, offset, 512).unwrap();
+                    offset += piece.len();
+                    if eof {
+                        break;
+                    }
+                }
+                assert_eq!(offset, bytes);
+                store.delete(&id).unwrap();
+            },
+        );
     }
 
     #[test]

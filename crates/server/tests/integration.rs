@@ -655,3 +655,156 @@ fn eps_spend_survives_restart_bit_for_bit() {
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The same samples spelled five ways: the canonical rendering and four
+/// texts that parse to it but are not its bytes.
+fn spellings(csv: &str) -> Vec<(&'static str, String)> {
+    let map_lines = |f: &dyn Fn(&[&str]) -> String| {
+        let mut lines = csv.lines();
+        let mut out = format!("{}\n", lines.next().unwrap());
+        for line in lines {
+            out.push_str(&f(&line.split(',').collect::<Vec<_>>()));
+            out.push('\n');
+        }
+        out
+    };
+    vec![
+        ("canonical", csv.to_string()),
+        (
+            "padded decimals",
+            map_lines(&|f| {
+                let x =
+                    if f[1].contains('.') { format!("{}0", f[1]) } else { format!("{}.0", f[1]) };
+                format!("{},{x},{},{}", f[0], f[2], f[3])
+            }),
+        ),
+        ("crlf line ends", csv.replace('\n', "\r\n")),
+        ("spaces around fields", map_lines(&|f| f.join(" , "))),
+        ("trailing blank line", format!("{csv}\n")),
+    ]
+}
+
+fn obj(pairs: &[(&'static str, Json)]) -> Json {
+    Json::obj(pairs.iter().map(|(k, v)| (*k, v.clone())))
+}
+
+/// A handle answers byte for byte what its inline text answers, in
+/// whichever form the store holds it: text before its first job, parsed
+/// after it (when canonical), parsed as a stored release, and text again
+/// after a restart. Downloads return the uploaded bytes throughout.
+#[test]
+fn stored_handles_match_inline_in_every_form() {
+    let dir = std::env::temp_dir().join("trajdp-it-parse-once");
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = start_durable(&dir);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let gen = client.request_line(r#"{"cmd":"gen","size":6,"len":40,"seed":23}"#).unwrap();
+    let csv = gen.get("csv").and_then(Json::as_str).unwrap().to_string();
+    let anonymize = |data: (&'static str, Json), store: bool| {
+        obj(&[
+            ("cmd", Json::from("anonymize")),
+            ("model", Json::from("gl")),
+            ("m", Json::from(4u64)),
+            ("seed", Json::from(5u64)),
+            ("store", Json::Bool(store)),
+            data,
+        ])
+    };
+    let run_job = |client: &mut Client, request: Json| {
+        let Json::Obj(mut members) = request else { unreachable!() };
+        members.insert("async".to_string(), Json::Bool(true));
+        let submitted = client.request(&Json::Obj(members)).unwrap();
+        wait_done(client, submitted.get("job").and_then(Json::as_str).unwrap())
+    };
+    let mut uploaded = Vec::new();
+    for (name, text) in spellings(&csv) {
+        let handle = client.upload_dataset(&text, 700).unwrap().dataset;
+        assert_eq!(client.download_dataset_chunked(&handle, Some(500)).unwrap(), text, "{name}");
+        let parses_before = client.metrics().unwrap().dataset_parses;
+
+        // An async job by handle (the first pipeline read) equals the
+        // inline run.
+        let by_handle =
+            run_job(&mut client, anonymize(("dataset", Json::from(handle.as_str())), false));
+        let inline = client.request(&anonymize(("csv", Json::from(text.as_str())), false)).unwrap();
+        let release = inline.get("csv").and_then(Json::as_str).unwrap().to_string();
+        assert_eq!(by_handle.get("csv").and_then(Json::as_str), Some(release.as_str()), "{name}");
+
+        // Sync verbs by handle equal their inline twins.
+        let by_handle =
+            client.request(&anonymize(("dataset", Json::from(handle.as_str())), false)).unwrap();
+        assert_eq!(by_handle, inline, "{name}: sync anonymize");
+        for (by_handle, inline) in [
+            (
+                obj(&[("cmd", Json::from("stats")), ("dataset", Json::from(handle.as_str()))]),
+                obj(&[("cmd", Json::from("stats")), ("csv", Json::from(text.as_str()))]),
+            ),
+            (
+                obj(&[
+                    ("cmd", Json::from("evaluate")),
+                    ("original_dataset", Json::from(handle.as_str())),
+                    ("anonymized", Json::from(release.as_str())),
+                ]),
+                obj(&[
+                    ("cmd", Json::from("evaluate")),
+                    ("original", Json::from(text.as_str())),
+                    ("anonymized", Json::from(release.as_str())),
+                ]),
+            ),
+        ] {
+            let (by_handle, inline) =
+                (client.request(&by_handle).unwrap(), client.request(&inline).unwrap());
+            assert_eq!(inline.get("ok"), Some(&Json::Bool(true)), "{name}: {inline}");
+            assert_eq!(by_handle, inline, "{name}");
+        }
+        // Four pipeline reads: a canonical text is parsed once and then
+        // held parsed; any other spelling is parsed on every read.
+        let parses = client.metrics().unwrap().dataset_parses - parses_before;
+        assert_eq!(parses, if name == "canonical" { 1 } else { 4 }, "{name}");
+        // Whatever form the entry took, it downloads the uploaded bytes.
+        assert_eq!(client.download_dataset_chunked(&handle, Some(500)).unwrap(), text, "{name}");
+
+        // A stored release (held parsed) re-anonymized and evaluated by
+        // handle equals the inline runs on its downloaded text. (That
+        // the held release carries its reparse's domain is pinned by
+        // the store's own tests: at this size no score moves with it.)
+        let stored =
+            run_job(&mut client, anonymize(("dataset", Json::from(handle.as_str())), true));
+        let result = stored.get("dataset").and_then(Json::as_str).unwrap().to_string();
+        let again =
+            client.request(&anonymize(("dataset", Json::from(result.as_str())), false)).unwrap();
+        let again_csv = again.get("csv").cloned().unwrap();
+        let evaluate = |original: (&'static str, Json)| {
+            obj(&[("cmd", Json::from("evaluate")), original, ("anonymized", again_csv.clone())])
+        };
+        let eval_by_handle =
+            client.request(&evaluate(("original_dataset", Json::from(result.as_str())))).unwrap();
+        let result_text = client.download_dataset_chunked(&result, Some(500)).unwrap();
+        assert_eq!(result_text, release, "{name}: stored release bytes");
+        assert_eq!(
+            stored.get("bytes").and_then(Json::as_u64),
+            Some(release.len() as u64),
+            "{name}"
+        );
+        let inline_again =
+            client.request(&anonymize(("csv", Json::from(result_text.as_str())), false)).unwrap();
+        assert_eq!(again, inline_again, "{name}: re-anonymized release");
+        let eval_inline =
+            client.request(&evaluate(("original", Json::from(result_text.as_str())))).unwrap();
+        assert_eq!(eval_by_handle, eval_inline, "{name}: release evaluated by handle");
+        uploaded.push((name, handle, text));
+    }
+    drop(client);
+    server.shutdown();
+
+    // Reopened from the state dir, every handle downloads its bytes.
+    let server = start_durable(&dir);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for (name, handle, text) in &uploaded {
+        let back = client.download_dataset_chunked(handle, Some(500)).unwrap();
+        assert_eq!(&back, text, "{name} after restart");
+    }
+    drop(client);
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -34,6 +34,7 @@ fn populated_snapshot() -> MetricsSnapshot {
         (&m.journal_appends, 14),
         (&m.journal_compactions, 15),
         (&m.jobs_shed, 16),
+        (&m.dataset_parses, 17),
     ] {
         cell.store(n, Ordering::Relaxed);
     }
@@ -134,7 +135,7 @@ const GOLDEN_JSON: &[&str] = &[
     r#"0,0,0,0,0,0,0,0,0,0,0],"sum_us":0}},"upload":{"count":0,"latency":{"bounds_us":[100,"#,
     r#"250,500,1000,2500,5000,10000,25000,50000,100000,250000,1000000,2500000,10000000],"#,
     r#""count":0,"counts":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"sum_us":0}}},"#,
-    r#""store":{"bytes":1010,"evictions":12,"handles":11,"ttl_sweeps":13},"#,
+    r#""store":{"bytes":1010,"evictions":12,"handles":11,"parses":17,"ttl_sweeps":13},"#,
     r#""tenants":{"rejections":{"acme":1},"requests":{"acme":2,"default":1}},"uptime_secs":0}"#,
 ];
 
@@ -144,6 +145,7 @@ trajdp_bytes_out_total 202
 trajdp_connections_active 3
 trajdp_connections_shed_total 5
 trajdp_connections_total 404
+trajdp_dataset_parses_total 17
 trajdp_deadline_closes_total 6
 trajdp_eps_spent{dataset="ds-1"} 1.25
 trajdp_eps_spent{dataset="ds-2"} 0.30000000000000004

@@ -43,7 +43,7 @@ use traj_freq_dp::model::stats::DatasetStats;
 use traj_freq_dp::model::Dataset;
 use traj_freq_dp::server::api::{ApiError, ErrorCode};
 use traj_freq_dp::server::protocol::{
-    parse_model, validate_gen, validate_workers, AnonymizeParams, DataRef,
+    parse_model, validate_workers, AnonymizeParams, DataRef, GenParams,
 };
 use traj_freq_dp::server::{init_logger, Client, LogLevel, Server, ServerConfig};
 use traj_freq_dp::synth::{generate, GeneratorConfig};
@@ -267,13 +267,19 @@ fn run(args: &[String]) -> Result<(), CliError> {
     match cmd {
         "gen" => {
             let flags = parse_flags(cmd, rest, &["size", "len", "seed", "out"])?;
-            let size = opt_parse(&flags, "size", 200u64)?;
-            let len = opt_parse(&flags, "len", 150u64)?;
-            validate_gen(size, len).map_err(usage)?;
-            let seed = opt_parse(&flags, "seed", 42u64)?;
+            // The wire's defaults and checks.
+            let d = GenParams::new();
+            let params = GenParams {
+                size: opt_parse(&flags, "size", d.size)?,
+                len: opt_parse(&flags, "len", d.len)?,
+                seed: opt_parse(&flags, "seed", d.seed)?,
+                ..d
+            }
+            .check()
+            .map_err(usage)?;
             let out = required(&flags, "out")?;
             let world =
-                generate(&GeneratorConfig::tdrive_profile(size as usize, len as usize, seed));
+                generate(&GeneratorConfig::tdrive_profile(params.size, params.len, params.seed));
             save(out, &world.dataset)?;
             let stats = DatasetStats::compute(&world.dataset);
             eprintln!(
