@@ -560,43 +560,27 @@ impl JobQueue {
         max_jobs: Option<usize>,
     ) -> Result<String, ApiError> {
         let poisoned = || ApiError::internal("job queue state poisoned by a panic");
-        let mut journal = self.journal.lock().map_err(|_| poisoned())?;
-        let (lock, cvar) = &*self.inner;
-        let id = {
-            let mut q = lock.lock().map_err(|_| poisoned())?;
-            if q.shutdown {
-                return Err(ApiError::shutting_down("server is shutting down; submit rejected"));
-            }
-            // Budget check before anything is minted or journaled: the
-            // job's charge is implicit in its live spec once enqueued,
-            // so refusal here leaves no state to unwind.
-            if let Some(handle) = spec.source() {
-                q.ledger.check(
-                    handle,
-                    q.in_flight(handle),
-                    spec.params.epsilon,
-                    self.default_eps_budget,
-                )?;
-            }
-            if let (Some(tenant), Some(cap)) = (tenant.as_deref(), max_jobs) {
-                if q.tenant_job_slots(tenant) >= cap {
-                    return Err(ApiError::quota_exceeded(format!(
-                        "tenant {tenant:?} already has {cap} unfinished jobs (max_jobs quota)"
-                    )));
-                }
-            }
-            q.next_id += 1;
-            format!("job-{}", q.next_id)
-        };
         // Pin the input handle for the job's lifetime: `delete` and
         // eviction must not yank data a replay would re-resolve. If the
         // handle vanished since dispatch resolved it (a raced delete),
-        // fall back to journaling the resolved text inline — the job
-        // still owns its data either way.
-        if let Some(handle) = spec.source() {
-            if self.store.pin(handle).is_err() {
-                spec.params.data = DataRef::Inline(spec.data.text());
+        // the job journals the resolved text inline instead — it still
+        // owns its data either way. That text is rendered here, before
+        // the journal lock that serializes every accepting path: a
+        // parsed handle renders its whole dataset.
+        let handle = spec.source().map(str::to_string);
+        let pinned = handle.as_deref().is_some_and(|h| self.store.pin(h).is_ok());
+        let inline = (handle.is_some() && !pinned).then(|| spec.data.text());
+        // Every refusal releases the pin taken above.
+        let refuse = |e: ApiError| {
+            if let (true, Some(h)) = (pinned, handle.as_deref()) {
+                self.store.unpin(h);
             }
+            e
+        };
+        let mut journal = self.journal.lock().map_err(|_| refuse(poisoned()))?;
+        let id = self.admit(&spec, tenant.as_deref(), max_jobs).map_err(refuse)?;
+        if let Some(text) = inline {
+            spec.params.data = DataRef::Inline(text);
         }
         let mut appended_at = None;
         if let Some(writer) = journal.as_mut() {
@@ -604,15 +588,11 @@ impl JobQueue {
             // lint: allow(lock-across-io): the journal mutex is the dedicated disk-write lock (order: journal -> queue); the read path never takes it
             match writer.append(event, &self.metrics) {
                 Ok(before) => appended_at = Some(before),
-                Err(e) => {
-                    if let Some(handle) = spec.source() {
-                        self.store.unpin(handle);
-                    }
-                    return Err(ApiError::io(format!("cannot journal submit: {e}")));
-                }
+                Err(e) => return Err(refuse(ApiError::io(format!("cannot journal submit: {e}")))),
             }
         }
-        let mut q = lock.lock().map_err(|_| poisoned())?;
+        let (lock, cvar) = &*self.inner;
+        let mut q = lock.lock().map_err(|_| refuse(poisoned()))?;
         if q.shutdown {
             // Shutdown raced the journal write: the last workers may
             // already have drained and exited, so enqueueing now could
@@ -624,10 +604,9 @@ impl JobQueue {
             if let (Some(writer), Some(before)) = (journal.as_mut(), appended_at) {
                 writer.rollback_to(before);
             }
-            if let Some(handle) = spec.source() {
-                self.store.unpin(handle);
-            }
-            return Err(ApiError::shutting_down("server is shutting down; submit rejected"));
+            return Err(refuse(ApiError::shutting_down(
+                "server is shutting down; submit rejected",
+            )));
         }
         q.pending.push_back(id.clone());
         q.states.insert(id.clone(), JobState::Queued);
@@ -658,6 +637,42 @@ impl JobQueue {
             log_event(LogLevel::Info, "job submitted", &fields);
         }
         Ok(id)
+    }
+
+    /// The admission checks of [`Self::submit_scoped`], run under the
+    /// journal lock its caller holds: refuses once shutdown has begun,
+    /// past the handle's ε budget or past the tenant's `max_jobs`, and
+    /// otherwise mints the job id. Refusal leaves no state to unwind:
+    /// the job's charge is implicit in its live spec once enqueued.
+    fn admit(
+        &self,
+        spec: &AnonymizeSpec,
+        tenant: Option<&str>,
+        max_jobs: Option<usize>,
+    ) -> Result<String, ApiError> {
+        let (lock, _) = &*self.inner;
+        let mut q =
+            lock.lock().map_err(|_| ApiError::internal("job queue state poisoned by a panic"))?;
+        if q.shutdown {
+            return Err(ApiError::shutting_down("server is shutting down; submit rejected"));
+        }
+        if let Some(handle) = spec.source() {
+            q.ledger.check(
+                handle,
+                q.in_flight(handle),
+                spec.params.epsilon,
+                self.default_eps_budget,
+            )?;
+        }
+        if let (Some(tenant), Some(cap)) = (tenant, max_jobs) {
+            if q.tenant_job_slots(tenant) >= cap {
+                return Err(ApiError::quota_exceeded(format!(
+                    "tenant {tenant:?} already has {cap} unfinished jobs (max_jobs quota)"
+                )));
+            }
+        }
+        q.next_id += 1;
+        Ok(format!("job-{}", q.next_id))
     }
 
     /// Current state of a job, if it exists.
@@ -1572,6 +1587,76 @@ mod tests {
         // Finished: the pin is released and the delete goes through.
         store2.delete(&handle).unwrap();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_parsed_handle_deleted_before_submit_journals_its_text_inline() {
+        // The handle is parsed when the spec resolves it and deleted
+        // before the submit pins it: the submit renders the spec's data
+        // (outside the journal lock) and journals it inline, and the
+        // replayed job releases the same bytes as the inline run.
+        let dir = std::env::temp_dir().join("trajdp-journal-raced-delete-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("jobs.jsonl");
+        let store = DatasetStore::open(Some(dir.join("datasets"))).unwrap();
+        let q = JobQueue::with_journal(store.clone(), &path).unwrap();
+        let world = generate(&GeneratorConfig::tdrive_profile(4, 20, 3));
+        let csv = to_csv(&world.dataset);
+        let (handle, _) = store.insert_dataset(world.dataset, false).unwrap();
+        let params = |data| AnonymizeParams {
+            m: 2,
+            seed: 5,
+            ..AnonymizeParams::new(Model::PureLocal, data)
+        };
+        let the_spec = params(DataRef::Handle(handle.clone())).resolve(&store).unwrap();
+        assert!(matches!(the_spec.data, StoredData::Parsed(_)));
+        store.delete(&handle).unwrap();
+        let id = q.submit(the_spec).unwrap();
+        let journal = std::fs::read_to_string(&path).unwrap();
+        assert!(journal.contains(&Json::from(csv.as_str()).to_string()), "{journal}");
+        assert!(!journal.contains(&handle), "{journal}");
+
+        drop(q);
+        let store2 = DatasetStore::open(Some(dir.join("datasets"))).unwrap();
+        let q2 = JobQueue::with_journal(store2.clone(), &path).unwrap();
+        assert_eq!(q2.state(&id), Some(JobState::Queued));
+        let worker = {
+            let q = q2.clone();
+            std::thread::spawn(move || q.work())
+        };
+        let replayed = wait_done(&q2, &id);
+        let inline = params(DataRef::Inline(Arc::new(csv))).resolve(&store2).unwrap();
+        let expected = render_v1(run_anonymize(&inline, &store2, false));
+        assert!(replayed.get("csv").is_some());
+        assert_eq!(replayed.get("csv"), expected.get("csv"));
+        q2.shutdown();
+        worker.join().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn refused_submits_release_their_pin() {
+        let store = DatasetStore::new();
+        let q = JobQueue::with_store(store.clone()).with_eps_budget(Some(0.5));
+        let (s, handle) = handle_spec_eps(&store, 0.5);
+        let pins = || store.list().into_iter().find(|e| e.0 == handle).map(|e| e.3);
+        let accepted = q.submit(s.clone()).unwrap();
+        assert_eq!(pins(), Some(1));
+        // Past the budget, past the tenant's job cap, after shutdown:
+        // each refusal leaves the pin count where it was.
+        let err = q.submit(s.clone()).unwrap_err();
+        assert_eq!(err.code, crate::api::ErrorCode::BudgetExhausted);
+        assert_eq!(pins(), Some(1));
+        q.set_eps_budget(&handle, 4.0).unwrap();
+        q.submit_scoped(s.clone(), None, Some("acme".into()), Some(1)).unwrap();
+        let err = q.submit_scoped(s.clone(), None, Some("acme".into()), Some(1)).unwrap_err();
+        assert_eq!(err.code, crate::api::ErrorCode::QuotaExceeded);
+        assert_eq!(pins(), Some(2));
+        q.shutdown();
+        assert_eq!(q.submit(s).unwrap_err().code, crate::api::ErrorCode::ShuttingDown);
+        assert_eq!(pins(), Some(2));
+        assert!(matches!(q.state(&accepted), Some(JobState::Queued)));
     }
 
     #[test]

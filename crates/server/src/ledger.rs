@@ -372,6 +372,83 @@ mod tests {
         }
     }
 
+    /// A valid registry of `n` tenants, caps and comments mixed in.
+    fn registry_text(n: usize) -> String {
+        (0..n)
+            .map(|i| match i % 4 {
+                0 => format!("t{i}:tok{i}\n"),
+                1 => format!("t{i}:tok{i}:{i}::2\n"),
+                2 => format!("# comment {i}\n\nt{i}:tok{i}:1:{i}:3\n"),
+                _ => format!("  t{i}:tok{i}::{i}\t\n"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn registry_parse_is_linear() {
+        crate::assert_linear(
+            5_000,
+            |n| (n, registry_text(n)),
+            |(n, text)| assert_eq!(TenantRegistry::parse(text).map(|r| r.len()), Ok(*n)),
+        );
+    }
+
+    #[test]
+    fn fuzzed_registries_parse_or_name_a_line() {
+        // Byte flips, truncations, and dropped or duplicated lines of a
+        // valid file: it parses, or the error names one of its lines —
+        // never a panic.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const BYTES: &[u8] = b"abt019:# -\n\r\t";
+        let valid = registry_text(12);
+        let mut rng = StdRng::seed_from_u64(0x7e4a);
+        let (mut parsed, mut refused) = (0, 0);
+        for _ in 0..5_000 {
+            let mut text = valid.clone().into_bytes();
+            for _ in 0..rng.gen_range(1..4usize) {
+                let lines: Vec<usize> = std::iter::once(0)
+                    .chain(
+                        text.iter().enumerate().filter(|&(_, &b)| b == b'\n').map(|(i, _)| i + 1),
+                    )
+                    .collect();
+                let at = lines[rng.gen_range(0..lines.len())];
+                let end =
+                    text[at..].iter().position(|&b| b == b'\n').map_or(text.len(), |i| at + i + 1);
+                match rng.gen_range(0..4u32) {
+                    0 if !text.is_empty() => {
+                        let i = rng.gen_range(0..text.len());
+                        text[i] = BYTES[rng.gen_range(0..BYTES.len())];
+                    }
+                    1 => text.truncate(rng.gen_range(0..=text.len())),
+                    2 => {
+                        text.drain(at..end);
+                    }
+                    _ => {
+                        let line = text[at..end].to_vec();
+                        text.splice(at..at, line);
+                    }
+                }
+            }
+            let text = String::from_utf8_lossy(&text);
+            match TenantRegistry::parse(&text) {
+                Ok(_) => parsed += 1,
+                Err(e) => {
+                    refused += 1;
+                    let lineno: Option<usize> = e
+                        .strip_prefix("line ")
+                        .and_then(|rest| rest.split(':').next())
+                        .and_then(|n| n.parse().ok());
+                    assert!(
+                        lineno.is_some_and(|n| (1..=text.lines().count()).contains(&n)),
+                        "{text:?}: {e}"
+                    );
+                }
+            }
+        }
+        assert!(parsed > 500 && refused > 500, "parsed {parsed}, refused {refused}");
+    }
+
     #[test]
     fn authenticate_resolves_default_and_rejects_bad_credentials() {
         let reg = TenantRegistry::parse("acme:s3cret\n").unwrap();

@@ -1566,6 +1566,52 @@ mod tests {
         );
     }
 
+    /// `samples` samples in trajectories of 50: with `repeats`, every
+    /// location is one of 64; without, no location repeats.
+    fn located(samples: usize, repeats: bool) -> Arc<Dataset> {
+        let loc = |i: usize| {
+            let k = if repeats { i.wrapping_mul(2654435761) % 64 } else { i } as f64;
+            trajdp_model::Point::new(k * 12.5 + 0.1, k * 7.25 - 0.3)
+        };
+        let trajectories = (0..samples.div_ceil(50))
+            .map(|t| {
+                let samples = (t * 50..samples.min(t * 50 + 50))
+                    .map(|i| trajdp_model::Sample::new(loc(i), i as i64))
+                    .collect();
+                trajdp_model::Trajectory::new(t as u64, samples)
+            })
+            .collect();
+        Arc::new(Dataset::from_trajectories(trajectories))
+    }
+
+    #[test]
+    fn rendering_a_parsed_handle_is_linear() {
+        // With and without repeated locations: neither the location
+        // memo nor its give-up path may go super-linear.
+        for repeats in [true, false] {
+            crate::assert_linear(
+                4_000,
+                |n| StoredData::Parsed(located(n, repeats)),
+                |data| assert!(data.text().len() > 4_000),
+            );
+        }
+    }
+
+    #[test]
+    fn the_canonical_check_is_linear() {
+        for repeats in [true, false] {
+            crate::assert_linear(
+                4_000,
+                |n| {
+                    let ds = located(n, repeats);
+                    let text = to_csv(&ds);
+                    (ds, text)
+                },
+                |(ds, text)| assert!(renders_to(ds, text)),
+            );
+        }
+    }
+
     #[test]
     fn tenant_quotas_hold_under_concurrent_requests() {
         // Threads released together race uploads, then chunks, against
