@@ -27,13 +27,25 @@
 //! are already durable in the dataset store and the handle is **pinned**
 //! for the job's lifetime, so neither `delete` nor LRU/TTL eviction can
 //! remove what a replay would need. Inline submits still record their
-//! text verbatim.
+//! text verbatim. A handle deleted after the request resolved it but
+//! before the submit pins it refuses the submit with
+//! `dataset-not-found`, as if the delete had landed first.
+//!
+//! A `store:true` result lives as long as its job record: once the
+//! record ages out, the store reclaims the handle
+//! ([`DatasetStore::reclaim`]) at once or, if queued jobs pin it, when
+//! the last of them finishes or is cancelled.
 //!
 //! On restart the journal is replayed: finished jobs answer `status`
 //! with their recorded result, and jobs that were `queued` or `running`
 //! at the crash are re-enqueued (re-resolving journaled handles against
 //! the reloaded store). Because the executor is deterministic per seed,
 //! a replayed run produces byte-identical output to the original.
+//! Once the re-enqueued jobs have pinned their inputs, every job result
+//! no retained record names is reclaimed the same way, and the store
+//! skips every `ds-<n>` the replayed state names (retained results,
+//! live inputs, ε-ledger rows), so a deleted result's id is never
+//! reissued.
 //! Replay is strict — a malformed line fails startup loudly rather than
 //! silently dropping jobs — except for a torn final line, which is
 //! exactly what a crash mid-append leaves behind and means that event
@@ -268,10 +280,6 @@ struct QueueInner {
     live_specs: HashMap<String, AnonymizeSpec>,
     /// Finished job ids in completion order, for bounded eviction.
     finished_order: VecDeque<String>,
-    /// Result handles whose job record aged out while the handle was
-    /// still pinned (it is some queued job's input): reclaim is retried
-    /// when the pinning job finishes and drops its pin.
-    deferred_deletes: HashSet<String>,
     /// Settled ε spend and explicit budgets per dataset handle. Guarded
     /// by the queue mutex like everything else here; every mutation is
     /// journaled first (see the module doc).
@@ -315,7 +323,7 @@ impl QueueInner {
     /// files of the evicted jobs: a `store:true` result lives *at most*
     /// as long as its job record (LRU pressure or a TTL may evict the
     /// handle sooner — it is an unpinned cache entry like any other),
-    /// so the caller must delete those handles from the store and
+    /// so the caller must have the store reclaim those handles and
     /// unlink the files — otherwise they would sit unreachable (their
     /// job id answers "unknown") until the startup reconciliation and
     /// orphan sweep removed them anyway. Both cleanups are the caller's
@@ -499,17 +507,20 @@ impl JobQueue {
             }
         }
 
-        // Reconcile orphaned job results: a `store:true` job whose
-        // result was inserted but whose finish event never reached the
-        // journal (crash, disk full) leaves a file no replay will ever
-        // reference again — the re-run mints a fresh handle. Anything
-        // the replayed state still names is kept.
-        let referenced: HashSet<String> = (inner.states.values())
-            .filter_map(JobState::result_handle)
-            .chain(inner.live_specs.values().filter_map(AnonymizeSpec::source))
-            .map(str::to_string)
-            .collect();
-        store.reconcile_job_results(&referenced);
+        // A job result lives as long as its record: reclaim each one no
+        // retained record names (a finish event lost to a crash, whose
+        // re-run mints a fresh handle, or a record that aged out). The
+        // replay pinned live inputs, so those go when their jobs end.
+        let retained: HashSet<String> =
+            inner.states.values().filter_map(JobState::result_handle).map(str::to_string).collect();
+        store.reconcile_job_results(&retained);
+        // Never reissue an id the replayed state names, even one whose
+        // file is gone: new data under it would pass for that result.
+        store.skip_ids(
+            (retained.iter().map(String::as_str))
+                .chain(inner.live_specs.values().filter_map(AnonymizeSpec::source))
+                .chain(inner.ledger.iter().map(|(handle, _)| handle)),
+        );
 
         let mut writer = JournalWriter::open(path)
             .map_err(|e| format!("cannot open journal {}: {e}", path.display()))?;
@@ -554,34 +565,30 @@ impl JobQueue {
     /// can never both pass a check only one of them fits under.
     pub fn submit_scoped(
         &self,
-        mut spec: AnonymizeSpec,
+        spec: AnonymizeSpec,
         cid: Option<String>,
         tenant: Option<String>,
         max_jobs: Option<usize>,
     ) -> Result<String, ApiError> {
         let poisoned = || ApiError::internal("job queue state poisoned by a panic");
         // Pin the input handle for the job's lifetime: `delete` and
-        // eviction must not yank data a replay would re-resolve. If the
-        // handle vanished since dispatch resolved it (a raced delete),
-        // the job journals the resolved text inline instead — it still
-        // owns its data either way. That text is rendered here, before
-        // the journal lock that serializes every accepting path: a
-        // parsed handle renders its whole dataset.
+        // eviction must not yank data a replay would re-resolve. A
+        // handle deleted since dispatch resolved it fails the pin, and
+        // the submit is refused with `dataset-not-found`, as if the
+        // delete had landed first.
         let handle = spec.source().map(str::to_string);
-        let pinned = handle.as_deref().is_some_and(|h| self.store.pin(h).is_ok());
-        let inline = (handle.is_some() && !pinned).then(|| spec.data.text());
+        if let Some(h) = &handle {
+            self.store.pin(h)?;
+        }
         // Every refusal releases the pin taken above.
         let refuse = |e: ApiError| {
-            if let (true, Some(h)) = (pinned, handle.as_deref()) {
+            if let Some(h) = &handle {
                 self.store.unpin(h);
             }
             e
         };
         let mut journal = self.journal.lock().map_err(|_| refuse(poisoned()))?;
         let id = self.admit(&spec, tenant.as_deref(), max_jobs).map_err(refuse)?;
-        if let Some(text) = inline {
-            spec.params.data = DataRef::Inline(text);
-        }
         let mut appended_at = None;
         if let Some(writer) = journal.as_mut() {
             let event = Event::Submit { job: id.clone(), spec: spec.params.clone() };
@@ -791,29 +798,16 @@ impl JobQueue {
             self.store.unpin(handle);
         }
         // Results of jobs evicted from the retention window go with
-        // their job record. A handle that cannot be reclaimed yet (it
-        // is still pinned as some queued job's input, or mid-commit) is
-        // deferred and retried when a pin-holding job finishes. Spill
-        // files have no pins — unlink them outright (a miss is caught
-        // by the startup orphan sweep).
+        // their job record; the store keeps one still pinned as some
+        // queued job's input until that job ends. Spill files have no
+        // pins — unlink them outright (a miss is caught by the startup
+        // orphan sweep).
         let (dropped_handles, dropped_files) = dropped;
         for file in dropped_files {
             let _ = std::fs::remove_file(file);
         }
-        let mut deferred: Vec<String> =
-            dropped_handles.into_iter().filter(|handle| !self.store.try_reclaim(handle)).collect();
-        if let Some(handle) = source {
-            let was_deferred = {
-                let (lock, _) = &*self.inner;
-                lock.lock().expect("queue poisoned").deferred_deletes.remove(&handle)
-            };
-            if was_deferred && !self.store.try_reclaim(&handle) {
-                deferred.push(handle);
-            }
-        }
-        if !deferred.is_empty() {
-            let (lock, _) = &*self.inner;
-            lock.lock().expect("queue poisoned").deferred_deletes.extend(deferred);
+        for handle in dropped_handles {
+            self.store.reclaim(&handle);
         }
         if let (Some(writer), Some(snapshot)) = (journal.as_mut(), snapshot) {
             // Compaction failure is not fatal either: the append-only
@@ -1120,15 +1114,11 @@ fn replay(
     // Submit order and unresolved specs of jobs not yet seen to finish.
     let mut unfinished: Vec<String> = Vec::new();
     let mut specs: HashMap<String, AnonymizeParams> = HashMap::new();
-    // Result handles of jobs aged out of the retention window during
-    // replay. Deleted only after the unfinished jobs below re-resolve
-    // and pin their inputs: one of them may legitimately reference an
-    // old job's result as its dataset, and the pin must win.
-    let mut dropped: Vec<String> = Vec::new();
-    // The shared tail of `finish` and `done`.
-    let mut record = |inner: &mut QueueInner, job: &str, result: Arc<Json>| {
-        let (handles, files) = inner.record_done(job, done_state(spill, job, result));
-        dropped.extend(handles);
+    // The shared tail of `finish` and `done`. The result handles of
+    // records aged out here are reclaimed by the startup reconciliation
+    // that follows replay, after the re-queued jobs pin their inputs.
+    let record = |inner: &mut QueueInner, job: &str, result: Arc<Json>| {
+        let (_, files) = inner.record_done(job, done_state(spill, job, result));
         for file in files {
             let _ = std::fs::remove_file(file);
         }
@@ -1197,14 +1187,6 @@ fn replay(
         inner.states.insert(id.clone(), JobState::Queued);
         inner.live_specs.insert(id.clone(), spec);
         inner.pending.push_back(id);
-    }
-    // Now that every live input is pinned, drop the results whose job
-    // records aged out. Ones still pinned (a queued job's input) are
-    // deferred: reclaim retries when the pinning job finishes.
-    for handle in dropped {
-        if !store.try_reclaim(&handle) {
-            inner.deferred_deletes.insert(handle);
-        }
     }
     Ok(())
 }
@@ -1387,6 +1369,112 @@ mod tests {
             store.resolve(&ds_r).unwrap_err().message.contains("unknown"),
             "deferred reclaim must fire once the last pin drops"
         );
+    }
+
+    #[test]
+    fn cancelling_the_last_pinning_job_reclaims_an_aged_out_result() {
+        // As above, but the pinning job is cancelled instead of run:
+        // the pin it drops is the last one, so the result goes.
+        let store = crate::store::DatasetStore::with_config(crate::store::StoreConfig {
+            capacity: 2 * MAX_FINISHED_RETAINED,
+            ..crate::store::StoreConfig::default()
+        })
+        .unwrap();
+        let q = JobQueue::with_store(store.clone());
+        let (ds_r, _) = store.insert_data("not,really,csv\n".to_string(), None, true).unwrap();
+        let params = AnonymizeParams::new(Model::PureLocal, DataRef::Handle(ds_r.clone()));
+        let pinned_job = q.submit(params.resolve(&store).unwrap()).unwrap();
+        q.finish(
+            "job-0",
+            Json::obj([("ok", Json::Bool(true)), ("dataset", Json::from(ds_r.clone()))]),
+        );
+        for i in 1..=MAX_FINISHED_RETAINED {
+            q.finish(&format!("old-{i}"), Json::obj([("ok", Json::Bool(true))]));
+        }
+        assert!(store.resolve(&ds_r).is_ok(), "pinned handle must survive its record's eviction");
+        q.cancel(&pinned_job).unwrap();
+        assert!(
+            store.resolve(&ds_r).unwrap_err().message.contains("unknown"),
+            "the cancel that drops the last pin must reclaim the result"
+        );
+    }
+
+    #[test]
+    fn an_aged_out_result_pinned_across_a_restart_goes_with_its_last_pin() {
+        // A queued job pins an old job's result; the old record ages out
+        // and a later runtime compaction drops every trace of it from
+        // the journal. After a restart the result must still go once
+        // the re-queued pinning job finishes.
+        let dir = std::env::temp_dir().join("trajdp-journal-pinned-reclaim-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("jobs.jsonl");
+        let store = DatasetStore::open(Some(dir.join("datasets"))).unwrap();
+        let q = JobQueue::with_journal(store.clone(), &path).unwrap();
+        let (ds_r, _) = store.insert_data("not,really,csv\n".to_string(), None, true).unwrap();
+        let old = q.submit(spec()).unwrap();
+        q.finish(
+            &old,
+            Json::obj([("ok", Json::Bool(true)), ("dataset", Json::from(ds_r.clone()))]),
+        );
+        let params = AnonymizeParams::new(Model::PureLocal, DataRef::Handle(ds_r.clone()));
+        let pinned_job = q.submit(params.resolve(&store).unwrap()).unwrap();
+        let filler = spec();
+        for _ in 0..2 * MAX_FINISHED_RETAINED {
+            let id = q.submit(filler.clone()).unwrap();
+            q.finish(&id, Json::obj([("ok", Json::Bool(true))]));
+        }
+        assert_eq!(q.state(&old), None, "the old record must have aged out");
+        let journal = std::fs::read_to_string(&path).unwrap();
+        assert!(journal.contains("\"snapshot\"") && !journal.contains(&format!("\"{old}\"")));
+        drop(q);
+
+        let store2 = DatasetStore::open(Some(dir.join("datasets"))).unwrap();
+        let q2 = JobQueue::with_journal(store2.clone(), &path).unwrap();
+        assert!(store2.resolve(&ds_r).is_ok(), "the re-queued job still needs its input");
+        let worker = {
+            let q = q2.clone();
+            std::thread::spawn(move || q.work())
+        };
+        wait_done(&q2, &pinned_job);
+        q2.shutdown();
+        worker.join().unwrap();
+        assert!(
+            store2.resolve(&ds_r).unwrap_err().message.contains("unknown"),
+            "the result must go with the last pin, across the restart"
+        );
+        assert!(!dir.join("datasets").join(format!("{ds_r}.job.csv")).exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_restart_never_reissues_a_handle_id_the_journal_names() {
+        // job-1's result is deleted by the client; after a restart the
+        // next upload must not take its id, or `status job-1` would name
+        // another client's data and the record's eviction delete it.
+        let dir = std::env::temp_dir().join("trajdp-journal-id-reuse-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("jobs.jsonl");
+        let store = DatasetStore::open(Some(dir.join("datasets"))).unwrap();
+        let q = JobQueue::with_journal(store.clone(), &path).unwrap();
+        let (result, _) = store.insert_data("released\n".to_string(), None, true).unwrap();
+        let job = q.submit(spec()).unwrap();
+        q.finish(
+            &job,
+            Json::obj([("ok", Json::Bool(true)), ("dataset", Json::from(result.clone()))]),
+        );
+        store.delete(&result).unwrap();
+        drop(q);
+
+        let store2 = DatasetStore::open(Some(dir.join("datasets"))).unwrap();
+        let q2 = JobQueue::with_journal(store2.clone(), &path).unwrap();
+        let (fresh, _) = store2.insert("upload\n".to_string()).unwrap();
+        assert_ne!(fresh, result, "a restart reissued an id a retained job names");
+        let named = q2.state(&job).and_then(|s| s.result_handle().map(str::to_string));
+        assert_eq!(named.as_deref(), Some(result.as_str()));
+        assert!(store2.resolve(&result).unwrap_err().message.contains("unknown"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1590,11 +1678,11 @@ mod tests {
     }
 
     #[test]
-    fn a_parsed_handle_deleted_before_submit_journals_its_text_inline() {
+    fn a_handle_deleted_before_submit_refuses_the_submit() {
         // The handle is parsed when the spec resolves it and deleted
-        // before the submit pins it: the submit renders the spec's data
-        // (outside the journal lock) and journals it inline, and the
-        // replayed job releases the same bytes as the inline run.
+        // before the submit pins it: the submit is refused with
+        // `dataset-not-found`, as if the delete had landed first, and
+        // leaves nothing in the journal or the queue.
         let dir = std::env::temp_dir().join("trajdp-journal-raced-delete-test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -1602,36 +1690,20 @@ mod tests {
         let store = DatasetStore::open(Some(dir.join("datasets"))).unwrap();
         let q = JobQueue::with_journal(store.clone(), &path).unwrap();
         let world = generate(&GeneratorConfig::tdrive_profile(4, 20, 3));
-        let csv = to_csv(&world.dataset);
         let (handle, _) = store.insert_dataset(world.dataset, false).unwrap();
-        let params = |data| AnonymizeParams {
+        let params = AnonymizeParams {
             m: 2,
             seed: 5,
-            ..AnonymizeParams::new(Model::PureLocal, data)
+            ..AnonymizeParams::new(Model::PureLocal, DataRef::Handle(handle.clone()))
         };
-        let the_spec = params(DataRef::Handle(handle.clone())).resolve(&store).unwrap();
+        let the_spec = params.resolve(&store).unwrap();
         assert!(matches!(the_spec.data, StoredData::Parsed(_)));
         store.delete(&handle).unwrap();
-        let id = q.submit(the_spec).unwrap();
+        let err = q.submit(the_spec).unwrap_err();
+        assert_eq!(err.code, crate::api::ErrorCode::DatasetNotFound, "{err}");
+        assert_eq!(q.outstanding(), 0);
         let journal = std::fs::read_to_string(&path).unwrap();
-        assert!(journal.contains(&Json::from(csv.as_str()).to_string()), "{journal}");
-        assert!(!journal.contains(&handle), "{journal}");
-
-        drop(q);
-        let store2 = DatasetStore::open(Some(dir.join("datasets"))).unwrap();
-        let q2 = JobQueue::with_journal(store2.clone(), &path).unwrap();
-        assert_eq!(q2.state(&id), Some(JobState::Queued));
-        let worker = {
-            let q = q2.clone();
-            std::thread::spawn(move || q.work())
-        };
-        let replayed = wait_done(&q2, &id);
-        let inline = params(DataRef::Inline(Arc::new(csv))).resolve(&store2).unwrap();
-        let expected = render_v1(run_anonymize(&inline, &store2, false));
-        assert!(replayed.get("csv").is_some());
-        assert_eq!(replayed.get("csv"), expected.get("csv"));
-        q2.shutdown();
-        worker.join().unwrap();
+        assert!(!journal.contains("\"submit\""), "{journal}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

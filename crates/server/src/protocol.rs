@@ -86,10 +86,9 @@ impl DataRef {
         store: &DatasetStore,
         what: &str,
     ) -> Result<Arc<Dataset>, ApiError> {
-        let parsed = match (self, data) {
-            (DataRef::Handle(id), _) => store.parse(id, data),
-            (DataRef::Inline(_), StoredData::Text(csv)) => from_csv(csv).map(Arc::new),
-            (DataRef::Inline(_), StoredData::Parsed(ds)) => Ok(Arc::clone(ds)),
+        let parsed = match self {
+            DataRef::Handle(id) => store.parse(id, data),
+            DataRef::Inline(csv) => from_csv(csv).map(Arc::new),
         };
         parsed.map_err(|e| ApiError::invalid_dataset(format!("cannot parse {what}: {e}")))
     }

@@ -12,8 +12,9 @@
 //!
 //! ## Lifecycle
 //!
-//! The store holds at most `capacity` handles, and slots are reclaimed
-//! three ways:
+//! The store holds at most `capacity` handles, and it alone ends a
+//! handle's life — one function removes an entry and unlinks its file —
+//! in four ways:
 //!
 //! * **`delete`** — the explicit protocol verb. Deleting a handle that
 //!   is pinned by a queued/running job is rejected with a distinct
@@ -31,15 +32,21 @@
 //!   [`StoreConfig::upload_ttl`] are reclaimed (a crashed uploader must
 //!   not hold a slot until restart). The sweep runs before every
 //!   `upload`/`insert` and can be driven periodically by the server.
+//! * **Reclaim** — [`DatasetStore::reclaim`] ends a job result whose
+//!   job record is gone. An unpinned handle goes at once; one pinned as
+//!   a queued/running job's input is marked, and the `unpin` that drops
+//!   its last pin (the job finished or was cancelled) removes it.
 //!
 //! With a persistence directory (the server's `--state-dir`), every
 //! *committed* dataset is also written to `<dir>/ds-<id>.csv` and
 //! reloaded on restart, so result handles recorded in the job journal
 //! stay downloadable across restarts. Results minted *by async jobs*
 //! persist as `ds-<id>.job.csv` — the provenance marker lets
-//! [`DatasetStore::reconcile_job_results`] delete orphans whose finish
-//! event never reached the journal (the restart re-runs the job and
-//! mints a fresh handle, so the old file would otherwise leak forever).
+//! [`DatasetStore::reconcile_job_results`] reclaim at startup every job
+//! result no retained job record names (a finish event lost to a crash,
+//! a record aged out), a pinned one at its last `unpin` as before a
+//! restart; and [`DatasetStore::skip_ids`] keeps a deleted result's id
+//! from being reissued while a job record still names it.
 //! Pending uploads are memory-only by design: an upload interrupted by
 //! a crash has no owner to resume it, so the client simply starts over.
 //!
@@ -152,16 +159,6 @@ pub enum StoredData {
     Parsed(Arc<Dataset>),
 }
 
-impl StoredData {
-    /// The CSV text, rendering a parsed dataset.
-    pub fn text(&self) -> Arc<String> {
-        match self {
-            StoredData::Text(text) => Arc::clone(text),
-            StoredData::Parsed(ds) => Arc::new(to_csv(ds)),
-        }
-    }
-}
-
 enum Entry {
     /// Being assembled by `chunk` commands. `touched` is the last
     /// `begin`/`append` time, for the abandoned-upload sweep.
@@ -188,6 +185,9 @@ enum Entry {
         /// Queued/running jobs referencing this handle; a pinned entry
         /// is never evicted and cannot be deleted.
         pins: usize,
+        /// Set by [`DatasetStore::reclaim`] while pinned: the `unpin`
+        /// that drops the last pin removes the entry.
+        reclaim: bool,
         /// Minted by an async job (`store:true` result) rather than a
         /// client upload; persisted as `ds-<id>.job.csv` and subject to
         /// startup orphan reconciliation.
@@ -289,68 +289,65 @@ impl StoreInner {
                 last_used: stamp,
                 touched: Instant::now(),
                 pins: 0,
+                reclaim: false,
                 from_job,
                 owner,
             },
         );
     }
 
-    /// Removes the persisted file of a committed entry, if any. An
-    /// unlink is a metadata operation (no data fsync), so it is cheap
-    /// enough to run under the lock — only the bulk writes of
-    /// `persist()` must happen outside it.
-    fn unlink(&self, id: &str, from_job: bool) {
-        if let Some(dir) = &self.dir {
-            let _ = std::fs::remove_file(dir.join(file_name(id, from_job)));
+    /// Removes `id`'s entry and, for a committed one, its persisted
+    /// file: the one place an entry leaves the store and the only
+    /// unlink of a dataset file. An unlink is a metadata operation (no
+    /// data fsync), so it is cheap enough to run under the lock — only
+    /// the bulk writes of `persist()` must happen outside it.
+    fn remove(&mut self, id: &str) -> Option<Entry> {
+        let removed = self.entries.remove(id);
+        if let (Some(dir), Some(Entry::Committed { from_job, .. })) = (&self.dir, &removed) {
+            let _ = std::fs::remove_file(dir.join(file_name(id, *from_job)));
+        }
+        removed
+    }
+
+    /// [`DatasetStore::reclaim`] under the lock: removes an unpinned
+    /// handle, marks a pinned one for its last `unpin`. A handle still
+    /// mid-commit is no job's result yet, so nothing names it for
+    /// reclaim.
+    fn reclaim_entry(&mut self, id: &str) {
+        match self.entries.get_mut(id) {
+            Some(Entry::Committed { pins, reclaim, .. }) if *pins > 0 => *reclaim = true,
+            Some(Entry::Committing { .. }) | None => {}
+            Some(_) => drop(self.remove(id)),
         }
     }
 
-    /// Removes pending uploads whose last `begin`/`append` is at least
-    /// `max_age` old — the single implementation behind both the
-    /// configured sweep and [`DatasetStore::expire_uploads`].
-    fn expire_pending(&mut self, now: Instant, max_age: Duration) -> usize {
-        let expired: Vec<String> = self
+    /// Drops pending uploads untouched for the upload TTL and (with a
+    /// TTL) stale unpinned committed entries. Returns how many slots
+    /// were reclaimed.
+    fn sweep(&mut self, now: Instant) -> usize {
+        self.metrics.store_ttl_sweeps.fetch_add(1, Relaxed);
+        let expired = |touched: &Instant, ttl: Duration| now.duration_since(*touched) >= ttl;
+        let stale: Vec<String> = self
             .entries
             .iter()
             .filter_map(|(id, e)| match e {
-                Entry::Pending { touched, .. } if now.duration_since(*touched) >= max_age => {
+                Entry::Pending { touched, .. } if expired(touched, self.upload_ttl) => {
+                    Some(id.clone())
+                }
+                Entry::Committed { touched, pins: 0, .. }
+                    if self.ttl.is_some_and(|ttl| expired(touched, ttl)) =>
+                {
                     Some(id.clone())
                 }
                 _ => None,
             })
             .collect();
-        for id in &expired {
-            self.entries.remove(id);
-        }
-        expired.len()
-    }
-
-    /// Drops expired pending uploads and (with a TTL) stale unpinned
-    /// committed entries. Returns how many slots were reclaimed.
-    fn sweep(&mut self, now: Instant) -> usize {
-        self.metrics.store_ttl_sweeps.fetch_add(1, Relaxed);
-        let mut reclaimed = self.expire_pending(now, self.upload_ttl);
-        if let Some(ttl) = self.ttl {
-            let stale: Vec<(String, bool)> = self
-                .entries
-                .iter()
-                .filter_map(|(id, e)| match e {
-                    Entry::Committed { touched, pins: 0, from_job, .. }
-                        if now.duration_since(*touched) >= ttl =>
-                    {
-                        Some((id.clone(), *from_job))
-                    }
-                    _ => None,
-                })
-                .collect();
-            for (id, from_job) in &stale {
-                self.entries.remove(id);
-                self.unlink(id, *from_job);
+        for id in &stale {
+            if let Some(Entry::Committed { .. }) = self.remove(id) {
+                self.metrics.store_evictions.fetch_add(1, Relaxed);
             }
-            self.metrics.store_evictions.fetch_add(stale.len() as u64, Relaxed);
-            reclaimed += stale.len();
         }
-        reclaimed
+        stale.len()
     }
 
     /// Makes room for one more handle: sweeps, then evicts LRU unpinned
@@ -366,16 +363,13 @@ impl StoreInner {
                 .entries
                 .iter()
                 .filter_map(|(id, e)| match e {
-                    Entry::Committed { last_used, pins: 0, from_job, .. } => {
-                        Some((*last_used, id.clone(), *from_job))
-                    }
+                    Entry::Committed { last_used, pins: 0, .. } => Some((*last_used, id.clone())),
                     _ => None,
                 })
                 .min();
             match victim {
-                Some((_, id, from_job)) => {
-                    self.entries.remove(&id);
-                    self.unlink(&id, from_job);
+                Some((_, id)) => {
+                    self.remove(&id);
                     self.metrics.store_evictions.fetch_add(1, Relaxed);
                 }
                 None => {
@@ -434,9 +428,10 @@ impl DatasetStore {
     /// Opens a store with explicit lifecycle knobs. With a persistence
     /// directory, creates it if missing and reloads every `ds-<id>.csv`
     /// / `ds-<id>.job.csv` as a committed dataset; `next_id` resumes
-    /// past the highest id seen so replayed result handles never
-    /// collide with new ones. Reloaded handles enter the LRU cold, in
-    /// id order — nothing has touched them since the restart.
+    /// past the highest id on disk, and a journaled job queue moves it
+    /// past the ids its replayed state names ([`Self::skip_ids`]).
+    /// Reloaded handles enter the LRU cold, in id order — nothing has
+    /// touched them since the restart.
     pub fn with_config(cfg: StoreConfig) -> std::io::Result<Self> {
         let mut entries = HashMap::new();
         let mut max_id = 0u64;
@@ -482,6 +477,7 @@ impl DatasetStore {
                         last_used: clock,
                         touched: now,
                         pins: 0,
+                        reclaim: false,
                         from_job,
                         owner: None,
                     },
@@ -537,16 +533,6 @@ impl DatasetStore {
     pub fn sweep(&self) -> usize {
         let Ok(mut s) = self.lock() else { return 0 };
         let reclaimed = s.sweep(Instant::now());
-        s.publish_gauges();
-        reclaimed
-    }
-
-    /// Reclaims pending uploads whose last `begin`/`chunk` is at least
-    /// `max_age` old, regardless of the configured
-    /// [`StoreConfig::upload_ttl`]. Returns how many were reclaimed.
-    pub fn expire_uploads(&self, max_age: Duration) -> usize {
-        let Ok(mut s) = self.lock() else { return 0 };
-        let reclaimed = s.expire_pending(Instant::now(), max_age);
         s.publish_gauges();
         reclaimed
     }
@@ -646,7 +632,7 @@ impl DatasetStore {
     /// the store mutex**, so concurrent reads never stall behind it; a
     /// failed write leaves the handle pending so the client may retry.
     pub fn commit(&self, id: &str) -> Result<usize, ApiError> {
-        let (buf, owner, dir) = {
+        let (mut buf, owner, dir) = {
             let mut s = self.lock()?;
             match s.entries.get(id) {
                 None => return Err(ApiError::dataset_not_found(format!("unknown dataset {id:?}"))),
@@ -681,6 +667,8 @@ impl DatasetStore {
                 return Err(e);
             }
         }
+        // The held text keeps none of the growth slack its appends left.
+        buf.shrink_to_fit();
         let mut s = self.lock()?;
         let bytes = buf.len();
         s.install_committed(id, StoredData::Text(Arc::new(buf)), bytes, false, owner);
@@ -720,7 +708,7 @@ impl DatasetStore {
     /// reconciliation.
     pub(crate) fn insert_data(
         &self,
-        csv: String,
+        mut csv: String,
         parsed: Option<Arc<Dataset>>,
         from_job: bool,
     ) -> Result<(String, usize), ApiError> {
@@ -740,13 +728,16 @@ impl DatasetStore {
         };
         if let Some(dir) = dir {
             if let Err(e) = self.persist(&dir, &file_name(&id, from_job), &csv) {
-                self.lock()?.entries.remove(&id);
+                self.lock()?.remove(&id);
                 return Err(e);
             }
         }
         let data = match parsed {
             Some(ds) => StoredData::Parsed(ds),
-            None => StoredData::Text(Arc::new(csv)),
+            None => {
+                csv.shrink_to_fit();
+                StoredData::Text(Arc::new(csv))
+            }
         };
         let mut s = self.lock()?;
         // Job results are unowned: they are minted by the server, not
@@ -775,34 +766,22 @@ impl DatasetStore {
                 )))
             }
             Some(Entry::Committed { .. } | Entry::Pending { .. }) => {
-                let removed = s.entries.remove(id);
-                if let Some(Entry::Committed { from_job, .. }) = removed {
-                    s.unlink(id, from_job);
-                }
+                let removed = s.remove(id);
                 s.publish_gauges();
                 Ok(removed.map_or(0, |e| e.bytes()))
             }
         }
     }
 
-    /// Best-effort reclaim for lifecycle bookkeeping (not the protocol
-    /// verb): returns `true` when the handle no longer occupies a slot
-    /// — deleted now, or already gone — and `false` when it must be
-    /// retried later (pinned, or mid-commit).
-    pub fn try_reclaim(&self, id: &str) -> bool {
-        let Ok(mut s) = self.lock() else { return false };
-        match s.entries.get(id) {
-            None => true,
-            Some(Entry::Committing { .. }) => false,
-            Some(Entry::Committed { pins, .. }) if *pins > 0 => false,
-            Some(Entry::Committed { .. } | Entry::Pending { .. }) => {
-                if let Some(Entry::Committed { from_job, .. }) = s.entries.remove(id) {
-                    s.unlink(id, from_job);
-                }
-                s.publish_gauges();
-                true
-            }
-        }
+    /// Ends a job result's life for the server's own bookkeeping (not
+    /// the protocol verb): an unpinned handle is removed now, and a
+    /// handle pinned as a queued/running job's input is removed by the
+    /// `unpin` that drops its last pin. Unlike `delete`, reclaim is not
+    /// counted as an eviction.
+    pub fn reclaim(&self, id: &str) {
+        let Ok(mut s) = self.lock() else { return };
+        s.reclaim_entry(id);
+        s.publish_gauges();
     }
 
     /// Pins a committed handle against eviction and deletion (one pin
@@ -820,38 +799,57 @@ impl DatasetStore {
         }
     }
 
-    /// Releases one pin of a committed handle.
+    /// Releases one pin of a committed handle; the last pin of a handle
+    /// marked by [`Self::reclaim`] removes it.
     pub fn unpin(&self, id: &str) {
         let Ok(mut s) = self.lock() else { return };
-        if let Some(Entry::Committed { pins, .. }) = s.entries.get_mut(id) {
-            *pins = pins.saturating_sub(1);
+        let last = match s.entries.get_mut(id) {
+            Some(Entry::Committed { pins, reclaim, .. }) => {
+                *pins = pins.saturating_sub(1);
+                *pins == 0 && *reclaim
+            }
+            _ => false,
+        };
+        if last {
+            s.remove(id);
+            s.publish_gauges();
         }
     }
 
-    /// Deletes committed job-result handles (`from_job` provenance)
-    /// whose id is not in `referenced` — the orphans a crash between a
-    /// job's result insert and its finish-event journal append leaves
-    /// behind (the replayed journal re-runs the job and mints a fresh
-    /// handle, so nothing will ever reference the old one again).
-    /// Returns the ids deleted.
-    pub fn reconcile_job_results(&self, referenced: &HashSet<String>) -> Vec<String> {
+    /// Reclaims every committed job-result handle (`from_job`
+    /// provenance) whose id is not in `retained` — the results no
+    /// retained job record names: orphans a crash between a job's
+    /// result insert and its finish-event journal append leaves behind
+    /// (the replayed journal re-runs the job and mints a fresh handle),
+    /// and results whose record aged out. A pinned one goes at its last
+    /// `unpin`. Returns the ids reclaimed.
+    pub fn reconcile_job_results(&self, retained: &HashSet<String>) -> Vec<String> {
         let Ok(mut s) = self.lock() else { return Vec::new() };
         let orphans: Vec<String> = s
             .entries
             .iter()
             .filter_map(|(id, e)| match e {
-                Entry::Committed { from_job: true, pins: 0, .. } if !referenced.contains(id) => {
+                Entry::Committed { from_job: true, .. } if !retained.contains(id) => {
                     Some(id.clone())
                 }
                 _ => None,
             })
             .collect();
         for id in &orphans {
-            s.entries.remove(id);
-            s.unlink(id, true);
+            s.reclaim_entry(id);
         }
         s.publish_gauges();
         orphans
+    }
+
+    /// Moves the id counter past every `ds-<n>` in `named`, so new data
+    /// never takes an id that something still names, even once its
+    /// file is gone.
+    pub fn skip_ids<'a>(&self, named: impl IntoIterator<Item = &'a str>) {
+        let Ok(mut s) = self.lock() else { return };
+        for n in named.into_iter().filter_map(|id| id.strip_prefix("ds-")?.parse::<u64>().ok()) {
+            s.next_id = s.next_id.max(n);
+        }
     }
 
     /// A committed dataset in the form its entry holds (refreshes its
@@ -924,7 +922,9 @@ impl DatasetStore {
             StoredData::Text(text) => return Ok(text),
             StoredData::Parsed(ds) => ds,
         };
-        let text = Arc::new(to_csv(&ds));
+        let mut text = to_csv(&ds);
+        text.shrink_to_fit();
+        let text = Arc::new(text);
         let mut s = self.lock()?;
         if let Some(Entry::Committed { data, settled, .. }) = s.entries.get_mut(id) {
             if matches!(data, StoredData::Parsed(held) if Arc::ptr_eq(held, &ds)) {
@@ -1015,6 +1015,16 @@ impl DatasetStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl StoredData {
+        /// The CSV text, rendering a parsed dataset.
+        pub fn text(&self) -> Arc<String> {
+            match self {
+                StoredData::Text(text) => Arc::clone(text),
+                StoredData::Parsed(ds) => Arc::new(to_csv(ds)),
+            }
+        }
+    }
 
     #[test]
     fn upload_commit_resolve_roundtrip() {
@@ -1159,23 +1169,20 @@ mod tests {
 
     #[test]
     fn expire_uploads_reclaims_abandoned_pendings() {
-        let store = DatasetStore::new();
-        let abandoned = store.begin().unwrap();
-        store.append(&abandoned, "partial").unwrap();
-        let committed = store.begin().unwrap();
-        store.commit(&committed).unwrap();
-        assert_eq!(store.expire_uploads(Duration::ZERO), 1);
-        assert!(store.append(&abandoned, "x").unwrap_err().message.contains("unknown"));
-        assert!(store.resolve(&committed).is_ok(), "committed entries are not uploads");
-        // The configured upload TTL also reclaims via the sweep.
         let store = DatasetStore::with_config(StoreConfig {
             upload_ttl: Duration::ZERO,
             ..StoreConfig::default()
         })
         .unwrap();
-        let p = store.begin().unwrap();
+        let committed = store.begin().unwrap();
+        store.commit(&committed).unwrap();
+        // Every `begin` sweeps first, so open the abandoned upload last.
+        let abandoned = store.begin().unwrap();
+        store.append(&abandoned, "partial").unwrap();
         assert_eq!(store.sweep(), 1);
-        assert!(store.commit(&p).unwrap_err().message.contains("unknown"));
+        assert!(store.append(&abandoned, "x").unwrap_err().message.contains("unknown"));
+        assert!(store.resolve(&committed).is_ok(), "committed entries are not uploads");
+        assert!(store.commit(&abandoned).unwrap_err().message.contains("unknown"));
     }
 
     #[test]
@@ -1197,6 +1204,54 @@ mod tests {
         let store = DatasetStore::new();
         store.insert("z".to_string()).unwrap();
         assert_eq!(store.sweep(), 0);
+    }
+
+    #[test]
+    fn reclaim_of_a_pinned_handle_waits_for_its_last_unpin() {
+        let metrics = Arc::new(Metrics::new());
+        let store = DatasetStore::new().with_metrics(Arc::clone(&metrics));
+        let (free, _) = store.insert("aaa".to_string()).unwrap();
+        let (pinned, _) = store.insert("bbb".to_string()).unwrap();
+        store.reclaim(&free);
+        assert!(store.resolve(&free).unwrap_err().message.contains("unknown"));
+        store.pin(&pinned).unwrap();
+        store.pin(&pinned).unwrap();
+        store.reclaim(&pinned);
+        store.unpin(&pinned);
+        assert!(store.resolve(&pinned).is_ok(), "one pin still holds it");
+        store.unpin(&pinned);
+        assert!(store.resolve(&pinned).unwrap_err().message.contains("unknown"));
+        let snap = metrics.snapshot();
+        assert_eq!((snap.store_handles, snap.store_evictions), (0, 0), "reclaim is no eviction");
+    }
+
+    #[test]
+    fn held_text_keeps_no_growth_slack() {
+        let capacity = |store: &DatasetStore, id: &str| match store.resolve(id).unwrap() {
+            StoredData::Text(text) => (text.capacity(), text.len()),
+            StoredData::Parsed(_) => panic!("{id} must be held as text"),
+        };
+        let store = DatasetStore::new();
+        let csv = to_csv(&synthetic(3, 20));
+        // A committed upload assembled from small chunks.
+        let id = store.begin().unwrap();
+        for piece in csv.as_bytes().chunks(100) {
+            store.append(&id, std::str::from_utf8(piece).unwrap()).unwrap();
+        }
+        store.commit(&id).unwrap();
+        let (cap, len) = capacity(&store, &id);
+        assert_eq!(cap, len);
+        // Inserted text with spare capacity.
+        let mut roomy = String::with_capacity(2 * csv.len());
+        roomy.push_str(&csv);
+        let (id, _) = store.insert(roomy).unwrap();
+        let (cap, len) = capacity(&store, &id);
+        assert_eq!(cap, len);
+        // A parsed handle rendered by a download.
+        let (id, _) = store.insert_dataset(synthetic(3, 20), false).unwrap();
+        store.read_chunk(&id, 0, 10).unwrap();
+        let (cap, len) = capacity(&store, &id);
+        assert_eq!(cap, len);
     }
 
     #[test]

@@ -467,6 +467,61 @@ fn restarted_server_replays_journal_and_completes_queued_jobs() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A restart never reissues the id of a deleted result that a retained
+/// job still names: the next upload takes a fresh id, `status` keeps
+/// naming the result, and `download` keeps reporting it unknown.
+#[test]
+fn restarted_server_never_reissues_a_deleted_result_id() {
+    let dir = std::env::temp_dir().join("trajdp-restart-id-reuse-test");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let server = start_durable(&dir);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let gen = client.request_line(r#"{"cmd":"gen","size":4,"len":20,"seed":5}"#).unwrap();
+    let csv = gen.get("csv").and_then(Json::as_str).unwrap().to_string();
+    let submitted = client
+        .request(&Json::obj([
+            ("cmd", Json::from("anonymize")),
+            ("model", Json::from("purel")),
+            ("m", Json::from(3u64)),
+            ("csv", Json::from(csv.clone())),
+            ("async", Json::Bool(true)),
+            ("store", Json::Bool(true)),
+        ]))
+        .unwrap();
+    let job = submitted.get("job").and_then(Json::as_str).unwrap().to_string();
+    let done = wait_done(&mut client, &job);
+    let result = done.get("dataset").and_then(Json::as_str).unwrap().to_string();
+    let deleted = client
+        .request(&Json::obj([
+            ("cmd", Json::from("delete")),
+            ("dataset", Json::from(result.clone())),
+        ]))
+        .unwrap();
+    assert_eq!(deleted.get("ok"), Some(&Json::Bool(true)), "{deleted}");
+    drop(client);
+    server.shutdown();
+
+    let server = start_durable(&dir);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let fresh = client.upload_dataset(&csv, 1 << 20).unwrap().dataset;
+    assert_ne!(fresh, result, "a restart reissued the id of a result job {job} names");
+    let status = client
+        .request(&Json::obj([("cmd", Json::from("status")), ("job", Json::from(job))]))
+        .unwrap();
+    assert_eq!(status.get("dataset").and_then(Json::as_str), Some(result.as_str()), "{status}");
+    let gone = client
+        .request(&Json::obj([("cmd", Json::from("download")), ("dataset", Json::from(result))]))
+        .unwrap();
+    let msg = gone.get("error").and_then(Json::as_str).unwrap_or_default();
+    assert!(msg.contains("unknown dataset"), "{gone}");
+
+    drop(client);
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Two authenticated tenants and the open default path share one
 /// server: quotas bind only the tenant that exhausted them, and every
 /// other identity keeps full service.

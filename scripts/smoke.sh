@@ -6,7 +6,8 @@
 # dataset cap (LRU eviction, `delete` freeing a slot, re-upload),
 # restart the server on the same --state-dir and check that the
 # compacted journal still resolves the finished job and its stored
-# result. A hostile 20 KB line of nested brackets must get an error
+# result; delete that result, restart once more, and check that its id
+# is not reissued to fresh uploads. A hostile 20 KB line of nested brackets must get an error
 # answer and leave the server up. A final two-tenant phase spends a dataset's ε budget to the
 # brim, kills the server, and proves the replayed ledger still refuses
 # further spend. Exercises the code paths `cargo test` cannot: the
@@ -21,6 +22,7 @@ ADDR=${ADDR:-127.0.0.1:7943}
 ADDR2=${ADDR2:-127.0.0.1:7944} # restart on a fresh port: no TIME_WAIT races
 ADDR3=${ADDR3:-127.0.0.1:7945} # tenancy phase
 ADDR4=${ADDR4:-127.0.0.1:7946} # tenancy phase, after the kill
+ADDR5=${ADDR5:-127.0.0.1:7947} # second restart of the first state dir
 TMP=$(mktemp -d)
 SERVER_PID=""
 
@@ -141,25 +143,49 @@ cmp "$TMP/inline.csv" "$TMP/remote2.csv" \
 "$BIN" delete --addr "$ADDR2" --dataset "$DS" \
     || { echo "FAIL: delete CLI verb failed on the restarted server" >&2; exit 1; }
 
+# ---- second restart: a deleted result's id is never reissued --------
+# $DS is gone but job $JOB's retained record still names it. After a
+# real process death, fresh uploads must take other ids, `status` must
+# still name $DS, and `download` must still report it unknown.
+kill "$SERVER_PID"
+wait "$SERVER_PID" 2>/dev/null || true
+SERVER_PID=""
+"$BIN" serve --addr "$ADDR5" --workers 2 --state-dir "$TMP/state" \
+    --max-datasets 4 &
+SERVER_PID=$!
+wait_healthy "$ADDR5"
+for _ in 1 2; do
+    FRESH=$(echo '{"cmd":"upload"}' | "$BIN" submit --addr "$ADDR5" \
+        | grep -o '"dataset":"[^"]*"' | cut -d'"' -f4)
+    [ -n "$FRESH" ] && [ "$FRESH" != "$DS" ] \
+        || { echo "FAIL: the restart reissued $DS to a fresh upload (got '$FRESH')" >&2; exit 1; }
+done
+STATUS=$(echo "{\"cmd\":\"status\",\"job\":\"$JOB\"}" | "$BIN" submit --addr "$ADDR5")
+printf '%s' "$STATUS" | grep -q "\"dataset\":\"$DS\"" \
+    || { echo "FAIL: status of $JOB must still name $DS: $STATUS" >&2; exit 1; }
+GONE=$(echo "{\"cmd\":\"download\",\"dataset\":\"$DS\",\"v\":2}" | "$BIN" submit --addr "$ADDR5")
+printf '%s' "$GONE" | grep -q '"code":"dataset-not-found"' \
+    || { echo "FAIL: deleted result $DS must stay unknown: $GONE" >&2; exit 1; }
+
 # ---- protocol v2: envelope, id echo, stable error codes -------------
-V2OK=$(echo '{"cmd":"health","v":2,"id":"smoke-1"}' | "$BIN" submit --addr "$ADDR2")
+V2OK=$(echo '{"cmd":"health","v":2,"id":"smoke-1"}' | "$BIN" submit --addr "$ADDR5")
 printf '%s' "$V2OK" | grep -q '"id":"smoke-1"' && printf '%s' "$V2OK" | grep -q '"ok":true' \
     || { echo "FAIL: v2 success must echo the id: $V2OK" >&2; exit 1; }
 V2MISS=$(echo '{"cmd":"download","dataset":"ds-404","v":2,"id":"smoke-2"}' \
-    | "$BIN" submit --addr "$ADDR2")
+    | "$BIN" submit --addr "$ADDR5")
 printf '%s' "$V2MISS" | grep -q '"code":"dataset-not-found"' \
     && printf '%s' "$V2MISS" | grep -q '"id":"smoke-2"' \
     || { echo "FAIL: v2 error must carry code + id: $V2MISS" >&2; exit 1; }
-V2VERB=$(echo '{"cmd":"bogus","v":2,"id":"smoke-3"}' | "$BIN" submit --addr "$ADDR2")
+V2VERB=$(echo '{"cmd":"bogus","v":2,"id":"smoke-3"}' | "$BIN" submit --addr "$ADDR5")
 printf '%s' "$V2VERB" | grep -q '"code":"unknown-verb"' \
     || { echo "FAIL: unknown verb must code unknown-verb: $V2VERB" >&2; exit 1; }
 # The same failure without "v":2 keeps the bare v1 string shape.
-V1MISS=$(echo '{"cmd":"download","dataset":"ds-404"}' | "$BIN" submit --addr "$ADDR2")
+V1MISS=$(echo '{"cmd":"download","dataset":"ds-404"}' | "$BIN" submit --addr "$ADDR5")
 printf '%s' "$V1MISS" | grep -q '"error":"unknown dataset' \
     || { echo "FAIL: v1 error shape changed: $V1MISS" >&2; exit 1; }
 
 # ---- info: discoverable caps drive the download chunk size ----------
-INFO=$("$BIN" info --addr "$ADDR2")
+INFO=$("$BIN" info --addr "$ADDR5")
 MAXCHUNK=$(printf '%s\n' "$INFO" | grep '^max_download_chunk_bytes=' | cut -d= -f2)
 DEFCHUNK=$(printf '%s\n' "$INFO" | grep '^default_download_chunk_bytes=' | cut -d= -f2)
 printf '%s\n' "$INFO" | grep -q '^protocol_versions=1,2$' \
@@ -167,21 +193,21 @@ printf '%s\n' "$INFO" | grep -q '^protocol_versions=1,2$' \
 [ -n "$MAXCHUNK" ] && [ -n "$DEFCHUNK" ] && [ "$MAXCHUNK" -ge "$DEFCHUNK" ] \
     || { echo "FAIL: info must report usable chunk caps: $INFO" >&2; exit 1; }
 # A fresh upload, then a download sized by the info-reported cap.
-DS2=$(echo '{"cmd":"upload","v":2,"id":"smoke-4"}' | "$BIN" submit --addr "$ADDR2" \
+DS2=$(echo '{"cmd":"upload","v":2,"id":"smoke-4"}' | "$BIN" submit --addr "$ADDR5" \
     | grep -o '"dataset":"[^"]*"' | cut -d'"' -f4)
 echo "{\"cmd\":\"chunk\",\"dataset\":\"$DS2\",\"data\":\"traj_id,x,y,t\\n\",\"v\":2,\"id\":\"smoke-5\"}" \
-    | "$BIN" submit --addr "$ADDR2" | grep -q '"ok":true' \
+    | "$BIN" submit --addr "$ADDR5" | grep -q '"ok":true' \
     || { echo "FAIL: v2 chunk refused" >&2; exit 1; }
 echo "{\"cmd\":\"commit\",\"dataset\":\"$DS2\",\"v\":2,\"id\":\"smoke-6\"}" \
-    | "$BIN" submit --addr "$ADDR2" | grep -q '"ok":true' \
+    | "$BIN" submit --addr "$ADDR5" | grep -q '"ok":true' \
     || { echo "FAIL: v2 commit refused" >&2; exit 1; }
 V2DL=$(echo "{\"cmd\":\"download\",\"dataset\":\"$DS2\",\"max_bytes\":$MAXCHUNK,\"v\":2,\"id\":\"smoke-7\"}" \
-    | "$BIN" submit --addr "$ADDR2")
+    | "$BIN" submit --addr "$ADDR5")
 printf '%s' "$V2DL" | grep -q '"eof":true' && printf '%s' "$V2DL" | grep -q '"id":"smoke-7"' \
     || { echo "FAIL: info-cap-sized download failed: $V2DL" >&2; exit 1; }
 
 # ---- metrics: the v2 session above must be visible in the scrape ----
-METRICS=$("$BIN" metrics --addr "$ADDR2")
+METRICS=$("$BIN" metrics --addr "$ADDR5")
 printf '%s\n' "$METRICS" | grep -q '^trajdp_uptime_seconds ' \
     || { echo "FAIL: metrics must report uptime: $METRICS" >&2; exit 1; }
 HEALTHN=$(printf '%s\n' "$METRICS" | grep '^trajdp_requests_total{verb="health"}' \
@@ -208,7 +234,7 @@ for family in $FAMILIES; do
         || { echo "FAIL: scrape lacks documented family $family" >&2; exit 1; }
 done
 # The JSON exposition parses and carries the same sections.
-"$BIN" metrics --addr "$ADDR2" --json | grep -q '"requests":' \
+"$BIN" metrics --addr "$ADDR5" --json | grep -q '"requests":' \
     || { echo "FAIL: metrics --json must emit the wire shape" >&2; exit 1; }
 
 # ---- parallel burst: the reactor serves concurrent clients ----------
@@ -218,7 +244,7 @@ BURST=24
 : > "$TMP/burst.out"
 BURST_PIDS=""
 for _ in $(seq 1 "$BURST"); do
-    ( echo '{"cmd":"health"}' | "$BIN" submit --addr "$ADDR2" >> "$TMP/burst.out" 2>&1 ) &
+    ( echo '{"cmd":"health"}' | "$BIN" submit --addr "$ADDR5" >> "$TMP/burst.out" 2>&1 ) &
     BURST_PIDS="$BURST_PIDS $!"
 done
 for pid in $BURST_PIDS; do
@@ -229,7 +255,7 @@ OKS=$(grep -c '"ok":true' "$TMP/burst.out" || true)
     || { echo "FAIL: only $OKS/$BURST burst clients got a healthy answer" >&2; exit 1; }
 
 # ---- CLI exit-code classes ------------------------------------------
-rc=0; "$BIN" delete --addr "$ADDR2" --dataset ds-nope 2>/dev/null || rc=$?
+rc=0; "$BIN" delete --addr "$ADDR5" --dataset ds-nope 2>/dev/null || rc=$?
 [ "$rc" = 4 ] || { echo "FAIL: server-rejected request must exit 4 (got $rc)" >&2; exit 1; }
 rc=0; "$BIN" fetch --addr 127.0.0.1:1 --dataset ds-1 --out "$TMP/none.csv" 2>/dev/null || rc=$?
 [ "$rc" = 3 ] || { echo "FAIL: connection failure must exit 3 (got $rc)" >&2; exit 1; }
@@ -244,10 +270,10 @@ rc=0; "$BIN" stats --input "$TMP/definitely-missing.csv" 2>/dev/null || rc=$?
 # overflow that aborts the server; `health` must still answer on a new
 # connection afterwards.
 NESTED="$(head -c 10000 /dev/zero | tr '\0' '[')$(head -c 10000 /dev/zero | tr '\0' ']')"
-DEEP=$(printf '%s\n' "$NESTED" | "$BIN" submit --addr "$ADDR2" || true)
+DEEP=$(printf '%s\n' "$NESTED" | "$BIN" submit --addr "$ADDR5" || true)
 printf '%s' "$DEEP" | grep -q '"ok":false' \
     || { echo "FAIL: a deeply nested line must get an error answer: $DEEP" >&2; exit 1; }
-echo '{"cmd":"health"}' | "$BIN" submit --addr "$ADDR2" | grep -q '"ok":true' \
+echo '{"cmd":"health"}' | "$BIN" submit --addr "$ADDR5" | grep -q '"ok":true' \
     || { echo "FAIL: the server must survive a deeply nested line" >&2; exit 1; }
 
 # ---- tenancy + ε ledger: spend survives a kill ----------------------
@@ -308,4 +334,4 @@ STILL=$(echo "{\"cmd\":\"anonymize\",\"dataset\":\"$ADS\",\"model\":\"gl\",\"m\"
 printf '%s' "$STILL" | grep -q '"code":"budget-exhausted"' \
     || { echo "FAIL: ε spend must survive the restart: $STILL" >&2; exit 1; }
 
-echo "smoke test passed: chunked transfer byte-identical, lifecycle at the cap OK, compacted journal replays, v2 envelope + error codes + metrics scrape + parallel burst + exit classes OK, nested-line hostile input survived, tenant budget survives kill+restart"
+echo "smoke test passed: chunked transfer byte-identical, lifecycle at the cap OK, compacted journal replays, a deleted result id is not reissued after a second restart, v2 envelope + error codes + metrics scrape + parallel burst + exit classes OK, nested-line hostile input survived, tenant budget survives kill+restart"
