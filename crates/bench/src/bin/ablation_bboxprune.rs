@@ -5,11 +5,13 @@
 //!
 //! Compares wall time and segment-distance work of the global phase
 //! with the segment-index search vs the bbox branch-and-bound, as the
-//! dataset grows. Outputs are identical by construction (tested in
-//! `trajdp-core`).
+//! dataset grows. Outputs are identical by construction, and the bin
+//! asserts it: it panics (exit code 101) when the two searches release
+//! different datasets, so a small run is a CI gate on the bbox path.
 //!
 //! ```text
 //! cargo run -p trajdp_bench --release --bin ablation_bboxprune
+//! TRAJDP_LEN=20 cargo run -p trajdp_bench --release --bin ablation_bboxprune
 //! ```
 
 #![forbid(unsafe_code)]
@@ -31,10 +33,14 @@ fn main() {
             let cfg = FreqDpConfig { m: 10, bbox_pruning: bbox, seed, ..Default::default() };
             let out = anonymize(&world.dataset, Model::PureGlobal, &cfg).expect("valid config");
             let work = out.global.as_ref().expect("global ran").search_stats.segments_checked;
-            (out.global_time.as_secs_f64() * 1e3, work)
+            (out.global_time.as_secs_f64() * 1e3, work, out.dataset)
         };
-        let (t_index, w_index) = run(false);
-        let (t_bbox, w_bbox) = run(true);
+        let (t_index, w_index, index_release) = run(false);
+        let (t_bbox, w_bbox, bbox_release) = run(true);
+        assert!(
+            index_release == bbox_release,
+            "|D| = {size}: the bbox search released a different dataset than the index search"
+        );
         println!(
             "{size:<8} {t_index:>14.1} {t_bbox:>14.1} {:>9.2}x | {w_index:>16} {w_bbox:>16}",
             t_index / t_bbox.max(1e-9)

@@ -24,7 +24,6 @@
 //! index calls for every checked segment does no hashing.
 
 use crate::indexkind::{AnyIndex, IndexKind};
-use crate::pool;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use trajdp_index::{SearchStats, SegmentEntry, TotalF64};
 use trajdp_model::{Point, PointKey, Rect, Trajectory};
@@ -277,8 +276,8 @@ fn claim_id(owner: &mut Vec<usize>, t: usize) -> u64 {
 
 /// Offers `entry` to a max-heap keeping the `delta` smallest
 /// `(loss, slot)` pairs — the fixed tie rule of the inter-trajectory
-/// selection: on equal loss the smallest slot wins, so merging chunk
-/// heaps is order-independent.
+/// selection: on equal loss the smallest slot wins, so the pick does
+/// not depend on the order the candidates are offered in.
 fn push_bounded(best: &mut BinaryHeap<(TotalF64, usize)>, delta: usize, entry: (TotalF64, usize)) {
     if best.len() < delta {
         best.push(entry);
@@ -311,11 +310,6 @@ pub struct DatasetEditor {
     /// Whether `increase_tf` uses trajectory-bbox branch-and-bound
     /// instead of the segment index.
     pub use_bbox_pruning: bool,
-    /// Worker threads for the exact-loss candidate scans of
-    /// [`Self::increase_tf`] (bbox path) and [`Self::decrease_tf`].
-    /// The scans are pure, so the selection — and therefore the edited
-    /// dataset — is identical at every value; `1` scans serially.
-    pub workers: usize,
     domain: Rect,
     kind: IndexKind,
     /// Accumulated utility loss of all edits.
@@ -356,7 +350,6 @@ impl DatasetEditor {
             containing,
             bboxes,
             use_bbox_pruning: false,
-            workers: 1,
             domain,
             kind,
             loss: 0.0,
@@ -483,19 +476,6 @@ impl DatasetEditor {
     /// Produces exactly the same selection as the index-based search:
     /// the ∆l smallest `(insertion loss, slot)` pairs, so equal-loss
     /// ties always go to the smallest slot.
-    ///
-    /// With `workers > 1` the candidate list is cut into contiguous
-    /// chunks scanned concurrently; each chunk keeps its own ∆l-bounded
-    /// heap (branch-and-bound prunes within the chunk, seeded with a
-    /// global upper bound from the ∆l most promising candidates so
-    /// chunks keep the serial path's pruning power) and the seeded heap
-    /// merges with the per-chunk heaps under the same `(loss, slot)`
-    /// order, so the selection is independent of the worker count. The
-    /// chunks cover only the candidates *past* the seed prefix — the
-    /// prefix's exact losses are already in the seeded heap, so no
-    /// candidate's exact-loss sweep runs twice. Only the work
-    /// *counters* (`stats.segments_checked`) vary with the worker
-    /// count.
     fn increase_tf_bbox(&mut self, q: Point, delta: usize) -> usize {
         let qk = q.key();
         let containing = self.containing.get(&qk);
@@ -510,76 +490,16 @@ impl DatasetEditor {
             .map(|(t, b)| (b.min_dist(&q), t))
             .collect();
         candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let workers = self.workers.max(1);
-        let (chosen, checked) = if workers > 1 && candidates.len() > 1 {
-            let trajs = &self.trajs;
-            // Seed a global pruning bound from the ∆l candidates with the
-            // smallest lower bounds: the final ∆l-th loss can only be
-            // smaller, so every chunk may skip candidates whose lower
-            // bound exceeds it — restoring the early termination the
-            // serial scan gets from its evolving heap.
-            let seed = delta.min(candidates.len());
-            let (seeded, seed_checked) =
-                Self::scan_insertion_chunk(trajs, q, delta, &candidates[..seed], f64::INFINITY);
-            let bound = if seeded.len() == delta {
-                seeded.last().expect("non-empty").0
-            } else {
-                f64::INFINITY
-            };
-            // Only the candidates past the seed prefix are handed to
-            // the chunk pool: the prefix's exact losses are already in
-            // `seeded`, and re-scanning them inside chunk 0 would pay
-            // the exact-loss sweep of the first ∆l candidates twice.
-            let shards = pool::map_chunks(workers, &candidates[seed..], |_, chunk| {
-                Self::scan_insertion_chunk(trajs, q, delta, chunk, bound)
-            });
-            let mut merged = seeded;
-            merged.reserve(delta * shards.len());
-            let mut checked = seed_checked;
-            for (part, c) in shards {
-                merged.extend(part);
-                checked += c;
-            }
-            merged.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            merged.truncate(delta);
-            (merged, checked)
-        } else {
-            Self::scan_insertion_chunk(&self.trajs, q, delta, &candidates, f64::INFINITY)
-        };
-        self.stats.segments_checked += checked;
-        let inserted = chosen.len();
-        for (_, t) in chosen {
-            self.insert_point_into(t, q);
-        }
-        inserted
-    }
-
-    /// Branch-and-bound exact-loss scan over one chunk of `(lower bound,
-    /// slot)` candidates sorted ascending by `(lower, slot)`. Returns the
-    /// chunk's ∆l smallest `(exact loss, slot)` pairs in ascending order
-    /// plus the number of segments whose distance was computed. `bound`
-    /// is an optional global upper bound on the final ∆l-th loss; the
-    /// scan stops at the first candidate provably worse than either it
-    /// or the chunk-local ∆l-th best.
-    fn scan_insertion_chunk(
-        trajs: &[Trajectory],
-        q: Point,
-        delta: usize,
-        chunk: &[(f64, usize)],
-        bound: f64,
-    ) -> (Vec<(f64, usize)>, usize) {
+        // Max-heap of the ∆l best `(exact loss, slot)` pairs so far.
         let mut best: BinaryHeap<(TotalF64, usize)> = BinaryHeap::with_capacity(delta + 1);
-        let mut checked = 0;
-        for &(lower, t) in chunk {
+        for (lower, t) in candidates {
             // A strictly larger lower bound cannot beat the ∆l-th best
             // loss, not even on a tie (exact >= lower > best). Lower
-            // bounds ascend within the chunk, so stop outright.
-            if lower > bound
-                || (best.len() == delta && lower > best.peek().expect("non-empty").0 .0)
-            {
+            // bounds ascend, so stop outright.
+            if best.len() == delta && lower > best.peek().expect("non-empty").0 .0 {
                 break;
             }
-            let traj = &trajs[t];
+            let traj = &self.trajs[t];
             let exact = if traj.num_segments() == 0 {
                 // Single-sample trajectory: appending costs the distance
                 // from its only sample.
@@ -587,10 +507,15 @@ impl DatasetEditor {
             } else {
                 traj.segments().map(|(_, s)| s.dist_to_point(&q)).fold(f64::INFINITY, f64::min)
             };
-            checked += traj.num_segments().max(1);
+            self.stats.segments_checked += traj.num_segments().max(1);
             push_bounded(&mut best, delta, (TotalF64(exact), t));
         }
-        (best.into_sorted_vec().into_iter().map(|(l, t)| (l.0, t)).collect(), checked)
+        let chosen = best.into_sorted_vec();
+        let inserted = chosen.len();
+        for (_, t) in chosen {
+            self.insert_point_into(t, q);
+        }
+        inserted
     }
 
     /// Inserts `q` into trajectory slot `t` at its best segment.
@@ -628,53 +553,25 @@ impl DatasetEditor {
 
     /// TF-decreasing task (Definition 8): completely deletes `q` from the
     /// `delta` trajectories (among those containing it) with the least
-    /// complete-deletion loss. Returns the number of trajectories
-    /// actually modified.
+    /// complete-deletion loss — the smallest `(loss, slot)` pairs, so
+    /// equal-loss ties go to the smallest slot. Returns the number of
+    /// trajectories actually modified.
     pub fn decrease_tf(&mut self, q: PointKey, delta: usize) -> usize {
         if delta == 0 {
             return 0;
         }
-        let victims = self.decrease_victims(q, delta, self.workers);
-        self.apply_decrease(q, &victims);
-        victims.len()
-    }
-
-    /// The ∆l victims a [`Self::decrease_tf`] of `q` would delete from:
-    /// the trajectories containing `q` with the smallest `(complete-
-    /// deletion loss, slot)` pairs, in ascending order — equal-loss ties
-    /// go to the smallest slot. A pure scan over up to `workers`
-    /// threads; the selection is identical at every worker count.
-    pub fn decrease_victims(&self, q: PointKey, delta: usize, workers: usize) -> Vec<usize> {
-        if delta == 0 {
-            return Vec::new();
-        }
-        let candidates = self.trajectories_containing(q);
         // Complete-deletion loss per candidate: Σ_s L[OP_d(q, s)].
-        let score_chunk = |_lo: usize, chunk: &[usize]| -> Vec<(TotalF64, usize)> {
-            let mut best: BinaryHeap<(TotalF64, usize)> = BinaryHeap::with_capacity(delta + 1);
-            for &t in chunk {
-                let traj = &self.trajs[t];
-                let total: f64 =
-                    traj.occurrences(q).into_iter().map(|i| traj.deletion_loss(i)).sum();
-                push_bounded(&mut best, delta, (TotalF64(total), t));
-            }
-            best.into_sorted_vec()
-        };
-        let mut scored: Vec<(TotalF64, usize)> = if workers > 1 && candidates.len() > 1 {
-            pool::map_chunks(workers, &candidates, score_chunk).into_iter().flatten().collect()
-        } else {
-            score_chunk(0, &candidates)
-        };
-        scored.sort_unstable();
-        scored.into_iter().take(delta).map(|(_, t)| t).collect()
-    }
-
-    /// Applies a decrease previously scanned by [`Self::decrease_victims`]:
-    /// deletes every occurrence of `q` from each victim, in order.
-    pub fn apply_decrease(&mut self, q: PointKey, victims: &[usize]) {
-        for &t in victims {
+        let mut best: BinaryHeap<(TotalF64, usize)> = BinaryHeap::with_capacity(delta + 1);
+        for t in self.trajectories_containing(q) {
+            let traj = &self.trajs[t];
+            let total: f64 = traj.occurrences(q).into_iter().map(|i| traj.deletion_loss(i)).sum();
+            push_bounded(&mut best, delta, (TotalF64(total), t));
+        }
+        let victims = best.into_sorted_vec();
+        for &(_, t) in &victims {
             self.delete_point_from(t, q);
         }
+        victims.len()
     }
 
     /// Removes every occurrence of `q` from slot `t`. Each deletion
@@ -1168,127 +1065,6 @@ mod tests {
         assert_eq!(ed.trajectories()[1].count_point(q), 0);
         assert!(ed.trajectories()[2].passes_through(q));
         assert!(ed.trajectories()[3].passes_through(q));
-    }
-
-    /// Seeded cluster dataset shared by the worker-invariance tests.
-    fn clustered_trajs(n: usize, seed: u64) -> Vec<Trajectory> {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|id| {
-                let cx: f64 = rng.gen_range(0.0..900.0);
-                let cy: f64 = rng.gen_range(0.0..900.0);
-                let pts: Vec<(f64, f64)> = (0..10)
-                    .map(|_| (cx + rng.gen_range(0.0..100.0), cy + rng.gen_range(0.0..100.0)))
-                    .collect();
-                traj(id as u64, &pts)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn bbox_increase_is_worker_count_invariant() {
-        let trajs = clustered_trajs(40, 101);
-        let total_segments: usize = trajs.iter().map(Trajectory::num_segments).sum();
-        let q = Point::new(450.0, 450.0);
-        for delta in [1usize, 4, 11] {
-            let mut serial = DatasetEditor::new(trajs.clone(), IndexKind::default(), domain());
-            serial.use_bbox_pruning = true;
-            serial.increase_tf(q, delta);
-            for workers in [2usize, 3, 8] {
-                let mut par = DatasetEditor::new(trajs.clone(), IndexKind::default(), domain());
-                par.use_bbox_pruning = true;
-                par.workers = workers;
-                par.increase_tf(q, delta);
-                par.check_invariants();
-                assert_eq!(
-                    par.trajectories(),
-                    serial.trajectories(),
-                    "delta={delta} workers={workers}"
-                );
-                assert_eq!(par.loss, serial.loss, "delta={delta} workers={workers}");
-                // Every candidate's exact-loss sweep runs at most once
-                // (the chunks exclude the seed prefix), so the scan
-                // work can never exceed one full pass.
-                assert!(
-                    par.stats.segments_checked <= total_segments,
-                    "delta={delta} workers={workers}: checked {} of {total_segments}",
-                    par.stats.segments_checked
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_bbox_scan_does_not_rescan_the_seed_prefix() {
-        // With delta = candidate count no pruning is possible, so a
-        // single-scan implementation checks every segment exactly once.
-        // The old chunking handed the *whole* candidate list to the
-        // pool after seeding the bound from its prefix, so chunk 0
-        // re-scanned the first ∆l candidates and the counter exceeded
-        // the total.
-        let trajs = clustered_trajs(12, 9);
-        let total_segments: usize = trajs.iter().map(Trajectory::num_segments).sum();
-        let q = Point::new(450.0, 450.0); // not on any trajectory
-        for workers in [2usize, 3, 8] {
-            let mut ed = DatasetEditor::new(trajs.clone(), IndexKind::default(), domain());
-            ed.use_bbox_pruning = true;
-            ed.workers = workers;
-            assert_eq!(ed.increase_tf(q, trajs.len()), trajs.len());
-            assert_eq!(
-                ed.stats.segments_checked, total_segments,
-                "workers={workers}: the seed prefix must not be scanned twice"
-            );
-        }
-    }
-
-    #[test]
-    fn decrease_is_worker_count_invariant() {
-        // Plant a shared point in every trajectory so the decrease scan
-        // has a wide candidate set.
-        let q = Point::new(500.0, 500.0);
-        let trajs: Vec<Trajectory> = clustered_trajs(30, 77)
-            .into_iter()
-            .map(|mut t| {
-                t.push_point(q);
-                t
-            })
-            .collect();
-        for delta in [1usize, 7, 30] {
-            let mut serial = DatasetEditor::new(trajs.clone(), IndexKind::default(), domain());
-            serial.decrease_tf(q.key(), delta);
-            for workers in [2usize, 3, 8] {
-                let mut par = DatasetEditor::new(trajs.clone(), IndexKind::default(), domain());
-                par.workers = workers;
-                par.decrease_tf(q.key(), delta);
-                par.check_invariants();
-                assert_eq!(
-                    par.trajectories(),
-                    serial.trajectories(),
-                    "delta={delta} workers={workers}"
-                );
-                assert_eq!(par.loss, serial.loss, "delta={delta} workers={workers}");
-            }
-        }
-    }
-
-    #[test]
-    fn decrease_victims_is_a_pure_scan() {
-        let q = Point::new(500.0, 500.0);
-        let trajs: Vec<Trajectory> = clustered_trajs(10, 5)
-            .into_iter()
-            .map(|mut t| {
-                t.push_point(q);
-                t
-            })
-            .collect();
-        let ed = DatasetEditor::new(trajs, IndexKind::default(), domain());
-        let before: Vec<Trajectory> = ed.trajectories().to_vec();
-        let victims = ed.decrease_victims(q.key(), 3, 4);
-        assert_eq!(victims.len(), 3);
-        assert_eq!(ed.trajectories(), &before[..], "scan must not modify the dataset");
-        assert_eq!(victims, ed.decrease_victims(q.key(), 3, 1), "worker count changed the scan");
     }
 
     #[test]

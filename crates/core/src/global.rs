@@ -44,12 +44,11 @@ pub struct GlobalReport {
     pub insertions: usize,
     /// Point deletions performed.
     pub deletions: usize,
-    /// Accumulated K-nearest-search work. Unlike every other field,
-    /// this one is *not* worker-count invariant: chunked parallel scans
-    /// prune differently than the serial heap, so the counters reflect
-    /// the work actually done, not a canonical amount.
+    /// Accumulated K-nearest-search work of the modification. The
+    /// phase is serial, so the counters are the same at every worker
+    /// count.
     pub search_stats: SearchStats,
-    /// Wall-clock per modification stage (also not invariant — it
+    /// Wall-clock per modification stage (not reproducible — it
     /// measures this run's real elapsed time).
     pub timings: StageTimings,
 }
@@ -89,35 +88,26 @@ enum EditStep {
 }
 
 /// Inter-trajectory modification (`GlobalEdit`, Algorithm 1 line 7):
-/// deterministically edits the dataset until it realizes `perturbed`.
+/// deterministically edits the dataset until it realizes `perturbed`,
+/// applying the TF-increasing and TF-decreasing tasks one by one in
+/// candidate order.
 ///
 /// This phase draws no randomness — given the perturbed targets it is a
-/// pure function of the dataset, however the perturbation was sharded,
-/// and it parallelizes deterministically over `workers` threads: the
-/// exact-loss candidate scans inside each edit are chunked (see
-/// [`DatasetEditor`]), and consecutive TF decreases whose containing
-/// trajectory sets are pairwise disjoint — whose edits provably cannot
-/// interact — are scanned concurrently against a shared snapshot before
-/// their deletions apply in candidate order. Any overlap falls back to
-/// serial processing, so the output dataset, edit counts, and utility
-/// loss are **byte-identical** to `workers == 1` at every worker count.
-/// The one exception is [`GlobalReport::search_stats`]: the work
-/// counters measure how much pruning each scan achieved, which
-/// legitimately differs between the serial heap and the chunked scans.
+/// pure function of the dataset, however the perturbation was sharded.
+/// It runs serially on the calling thread: `workers` is unused and
+/// kept only for the callers that pass it.
 pub fn realize_tf(
     ds: &Dataset,
     analysis: &FrequencyAnalysis,
     perturbed: &HashMap<PointKey, u64>,
     kind: IndexKind,
     bbox_pruning: bool,
-    workers: usize,
+    _workers: usize,
 ) -> (Dataset, GlobalReport) {
-    let workers = workers.max(1);
     // lint: allow(determinism): wall-clock feeds the timing report only; no edit decision reads it
     let realize_started = std::time::Instant::now();
     let mut editor = DatasetEditor::new(ds.trajectories.clone(), kind, ds.domain);
     editor.use_bbox_pruning = bbox_pruning;
-    editor.workers = workers;
     let mut tf_changes = HashMap::with_capacity(perturbed.len());
     // Plan every edit up front. An edit touches only occurrences of its
     // own point, so it never changes another candidate's TF and the
@@ -141,58 +131,16 @@ pub fn realize_tf(
     let build = realize_started.elapsed();
     let mut increase_time = std::time::Duration::ZERO;
     let mut decrease_time = std::time::Duration::ZERO;
-    let mut i = 0;
-    while i < steps.len() {
+    for step in steps {
         // lint: allow(determinism): wall-clock feeds the timing report only; no edit decision reads it
         let step_started = std::time::Instant::now();
-        match steps[i] {
+        match step {
             EditStep::Increase(p, delta) => {
-                // An insertion search may read any trajectory, so
-                // increases never batch with neighbouring edits.
                 editor.increase_tf(p.to_point(), delta);
-                i += 1;
                 increase_time += step_started.elapsed();
             }
-            EditStep::Decrease(..) => {
-                // Batch the maximal run of decreases with pairwise
-                // disjoint containing sets: each one scans (and deletes
-                // from) only trajectories containing its point, so
-                // disjointness proves the scans see the same state as
-                // under serial execution. A conflicting decrease closes
-                // the batch and starts the next — the serial fallback.
-                let mut batch: Vec<(PointKey, usize)> = Vec::new();
-                let mut touched: std::collections::HashSet<usize> =
-                    std::collections::HashSet::new();
-                while let Some(&EditStep::Decrease(p, delta)) = steps.get(i) {
-                    let containing = editor.trajectories_containing(p);
-                    if !batch.is_empty() && containing.iter().any(|t| touched.contains(t)) {
-                        break;
-                    }
-                    touched.extend(containing);
-                    batch.push((p, delta));
-                    i += 1;
-                }
-                if workers == 1 || batch.len() == 1 {
-                    for (p, delta) in batch {
-                        editor.decrease_tf(p, delta);
-                    }
-                } else {
-                    // Scan all batch members concurrently against the
-                    // shared snapshot, then apply in candidate order.
-                    let snapshot = &editor;
-                    let victims: Vec<Vec<usize>> = map_chunks(workers, &batch, |_, chunk| {
-                        chunk
-                            .iter()
-                            .map(|&(p, delta)| snapshot.decrease_victims(p, delta, 1))
-                            .collect::<Vec<_>>()
-                    })
-                    .into_iter()
-                    .flatten()
-                    .collect();
-                    for ((p, _), v) in batch.iter().zip(&victims) {
-                        editor.apply_decrease(*p, v);
-                    }
-                }
+            EditStep::Decrease(p, delta) => {
+                editor.decrease_tf(p, delta);
                 decrease_time += step_started.elapsed();
             }
         }
@@ -219,8 +167,8 @@ pub fn realize_tf(
 ///
 /// The sorted candidate set is cut into one contiguous shard per worker
 /// and each shard perturbed by [`perturb_tf_shard`] with per-point
-/// streams; the merged targets are then realized by [`realize_tf`] over
-/// the same worker count. The output is therefore identical at every
+/// streams; the merged targets are then realized serially by
+/// [`realize_tf`]. The output is therefore identical at every
 /// `workers`, and `workers == 1` runs inline on the calling thread. The
 /// returned dataset realizes the perturbed TF distribution for every
 /// candidate point, up to saturation (a TF cannot exceed `|D|` or drop
@@ -242,7 +190,7 @@ pub fn apply_global_streamed(
     for shard in shards {
         perturbed.extend(shard?);
     }
-    Ok(realize_tf(ds, analysis, &perturbed, kind, bbox_pruning, workers))
+    Ok(realize_tf(ds, analysis, &perturbed, kind, bbox_pruning, 1))
 }
 
 #[cfg(test)]
@@ -391,6 +339,7 @@ mod tests {
                 assert_eq!(report.deletions, base_report.deletions);
                 assert_eq!(report.utility_loss, base_report.utility_loss);
                 assert_eq!(report.tf_changes, base_report.tf_changes);
+                assert_eq!(report.search_stats, base_report.search_stats);
             }
         }
     }

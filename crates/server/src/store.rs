@@ -49,6 +49,11 @@
 //! from being reissued while a job record still names it.
 //! Pending uploads are memory-only by design: an upload interrupted by
 //! a crash has no owner to resume it, so the client simply starts over.
+//! Their ids are not reissued either: `<dir>/ids` durably records a
+//! high-water mark past every id handed out, extended one block of
+//! `ID_BLOCK` ids at a time, and a reopened store resumes past it, so
+//! a chunk for a pre-restart upload id answers `dataset-not-found`
+//! instead of landing in another client's upload.
 //!
 //! The disk writes of `commit`/`insert` (write + fsync + rename + dir
 //! fsync) run **outside the store mutex**: a multi-GB persist must not
@@ -113,6 +118,12 @@ pub const DEFAULT_DOWNLOAD_CHUNK_BYTES: usize = 1024 * 1024;
 /// Default age past which a pending upload with no new `chunk` is
 /// considered abandoned and reclaimed by the sweep.
 pub const UPLOAD_TTL: Duration = Duration::from_secs(15 * 60);
+/// Ids reserved per durable write of the id high-water mark: minting
+/// pays one small fsynced write per block, and a restart skips at most
+/// one block of unused ids.
+const ID_BLOCK: u64 = 1024;
+/// File under the persistence directory holding the id high-water mark.
+const ID_MARK: &str = "ids";
 
 /// Tuning knobs of a [`DatasetStore`].
 #[derive(Debug, Clone)]
@@ -219,7 +230,11 @@ impl Entry {
 }
 
 struct StoreInner {
+    /// The last id handed out.
     next_id: u64,
+    /// Ids up to this one are covered by the durable high-water mark
+    /// (`<dir>/ids`); minting past it extends the mark first.
+    reserved: u64,
     /// LRU clock, bumped on every touch of a committed entry.
     clock: u64,
     entries: HashMap<String, Entry>,
@@ -294,6 +309,30 @@ impl StoreInner {
                 owner,
             },
         );
+    }
+
+    /// Reserves the next [`ID_BLOCK`] ids past `next_id`, durably
+    /// recording the new high-water mark first when the store persists.
+    fn reserve(&mut self) -> std::io::Result<()> {
+        let upto = self.next_id.saturating_add(ID_BLOCK);
+        if let Some(dir) = &self.dir {
+            write_durably(dir, ID_MARK, &format!("{upto}\n"), || {})?;
+        }
+        self.reserved = upto;
+        Ok(())
+    }
+
+    /// Hands out the next handle id, the one mint of `begin` and
+    /// `insert`. The id is on record in the high-water mark before it
+    /// leaves, so a restart never reissues it, not even a pending
+    /// upload's, which has no file.
+    fn mint(&mut self) -> Result<String, ApiError> {
+        if self.next_id >= self.reserved {
+            // lint: allow(lock-across-io): a few-byte write once per ID_BLOCK ids; holding the lock keeps two mints from handing out ids past a mark not yet on disk
+            self.reserve().map_err(|e| ApiError::io(format!("cannot record handle ids: {e}")))?;
+        }
+        self.next_id += 1;
+        Ok(format!("ds-{}", self.next_id))
     }
 
     /// Removes `id`'s entry and, for a committed one, its persisted
@@ -428,8 +467,11 @@ impl DatasetStore {
     /// Opens a store with explicit lifecycle knobs. With a persistence
     /// directory, creates it if missing and reloads every `ds-<id>.csv`
     /// / `ds-<id>.job.csv` as a committed dataset; `next_id` resumes
-    /// past the highest id on disk, and a journaled job queue moves it
-    /// past the ids its replayed state names ([`Self::skip_ids`]).
+    /// past the highest id on disk and past the recorded high-water mark
+    /// (`<dir>/ids`), which is moved one `ID_BLOCK` on before the
+    /// store opens, and a journaled job queue moves it past the ids its
+    /// replayed state names ([`Self::skip_ids`]; state directories
+    /// written before the mark existed have none).
     /// Reloaded handles enter the LRU cold, in id order — nothing has
     /// touched them since the restart.
     pub fn with_config(cfg: StoreConfig) -> std::io::Result<Self> {
@@ -438,6 +480,18 @@ impl DatasetStore {
         let mut clock = 0u64;
         if let Some(dir) = &cfg.dir {
             std::fs::create_dir_all(dir)?;
+            match std::fs::read_to_string(dir.join(ID_MARK)) {
+                Ok(mark) => {
+                    max_id = mark.trim().parse().map_err(|e| {
+                        std::io::Error::new(
+                            std::io::ErrorKind::InvalidData,
+                            format!("malformed id mark {:?}: {e}", dir.join(ID_MARK)),
+                        )
+                    })?;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e),
+            }
             let mut reloaded: Vec<(u64, bool, PathBuf)> = Vec::new();
             for entry in std::fs::read_dir(dir)? {
                 let path = entry?.path();
@@ -484,17 +538,20 @@ impl DatasetStore {
                 );
             }
         }
+        let mut inner = StoreInner {
+            next_id: max_id,
+            reserved: max_id,
+            clock,
+            entries,
+            dir: cfg.dir,
+            capacity: cfg.capacity.max(1),
+            ttl: cfg.ttl,
+            upload_ttl: cfg.upload_ttl,
+            metrics: Arc::default(),
+        };
+        inner.reserve()?;
         Ok(Self {
-            inner: Arc::new(Mutex::new(StoreInner {
-                next_id: max_id,
-                clock,
-                entries,
-                dir: cfg.dir,
-                capacity: cfg.capacity.max(1),
-                ttl: cfg.ttl,
-                upload_ttl: cfg.upload_ttl,
-                metrics: Arc::default(),
-            })),
+            inner: Arc::new(Mutex::new(inner)),
             #[cfg(test)]
             persist_gate: None,
         })
@@ -558,8 +615,7 @@ impl DatasetStore {
             }
         }
         s.make_room()?;
-        s.next_id += 1;
-        let id = format!("ds-{}", s.next_id);
+        let id = s.mint()?;
         s.entries.insert(
             id.clone(),
             Entry::Pending {
@@ -721,8 +777,7 @@ impl DatasetStore {
         let (id, dir) = {
             let mut s = self.lock()?;
             s.make_room()?;
-            s.next_id += 1;
-            let id = format!("ds-{}", s.next_id);
+            let id = s.mint()?;
             s.entries.insert(id.clone(), Entry::Committing { owner: None, bytes });
             (id, s.dir.clone())
         };
@@ -844,7 +899,9 @@ impl DatasetStore {
 
     /// Moves the id counter past every `ds-<n>` in `named`, so new data
     /// never takes an id that something still names, even once its
-    /// file is gone.
+    /// file is gone. The id mark already covers every id a store with
+    /// the mark handed out; this covers state directories written
+    /// before it.
     pub fn skip_ids<'a>(&self, named: impl IntoIterator<Item = &'a str>) {
         let Ok(mut s) = self.lock() else { return };
         for n in named.into_iter().filter_map(|id| id.strip_prefix("ds-")?.parse::<u64>().ok()) {
@@ -987,29 +1044,39 @@ impl DatasetStore {
         Ok((text[offset..end].to_string(), text.len(), end == text.len()))
     }
 
-    /// Durably writes `<dir>/<file>` via temp file + fsync + rename +
-    /// directory fsync, so neither a process crash nor a power loss can
-    /// leave a torn (or silently empty) dataset that a reload would
-    /// serve as committed. Must be called **without** the store mutex
-    /// held.
+    /// Durably writes the dataset file `<dir>/<file>` ([`write_durably`]).
+    /// Must be called **without** the store mutex held.
     fn persist(&self, dir: &std::path::Path, file: &str, text: &str) -> Result<(), ApiError> {
-        use std::io::Write as _;
-        let tmp = dir.join(format!("{file}.tmp"));
-        let path = dir.join(file);
-        let write = || -> std::io::Result<()> {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(text.as_bytes())?;
-            // Test hook: park here, with the temp file visible, to
-            // prove the store mutex is not held across the disk write.
+        // Test hook: park once the temp file is visible, to prove the
+        // store mutex is not held across the disk write.
+        let written = || {
             #[cfg(test)]
-            let _gate = self.persist_gate.as_ref().map(|g| g.lock().expect("gate poisoned"));
-            f.sync_all()?;
-            std::fs::rename(&tmp, &path)?;
-            // The rename itself must survive power loss too.
-            std::fs::File::open(dir)?.sync_all()
+            drop(self.persist_gate.as_ref().map(|g| g.lock().expect("gate poisoned")));
         };
-        write().map_err(|e| ApiError::io(format!("cannot persist dataset {file:?}: {e}")))
+        write_durably(dir, file, text, written)
+            .map_err(|e| ApiError::io(format!("cannot persist dataset {file:?}: {e}")))
     }
+}
+
+/// Durably writes `<dir>/<file>` via temp file + fsync + rename +
+/// directory fsync, so neither a process crash nor a power loss can
+/// leave a torn (or silently empty) file that a reload would trust.
+/// `written` runs once the temp file holds the bytes, before its fsync.
+fn write_durably(
+    dir: &std::path::Path,
+    file: &str,
+    text: &str,
+    written: impl FnOnce(),
+) -> std::io::Result<()> {
+    use std::io::Write as _;
+    let tmp = dir.join(format!("{file}.tmp"));
+    let mut f = std::fs::File::create(&tmp)?;
+    f.write_all(text.as_bytes())?;
+    written();
+    f.sync_all()?;
+    std::fs::rename(&tmp, dir.join(file))?;
+    // The rename itself must survive power loss too.
+    std::fs::File::open(dir)?.sync_all()
 }
 
 #[cfg(test)]
@@ -1289,6 +1356,46 @@ mod tests {
         let again = DatasetStore::open(Some(dir.clone())).unwrap();
         assert!(again.resolve(&id).unwrap_err().message.contains("unknown"));
         assert!(again.resolve(&id2).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_reopened_store_never_reissues_a_pending_upload_id() {
+        let dir = std::env::temp_dir().join("trajdp-store-pending-id-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DatasetStore::open(Some(dir.clone())).unwrap();
+        let lost = store.begin().unwrap();
+        store.append(&lost, "partial").unwrap();
+        drop(store);
+
+        let reopened = DatasetStore::open(Some(dir.clone())).unwrap();
+        let fresh = reopened.begin().unwrap();
+        assert_ne!(fresh, lost, "a reopen reissued a pending upload's id");
+        let err = reopened.append(&lost, "resumed").unwrap_err();
+        assert_eq!(err.code, crate::api::ErrorCode::DatasetNotFound, "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_id_mark_grows_past_a_used_up_block() {
+        // Mint one id past the block reserved at open: the mark must
+        // move before that id is handed out, so a reopen resumes past it.
+        let dir = std::env::temp_dir().join("trajdp-store-id-block-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = StoreConfig {
+            dir: Some(dir.clone()),
+            capacity: ID_BLOCK as usize + 2,
+            ..StoreConfig::default()
+        };
+        let store = DatasetStore::with_config(cfg.clone()).unwrap();
+        let ids: Vec<String> = (0..=ID_BLOCK).map(|_| store.begin().unwrap()).collect();
+        drop(store);
+        let reopened = DatasetStore::with_config(cfg).unwrap();
+        let fresh = reopened.begin().unwrap();
+        assert!(!ids.contains(&fresh), "{fresh} was handed out before the reopen");
+        std::fs::write(dir.join(ID_MARK), "not a number\n").unwrap();
+        let err = DatasetStore::open(Some(dir.clone())).err().expect("a malformed mark opened");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -522,6 +522,47 @@ fn restarted_server_never_reissues_a_deleted_result_id() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A pending upload has no file, so only the store's durable id mark
+/// keeps a restarted server from handing its id to the next client: a
+/// chunk the first client resumes with must not land in that upload.
+#[test]
+fn restarted_server_never_reissues_a_pending_upload_id() {
+    let dir = std::env::temp_dir().join("trajdp-restart-pending-id-test");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let chunk = |client: &mut Client, id: &str, data: &str| {
+        client
+            .request(&Json::obj([
+                ("cmd", Json::from("chunk")),
+                ("dataset", Json::from(id)),
+                ("data", Json::from(data)),
+            ]))
+            .unwrap()
+    };
+
+    let server = start_durable(&dir);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let opened = client.request_line(r#"{"cmd":"upload"}"#).unwrap();
+    let lost = opened.get("dataset").and_then(Json::as_str).unwrap().to_string();
+    let sent = chunk(&mut client, &lost, "traj_id,x,y,t\n");
+    assert_eq!(sent.get("ok"), Some(&Json::Bool(true)), "{sent}");
+    drop(client);
+    server.shutdown();
+
+    let server = start_durable(&dir);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let opened = client.request_line(r#"{"cmd":"upload"}"#).unwrap();
+    let fresh = opened.get("dataset").and_then(Json::as_str).unwrap().to_string();
+    assert_ne!(fresh, lost, "a restart reissued a pending upload's id");
+    let resumed = chunk(&mut client, &lost, "0,1.0,2.0,3\n");
+    let msg = resumed.get("error").and_then(Json::as_str).unwrap_or_default();
+    assert!(msg.contains("unknown dataset"), "{resumed}");
+
+    drop(client);
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Two authenticated tenants and the open default path share one
 /// server: quotas bind only the tenant that exhausted them, and every
 /// other identity keeps full service.

@@ -10,7 +10,7 @@ use crate::agent::{Agent, TripMix};
 use crate::road::{NodeId, RoadNetwork, RoadNetworkConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use trajdp_model::{Dataset, Point, Sample, Trajectory};
+use trajdp_model::{Dataset, Sample, Trajectory};
 
 /// Configuration of the synthetic dataset generator.
 #[derive(Debug, Clone, PartialEq)]
@@ -181,13 +181,6 @@ pub fn generate(cfg: &GeneratorConfig) -> SyntheticWorld {
 
     let dataset = Dataset::new(network.domain(), trajectories);
     SyntheticWorld { dataset, network, hotspots, anchors }
-}
-
-impl SyntheticWorld {
-    /// Location of a network node (convenience passthrough).
-    pub fn node_point(&self, id: NodeId) -> Point {
-        self.network.node(id)
-    }
 }
 
 #[cfg(test)]

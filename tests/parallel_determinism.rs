@@ -26,8 +26,8 @@ fn parallel_csv_is_byte_identical_to_serial() {
 
 #[test]
 fn parallel_modification_is_byte_identical_for_combined_models() {
-    // `cfg.workers` shards the perturbation, the global modification
-    // phase (`GlobalEdit`), and the local phase; both full combined
+    // `cfg.workers` shards the perturbation and the local phase around
+    // the serial global modification (`GlobalEdit`); both full combined
     // pipelines must release the exact same bytes at every worker count.
     let world = generate(&GeneratorConfig::tdrive_profile(35, 70, 29));
     for model in [Model::Combined, Model::CombinedLocalFirst] {
@@ -46,14 +46,26 @@ fn parallel_modification_is_byte_identical_for_combined_models() {
 
 #[test]
 fn parallel_modification_with_bbox_pruning_is_byte_identical() {
+    // The bbox branch-and-bound search is serial, so its work counters
+    // are worker-count invariant along with the release bytes.
     let world = generate(&GeneratorConfig::tdrive_profile(25, 50, 31));
     let base_cfg = FreqDpConfig { m: 5, seed: 0xACE, bbox_pruning: true, ..Default::default() };
-    let serial_csv =
-        to_csv(&anonymize(&world.dataset, Model::Combined, &base_cfg).unwrap().dataset);
+    let serial = anonymize(&world.dataset, Model::Combined, &base_cfg).unwrap();
+    let serial_csv = to_csv(&serial.dataset);
+    let serial_work = serial.global.unwrap().search_stats;
     for workers in [2usize, 3, 8, 64] {
         let cfg = FreqDpConfig { workers, ..base_cfg };
-        let csv = to_csv(&anonymize(&world.dataset, Model::Combined, &cfg).unwrap().dataset);
-        assert_eq!(csv, serial_csv, "bbox-pruned modification diverged at {workers} workers");
+        let out = anonymize(&world.dataset, Model::Combined, &cfg).unwrap();
+        assert_eq!(
+            to_csv(&out.dataset),
+            serial_csv,
+            "bbox-pruned modification diverged at {workers} workers"
+        );
+        assert_eq!(
+            out.global.unwrap().search_stats,
+            serial_work,
+            "bbox-pruned search work moved at {workers} workers"
+        );
     }
 }
 
@@ -127,8 +139,7 @@ fn release_bytes_and_search_work_match_goldens_for_every_hier_strategy() {
     // HierGrid strategy releases its own bytes. The hashes and GL's
     // search counters were captured once per strategy; a change to the
     // grid's layout must leave every traversal, and so all of them, as
-    // they are. (The counters are pinned at one worker only: chunked
-    // parallel global scans prune differently.)
+    // they are, at every worker count.
     let world = generate(&GeneratorConfig::tdrive_profile(40, 80, 11));
     let stats = |cells_visited, segments_checked| SearchStats { cells_visited, segments_checked };
     let golden = [
@@ -171,10 +182,11 @@ fn release_bytes_and_search_work_match_goldens_for_every_hier_strategy() {
                     expected,
                     "{index:?} {model:?} at {workers} workers: release bytes moved"
                 );
-                if model == Model::Combined && workers == 1 {
+                if model == Model::Combined {
                     let (local, global) = (out.local.unwrap(), out.global.unwrap());
-                    assert_eq!(local.search_stats, local_work, "{index:?} GL local search work");
-                    assert_eq!(global.search_stats, global_work, "{index:?} GL global search work");
+                    let at = format!("{index:?} at {workers} workers");
+                    assert_eq!(local.search_stats, local_work, "{at}: GL local search work");
+                    assert_eq!(global.search_stats, global_work, "{at}: GL global search work");
                 }
             }
         }
