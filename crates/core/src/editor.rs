@@ -18,10 +18,13 @@
 //! complete deletion of a point costs a few index operations per
 //! occurrence, not a re-registration of the whole trajectory. Segment
 //! ids come from a counter and are never reused. [`DatasetEditor`]
-//! maps them to their trajectory slots in a dense owner vector, and
-//! each nearest-segment search filters through a per-query slot mask of
-//! the trajectories already containing the point, so the filter the
-//! index calls for every checked segment does no hashing.
+//! maps them to their trajectory slots in a dense owner vector, and a
+//! TF increase is one grouped index search: its group function maps a
+//! segment to its owning slot through that vector, or leaves it out
+//! when a per-query slot mask says the trajectory already contains the
+//! point, so the function the index calls for every checked segment
+//! does no hashing, and the index hands back the ∆l nearest
+//! trajectories themselves.
 
 use crate::indexkind::{AnyIndex, IndexKind};
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -395,15 +398,20 @@ impl DatasetEditor {
     /// the `delta` nearest trajectories that do not already pass through
     /// `q`. Returns the number of trajectories actually modified (may be
     /// fewer when the dataset runs out of eligible trajectories).
+    ///
+    /// A trajectory's distance is that of its nearest segment, and the
+    /// pick is the `delta` smallest `(distance, slot)` pairs, so on equal
+    /// distance the smallest slot wins. The segment index finds them in
+    /// one grouped search (group = owning slot); with `use_bbox_pruning`
+    /// a trajectory-level branch-and-bound finds the same ones.
+    /// Trajectories without a segment (fewer than two samples) come
+    /// after all of these, in slot order, and take `q` appended.
     pub fn increase_tf(&mut self, q: Point, delta: usize) -> usize {
         if delta == 0 {
             return 0;
         }
-        if self.use_bbox_pruning {
-            return self.increase_tf_bbox(q, delta);
-        }
         // Slot mask of the trajectories already passing through `q`, so
-        // the per-segment filter is two vector reads.
+        // the group function is two vector reads.
         let mut excluded = vec![false; self.trajs.len()];
         if let Some(set) = self.containing.get(&q.key()) {
             // lint: allow(determinism): sets one flag per member; the mask is the same in any visit order
@@ -411,55 +419,26 @@ impl DatasetEditor {
                 excluded[t] = true;
             }
         }
-        // Grow-k nearest-segment search: score each owning trajectory by
-        // its nearest reported segment, then pick the ∆l best in
-        // ascending `(distance, slot)` order — on equal distance the
-        // smallest slot wins, the same tie rule as the bbox path.
-        let mut chosen: Vec<usize>;
-        let mut k = delta.saturating_mul(4).max(8);
-        loop {
+        let mut chosen: Vec<usize> = if self.use_bbox_pruning {
+            self.nearest_by_bbox(q, delta, &excluded)
+        } else {
             let owner = &self.owner;
-            let filter = |id: u64| -> bool { !excluded[owner[id as usize]] };
-            let (neighbors, stats) = self.index.knn_with_stats(&q, k, Some(&filter));
+            let group = |id: u64| {
+                let t = owner[id as usize];
+                (!excluded[t]).then_some(t as u64)
+            };
+            let (nearest, stats) = self.index.knn_with_stats(&q, delta, Some(&group));
             self.accumulate(stats);
-            let exhausted = neighbors.len() < k;
-            // Unreported segments all lie at or beyond the search
-            // frontier (the k-th reported distance).
-            let frontier = neighbors.last().map_or(f64::INFINITY, |n| n.dist);
-            // Neighbors arrive sorted by distance, so a trajectory's
-            // first hit is its nearest reported segment.
-            let mut scored: Vec<(f64, usize)> = Vec::new();
-            for n in &neighbors {
-                let t = self.owner[n.id as usize];
-                if !scored.iter().any(|&(_, s)| s == t) {
-                    scored.push((n.dist, t));
-                }
-            }
-            scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            scored.truncate(delta);
-            // The selection is final only once the ∆l-th distance lies
-            // strictly inside the frontier: at the frontier itself, a
-            // hidden equal-distance trajectory with a smaller slot could
-            // still displace the ∆l-th pick (the k cutoff truncates ties
-            // in index-visit order, not slot order), so keep growing.
-            let settled =
-                scored.len() == delta && scored.last().is_some_and(|&(d, _)| d < frontier);
-            chosen = scored.into_iter().map(|(_, t)| t).collect();
-            if settled || exhausted {
-                break;
-            }
-            k *= 2;
-        }
+            nearest.iter().map(|n| self.owner[n.id as usize]).collect()
+        };
         // Fallback: trajectories with no segments can still take an
         // appended point.
-        if chosen.len() < delta {
-            for (t, traj) in self.trajs.iter().enumerate() {
-                if chosen.len() == delta {
-                    break;
-                }
-                if traj.num_segments() == 0 && !excluded[t] && !chosen.contains(&t) {
-                    chosen.push(t);
-                }
+        for (t, traj) in self.trajs.iter().enumerate() {
+            if chosen.len() == delta {
+                break;
+            }
+            if traj.num_segments() == 0 && !excluded[t] {
+                chosen.push(t);
             }
         }
         let inserted = chosen.len();
@@ -469,24 +448,20 @@ impl DatasetEditor {
         inserted
     }
 
-    /// TF-increasing task via trajectory-level branch-and-bound — the
-    /// optimization §V-C leaves as future work: candidates are visited
-    /// in ascending bounding-box `MINdist` order and the scan stops once
-    /// the next lower bound exceeds the ∆l-th best exact insertion loss.
-    /// Produces exactly the same selection as the index-based search:
-    /// the ∆l smallest `(insertion loss, slot)` pairs, so equal-loss
-    /// ties always go to the smallest slot.
-    fn increase_tf_bbox(&mut self, q: Point, delta: usize) -> usize {
-        let qk = q.key();
-        let containing = self.containing.get(&qk);
+    /// The `delta` nearest trajectories with segments, by
+    /// trajectory-level branch-and-bound — the optimization §V-C leaves
+    /// as future work: candidates are visited in ascending bounding-box
+    /// `MINdist` order and the scan stops once the next lower bound
+    /// exceeds the ∆l-th best exact insertion loss. Selects exactly what
+    /// the grouped index search does: the ∆l smallest `(insertion loss,
+    /// slot)` pairs among the slots `excluded` leaves.
+    fn nearest_by_bbox(&mut self, q: Point, delta: usize, excluded: &[bool]) -> Vec<usize> {
         // Eligible trajectories in ascending lower-bound order.
         let mut candidates: Vec<(f64, usize)> = self
             .bboxes
             .iter()
             .enumerate()
-            .filter(|&(t, _)| {
-                !containing.is_some_and(|s| s.contains(&t)) && !self.trajs[t].is_empty()
-            })
+            .filter(|&(t, _)| !excluded[t] && self.trajs[t].num_segments() > 0)
             .map(|(t, b)| (b.min_dist(&q), t))
             .collect();
         candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -500,22 +475,12 @@ impl DatasetEditor {
                 break;
             }
             let traj = &self.trajs[t];
-            let exact = if traj.num_segments() == 0 {
-                // Single-sample trajectory: appending costs the distance
-                // from its only sample.
-                traj.samples.last().map_or(f64::INFINITY, |s| s.loc.dist(&q))
-            } else {
-                traj.segments().map(|(_, s)| s.dist_to_point(&q)).fold(f64::INFINITY, f64::min)
-            };
-            self.stats.segments_checked += traj.num_segments().max(1);
+            let exact =
+                traj.segments().map(|(_, s)| s.dist_to_point(&q)).fold(f64::INFINITY, f64::min);
+            self.stats.segments_checked += traj.num_segments();
             push_bounded(&mut best, delta, (TotalF64(exact), t));
         }
-        let chosen = best.into_sorted_vec();
-        let inserted = chosen.len();
-        for (_, t) in chosen {
-            self.insert_point_into(t, q);
-        }
-        inserted
+        best.into_sorted_vec().into_iter().map(|(_, t)| t).collect()
     }
 
     /// Inserts `q` into trajectory slot `t` at its best segment.
@@ -1017,6 +982,31 @@ mod tests {
     }
 
     #[test]
+    fn bbox_and_index_paths_agree_on_trajectories_without_segments() {
+        // Slot 1 is a lone sample 1 m from q, slot 2 is empty. Neither
+        // has a segment, so both rank after slot 0, whose segment lies
+        // 50 m away, and take q appended in slot order.
+        let trajs = vec![
+            traj(0, &[(0.0, 0.0), (100.0, 0.0)]),
+            traj(1, &[(10.0, 51.0)]),
+            Trajectory::new(2, Vec::new()),
+        ];
+        let q = Point::new(10.0, 50.0);
+        let cases = [(1usize, [3, 1, 0], 50.0), (2, [3, 2, 0], 51.0), (3, [3, 2, 1], 51.0)];
+        for (delta, lengths, loss) in cases {
+            for bbox in [false, true] {
+                let mut ed = DatasetEditor::new(trajs.clone(), IndexKind::default(), domain());
+                ed.use_bbox_pruning = bbox;
+                assert_eq!(ed.increase_tf(q, delta), delta, "bbox={bbox} delta={delta}");
+                ed.check_invariants();
+                let got: Vec<usize> = ed.trajectories().iter().map(Trajectory::len).collect();
+                assert_eq!(got, lengths, "bbox={bbox} delta={delta}");
+                assert_eq!(ed.loss, loss, "bbox={bbox} delta={delta}");
+            }
+        }
+    }
+
+    #[test]
     fn equal_loss_ties_go_to_smallest_slot_on_both_paths() {
         // With delta = 3 the nearer band (slots 9–17) ties nine ways;
         // the fixed rule must pick its three smallest slots.
@@ -1033,11 +1023,9 @@ mod tests {
 
     #[test]
     fn knn_tie_straddle_at_k_cutoff_still_picks_smallest_slots() {
-        // 30 identical trajectories: every eligible segment ties, and
-        // the initial k = 8 cutoff hides most of them behind the search
-        // frontier. The kNN path must keep growing k instead of letting
-        // index-visit order decide the tie, staying in lockstep with
-        // the bbox path.
+        // 30 identical trajectories: every eligible segment ties. The
+        // grouped search must rank the tie by slot, not let index-visit
+        // order decide it, staying in lockstep with the bbox path.
         let trajs: Vec<Trajectory> =
             (0..30).map(|id| traj(id, &[(0.0, 10.0), (100.0, 10.0)])).collect();
         let q = Point::new(50.0, 0.0);

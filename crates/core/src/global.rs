@@ -10,7 +10,6 @@
 use crate::editor::DatasetEditor;
 use crate::freq::FrequencyAnalysis;
 use crate::indexkind::IndexKind;
-use crate::pool::map_chunks;
 use crate::stream::{stream_rng, PHASE_GLOBAL};
 use std::collections::HashMap;
 use trajdp_index::SearchStats;
@@ -165,12 +164,10 @@ pub fn realize_tf(
 /// Runs the full global mechanism: TF perturbation (Algorithm 1, lines
 /// 1–6) followed by inter-trajectory modification (`GlobalEdit`, line 7).
 ///
-/// The sorted candidate set is cut into one contiguous shard per worker
-/// and each shard perturbed by [`perturb_tf_shard`] with per-point
-/// streams; the merged targets are then realized serially by
-/// [`realize_tf`]. The output is therefore identical at every
-/// `workers`, and `workers == 1` runs inline on the calling thread. The
-/// returned dataset realizes the perturbed TF distribution for every
+/// Both steps run serially on the calling thread: [`perturb_tf_shard`]
+/// perturbs the whole sorted candidate set (a few hundred Laplace draws,
+/// one per-point stream each), and [`realize_tf`] realizes the targets.
+/// The returned dataset realizes the perturbed TF distribution for every
 /// candidate point, up to saturation (a TF cannot exceed `|D|` or drop
 /// below the available occurrences).
 pub fn apply_global_streamed(
@@ -179,17 +176,11 @@ pub fn apply_global_streamed(
     epsilon: f64,
     kind: IndexKind,
     bbox_pruning: bool,
-    workers: usize,
     root_seed: u64,
 ) -> Result<(Dataset, GlobalReport), MechError> {
     let candidates = analysis.candidate_points();
-    let shards = map_chunks(workers, &candidates, |lo, chunk| {
-        perturb_tf_shard(analysis, chunk, lo, epsilon, root_seed)
-    });
-    let mut perturbed = HashMap::with_capacity(candidates.len());
-    for shard in shards {
-        perturbed.extend(shard?);
-    }
+    let perturbed: HashMap<PointKey, u64> =
+        perturb_tf_shard(analysis, &candidates, 0, epsilon, root_seed)?.into_iter().collect();
     Ok(realize_tf(ds, analysis, &perturbed, kind, bbox_pruning, 1))
 }
 
@@ -263,7 +254,7 @@ mod tests {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
         let (out, report) =
-            apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), false, 1, 11).unwrap();
+            apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), false, 11).unwrap();
         assert_eq!(out.len(), d.len());
         for (p, &(_, target)) in &report.tf_changes {
             let realized = out.trajectory_frequency(*p) as u64;
@@ -276,7 +267,7 @@ mod tests {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
         let (out, report) =
-            apply_global_streamed(&d, &fa, 1000.0, IndexKind::default(), false, 1, 17).unwrap();
+            apply_global_streamed(&d, &fa, 1000.0, IndexKind::default(), false, 17).unwrap();
         assert_eq!(report.insertions, 0);
         assert_eq!(report.deletions, 0);
         assert_eq!(report.utility_loss, 0.0);
@@ -303,21 +294,11 @@ mod tests {
     fn streamed_apply_is_deterministic_and_seed_sensitive() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let (a, _) =
-            apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), false, 1, 5).unwrap();
-        let (b, _) =
-            apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), false, 1, 5).unwrap();
+        let (a, _) = apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), false, 5).unwrap();
+        let (b, _) = apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), false, 5).unwrap();
         assert_eq!(a, b);
-        let (c, _) =
-            apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), false, 1, 6).unwrap();
+        let (c, _) = apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), false, 6).unwrap();
         assert_ne!(a, c, "different root seeds must perturb differently");
-        // Sharding the perturbation over any worker count changes nothing.
-        for workers in [2usize, 3, 8] {
-            let (sharded, _) =
-                apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), false, workers, 5)
-                    .unwrap();
-            assert_eq!(sharded, a, "{workers} workers");
-        }
     }
 
     #[test]
@@ -361,7 +342,7 @@ mod tests {
             IndexKind::Hier(512, Strategy::BottomUp),
             IndexKind::Hier(512, Strategy::BottomUpDown),
         ];
-        let run = |kind| apply_global_streamed(d, &fa, 0.5, kind, false, 1, 0x60_1D).unwrap();
+        let run = |kind| apply_global_streamed(d, &fa, 0.5, kind, false, 0x60_1D).unwrap();
         let (base, base_report) = run(IndexKind::default());
         assert!(base_report.insertions > 0 && base_report.deletions > 0, "too few edits to tell");
         for kind in kinds {
@@ -377,7 +358,7 @@ mod tests {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
         let (_, report) =
-            apply_global_streamed(&d, &fa, 0.2, IndexKind::default(), false, 1, 23).unwrap();
+            apply_global_streamed(&d, &fa, 0.2, IndexKind::default(), false, 23).unwrap();
         // Any modification must be accounted: if points moved, loss ≥ 0
         // and the counters reflect edits.
         if report.insertions == 0 && report.deletions == 0 {

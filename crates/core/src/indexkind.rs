@@ -3,7 +3,7 @@
 //! HG+) — the efficiency experiment of Figure 5 sweeps exactly these.
 
 use trajdp_index::{
-    HierGrid, LinearScan, Neighbor, SearchStats, SegmentEntry, SegmentIndex, Strategy, UniformGrid,
+    GroupFn, HierGrid, LinearScan, Neighbor, SearchStats, SegmentEntry, Strategy, UniformGrid,
 };
 use trajdp_model::{Point, Rect};
 
@@ -74,17 +74,18 @@ impl AnyIndex {
         }
     }
 
-    /// K-nearest segments with work counters.
+    /// The K nearest segments, or with `group` the K nearest groups,
+    /// with work counters.
     pub fn knn_with_stats(
         &self,
         q: &Point,
         k: usize,
-        filter: Option<&dyn Fn(u64) -> bool>,
+        group: Option<GroupFn>,
     ) -> (Vec<Neighbor>, SearchStats) {
         match self {
-            AnyIndex::Linear(i) => i.knn_with_stats(q, k, filter),
-            AnyIndex::Uniform(i) => i.knn_with_stats(q, k, filter),
-            AnyIndex::Hier(i, s) => i.knn_with_stats(q, k, *s, filter),
+            AnyIndex::Linear(i) => i.knn_with_stats(q, k, group),
+            AnyIndex::Uniform(i) => i.knn_with_stats(q, k, group),
+            AnyIndex::Hier(i, s) => i.knn_with_stats(q, k, *s, group),
         }
     }
 
@@ -92,8 +93,8 @@ impl AnyIndex {
     pub fn len(&self) -> usize {
         match self {
             AnyIndex::Linear(i) => i.len(),
-            AnyIndex::Uniform(i) => SegmentIndex::len(i),
-            AnyIndex::Hier(i, _) => SegmentIndex::len(i),
+            AnyIndex::Uniform(i) => i.len(),
+            AnyIndex::Hier(i, _) => i.len(),
         }
     }
 
@@ -165,6 +166,90 @@ mod tests {
             assert_eq!(idx.len(), 19);
             let (res, _) = idx.knn_with_stats(&Point::new(7.0 * 40.0 + 5.0, 0.0), 1, None);
             assert_ne!(res[0].id, 7, "{kind:?} returned a removed segment");
+        }
+    }
+
+    /// The `k` smallest `(nearest-segment distance, owner)` pairs over
+    /// the owners `excluded` leaves: a grouped search's answer, by brute
+    /// force.
+    fn nearest_owners(
+        segs: &[(Segment, u64)],
+        q: &Point,
+        k: usize,
+        excluded: &[bool],
+    ) -> Vec<(f64, u64)> {
+        let mut best = std::collections::BTreeMap::new();
+        for &(s, o) in segs.iter().filter(|&&(_, o)| !excluded[o as usize]) {
+            let d = s.dist_to_point(q);
+            best.entry(o).and_modify(|b: &mut f64| *b = b.min(d)).or_insert(d);
+        }
+        let mut out: Vec<(f64, u64)> = best.into_iter().map(|(o, d)| (d, o)).collect();
+        out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        out.truncate(k);
+        out
+    }
+
+    #[test]
+    fn grouped_search_matches_a_brute_force_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let domain = Rect::new(0.0, 0.0, 1000.0, 1000.0);
+        let mut rng = StdRng::seed_from_u64(0x6_0B);
+        let point = |rng: &mut StdRng, c: Point, r: f64| {
+            let x = (c.x + rng.gen_range(-r..r)).clamp(0.0, 1000.0);
+            Point::new(x, (c.y + rng.gen_range(-r..r)).clamp(0.0, 1000.0))
+        };
+        for case in 0..40 {
+            let owners = rng.gen_range(1..30u64);
+            let q = Point::new(rng.gen_range(100..900) as f64, rng.gen_range(100..900) as f64);
+            // Owners take segments in random order, so the index meets
+            // tied owners in no particular order.
+            let segs: Vec<(Segment, u64)> = (0..owners * 3)
+                .map(|_| {
+                    let seg = if rng.gen_bool(0.4) {
+                        // Ties: a segment pointing straight away from q
+                        // from 0, 5 or 10 away, in one of eight
+                        // directions, so tied owners sit in many cells.
+                        // Integer coordinates keep the distances exact.
+                        let s = [0.0, 1.0, 2.0][rng.gen_range(0..3usize)];
+                        let (dx, dy) = [(3.0, 4.0), (4.0, 3.0), (-3.0, 4.0), (-4.0, 3.0)]
+                            [rng.gen_range(0..4usize)];
+                        let (dx, dy) = if rng.gen_bool(0.5) { (dx, dy) } else { (-dx, -dy) };
+                        let far = s + rng.gen_range(1..20) as f64;
+                        Segment::new(
+                            Point::new(q.x + s * dx, q.y + s * dy),
+                            Point::new(q.x + far * dx, q.y + far * dy),
+                        )
+                    } else {
+                        let a = point(&mut rng, q, 300.0);
+                        Segment::new(a, point(&mut rng, a, 40.0))
+                    };
+                    (seg, rng.gen_range(0..owners))
+                })
+                .collect();
+            let excluded: Vec<bool> = (0..owners).map(|_| rng.gen_bool(0.25)).collect();
+            let group = |id: u64| {
+                let o = segs[id as usize].1;
+                (!excluded[o as usize]).then_some(o)
+            };
+            for kind in kinds() {
+                let mut idx = AnyIndex::new(kind, domain);
+                for (id, &(s, _)) in segs.iter().enumerate() {
+                    idx.insert(SegmentEntry::new(id as u64, s));
+                }
+                for k in [1, 2, 5, owners as usize + 3] {
+                    let (hits, _) = idx.knn_with_stats(&q, k, Some(&group));
+                    let got: Vec<(f64, u64)> = hits
+                        .iter()
+                        .map(|n| {
+                            assert_eq!(n.dist, segs[n.id as usize].0.dist_to_point(&q));
+                            (n.dist, segs[n.id as usize].1)
+                        })
+                        .collect();
+                    let want = nearest_owners(&segs, &q, k, &excluded);
+                    assert_eq!(got, want, "case {case}, {kind:?}, k = {k}");
+                }
+            }
         }
     }
 

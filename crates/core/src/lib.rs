@@ -23,10 +23,9 @@
 //! * [`pipeline`] — the published models: `PureG`, `PureL`, and the
 //!   composed `GL` with ε = ε_G + ε_L (Theorem 1).
 //! * [`pool`] — the scoped-thread chunked worker pool behind the
-//!   deterministic parallelism of the two phases with per-unit RNG
-//!   streams: the sharded TF perturbation and the per-trajectory local
-//!   mechanism, both driven by `FreqDpConfig::workers`. The global
-//!   modification (`GlobalEdit`) runs serially.
+//!   deterministic parallelism of the per-trajectory local mechanism,
+//!   driven by `FreqDpConfig::workers`. The global mechanism (TF
+//!   perturbation and `GlobalEdit`) runs serially.
 //!
 //! ```
 //! use trajdp_core::pipeline::{anonymize, Model};

@@ -45,11 +45,11 @@ pub struct FreqDpConfig {
     /// phase instead of the segment index (the §V-C future-work
     /// optimization; same output, different search).
     pub bbox_pruning: bool,
-    /// Worker threads for the sharded TF perturbation and the
-    /// per-trajectory local mechanism; the global modification
-    /// (`GlobalEdit`) runs serially at every value. Randomness comes
-    /// from per-unit streams, so the output is byte-identical at every
-    /// value; `1` runs fully serial on the calling thread.
+    /// Worker threads for the per-trajectory local mechanism, the one
+    /// sharded phase; the global mechanism (TF perturbation and
+    /// `GlobalEdit`) runs serially at every value. Randomness comes from
+    /// per-unit streams, so the output is byte-identical at every value;
+    /// `1` runs fully serial on the calling thread.
     pub workers: usize,
     /// RNG seed for reproducible runs.
     pub seed: u64,
@@ -129,12 +129,11 @@ pub fn total_budget(model: Model, eps_global: f64, eps_local: f64) -> Result<f64
 ///
 /// Randomness comes from **per-unit streams** derived from `cfg.seed`
 /// (see [`crate::stream`]): one stream per candidate point in the global
-/// phase, one per trajectory in the local phase. Both phases shard their
-/// units over `cfg.workers` threads, and because a unit's draws do not
-/// depend on which thread evaluates it, the output is a pure function of
-/// `(dataset, model, cfg)` — byte-identical at every worker count. The
-/// global modification between the perturbation and the local phase
-/// draws nothing and runs serially.
+/// phase, one per trajectory in the local phase. The local phase shards
+/// its trajectories over `cfg.workers` threads, and because a unit's
+/// draws do not depend on which thread evaluates it, the output is a
+/// pure function of `(dataset, model, cfg)` — byte-identical at every
+/// worker count. The global mechanism runs serially.
 pub fn anonymize(
     ds: &Dataset,
     model: Model,
@@ -151,7 +150,6 @@ pub fn anonymize(
             cfg.eps_global,
             cfg.index,
             cfg.bbox_pruning,
-            cfg.workers,
             cfg.seed,
         )?;
         Ok((out, report, start.elapsed()))
@@ -298,7 +296,7 @@ mod tests {
 
     #[test]
     fn parallel_combined_matches_serial() {
-        // `cfg.workers > 1` shards the perturbation and the local phase;
+        // `cfg.workers > 1` shards the local phase;
         // every worker count must agree byte for byte with the serial
         // run.
         let d = ds();

@@ -1,10 +1,9 @@
 //! A minimal scoped-thread chunked worker pool.
 //!
-//! The sharded phases of the pipeline (the TF perturbation and the
-//! per-trajectory local mechanism) both reduce to the same shape: cut a
-//! slice into contiguous near-equal chunks, evaluate a pure function on
-//! each chunk concurrently, and combine the per-chunk results in chunk
-//! order. [`map_chunks`] provides exactly that on std
+//! The sharded phase of the pipeline (the per-trajectory local
+//! mechanism) has a simple shape: cut a slice into contiguous
+//! near-equal chunks, evaluate a pure function on each chunk
+//! concurrently, and combine the per-chunk results in chunk order. [`map_chunks`] provides exactly that on std
 //! scoped threads — no work stealing, no channels, no dependencies
 //! beyond the vendored workspace crates — so results are a pure function
 //! of `(items, f)` and never of thread scheduling.

@@ -1,7 +1,9 @@
 //! Shared search types: indexed entries, results, statistics, and a
 //! totally ordered float wrapper for priority queues.
 
-use trajdp_model::Segment;
+use crate::fx::FxBuild;
+use std::collections::{BinaryHeap, HashMap};
+use trajdp_model::{Point, Segment};
 
 /// A segment registered in an index, tagged with an opaque payload id.
 ///
@@ -63,18 +65,25 @@ impl Ord for TotalF64 {
     }
 }
 
-/// One candidate held by [`TopK`], ordered by `(dist, id)` alone: the
-/// segment rides along so the result needs no side table.
+/// One candidate held by [`TopK`], ordered by `(dist, group)` alone:
+/// the segment rides along so the result needs no side table.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     dist: TotalF64,
+    group: u64,
     id: u64,
     seg: Segment,
 }
 
+impl Candidate {
+    fn rank(&self) -> (TotalF64, u64) {
+        (self.dist, self.group)
+    }
+}
+
 impl PartialEq for Candidate {
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other).is_eq()
+        self.rank() == other.rank()
     }
 }
 
@@ -88,71 +97,130 @@ impl PartialOrd for Candidate {
 
 impl Ord for Candidate {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.dist.cmp(&other.dist).then(self.id.cmp(&other.id))
+        self.rank().cmp(&other.rank())
     }
 }
 
-/// Bounded max-heap collecting the K smallest distances seen so far.
+/// The group function of a grouped search: maps a segment's payload id
+/// to its group, or to `None` to leave the segment out of the search.
+pub type GroupFn<'a> = &'a dyn Fn(u64) -> Option<u64>;
+
+/// Bounded max-heap collecting the K nearest candidates of one search,
+/// with its work counters.
+///
+/// * **Plain** (no group function): every segment is a candidate, its
+///   group its own id. A full collector accepts only a strictly smaller
+///   distance, so on a tie the earlier-visited segment stays.
+/// * **Grouped**: a candidate is a group, at the distance of its nearest
+///   segment seen so far. A full collector accepts only a strictly
+///   smaller `(dist, group)`, so the result is the K smallest
+///   `(distance, group)` pairs whatever order the segments come in.
 ///
 /// `threshold()` exposes the current K-th smallest distance — the pruning
-/// bound θ_K of Theorem 4.
-#[derive(Debug, Clone)]
-pub(crate) struct TopK {
+/// bound θ_K of Theorem 4. Every search prunes only what lies strictly
+/// beyond it, so a grouped search sees every segment at the K-th
+/// group's distance and the tie rule holds exactly.
+pub(crate) struct TopK<'a> {
     k: usize,
-    heap: std::collections::BinaryHeap<Candidate>,
+    group: Option<GroupFn<'a>>,
+    /// In a grouped search, an entry whose group has since met a nearer
+    /// segment stays behind, stale, until it reaches the top; the top is
+    /// never stale.
+    heap: BinaryHeap<Candidate>,
+    /// Grouped search only: the distance of each kept group, which marks
+    /// its one live heap entry.
+    nearest: HashMap<u64, TotalF64, FxBuild>,
+    pub stats: SearchStats,
 }
 
-impl TopK {
-    pub fn new(k: usize) -> Self {
-        Self { k, heap: std::collections::BinaryHeap::with_capacity(k + 1) }
+impl<'a> TopK<'a> {
+    pub fn new(k: usize, group: Option<GroupFn<'a>>) -> Self {
+        let heap = BinaryHeap::with_capacity(k + 1);
+        Self { k, group, heap, nearest: HashMap::default(), stats: SearchStats::default() }
     }
 
-    /// Offers a candidate; keeps only the K nearest.
-    pub fn offer(&mut self, id: u64, dist: f64, seg: Segment) {
-        if self.k == 0 {
-            return;
-        }
-        if self.heap.len() < self.k {
-            self.heap.push(Candidate { dist: TotalF64(dist), id, seg });
-        } else if dist < self.heap.peek().expect("non-empty at capacity").dist.0 {
+    /// Computes the distance of entry `e` from `q` and offers it, unless
+    /// the group function leaves it out.
+    pub fn check(&mut self, e: &SegmentEntry, q: &Point) {
+        let group = match self.group {
+            None => e.id,
+            Some(f) => match f(e.id) {
+                Some(g) => g,
+                None => return,
+            },
+        };
+        self.stats.segments_checked += 1;
+        let c = Candidate { dist: TotalF64(e.seg.dist_to_point(q)), group, id: e.id, seg: e.seg };
+        if self.group.is_some() {
+            self.offer_grouped(c);
+        } else if self.heap.len() < self.k {
+            self.heap.push(c);
+        } else if self.heap.peek().is_some_and(|top| c.dist.0 < top.dist.0) {
             self.heap.pop();
-            self.heap.push(Candidate { dist: TotalF64(dist), id, seg });
+            self.heap.push(c);
+        }
+    }
+
+    fn offer_grouped(&mut self, c: Candidate) {
+        if let Some(&kept) = self.nearest.get(&c.group) {
+            if c.dist >= kept {
+                return;
+            }
+        } else if self.is_full() {
+            if self.heap.peek().is_none_or(|top| c >= *top) {
+                return;
+            }
+            let evicted = self.heap.pop().expect("a full heap has a top");
+            self.nearest.remove(&evicted.group);
+        }
+        self.nearest.insert(c.group, c.dist);
+        self.heap.push(c);
+        // The threshold and the next eviction read the top: keep it live.
+        while let Some(top) = self.heap.peek() {
+            if self.nearest.get(&top.group) == Some(&top.dist) {
+                break;
+            }
+            self.heap.pop();
         }
     }
 
     /// Whether K candidates have been collected.
     pub fn is_full(&self) -> bool {
-        self.heap.len() >= self.k
+        let kept = if self.group.is_some() { self.nearest.len() } else { self.heap.len() };
+        kept >= self.k
     }
 
     /// Current pruning threshold θ_K: the K-th smallest distance so far,
     /// or +∞ while fewer than K candidates exist.
     pub fn threshold(&self) -> f64 {
-        if self.is_full() {
-            self.heap.peek().map_or(f64::INFINITY, |c| c.dist.0)
-        } else {
-            f64::INFINITY
+        match self.heap.peek() {
+            Some(top) if self.is_full() => top.dist.0,
+            _ => f64::INFINITY,
         }
     }
 
-    /// Consumes the collector, returning neighbours sorted by distance
-    /// (ties by id).
-    pub fn into_sorted(self) -> Vec<Neighbor> {
-        self.heap
-            .into_sorted_vec()
-            .into_iter()
-            .map(|c| Neighbor { id: c.id, dist: c.dist.0, seg: c.seg })
-            .collect()
+    /// Ends the search: the neighbours in ascending `(dist, group)`
+    /// order, and the work counters.
+    pub fn finish(self) -> (Vec<Neighbor>, SearchStats) {
+        let Self { group, heap, nearest, stats, .. } = self;
+        let live = |c: &Candidate| group.is_none() || nearest.get(&c.group) == Some(&c.dist);
+        let hits = heap.into_sorted_vec().into_iter().filter(live);
+        (hits.map(|c| Neighbor { id: c.id, dist: c.dist.0, seg: c.seg }).collect(), stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trajdp_model::Point;
 
     fn seg(x: f64) -> Segment {
         Segment::new(Point::new(x, 0.0), Point::new(x + 1.0, 0.0))
+    }
+
+    /// Offers segment `id` at distance `dist` from the origin.
+    fn offer(t: &mut TopK, id: u64, dist: f64) {
+        let e = SegmentEntry::new(id, Segment::new(Point::new(-1.0, dist), Point::new(1.0, dist)));
+        t.check(&e, &Point::new(0.0, 0.0));
     }
 
     #[test]
@@ -167,11 +235,11 @@ mod tests {
 
     #[test]
     fn topk_keeps_k_smallest() {
-        let mut t = TopK::new(3);
+        let mut t = TopK::new(3, None);
         for (i, d) in [5.0, 1.0, 4.0, 2.0, 3.0].iter().enumerate() {
-            t.offer(i as u64, *d, seg(i as f64));
+            offer(&mut t, i as u64, *d);
         }
-        let out = t.into_sorted();
+        let out = t.finish().0;
         let dists: Vec<f64> = out.iter().map(|n| n.dist).collect();
         assert_eq!(dists, vec![1.0, 2.0, 3.0]);
         let ids: Vec<u64> = out.iter().map(|n| n.id).collect();
@@ -180,38 +248,68 @@ mod tests {
 
     #[test]
     fn topk_threshold_evolves() {
-        let mut t = TopK::new(2);
+        let mut t = TopK::new(2, None);
         assert_eq!(t.threshold(), f64::INFINITY);
-        t.offer(0, 9.0, seg(0.0));
+        offer(&mut t, 0, 9.0);
         assert_eq!(t.threshold(), f64::INFINITY); // not yet full
-        t.offer(1, 4.0, seg(1.0));
+        offer(&mut t, 1, 4.0);
         assert_eq!(t.threshold(), 9.0);
-        t.offer(2, 1.0, seg(2.0));
+        offer(&mut t, 2, 1.0);
         assert_eq!(t.threshold(), 4.0);
     }
 
     #[test]
     fn topk_zero_k_collects_nothing() {
-        let mut t = TopK::new(0);
-        t.offer(0, 1.0, seg(0.0));
-        assert!(t.into_sorted().is_empty());
+        let mut t = TopK::new(0, None);
+        offer(&mut t, 0, 1.0);
+        assert!(t.finish().0.is_empty());
     }
 
     #[test]
     fn topk_fewer_candidates_than_k() {
-        let mut t = TopK::new(10);
-        t.offer(5, 2.0, seg(0.0));
-        let out = t.into_sorted();
+        let mut t = TopK::new(10, None);
+        offer(&mut t, 5, 2.0);
+        let out = t.finish().0;
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].id, 5);
     }
 
     #[test]
     fn topk_ties_break_by_id_in_output() {
-        let mut t = TopK::new(2);
-        t.offer(9, 1.0, seg(0.0));
-        t.offer(3, 1.0, seg(1.0));
-        let ids: Vec<u64> = t.into_sorted().iter().map(|n| n.id).collect();
+        let mut t = TopK::new(2, None);
+        offer(&mut t, 9, 1.0);
+        offer(&mut t, 3, 1.0);
+        let ids: Vec<u64> = t.finish().0.iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![3, 9]);
+    }
+
+    #[test]
+    fn topk_full_plain_keeps_the_earlier_tie_and_grouped_the_smaller_group() {
+        let group = |id: u64| Some(id / 10);
+        let mut plain = TopK::new(1, None);
+        let mut grouped = TopK::new(1, Some(&group));
+        for id in [95, 31] {
+            let e = SegmentEntry::new(id, seg(0.0));
+            plain.check(&e, &Point::new(0.5, 2.0));
+            grouped.check(&e, &Point::new(0.5, 2.0));
+        }
+        assert_eq!(plain.finish().0[0].id, 95);
+        assert_eq!(grouped.finish().0[0].id, 31);
+    }
+
+    #[test]
+    fn topk_grouped_keeps_each_groups_nearest_segment() {
+        // Groups are ids mod 3; id 7 is left out. Group bests: 0 → 2.0
+        // (id 3), 1 → 1.0 (id 4), 2 → 9.0 (id 2).
+        let group = |id: u64| (id != 7).then_some(id % 3);
+        let mut t = TopK::new(2, Some(&group));
+        for (id, d) in [(0, 5.0), (3, 2.0), (1, 4.0), (6, 3.0), (7, 0.0), (4, 1.0), (2, 9.0)] {
+            let e = SegmentEntry::new(id, Segment::new(Point::new(0.0, d), Point::new(1.0, d)));
+            t.check(&e, &Point::new(0.5, 0.0));
+        }
+        let (hits, stats) = t.finish();
+        let out: Vec<(u64, f64)> = hits.iter().map(|n| (n.id, n.dist)).collect();
+        assert_eq!(out, vec![(4, 1.0), (3, 2.0)]);
+        assert_eq!(stats.segments_checked, 6);
     }
 }

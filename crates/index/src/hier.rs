@@ -26,9 +26,8 @@
 //! equidistant segments a search offers first — and therefore which one
 //! it keeps — does not depend on where the nodes sit in the arena.
 
-use crate::entry::{Neighbor, SearchStats, SegmentEntry, TopK, TotalF64};
+use crate::entry::{GroupFn, Neighbor, SearchStats, SegmentEntry, TopK, TotalF64};
 use crate::fx::FxBuild;
-use crate::SegmentIndex;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use trajdp_model::{CellId, GridLevel, Point, Rect};
@@ -68,7 +67,7 @@ struct Node {
 /// # Examples
 ///
 /// ```
-/// use trajdp_index::{HierGrid, SegmentEntry, SegmentIndex, Strategy};
+/// use trajdp_index::{HierGrid, SegmentEntry, Strategy};
 /// use trajdp_model::{Point, Rect, Segment};
 ///
 /// let domain = Rect::new(0.0, 0.0, 1024.0, 1024.0);
@@ -141,6 +140,16 @@ impl HierGrid {
         self.root = NONE;
         self.locations.clear();
         self.len = 0;
+    }
+
+    /// Number of indexed segments.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the index holds no segments.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// Number of grid levels (`log₂(finest) + 1`).
@@ -276,38 +285,30 @@ impl HierGrid {
         Some(slot)
     }
 
-    /// KNN with an explicit strategy and work counters.
+    /// The `k` nearest segments, or with `group` the `k` nearest groups
+    /// (see [`GroupFn`]), by an explicit strategy, with work counters.
     pub fn knn_with_stats(
         &self,
         q: &Point,
         k: usize,
         strategy: Strategy,
-        filter: Option<&dyn Fn(u64) -> bool>,
+        group: Option<GroupFn>,
     ) -> (Vec<Neighbor>, SearchStats) {
-        match strategy {
-            Strategy::TopDown => self.search_top_down(q, k, filter),
-            Strategy::BottomUp => self.search_bottom_up(q, k, filter, false),
-            Strategy::BottomUpDown => self.search_bottom_up(q, k, filter, true),
+        let mut top = TopK::new(k, group);
+        if k > 0 {
+            match strategy {
+                Strategy::TopDown => self.search_top_down(q, &mut top),
+                Strategy::BottomUp => self.search_bottom_up(q, &mut top, false),
+                Strategy::BottomUpDown => self.search_bottom_up(q, &mut top, true),
+            }
         }
+        top.finish()
     }
 
-    fn check_cell(
-        &self,
-        slot: u32,
-        q: &Point,
-        top: &mut TopK,
-        stats: &mut SearchStats,
-        filter: Option<&dyn Fn(u64) -> bool>,
-    ) {
-        stats.cells_visited += 1;
+    fn check_cell(&self, slot: u32, q: &Point, top: &mut TopK) {
+        top.stats.cells_visited += 1;
         for e in &self.node(slot).entries {
-            if let Some(f) = filter {
-                if !f(e.id) {
-                    continue;
-                }
-            }
-            stats.segments_checked += 1;
-            top.offer(e.id, e.seg.dist_to_point(q), e.seg);
+            top.check(e, q);
         }
     }
 
@@ -317,16 +318,9 @@ impl HierGrid {
         Reverse((TotalF64(dist), self.node(slot).cell, slot))
     }
 
-    fn search_top_down(
-        &self,
-        q: &Point,
-        k: usize,
-        filter: Option<&dyn Fn(u64) -> bool>,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        let mut top = TopK::new(k);
-        let mut stats = SearchStats::default();
-        if k == 0 || self.root == NONE {
-            return (top.into_sorted(), stats);
+    fn search_top_down(&self, q: &Point, top: &mut TopK) {
+        if self.root == NONE {
+            return;
         }
         let mut queue = BinaryHeap::new();
         queue.push(self.queued(0.0, self.root));
@@ -334,7 +328,7 @@ impl HierGrid {
             if top.is_full() && dist > top.threshold() {
                 break; // best-first order: everything remaining is worse
             }
-            self.check_cell(slot, q, &mut top, &mut stats, filter);
+            self.check_cell(slot, q, top);
             for child in self.children(slot) {
                 let d = self.cell_rect(self.node(child).cell).min_dist(q);
                 if !(top.is_full() && d > top.threshold()) {
@@ -342,28 +336,16 @@ impl HierGrid {
                 }
             }
         }
-        (top.into_sorted(), stats)
     }
 
     /// The shared bottom-up engine. With `switch_top_down == false` this
     /// is `HGb`: the stack runs to exhaustion. With `true` it is
     /// Algorithm 3 (`HG+`): once the root has been reached, candidates
     /// move through a best-first queue that allows early termination.
-    fn search_bottom_up(
-        &self,
-        q: &Point,
-        k: usize,
-        filter: Option<&dyn Fn(u64) -> bool>,
-        switch_top_down: bool,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        let mut top = TopK::new(k);
-        let mut stats = SearchStats::default();
+    fn search_bottom_up(&self, q: &Point, top: &mut TopK, switch_top_down: bool) {
         let Some(start) = self.deepest_occupied(q) else {
-            return (top.into_sorted(), stats);
+            return;
         };
-        if k == 0 {
-            return (top.into_sorted(), stats);
-        }
         let mut stack: Vec<(u32, f64)> = vec![(start, 0.0)];
         let mut queue = BinaryHeap::new();
         let mut visited = vec![false; self.nodes.len()];
@@ -393,7 +375,7 @@ impl HierGrid {
                 }
                 continue; // stack is not ordered: skip only this cell
             }
-            self.check_cell(slot, q, &mut top, &mut stats, filter);
+            self.check_cell(slot, q, top);
 
             // Push the parent first so finer-grained children are
             // examined before coarser regions (Algorithm 3, lines 24–29).
@@ -427,21 +409,6 @@ impl HierGrid {
                 }
             }
         }
-        (top.into_sorted(), stats)
-    }
-}
-
-impl SegmentIndex for HierGrid {
-    fn knn(&self, q: &Point, k: usize) -> Vec<Neighbor> {
-        self.knn_with_stats(q, k, Strategy::BottomUpDown, None).0
-    }
-
-    fn knn_filtered(&self, q: &Point, k: usize, filter: &dyn Fn(u64) -> bool) -> Vec<Neighbor> {
-        self.knn_with_stats(q, k, Strategy::BottomUpDown, Some(filter)).0
-    }
-
-    fn len(&self) -> usize {
-        self.len
     }
 }
 
@@ -518,7 +485,8 @@ mod tests {
         for _ in 0..40 {
             let q = Point::new(rng.gen_range(0.0..1024.0), rng.gen_range(0.0..1024.0));
             for k in [1, 3, 10] {
-                let expected: Vec<f64> = lin.knn(&q, k).iter().map(|n| n.dist).collect();
+                let expected: Vec<f64> =
+                    lin.knn_with_stats(&q, k, None).0.iter().map(|n| n.dist).collect();
                 for s in STRATEGIES {
                     let got: Vec<f64> =
                         g.knn_with_stats(&q, k, s, None).0.iter().map(|n| n.dist).collect();
@@ -537,13 +505,14 @@ mod tests {
         let g = HierGrid::from_entries(domain(), 256, entries.clone());
         let lin = LinearScan::from_entries(entries);
         let q = Point::new(512.0, 512.0);
-        let filter = |id: u64| id.is_multiple_of(3);
-        let expected: Vec<u64> = lin.knn_filtered(&q, 5, &filter).iter().map(|n| n.id).collect();
+        let filter = |id: u64| id.is_multiple_of(3).then_some(id);
+        let expected: Vec<u64> =
+            lin.knn_with_stats(&q, 5, Some(&filter)).0.iter().map(|n| n.id).collect();
         for s in STRATEGIES {
             let got: Vec<u64> =
                 g.knn_with_stats(&q, 5, s, Some(&filter)).0.iter().map(|n| n.id).collect();
             assert!(got.iter().all(|id| id % 3 == 0));
-            assert_eq!(got.len(), expected.len());
+            assert_eq!(got, expected, "{s:?}");
         }
     }
 
@@ -557,8 +526,13 @@ mod tests {
             assert!(lin.remove(id));
         }
         let q = Point::new(100.0, 900.0);
-        let expected: Vec<f64> = lin.knn(&q, 8).iter().map(|n| n.dist).collect();
-        let got: Vec<f64> = g.knn(&q, 8).iter().map(|n| n.dist).collect();
+        let expected: Vec<f64> = lin.knn_with_stats(&q, 8, None).0.iter().map(|n| n.dist).collect();
+        let got: Vec<f64> = g
+            .knn_with_stats(&q, 8, Strategy::BottomUpDown, None)
+            .0
+            .iter()
+            .map(|n| n.dist)
+            .collect();
         assert_eq!(got.len(), expected.len());
         for (a, b) in got.iter().zip(&expected) {
             assert!((a - b).abs() < 1e-9);
@@ -653,7 +627,8 @@ mod tests {
                 _ => {
                     let q = Point::new(rng.gen_range(0.0..1024.0), rng.gen_range(0.0..1024.0));
                     let k = rng.gen_range(1..6);
-                    let expected: Vec<f64> = lin.knn(&q, k).iter().map(|n| n.dist).collect();
+                    let expected: Vec<f64> =
+                        lin.knn_with_stats(&q, k, None).0.iter().map(|n| n.dist).collect();
                     for s in STRATEGIES {
                         let got: Vec<f64> =
                             g.knn_with_stats(&q, k, s, None).0.iter().map(|n| n.dist).collect();
@@ -669,7 +644,10 @@ mod tests {
         // like a fresh build of the same entries.
         g.clear();
         assert_eq!((g.len(), g.num_nodes()), (0, 0));
-        assert!(g.knn(&Point::new(512.0, 512.0), 3).is_empty());
+        assert!(g
+            .knn_with_stats(&Point::new(512.0, 512.0), 3, Strategy::TopDown, None)
+            .0
+            .is_empty());
         for &e in &live {
             g.insert(e);
         }
@@ -752,8 +730,9 @@ mod tests {
                     hier.insert(e);
                     lin.insert(e);
                 }
-                assert_eq!(SegmentIndex::len(&hier), lin.len(), "case {case}");
-                let expected: Vec<f64> = lin.knn(&q, 5).iter().map(|n| n.dist).collect();
+                assert_eq!(hier.len(), lin.len(), "case {case}");
+                let expected: Vec<f64> =
+                    lin.knn_with_stats(&q, 5, None).0.iter().map(|n| n.dist).collect();
                 for s in STRATEGIES {
                     let got: Vec<f64> =
                         hier.knn_with_stats(&q, 5, s, None).0.iter().map(|n| n.dist).collect();

@@ -18,6 +18,16 @@
 //! All searches return exact K-nearest results; the strategies differ
 //! only in pruning power, which [`SearchStats`] exposes for the
 //! efficiency experiments.
+//!
+//! Every backend's `knn_with_stats` takes an optional [`GroupFn`]. Without
+//! one it returns the K nearest segments. With one it returns the K
+//! nearest *groups*: the function maps each segment to its group (the
+//! core crate's dataset editor maps a segment to its trajectory) or
+//! leaves it out, and each result is its group's nearest segment, in
+//! ascending `(distance, group)` order. Each search is the same single
+//! branch-and-bound pass (Roussopoulos et al., SIGMOD 1995) in both
+//! modes: the pruning bound is the K-th kept distance, and nothing at
+//! that distance is pruned, so ties go to the smallest group exactly.
 
 #![forbid(unsafe_code)]
 
@@ -27,29 +37,7 @@ pub mod hier;
 pub mod linear;
 pub mod uniform;
 
-pub use entry::{Neighbor, SearchStats, SegmentEntry, TotalF64};
+pub use entry::{GroupFn, Neighbor, SearchStats, SegmentEntry, TotalF64};
 pub use hier::{HierGrid, Strategy};
 pub use linear::LinearScan;
 pub use uniform::UniformGrid;
-
-use trajdp_model::Point;
-
-/// Common interface of every K-nearest segment index.
-pub trait SegmentIndex {
-    /// The `k` segments nearest to `q` (by point–segment distance),
-    /// sorted by ascending distance. Fewer than `k` results are returned
-    /// when the index holds fewer segments.
-    fn knn(&self, q: &Point, k: usize) -> Vec<Neighbor>;
-
-    /// Like [`SegmentIndex::knn`] but only counting segments whose payload
-    /// id satisfies `filter`.
-    fn knn_filtered(&self, q: &Point, k: usize, filter: &dyn Fn(u64) -> bool) -> Vec<Neighbor>;
-
-    /// Number of segments currently indexed.
-    fn len(&self) -> usize;
-
-    /// Whether the index holds no segments.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}

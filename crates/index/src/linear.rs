@@ -3,8 +3,7 @@
 //! This is the `Linear` series of Figure 5 and the ground truth the
 //! property tests compare every other index against.
 
-use crate::entry::{Neighbor, SearchStats, SegmentEntry, TopK};
-use crate::SegmentIndex;
+use crate::entry::{GroupFn, Neighbor, SearchStats, SegmentEntry, TopK};
 use trajdp_model::Point;
 
 /// A flat list of segments searched exhaustively.
@@ -45,39 +44,30 @@ impl LinearScan {
         }
     }
 
-    /// KNN with work counters (every segment is always checked).
+    /// Number of indexed segments.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the index holds no segments.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The `k` nearest segments, or with `group` the `k` nearest groups
+    /// (see [`GroupFn`]), with work counters: every segment the group
+    /// function keeps is checked.
     pub fn knn_with_stats(
         &self,
         q: &Point,
         k: usize,
-        filter: Option<&dyn Fn(u64) -> bool>,
+        group: Option<GroupFn>,
     ) -> (Vec<Neighbor>, SearchStats) {
-        let mut top = TopK::new(k);
-        let mut stats = SearchStats::default();
+        let mut top = TopK::new(k, group);
         for e in &self.entries {
-            if let Some(f) = filter {
-                if !f(e.id) {
-                    continue;
-                }
-            }
-            stats.segments_checked += 1;
-            top.offer(e.id, e.seg.dist_to_point(q), e.seg);
+            top.check(e, q);
         }
-        (top.into_sorted(), stats)
-    }
-}
-
-impl SegmentIndex for LinearScan {
-    fn knn(&self, q: &Point, k: usize) -> Vec<Neighbor> {
-        self.knn_with_stats(q, k, None).0
-    }
-
-    fn knn_filtered(&self, q: &Point, k: usize, filter: &dyn Fn(u64) -> bool) -> Vec<Neighbor> {
-        self.knn_with_stats(q, k, Some(filter)).0
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
+        top.finish()
     }
 }
 
@@ -98,7 +88,7 @@ mod tests {
     #[test]
     fn knn_returns_nearest_sorted() {
         let idx = LinearScan::from_entries(entries());
-        let out = idx.knn(&Point::new(12.0, 3.0), 3);
+        let out = idx.knn_with_stats(&Point::new(12.0, 3.0), 3, None).0;
         assert_eq!(out.len(), 3);
         assert_eq!(out[0].id, 1); // segment [10,15] contains x=12 → dist 3
         assert_eq!(out[0].dist, 3.0);
@@ -108,7 +98,8 @@ mod tests {
     #[test]
     fn filter_excludes_ids() {
         let idx = LinearScan::from_entries(entries());
-        let out = idx.knn_filtered(&Point::new(12.0, 3.0), 1, &|id| id != 1);
+        let out =
+            idx.knn_with_stats(&Point::new(12.0, 3.0), 1, Some(&|id| (id != 1).then_some(id))).0;
         assert_eq!(out[0].id, 0); // nearest allowed is segment [0,5] at x=5
     }
 
@@ -123,13 +114,13 @@ mod tests {
         assert!(idx.remove(3));
         assert!(!idx.remove(3));
         assert_eq!(idx.len(), 9);
-        assert!(idx.knn(&Point::new(32.0, 0.0), 10).iter().all(|n| n.id != 3));
+        assert!(idx.knn_with_stats(&Point::new(32.0, 0.0), 10, None).0.iter().all(|n| n.id != 3));
     }
 
     #[test]
     fn k_larger_than_len() {
         let idx = LinearScan::from_entries(entries());
-        assert_eq!(idx.knn(&Point::new(0.0, 0.0), 100).len(), 10);
+        assert_eq!(idx.knn_with_stats(&Point::new(0.0, 0.0), 100, None).0.len(), 10);
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! terminates once the ring's distance lower bound exceeds the current
 //! K-th best distance.
 
-use crate::entry::{Neighbor, SearchStats, SegmentEntry, TopK};
+use crate::entry::{GroupFn, Neighbor, SearchStats, SegmentEntry, TopK};
 use crate::fx::FxBuild;
-use crate::SegmentIndex;
 use std::collections::{HashMap, HashSet};
 use trajdp_model::{GridLevel, Point, Rect};
 
@@ -151,17 +150,27 @@ impl UniformGrid {
         true
     }
 
-    /// KNN with work counters.
+    /// Number of indexed segments.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the index holds no segments.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The `k` nearest segments, or with `group` the `k` nearest groups
+    /// (see [`GroupFn`]), with work counters.
     pub fn knn_with_stats(
         &self,
         q: &Point,
         k: usize,
-        filter: Option<&dyn Fn(u64) -> bool>,
+        group: Option<GroupFn>,
     ) -> (Vec<Neighbor>, SearchStats) {
-        let mut top = TopK::new(k);
-        let mut stats = SearchStats::default();
+        let mut top = TopK::new(k, group);
         if k == 0 || self.len == 0 {
-            return (top.into_sorted(), stats);
+            return top.finish();
         }
         let origin = self.grid.locate(q);
         let cell_min = self.grid.cell_width().min(self.grid.cell_height());
@@ -190,22 +199,15 @@ impl UniformGrid {
                 if top.is_full() && rect.min_dist(q) > top.threshold() {
                     continue;
                 }
-                stats.cells_visited += 1;
+                top.stats.cells_visited += 1;
                 for e in entries {
-                    if !seen.insert(e.id) {
-                        continue;
+                    if seen.insert(e.id) {
+                        top.check(e, q);
                     }
-                    if let Some(f) = filter {
-                        if !f(e.id) {
-                            continue;
-                        }
-                    }
-                    stats.segments_checked += 1;
-                    top.offer(e.id, e.seg.dist_to_point(q), e.seg);
                 }
             }
         }
-        (top.into_sorted(), stats)
+        top.finish()
     }
 }
 
@@ -225,20 +227,6 @@ fn ring_offsets(ring: i64) -> Vec<(i64, i64)> {
         out.push((ring, d));
     }
     out
-}
-
-impl SegmentIndex for UniformGrid {
-    fn knn(&self, q: &Point, k: usize) -> Vec<Neighbor> {
-        self.knn_with_stats(q, k, None).0
-    }
-
-    fn knn_filtered(&self, q: &Point, k: usize, filter: &dyn Fn(u64) -> bool) -> Vec<Neighbor> {
-        self.knn_with_stats(q, k, Some(filter)).0
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
 }
 
 #[cfg(test)]
@@ -291,8 +279,8 @@ mod tests {
             Point::new(250.0, 750.0),
         ] {
             for k in [1, 2, 5] {
-                let a = ug.knn(&q, k);
-                let b = lin.knn(&q, k);
+                let a = ug.knn_with_stats(&q, k, None).0;
+                let b = lin.knn_with_stats(&q, k, None).0;
                 let da: Vec<f64> = a.iter().map(|n| n.dist).collect();
                 let db: Vec<f64> = b.iter().map(|n| n.dist).collect();
                 assert_eq!(da, db, "distance mismatch at q={q:?} k={k}");
@@ -304,7 +292,7 @@ mod tests {
     fn long_segment_found_from_any_side() {
         let ug = UniformGrid::from_entries(domain(), 64, entries());
         // The diagonal (id 3) passes near (300,700): closest of all.
-        let out = ug.knn(&Point::new(300.0, 700.0), 1);
+        let out = ug.knn_with_stats(&Point::new(300.0, 700.0), 1, None).0;
         assert_eq!(out[0].id, 3);
     }
 
@@ -314,14 +302,20 @@ mod tests {
         assert!(ug.remove(3));
         assert!(!ug.remove(3));
         assert_eq!(ug.len(), 4);
-        let out = ug.knn(&Point::new(300.0, 700.0), 5);
+        let out = ug.knn_with_stats(&Point::new(300.0, 700.0), 5, None).0;
         assert!(out.iter().all(|n| n.id != 3));
     }
 
     #[test]
     fn filtered_search() {
         let ug = UniformGrid::from_entries(domain(), 16, entries());
-        let out = ug.knn_filtered(&Point::new(505.0, 505.0), 1, &|id| id != 2 && id != 4);
+        let out = ug
+            .knn_with_stats(
+                &Point::new(505.0, 505.0),
+                1,
+                Some(&|id| (id != 2 && id != 4).then_some(id)),
+            )
+            .0;
         assert_eq!(out[0].id, 3);
     }
 
@@ -329,7 +323,7 @@ mod tests {
     fn empty_grid() {
         let ug = UniformGrid::new(domain(), 8);
         assert!(ug.is_empty());
-        assert!(ug.knn(&Point::new(1.0, 1.0), 3).is_empty());
+        assert!(ug.knn_with_stats(&Point::new(1.0, 1.0), 3, None).0.is_empty());
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! ```
 
 use std::time::Instant;
-use traj_freq_dp::index::{
-    HierGrid, LinearScan, SearchStats, SegmentEntry, SegmentIndex, Strategy, UniformGrid,
-};
+use traj_freq_dp::index::{HierGrid, LinearScan, SearchStats, SegmentEntry, Strategy, UniformGrid};
 use traj_freq_dp::model::{Point, Segment};
 use traj_freq_dp::synth::{generate, GeneratorConfig};
 
@@ -65,8 +63,12 @@ fn main() {
 
     // All variants are exact — verify they agree on the nearest result.
     let q = queries[0];
-    let d0 = linear.knn(&q, 1)[0].dist;
-    for (name, d) in [("UG", uniform.knn(&q, 1)[0].dist), ("HG+", hier.knn(&q, 1)[0].dist)] {
+    let d0 = linear.knn_with_stats(&q, 1, None).0[0].dist;
+    let nearest = [
+        ("UG", uniform.knn_with_stats(&q, 1, None).0[0].dist),
+        ("HG+", hier.knn_with_stats(&q, 1, Strategy::BottomUpDown, None).0[0].dist),
+    ];
+    for (name, d) in nearest {
         assert!((d - d0).abs() < 1e-9, "{name} disagrees with linear scan");
     }
     println!("\nall index variants returned identical nearest neighbours ✓");

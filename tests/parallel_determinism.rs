@@ -26,9 +26,9 @@ fn parallel_csv_is_byte_identical_to_serial() {
 
 #[test]
 fn parallel_modification_is_byte_identical_for_combined_models() {
-    // `cfg.workers` shards the perturbation and the local phase around
-    // the serial global modification (`GlobalEdit`); both full combined
-    // pipelines must release the exact same bytes at every worker count.
+    // `cfg.workers` shards the local phase around the serial global
+    // mechanism; both full combined pipelines must release the exact
+    // same bytes at every worker count.
     let world = generate(&GeneratorConfig::tdrive_profile(35, 70, 29));
     for model in [Model::Combined, Model::CombinedLocalFirst] {
         let base_cfg = FreqDpConfig { m: 6, seed: 0xBEEF, ..Default::default() };
@@ -148,28 +148,28 @@ fn release_bytes_and_search_work_match_goldens_for_every_hier_strategy() {
             0xD905_5A64_939F_245D,
             0xDD5E_CE3F_DCAF_32FA,
             stats(1837, 6327),
-            stats(1578, 42766),
+            stats(923, 35401),
         ),
         (
             IndexKind::Hier(512, Strategy::BottomUp),
             0xEC96_D226_3E84_0838,
             0x2A6F_9429_BDEA_557A,
             stats(2283, 6625),
-            stats(2089, 43326),
+            stats(1262, 35716),
         ),
         (
             IndexKind::Hier(64, Strategy::BottomUpDown),
             0x4F20_7ACC_B8DA_8F38,
             0xE9C7_8AE3_24A4_1AAA,
             stats(1871, 6489),
-            stats(1416, 43329),
+            stats(865, 35696),
         ),
         (
             IndexKind::default(),
             0x4F20_7ACC_B8DA_8F38,
             0xE9C7_8AE3_24A4_1AAA,
             stats(2135, 6477),
-            stats(2082, 43265),
+            stats(1254, 35677),
         ),
     ];
     for (index, pure_local, combined, local_work, global_work) in golden {

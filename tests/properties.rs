@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use traj_freq_dp::core::{anonymize, FreqDpConfig, Model};
 use traj_freq_dp::index::{
-    HierGrid, LinearScan, SegmentEntry, SegmentIndex, Strategy as SearchStrategy, UniformGrid,
+    HierGrid, LinearScan, SegmentEntry, Strategy as SearchStrategy, UniformGrid,
 };
 use traj_freq_dp::metrics::recovery::recovery_metrics_single;
 use traj_freq_dp::model::codec::{decode_dataset, encode_dataset};
@@ -49,10 +49,10 @@ fn all_indexes_agree_with_linear() {
             segs.iter().enumerate().map(|(i, &s)| SegmentEntry::new(i as u64, s)).collect();
         let domain = Rect::new(0.0, 0.0, DOMAIN, DOMAIN);
         let lin = LinearScan::from_entries(entries.clone());
-        let expected: Vec<f64> = lin.knn(&q, k).iter().map(|n| n.dist).collect();
+        let expected: Vec<f64> = lin.knn_with_stats(&q, k, None).0.iter().map(|n| n.dist).collect();
 
         let ug = UniformGrid::from_entries(domain, 64, entries.clone());
-        let got: Vec<f64> = ug.knn(&q, k).iter().map(|n| n.dist).collect();
+        let got: Vec<f64> = ug.knn_with_stats(&q, k, None).0.iter().map(|n| n.dist).collect();
         assert_eq!(got.len(), expected.len(), "case {case}");
         for (a, b) in got.iter().zip(&expected) {
             assert!((a - b).abs() < 1e-9, "case {case}: UG disagrees: {a} vs {b}");
