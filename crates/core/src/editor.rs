@@ -27,9 +27,9 @@
 //! trajectories themselves.
 
 use crate::indexkind::{AnyIndex, IndexKind};
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 use trajdp_index::{SearchStats, SegmentEntry, TotalF64};
-use trajdp_model::{Point, PointKey, Rect, Trajectory};
+use trajdp_model::{LocationTable, Point, PointKey, Rect, Trajectory};
 
 /// Editor for one trajectory, with an index over its segments.
 #[derive(Debug, Clone)]
@@ -130,13 +130,15 @@ impl TrajectoryEditor {
         }
         let (neighbors, stats) = self.index.knn_with_stats(&q, delta, None);
         self.accumulate(stats);
-        // Map neighbour ids to current segment positions; insert from the
-        // highest position down so earlier positions stay valid.
-        let mut positions: Vec<usize> = neighbors
-            .iter()
-            .filter_map(|n| self.seg_ids.iter().position(|&id| id == n.id))
+        // Map neighbour ids to current segment positions in one pass over
+        // the segments; insert from the highest position down so earlier
+        // positions stay valid.
+        let mut wanted: Vec<u64> = neighbors.iter().map(|n| n.id).collect();
+        wanted.sort_unstable();
+        let positions: Vec<usize> = (0..self.seg_ids.len())
+            .rev()
+            .filter(|&pos| wanted.binary_search(&self.seg_ids[pos]).is_ok())
             .collect();
-        positions.sort_unstable_by(|a, b| b.cmp(a));
         for pos in positions {
             incurred += self.insert_at_segment(q, pos);
         }
@@ -305,8 +307,16 @@ pub struct DatasetEditor {
     /// hash lookup. Entries of retired ids stay behind, unused: ids are
     /// never reused.
     owner: Vec<usize>,
-    /// Inverted occurrence map: point → trajectory slots containing it.
-    containing: HashMap<PointKey, HashSet<usize>>,
+    /// Dense ids of every location the editor has seen: those of its
+    /// trajectories as they came in, then any point an increase brings.
+    /// Its sample ids describe the trajectories as they came in; only
+    /// `containing` follows the edits.
+    locations: LocationTable,
+    /// Inverted occurrence map by location id: `containing[id]` lists,
+    /// ascending, the slots whose trajectory passes through location
+    /// `id`, so a TF is a length and the trajectories holding a point
+    /// come out in slot order without hashing or sorting.
+    containing: Vec<Vec<usize>>,
     /// Cached per-trajectory bounding boxes for branch-and-bound
     /// candidate pruning (the paper's §V-C future-work optimization).
     bboxes: Vec<Rect>,
@@ -328,10 +338,24 @@ pub struct DatasetEditor {
 impl DatasetEditor {
     /// Builds an editor (and a dataset-wide index) for the trajectories.
     pub fn new(trajs: Vec<Trajectory>, kind: IndexKind, domain: Rect) -> Self {
+        Self::with_locations(trajs, kind, domain, &LocationTable::default())
+    }
+
+    /// [`Self::new`], numbering locations as `known` does
+    /// ([`LocationTable::reindex`]): when `known` was built over these
+    /// very trajectories, as a frequency analysis of the dataset was,
+    /// the occurrence map is built without hashing a sample.
+    pub fn with_locations(
+        trajs: Vec<Trajectory>,
+        kind: IndexKind,
+        domain: Rect,
+        known: &LocationTable,
+    ) -> Self {
         let mut index = AnyIndex::new(kind, domain);
         let mut seg_ids = Vec::with_capacity(trajs.len());
         let mut owner = Vec::with_capacity(trajs.iter().map(Trajectory::num_segments).sum());
-        let mut containing: HashMap<PointKey, HashSet<usize>> = HashMap::new();
+        let locations = known.reindex(&trajs);
+        let mut containing = vec![Vec::new(); locations.len()];
         for (t, traj) in trajs.iter().enumerate() {
             let mut ids = Vec::with_capacity(traj.num_segments());
             for (_, seg) in traj.segments() {
@@ -340,8 +364,11 @@ impl DatasetEditor {
                 ids.push(id);
             }
             seg_ids.push(ids);
-            for s in &traj.samples {
-                containing.entry(s.loc.key()).or_default().insert(t);
+            for &id in locations.trajectory(t) {
+                let slots: &mut Vec<usize> = &mut containing[id as usize];
+                if slots.last() != Some(&t) {
+                    slots.push(t);
+                }
             }
         }
         let bboxes = trajs.iter().map(Trajectory::bbox).collect();
@@ -350,6 +377,7 @@ impl DatasetEditor {
             seg_ids,
             index,
             owner,
+            locations,
             containing,
             bboxes,
             use_bbox_pruning: false,
@@ -377,16 +405,18 @@ impl DatasetEditor {
         &self.trajs
     }
 
-    /// Trajectory slots currently containing point `q`.
-    pub fn trajectories_containing(&self, q: PointKey) -> Vec<usize> {
-        self.containing
-            .get(&q)
-            .map(|s| {
-                let mut v: Vec<usize> = s.iter().copied().collect();
-                v.sort_unstable();
-                v
-            })
-            .unwrap_or_default()
+    /// The slots whose trajectory passes through `q`, ascending.
+    fn holders(&self, q: PointKey) -> &[usize] {
+        self.locations.id(q).map_or(&[], |id| &self.containing[id as usize])
+    }
+
+    /// The location id of `q`, numbering it if the editor has not seen it.
+    fn location_id(&mut self, q: PointKey) -> usize {
+        let id = self.locations.intern(q) as usize;
+        if id == self.containing.len() {
+            self.containing.push(Vec::new());
+        }
+        id
     }
 
     fn accumulate(&mut self, s: SearchStats) {
@@ -412,12 +442,10 @@ impl DatasetEditor {
         }
         // Slot mask of the trajectories already passing through `q`, so
         // the group function is two vector reads.
+        let id = self.location_id(q.key());
         let mut excluded = vec![false; self.trajs.len()];
-        if let Some(set) = self.containing.get(&q.key()) {
-            // lint: allow(determinism): sets one flag per member; the mask is the same in any visit order
-            for &t in set {
-                excluded[t] = true;
-            }
+        for &t in &self.containing[id] {
+            excluded[t] = true;
         }
         let mut chosen: Vec<usize> = if self.use_bbox_pruning {
             self.nearest_by_bbox(q, delta, &excluded)
@@ -443,7 +471,7 @@ impl DatasetEditor {
         }
         let inserted = chosen.len();
         for t in chosen {
-            self.insert_point_into(t, q);
+            self.insert_point_into(t, q, id);
         }
         inserted
     }
@@ -483,8 +511,9 @@ impl DatasetEditor {
         best.into_sorted_vec().into_iter().map(|(_, t)| t).collect()
     }
 
-    /// Inserts `q` into trajectory slot `t` at its best segment.
-    fn insert_point_into(&mut self, t: usize, q: Point) {
+    /// Inserts `q`, location `id`, into trajectory slot `t` at its best
+    /// segment.
+    fn insert_point_into(&mut self, t: usize, q: Point, id: usize) {
         let traj = &self.trajs[t];
         if traj.len() < 2 {
             self.loss += self.trajs[t].push_point(q);
@@ -512,7 +541,10 @@ impl DatasetEditor {
             self.index.insert(SegmentEntry::new(right, self.trajs[t].segment(pos + 1)));
             self.seg_ids[t].splice(pos..=pos, [left, right]);
         }
-        self.containing.entry(q.key()).or_default().insert(t);
+        let slots = &mut self.containing[id];
+        if let Err(at) = slots.binary_search(&t) {
+            slots.insert(at, t);
+        }
         self.bboxes[t].expand(&q);
     }
 
@@ -525,16 +557,19 @@ impl DatasetEditor {
         if delta == 0 {
             return 0;
         }
+        let Some(id) = self.locations.id(q) else {
+            return 0;
+        };
         // Complete-deletion loss per candidate: Σ_s L[OP_d(q, s)].
         let mut best: BinaryHeap<(TotalF64, usize)> = BinaryHeap::with_capacity(delta + 1);
-        for t in self.trajectories_containing(q) {
+        for &t in &self.containing[id as usize] {
             let traj = &self.trajs[t];
             let total: f64 = traj.occurrences(q).into_iter().map(|i| traj.deletion_loss(i)).sum();
             push_bounded(&mut best, delta, (TotalF64(total), t));
         }
         let victims = best.into_sorted_vec();
         for &(_, t) in &victims {
-            self.delete_point_from(t, q);
+            self.delete_point_from(t, q, id as usize);
         }
         victims.len()
     }
@@ -544,8 +579,8 @@ impl DatasetEditor {
     /// (the step [`TrajectoryEditor`] takes too); the rest of the
     /// trajectory keeps its index entries. Occurrences go first to last
     /// and the losses are summed before they reach `self.loss`, exactly
-    /// as [`Trajectory::delete_all`] does.
-    fn delete_point_from(&mut self, t: usize, q: PointKey) {
+    /// as [`Trajectory::delete_all`] does. `q` is location `id`.
+    fn delete_point_from(&mut self, t: usize, q: PointKey, id: usize) {
         let mut total = 0.0;
         while let Some(idx) = self.trajs[t].samples.iter().position(|s| s.loc.key() == q) {
             let owner = &mut self.owner;
@@ -559,11 +594,9 @@ impl DatasetEditor {
             self.deletions += 1;
         }
         self.loss += total;
-        if let Some(s) = self.containing.get_mut(&q) {
-            s.remove(&t);
-            if s.is_empty() {
-                self.containing.remove(&q);
-            }
+        let slots = &mut self.containing[id];
+        if let Ok(at) = slots.binary_search(&t) {
+            slots.remove(at);
         }
         // Deletion may shrink the extent; recompute the cached box.
         self.bboxes[t] = self.trajs[t].bbox();
@@ -571,7 +604,7 @@ impl DatasetEditor {
 
     /// Current TF of `q` as tracked by the editor.
     pub fn tf(&self, q: PointKey) -> usize {
-        self.containing.get(&q).map_or(0, HashSet::len)
+        self.holders(q).len()
     }
 
     /// The domain the editor indexes over.
@@ -596,10 +629,17 @@ impl DatasetEditor {
             total += ids.len();
         }
         assert_eq!(self.index.len(), total, "index size mismatch");
-        // lint: allow(determinism): assertion-only walk; every entry is checked and no output depends on visit order
-        for (k, set) in &self.containing {
-            for &t in set {
-                assert!(self.trajs[t].passes_through(*k), "stale containing entry");
+        for (id, slots) in self.containing.iter().enumerate() {
+            assert!(slots.windows(2).all(|w| w[0] < w[1]), "containing not ascending");
+            for &t in slots {
+                let q = self.locations.key(id as u32);
+                assert!(self.trajs[t].passes_through(q), "stale containing entry");
+            }
+        }
+        for (t, traj) in self.trajs.iter().enumerate() {
+            for s in &traj.samples {
+                let held = self.holders(s.loc.key()).binary_search(&t).is_ok();
+                assert!(held, "missing containing entry");
             }
         }
     }

@@ -105,7 +105,12 @@ pub fn realize_tf(
 ) -> (Dataset, GlobalReport) {
     // lint: allow(determinism): wall-clock feeds the timing report only; no edit decision reads it
     let realize_started = std::time::Instant::now();
-    let mut editor = DatasetEditor::new(ds.trajectories.clone(), kind, ds.domain);
+    let mut editor = DatasetEditor::with_locations(
+        ds.trajectories.clone(),
+        kind,
+        ds.domain,
+        analysis.locations(),
+    );
     editor.use_bbox_pruning = bbox_pruning;
     let mut tf_changes = HashMap::with_capacity(perturbed.len());
     // Plan every edit up front. An edit touches only occurrences of its

@@ -21,10 +21,9 @@ use crate::indexkind::IndexKind;
 use crate::pool::map_chunks;
 use crate::stream::{stream_rng, PHASE_LOCAL};
 use rand::Rng;
-use std::collections::HashMap;
 use trajdp_index::SearchStats;
 use trajdp_mech::{round_count, Laplace, LaplaceMechanism, MechError};
-use trajdp_model::{Dataset, PointKey, Rect, Trajectory};
+use trajdp_model::{Dataset, LocationTable, PointKey, Rect, Trajectory};
 
 /// Ablation switches for the local mechanism. Defaults reproduce the
 /// paper's Algorithm 2 exactly.
@@ -69,40 +68,116 @@ pub struct LocalReport {
     pub search_stats: SearchStats,
 }
 
-/// Selects the `2m`-point list `PL(τ)` for trajectory slot `i`
-/// (Algorithm 2 input): the top-`m` signature first, then remaining
-/// distinct points preferring members of `P`, randomly ordered.
-pub fn select_point_list<R: Rng + ?Sized>(
-    traj: &Trajectory,
+/// One trajectory's PF by dense location id: the scratch state of the
+/// local mechanism, which a shard reuses for all its trajectories. Ids
+/// are those of the analysis's [`LocationTable`]; a location the
+/// analysis never saw gets an id past the table's end.
+#[derive(Debug)]
+struct PfCounts {
+    /// `pf[id]`: occurrences of location `id` in the counted trajectory;
+    /// all zero between trajectories.
+    pf: Vec<usize>,
+    /// The counted trajectory's distinct ids, in first-appearance order.
+    distinct: Vec<usize>,
+    /// `picked[id]`: whether `id` already heads the point list; all
+    /// false between trajectories.
+    picked: Vec<bool>,
+    /// Locations missing from the analysis's table: its id `j` is id
+    /// `table.len() + j`.
+    unseen: LocationTable,
+}
+
+impl PfCounts {
+    fn new(analysis: &FrequencyAnalysis) -> Self {
+        let ids = analysis.locations().len();
+        Self {
+            pf: vec![0; ids],
+            distinct: Vec::new(),
+            picked: vec![false; ids],
+            unseen: LocationTable::default(),
+        }
+    }
+
+    /// Counts the PF of `traj`, the trajectory at `slot` of the dataset
+    /// being edited. Samples the analysis saw at the same place take
+    /// their stored ids, so an unedited trajectory hashes nothing.
+    fn count(&mut self, analysis: &FrequencyAnalysis, slot: usize, traj: &Trajectory) {
+        let table = analysis.locations();
+        for (i, s) in traj.samples.iter().enumerate() {
+            let key = s.loc.key();
+            let id = match table.sample_id(slot, i, key) {
+                Some(id) => id as usize,
+                None => table.len() + self.unseen.intern(key) as usize,
+            };
+            if id >= self.pf.len() {
+                self.pf.resize(id + 1, 0);
+                self.picked.resize(id + 1, false);
+            }
+            if self.pf[id] == 0 {
+                self.distinct.push(id);
+            }
+            self.pf[id] += 1;
+        }
+    }
+
+    /// The location of `id`.
+    fn key(&self, table: &LocationTable, id: usize) -> PointKey {
+        match id.checked_sub(table.len()) {
+            Some(j) => self.unseen.key(j as u32),
+            None => table.key(id as u32),
+        }
+    }
+
+    /// Forgets the counted trajectory, touching only its own entries.
+    fn clear(&mut self) {
+        for id in self.distinct.drain(..) {
+            self.pf[id] = 0;
+        }
+        if !self.unseen.is_empty() {
+            self.unseen = LocationTable::default();
+        }
+    }
+}
+
+/// Selects the `2m`-point list `PL(τ)` for the trajectory `counts` holds,
+/// at slot `slot` (Algorithm 2 input): the top-`m` signature first, then
+/// the remaining distinct points, members of `P` before the others,
+/// each group randomly ordered. Every point comes with its PF.
+fn select_point_list<R: Rng + ?Sized>(
+    counts: &mut PfCounts,
     analysis: &FrequencyAnalysis,
     slot: usize,
     rng: &mut R,
-) -> Vec<PointKey> {
+) -> Vec<(PointKey, usize)> {
     let m = analysis.m;
-    let mut list: Vec<PointKey> = analysis.signature_points(slot);
-    list.truncate(m);
+    let table = analysis.locations();
+    let signature = &analysis.signatures[slot];
+    let signature = &signature[..m.min(signature.len())];
+    let mut list = Vec::with_capacity(signature.len());
+    let mut picked = Vec::with_capacity(signature.len());
+    for e in signature {
+        let id = table.id(e.point).expect("signature points are interned") as usize;
+        counts.picked[id] = true;
+        picked.push(id);
+        list.push((e.point, counts.pf[id]));
+    }
     // Distinct points of the trajectory not already selected.
-    let mut in_p: Vec<PointKey> = Vec::new();
-    let mut rest: Vec<PointKey> = Vec::new();
-    let mut seen: std::collections::HashSet<PointKey> = list.iter().copied().collect();
-    for s in &traj.samples {
-        let k = s.loc.key();
-        if seen.insert(k) {
-            if analysis.candidate_tf.contains_key(&k) {
-                in_p.push(k);
-            } else {
-                rest.push(k);
-            }
-        }
+    let (mut in_p, mut rest): (Vec<usize>, Vec<usize>) = counts
+        .distinct
+        .iter()
+        .filter(|&&id| !counts.picked[id])
+        .partition(|&&id| analysis.is_candidate(id as u32));
+    for id in picked {
+        counts.picked[id] = false;
     }
     // Prefer other signature points (members of P), then random others.
     shuffle(&mut in_p, rng);
     shuffle(&mut rest, rng);
-    for k in in_p.into_iter().chain(rest) {
+    for id in in_p.into_iter().chain(rest) {
         if list.len() >= 2 * m {
             break;
         }
-        list.push(k);
+        list.push((counts.key(table, id), counts.pf[id]));
     }
     list
 }
@@ -115,10 +190,10 @@ fn shuffle<T, R: Rng + ?Sized>(v: &mut [T], rng: &mut R) {
 }
 
 /// Draws the perturbed PF values for one trajectory (Algorithm 2,
-/// lines 2–16) without modifying it.
-pub fn perturb_pf<R: Rng + ?Sized>(
-    traj: &Trajectory,
-    point_list: &[PointKey],
+/// lines 2–16) from its point list of `(point, PF)` pairs, without
+/// modifying it.
+fn perturb_pf<R: Rng + ?Sized>(
+    point_list: &[(PointKey, usize)],
     m: usize,
     epsilon: f64,
     opts: LocalOptions,
@@ -126,16 +201,11 @@ pub fn perturb_pf<R: Rng + ?Sized>(
 ) -> Result<PfPlan, MechError> {
     // The point-counting query has sensitivity 1, so the scale is 1/ε.
     let scale = LaplaceMechanism::new(epsilon, 1.0)?.noise_scale();
-    let mut pf: HashMap<PointKey, usize> = HashMap::new();
-    for s in &traj.samples {
-        *pf.entry(s.loc.key()).or_insert(0) += 1;
-    }
     let mut entries = Vec::with_capacity(point_list.len());
     // Stage 1: top-m points, Lap(−f_k, 1/ε).
     let stage1 = &point_list[..m.min(point_list.len())];
     let mut noise_sum = 0.0;
-    for &p in stage1 {
-        let f = *pf.get(&p).unwrap_or(&0);
+    for &(p, f) in stage1 {
         let mean = if opts.zero_mean { 0.0 } else { -(f as f64) };
         let eta = Laplace::new(mean, scale)?.sample(rng);
         let f_star = round_count(f as f64 + eta);
@@ -145,8 +215,7 @@ pub fn perturb_pf<R: Rng + ?Sized>(
     let mu_bar = if stage1.is_empty() { 0.0 } else { noise_sum / stage1.len() as f64 };
     // Stage 2: remaining m points, Lap(−µ̄, 1/ε).
     if opts.stage2 {
-        for &p in point_list.iter().skip(m).take(m) {
-            let f = *pf.get(&p).unwrap_or(&0);
+        for &(p, f) in point_list.iter().skip(m).take(m) {
             let mean = if opts.zero_mean { 0.0 } else { -mu_bar };
             let eta = Laplace::new(mean, scale)?.sample(rng);
             let f_star = round_count(f as f64 + eta);
@@ -191,13 +260,17 @@ pub fn local_unit<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<LocalUnit, MechError> {
     let mut editor = TrajectoryEditor::new(Trajectory::new(traj.id, Vec::new()), kind, domain);
-    local_unit_on(&mut editor, traj, analysis, slot, epsilon, opts, rng)
+    let mut counts = PfCounts::new(analysis);
+    local_unit_on(&mut editor, &mut counts, traj, analysis, slot, epsilon, opts, rng)
 }
 
-/// [`local_unit`] on a reusable editor: the editor restarts on a copy of
-/// `traj`, so one editor (and one index arena) serves a whole shard.
+/// [`local_unit`] on a reusable editor and PF scratch: the editor
+/// restarts on a copy of `traj`, so one editor (and one index arena) and
+/// one set of counts serve a whole shard.
+#[allow(clippy::too_many_arguments)]
 fn local_unit_on<R: Rng + ?Sized>(
     editor: &mut TrajectoryEditor,
+    counts: &mut PfCounts,
     traj: &Trajectory,
     analysis: &FrequencyAnalysis,
     slot: usize,
@@ -205,8 +278,10 @@ fn local_unit_on<R: Rng + ?Sized>(
     opts: LocalOptions,
     rng: &mut R,
 ) -> Result<LocalUnit, MechError> {
-    let list = select_point_list(traj, analysis, slot, rng);
-    let plan = perturb_pf(traj, &list, analysis.m, epsilon, opts, rng)?;
+    counts.count(analysis, slot, traj);
+    let list = select_point_list(counts, analysis, slot, rng);
+    counts.clear();
+    let plan = perturb_pf(&list, analysis.m, epsilon, opts, rng)?;
     editor.reset(traj);
     for &(p, f, f_star) in &plan.entries {
         if (f_star as usize) < f {
@@ -287,13 +362,23 @@ pub fn apply_local_streamed(
 ) -> Result<(Dataset, LocalReport), MechError> {
     let shards = map_chunks(workers, &ds.trajectories, |lo, chunk| {
         let mut editor = TrajectoryEditor::new(Trajectory::new(0, Vec::new()), kind, ds.domain);
+        let mut counts = PfCounts::new(analysis);
         chunk
             .iter()
             .enumerate()
             .map(|(offset, traj)| {
                 let slot = lo + offset;
                 let mut rng = stream_rng(root_seed, PHASE_LOCAL, slot as u64);
-                local_unit_on(&mut editor, traj, analysis, slot, epsilon, opts, &mut rng)
+                local_unit_on(
+                    &mut editor,
+                    &mut counts,
+                    traj,
+                    analysis,
+                    slot,
+                    epsilon,
+                    opts,
+                    &mut rng,
+                )
             })
             .collect::<Result<Vec<_>, _>>()
     });
@@ -307,9 +392,130 @@ pub fn apply_local_streamed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::freq::reference::{edge_datasets, grid};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::{HashMap, HashSet};
     use trajdp_model::{Point, Sample};
+
+    /// The point list of `traj` at `slot`, counted on fresh scratch.
+    fn point_list<R: Rng>(
+        traj: &Trajectory,
+        fa: &FrequencyAnalysis,
+        slot: usize,
+        rng: &mut R,
+    ) -> Vec<(PointKey, usize)> {
+        let mut counts = PfCounts::new(fa);
+        counts.count(fa, slot, traj);
+        select_point_list(&mut counts, fa, slot, rng)
+    }
+
+    /// The hash-set point-list selection the dense-id one replaced.
+    fn reference_select_point_list<R: Rng + ?Sized>(
+        traj: &Trajectory,
+        analysis: &FrequencyAnalysis,
+        slot: usize,
+        rng: &mut R,
+    ) -> Vec<PointKey> {
+        let m = analysis.m;
+        let mut list: Vec<PointKey> = analysis.signature_points(slot);
+        list.truncate(m);
+        let mut in_p: Vec<PointKey> = Vec::new();
+        let mut rest: Vec<PointKey> = Vec::new();
+        let mut seen: HashSet<PointKey> = list.iter().copied().collect();
+        for s in &traj.samples {
+            let k = s.loc.key();
+            if seen.insert(k) {
+                if analysis.candidate_tf.contains_key(&k) {
+                    in_p.push(k);
+                } else {
+                    rest.push(k);
+                }
+            }
+        }
+        shuffle(&mut in_p, rng);
+        shuffle(&mut rest, rng);
+        for k in in_p.into_iter().chain(rest) {
+            if list.len() >= 2 * m {
+                break;
+            }
+            list.push(k);
+        }
+        list
+    }
+
+    /// The hash-map PF perturbation the dense-id one replaced.
+    fn reference_perturb_pf<R: Rng + ?Sized>(
+        traj: &Trajectory,
+        point_list: &[PointKey],
+        m: usize,
+        epsilon: f64,
+        opts: LocalOptions,
+        rng: &mut R,
+    ) -> Result<PfPlan, MechError> {
+        let scale = LaplaceMechanism::new(epsilon, 1.0)?.noise_scale();
+        let mut pf: HashMap<PointKey, usize> = HashMap::new();
+        for s in &traj.samples {
+            *pf.entry(s.loc.key()).or_insert(0) += 1;
+        }
+        let mut entries = Vec::with_capacity(point_list.len());
+        let stage1 = &point_list[..m.min(point_list.len())];
+        let mut noise_sum = 0.0;
+        for &p in stage1 {
+            let f = *pf.get(&p).unwrap_or(&0);
+            let mean = if opts.zero_mean { 0.0 } else { -(f as f64) };
+            let eta = Laplace::new(mean, scale)?.sample(rng);
+            let f_star = round_count(f as f64 + eta);
+            noise_sum += f_star as f64 - f as f64;
+            entries.push((p, f, f_star));
+        }
+        let mu_bar = if stage1.is_empty() { 0.0 } else { noise_sum / stage1.len() as f64 };
+        if opts.stage2 {
+            for &p in point_list.iter().skip(m).take(m) {
+                let f = *pf.get(&p).unwrap_or(&0);
+                let mean = if opts.zero_mean { 0.0 } else { -mu_bar };
+                let eta = Laplace::new(mean, scale)?.sample(rng);
+                let f_star = round_count(f as f64 + eta);
+                entries.push((p, f, f_star));
+            }
+        }
+        Ok(PfPlan { entries })
+    }
+
+    /// The reference plan of the unit at `slot`, from its own stream.
+    fn reference_plan(
+        traj: &Trajectory,
+        fa: &FrequencyAnalysis,
+        slot: usize,
+        opts: LocalOptions,
+        root_seed: u64,
+    ) -> Vec<(PointKey, usize, u64)> {
+        let mut rng = stream_rng(root_seed, PHASE_LOCAL, slot as u64);
+        let list = reference_select_point_list(traj, fa, slot, &mut rng);
+        reference_perturb_pf(traj, &list, fa.m, 0.7, opts, &mut rng).unwrap().entries
+    }
+
+    /// `ds` with points the analysis of `ds` never saw spliced into
+    /// every other trajectory, and one sample of every third removed.
+    fn edited(ds: &Dataset) -> Dataset {
+        let mut out = ds.clone();
+        let fresh = grid(5);
+        for (t, traj) in out.trajectories.iter_mut().enumerate() {
+            if t % 3 == 0 && !traj.samples.is_empty() {
+                traj.samples.remove(traj.len() / 2);
+            }
+            if t % 2 == 0 {
+                for (i, p) in fresh.iter().enumerate() {
+                    let at = (i * 7) % (traj.len() + 1);
+                    traj.samples.insert(at, Sample::new(Point::new(p.x + 0.5, -p.y - 1.0), 0));
+                }
+                for (i, s) in traj.samples.iter_mut().enumerate() {
+                    s.t = i as i64;
+                }
+            }
+        }
+        Dataset::from_trajectories(out.trajectories)
+    }
 
     fn traj(id: u64, xs: &[f64]) -> Trajectory {
         Trajectory::new(
@@ -334,10 +540,11 @@ mod tests {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 3);
         let mut rng = StdRng::seed_from_u64(1);
-        let list = select_point_list(&d.trajectories[0], &fa, 0, &mut rng);
+        let list = point_list(&d.trajectories[0], &fa, 0, &mut rng);
         let sig = fa.signature_points(0);
-        assert_eq!(&list[..sig.len()], &sig[..]);
-        let set: std::collections::HashSet<_> = list.iter().collect();
+        let keys: Vec<PointKey> = list.iter().map(|&(k, _)| k).collect();
+        assert_eq!(&keys[..sig.len()], &sig[..]);
+        let set: HashSet<_> = keys.iter().collect();
         assert_eq!(set.len(), list.len(), "duplicate entries in PL(τ)");
         assert!(list.len() <= 2 * fa.m);
     }
@@ -347,7 +554,7 @@ mod tests {
         let d = Dataset::from_trajectories(vec![traj(0, &[1.0, 2.0, 1.0])]);
         let fa = FrequencyAnalysis::compute(&d, 5);
         let mut rng = StdRng::seed_from_u64(2);
-        let list = select_point_list(&d.trajectories[0], &fa, 0, &mut rng);
+        let list = point_list(&d.trajectories[0], &fa, 0, &mut rng);
         // Only three distinct points exist (the y coordinate varies), far
         // fewer than 2m = 10 — the list saturates at the distinct count.
         assert_eq!(list.len(), 3);
@@ -361,11 +568,11 @@ mod tests {
         let fa = FrequencyAnalysis::compute(&d, 2);
         let mut rng = StdRng::seed_from_u64(3);
         let t = &d.trajectories[0];
-        let list = select_point_list(t, &fa, 0, &mut rng);
+        let list = point_list(t, &fa, 0, &mut rng);
         let mut suppressed = 0usize;
         let runs = 300;
         for _ in 0..runs {
-            let plan = perturb_pf(t, &list, 2, 2.0, LocalOptions::default(), &mut rng).unwrap();
+            let plan = perturb_pf(&list, 2, 2.0, LocalOptions::default(), &mut rng).unwrap();
             let (_, f, f_star) = plan.entries[0];
             assert!(f > 0);
             if (f_star as usize) < f {
@@ -384,11 +591,11 @@ mod tests {
         let fa = FrequencyAnalysis::compute(&d, 2);
         let mut rng = StdRng::seed_from_u64(4);
         let t = &d.trajectories[0];
-        let list = select_point_list(t, &fa, 0, &mut rng);
+        let list = point_list(t, &fa, 0, &mut rng);
         let opts = LocalOptions { zero_mean: true, ..Default::default() };
         let (mut up, mut down) = (0usize, 0usize);
         for _ in 0..400 {
-            let plan = perturb_pf(t, &list, 2, 1.0, opts, &mut rng).unwrap();
+            let plan = perturb_pf(&list, 2, 1.0, opts, &mut rng).unwrap();
             let (_, f, f_star) = plan.entries[0];
             match (f_star as usize).cmp(&f) {
                 std::cmp::Ordering::Greater => up += 1,
@@ -407,10 +614,9 @@ mod tests {
         let fa = FrequencyAnalysis::compute(&d, 2);
         let mut rng = StdRng::seed_from_u64(5);
         let t = &d.trajectories[0];
-        let list = select_point_list(t, &fa, 0, &mut rng);
-        let full = perturb_pf(t, &list, 2, 1.0, LocalOptions::default(), &mut rng).unwrap();
+        let list = point_list(t, &fa, 0, &mut rng);
+        let full = perturb_pf(&list, 2, 1.0, LocalOptions::default(), &mut rng).unwrap();
         let s1 = perturb_pf(
-            t,
             &list,
             2,
             1.0,
@@ -565,5 +771,78 @@ mod tests {
             dev_full <= dev_s1,
             "stage 2 should stabilize cardinality (dev {dev_full} vs stage-1-only {dev_s1})"
         );
+    }
+
+    #[test]
+    fn dense_point_lists_and_plans_match_the_hash_map_reference() {
+        let stage1_only = LocalOptions { stage2: false, ..Default::default() };
+        for (i, d) in edge_datasets().iter().enumerate() {
+            for m in [1, 3, 8] {
+                let fa = FrequencyAnalysis::compute(d, m);
+                for opts in [LocalOptions::default(), stage1_only] {
+                    for (slot, traj) in d.trajectories.iter().enumerate() {
+                        let mut rng = StdRng::seed_from_u64(slot as u64);
+                        let mut ref_rng = rng.clone();
+                        let list = point_list(traj, &fa, slot, &mut rng);
+                        let plan = perturb_pf(&list, m, 0.7, opts, &mut rng).unwrap();
+                        let ref_list = reference_select_point_list(traj, &fa, slot, &mut ref_rng);
+                        let ref_plan =
+                            reference_perturb_pf(traj, &ref_list, m, 0.7, opts, &mut ref_rng)
+                                .unwrap();
+                        let keys: Vec<PointKey> = list.iter().map(|&(k, _)| k).collect();
+                        assert_eq!(keys, ref_list, "dataset {i}, m {m}, slot {slot}");
+                        assert_eq!(
+                            plan.entries, ref_plan.entries,
+                            "dataset {i}, m {m}, slot {slot}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn units_on_unseen_locations_match_the_hash_map_reference() {
+        // The analysis sees `d`; the units run on an edited copy holding
+        // locations it never saw, on a fresh scratch per unit and on one
+        // scratch per shard.
+        let finite = |d: &Dataset| {
+            d.trajectories
+                .iter()
+                .flat_map(|t| t.points())
+                .all(|p| p.x.is_finite() && p.y.is_finite())
+        };
+        for (i, d) in edge_datasets().iter().enumerate().filter(|(_, d)| finite(d)) {
+            let fa = FrequencyAnalysis::compute(d, 3);
+            let e = edited(d);
+            let opts = LocalOptions::default();
+            let expected: Vec<_> = e
+                .trajectories
+                .iter()
+                .enumerate()
+                .map(|(slot, traj)| reference_plan(traj, &fa, slot, opts, 41))
+                .collect();
+            for (slot, traj) in e.trajectories.iter().enumerate() {
+                let unit = local_unit_streamed(
+                    traj,
+                    &fa,
+                    slot,
+                    0.7,
+                    IndexKind::default(),
+                    opts,
+                    e.domain,
+                    41,
+                )
+                .unwrap();
+                assert_eq!(unit.plan.entries, expected[slot], "dataset {i}, slot {slot}");
+            }
+            for workers in [1, 2] {
+                let (_, report) =
+                    apply_local_streamed(&e, &fa, 0.7, IndexKind::default(), opts, workers, 41)
+                        .unwrap();
+                let plans: Vec<_> = report.plans.into_iter().map(|p| p.entries).collect();
+                assert_eq!(plans, expected, "dataset {i}, {workers} workers");
+            }
+        }
     }
 }

@@ -76,25 +76,6 @@ impl Dataset {
         self.trajectories.iter().filter(|t| t.passes_through(q)).count()
     }
 
-    /// TF of every distinct location in the dataset in one pass.
-    pub fn tf_table(&self) -> HashMap<PointKey, usize> {
-        let mut tf: HashMap<PointKey, usize> = HashMap::new();
-        let mut distinct: Vec<PointKey> = Vec::new();
-        for t in &self.trajectories {
-            // A trajectory counts once per distinct point: sorting its
-            // keys and dropping repeats keeps this O(n log n) in its
-            // length.
-            distinct.clear();
-            distinct.extend(t.samples.iter().map(|s| s.loc.key()));
-            distinct.sort_unstable();
-            distinct.dedup();
-            for &k in &distinct {
-                *tf.entry(k).or_insert(0) += 1;
-            }
-        }
-        tf
-    }
-
     /// All distinct sample locations in the dataset.
     pub fn distinct_points(&self) -> Vec<Point> {
         let mut seen: HashMap<PointKey, Point> = HashMap::new();
@@ -170,48 +151,6 @@ mod tests {
         // (1,1) appears in trajectories 0 and 1 → TF = 2.
         assert_eq!(d.trajectory_frequency(Point::new(1.0, 1.0).key()), 2);
         assert_eq!(d.trajectory_frequency(Point::new(9.0, 9.0).key()), 0);
-    }
-
-    #[test]
-    fn tf_table_matches_pointwise_queries() {
-        let d = dataset();
-        let table = d.tf_table();
-        for p in d.distinct_points() {
-            assert_eq!(table[&p.key()], d.trajectory_frequency(p.key()), "TF mismatch at {p:?}");
-        }
-        assert_eq!(table.len(), d.distinct_points().len());
-    }
-
-    #[test]
-    fn tf_table_is_linear_in_distinct_points() {
-        // One trajectory visiting each of its n distinct points twice:
-        // 8x the points may cost at most 24x the time (a quadratic
-        // per-trajectory dedup costs about 64x). The minimum of five
-        // runs damps scheduler noise.
-        fn best_of_5(n: usize) -> std::time::Duration {
-            let samples = (0..2 * n)
-                .map(|i| {
-                    let p = i % n;
-                    Sample::new(Point::new(p as f64, (p % 97) as f64), i as i64)
-                })
-                .collect();
-            let d = Dataset::from_trajectories(vec![Trajectory::new(0, samples)]);
-            (0..5)
-                .map(|_| {
-                    let started = std::time::Instant::now();
-                    let table = d.tf_table();
-                    let elapsed = started.elapsed();
-                    assert_eq!(table.len(), n);
-                    assert!(table.values().all(|&tf| tf == 1));
-                    elapsed
-                })
-                .min()
-                .unwrap()
-        }
-        let n = 5_000;
-        let (small, large) = (best_of_5(n), best_of_5(8 * n));
-        let ratio = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
-        assert!(ratio < 24.0, "t(8n)/t(n) = {ratio:.1} ({small:?} → {large:?})");
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! Coordinates are planar metres within a configurable [`Rect`] domain.
 //! The synthetic generator snaps points to road-network nodes so repeated
 //! visits to a location produce bit-identical coordinates; [`PointKey`]
-//! provides the hashable identity used for frequency counting.
+//! provides the hashable identity of a location, and [`LocationTable`]
+//! numbers a dataset's distinct locations densely for frequency
+//! counting.
 
 #![forbid(unsafe_code)]
 
@@ -26,6 +28,7 @@ pub mod error;
 pub mod geo;
 pub mod geometry;
 pub mod grid;
+pub mod locations;
 pub mod stats;
 pub mod trajectory;
 
@@ -33,4 +36,5 @@ pub use dataset::Dataset;
 pub use error::ModelError;
 pub use geometry::{Point, PointKey, Rect, Segment};
 pub use grid::{CellId, GridLevel};
+pub use locations::LocationTable;
 pub use trajectory::{Sample, TrajId, Trajectory};

@@ -270,7 +270,7 @@ mod tests {
             points_per_trajectory: 300,
             ..small_cfg()
         });
-        let tf = w.dataset.tf_table();
+        let tf = |k| w.dataset.trajectory_frequency(k) as f64;
         let mut anchor_tf = 0.0;
         let mut anchor_count = 0usize;
         for (i, anchors) in w.anchors.iter().enumerate() {
@@ -280,16 +280,12 @@ mod tests {
             assert!(traj.count_point(home_key) >= 1, "agent must visit its home at least once");
             for &a in anchors {
                 let k = w.network.node(a).key();
-                anchor_tf += *tf.get(&k).unwrap_or(&0) as f64;
+                anchor_tf += tf(k);
                 anchor_count += 1;
             }
         }
         let avg_anchor_tf = anchor_tf / anchor_count as f64;
-        let avg_hotspot_tf = w
-            .hotspots
-            .iter()
-            .map(|&h| *tf.get(&w.network.node(h).key()).unwrap_or(&0) as f64)
-            .sum::<f64>()
+        let avg_hotspot_tf = w.hotspots.iter().map(|&h| tf(w.network.node(h).key())).sum::<f64>()
             / w.hotspots.len() as f64;
         assert!(
             avg_hotspot_tf > 1.5 * avg_anchor_tf,
