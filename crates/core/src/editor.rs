@@ -11,20 +11,23 @@
 //!   deleting it from the ∆l trajectories with the least utility loss
 //!   (Definition 8).
 //!
-//! Index upkeep is incremental in both editors: an edit rewrites only
-//! the segments it changes. An insertion replaces one segment with two;
-//! deleting a sample (the shared `delete_sample` step) removes the one
-//! or two segments touching it and registers the merged segment, so a
-//! complete deletion of a point costs a few index operations per
+//! Index upkeep is incremental in both editors, which share three
+//! steps: `split_segment` inserts a point into a segment and replaces
+//! its entry with the two halves, `append_sample` appends a point and
+//! registers the segment it closes, and `delete_sample` removes the one
+//! or two segments touching a sample and registers the merged segment.
+//! So a complete deletion of a point costs a few index operations per
 //! occurrence, not a re-registration of the whole trajectory. Segment
 //! ids come from a counter and are never reused. [`DatasetEditor`]
 //! maps them to their trajectory slots in a dense owner vector, and a
-//! TF increase is one grouped index search: its group function maps a
-//! segment to its owning slot through that vector, or leaves it out
-//! when a per-query slot mask says the trajectory already contains the
-//! point, so the function the index calls for every checked segment
-//! does no hashing, and the index hands back the ∆l nearest
-//! trajectories themselves.
+//! TF increase is one grouped index search — the only search of the
+//! inter-trajectory modification: its group function maps a segment to
+//! its owning slot through that vector, or leaves it out when a
+//! per-query slot mask says the trajectory already contains the point,
+//! so the function the index calls for every checked segment does no
+//! hashing, and the index hands back the ∆l nearest trajectories
+//! themselves. A TF decrease needs no search: it scans the trajectories
+//! holding the point for their exact complete-deletion loss.
 
 use crate::indexkind::{AnyIndex, IndexKind};
 use std::collections::{BinaryHeap, HashSet};
@@ -90,12 +93,6 @@ impl TrajectoryEditor {
         self.next_id = self.seg_ids.len() as u64;
     }
 
-    fn fresh_id(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
-    }
-
     /// Read access to the trajectory being edited.
     pub fn trajectory(&self) -> &Trajectory {
         &self.traj
@@ -118,16 +115,6 @@ impl TrajectoryEditor {
             return 0.0;
         }
         let mut incurred = 0.0;
-        if self.traj.len() < 2 {
-            // No segments exist: append (the degenerate fallback).
-            for _ in 0..delta {
-                incurred += self.traj.push_point(q);
-                self.insertions += 1;
-            }
-            self.rebuild_index_suffix(0);
-            self.loss += incurred;
-            return incurred;
-        }
         let (neighbors, stats) = self.index.knn_with_stats(&q, delta, None);
         self.accumulate(stats);
         // Map neighbour ids to current segment positions in one pass over
@@ -139,36 +126,19 @@ impl TrajectoryEditor {
             .rev()
             .filter(|&pos| wanted.binary_search(&self.seg_ids[pos]).is_ok())
             .collect();
-        for pos in positions {
-            incurred += self.insert_at_segment(q, pos);
+        let (traj, seg_ids, index) = (&mut self.traj, &mut self.seg_ids, &mut self.index);
+        let mut fresh = counter(&mut self.next_id);
+        for &pos in &positions {
+            incurred += split_segment(traj, seg_ids, index, pos, q, &mut fresh);
         }
-        // If the trajectory had fewer segments than `delta`, append the
-        // remainder at the nearest end.
-        let done = neighbors.len();
-        for _ in done..delta {
-            incurred += self.traj.push_point(q);
-            self.insertions += 1;
-            let last = self.traj.len() - 2;
-            let id = self.fresh_id();
-            self.index.insert(SegmentEntry::new(id, self.traj.segment(last)));
-            self.seg_ids.push(id);
+        // If the trajectory had fewer segments than `delta` (none at all
+        // below two samples), append the remainder at the end.
+        for _ in positions.len()..delta {
+            incurred += append_sample(traj, seg_ids, index, q, &mut fresh);
         }
+        self.insertions += delta;
         self.loss += incurred;
         incurred
-    }
-
-    /// Inserts `q` into segment `pos`, splitting the index entry.
-    fn insert_at_segment(&mut self, q: Point, pos: usize) -> f64 {
-        let old_id = self.seg_ids[pos];
-        self.index.remove(old_id);
-        let loss = self.traj.insert_into_segment(q, pos);
-        self.insertions += 1;
-        let left = self.fresh_id();
-        let right = self.fresh_id();
-        self.index.insert(SegmentEntry::new(left, self.traj.segment(pos)));
-        self.index.insert(SegmentEntry::new(right, self.traj.segment(pos + 1)));
-        self.seg_ids.splice(pos..=pos, [left, right]);
-        loss
     }
 
     /// Deletes `delta` occurrences of `q`, each time removing the
@@ -198,29 +168,10 @@ impl TrajectoryEditor {
 
     /// Deletes the sample at `idx`, merging the index entries.
     fn delete_at(&mut self, idx: usize) -> f64 {
-        let next_id = &mut self.next_id;
-        let loss = delete_sample(&mut self.traj, &mut self.seg_ids, &mut self.index, idx, || {
-            let id = *next_id;
-            *next_id += 1;
-            id
-        });
+        let fresh = counter(&mut self.next_id);
+        let loss = delete_sample(&mut self.traj, &mut self.seg_ids, &mut self.index, idx, fresh);
         self.deletions += 1;
         loss
-    }
-
-    /// Re-registers all segments from position `from` (used after bulk
-    /// structural changes).
-    fn rebuild_index_suffix(&mut self, from: usize) {
-        for &id in &self.seg_ids[from.min(self.seg_ids.len())..] {
-            self.index.remove(id);
-        }
-        self.seg_ids.truncate(from.min(self.seg_ids.len()));
-        for i in from..self.traj.num_segments() {
-            let id = self.next_id;
-            self.next_id += 1;
-            self.index.insert(SegmentEntry::new(id, self.traj.segment(i)));
-            self.seg_ids.push(id);
-        }
     }
 
     /// Internal invariant check used by tests: every segment of the
@@ -232,6 +183,57 @@ impl TrajectoryEditor {
         let distinct_ids: HashSet<u64> = self.seg_ids.iter().copied().collect();
         assert_eq!(distinct_ids.len(), self.seg_ids.len(), "duplicate segment ids");
     }
+}
+
+/// Hands out ids from a counter: its current value, advancing it.
+fn counter(next: &mut u64) -> impl FnMut() -> u64 + '_ {
+    move || {
+        let id = *next;
+        *next += 1;
+        id
+    }
+}
+
+/// Inserts `q` into segment `pos` of `traj` and keeps its segment index
+/// in step — the one split step both editors share. The segment's entry
+/// leaves `index` and `seg_ids`, and its two halves are registered, left
+/// then right, under the ids `fresh` hands out. Returns the insertion
+/// loss.
+fn split_segment(
+    traj: &mut Trajectory,
+    seg_ids: &mut Vec<u64>,
+    index: &mut AnyIndex,
+    pos: usize,
+    q: Point,
+    mut fresh: impl FnMut() -> u64,
+) -> f64 {
+    index.remove(seg_ids[pos]);
+    let loss = traj.insert_into_segment(q, pos);
+    let (left, right) = (fresh(), fresh());
+    index.insert(SegmentEntry::new(left, traj.segment(pos)));
+    index.insert(SegmentEntry::new(right, traj.segment(pos + 1)));
+    seg_ids.splice(pos..=pos, [left, right]);
+    loss
+}
+
+/// Appends `q` to `traj` and keeps its segment index in step — the one
+/// append step both editors share. When the trajectory then has a last
+/// segment, it is registered under the id `fresh` hands out. Returns the
+/// append loss ([`Trajectory::push_point`]).
+fn append_sample(
+    traj: &mut Trajectory,
+    seg_ids: &mut Vec<u64>,
+    index: &mut AnyIndex,
+    q: Point,
+    fresh: impl FnOnce() -> u64,
+) -> f64 {
+    let loss = traj.push_point(q);
+    if let Some(last) = traj.num_segments().checked_sub(1) {
+        let id = fresh();
+        index.insert(SegmentEntry::new(id, traj.segment(last)));
+        seg_ids.push(id);
+    }
+    loss
 }
 
 /// Deletes sample `idx` of `traj` and keeps its segment index in step —
@@ -317,14 +319,6 @@ pub struct DatasetEditor {
     /// `id`, so a TF is a length and the trajectories holding a point
     /// come out in slot order without hashing or sorting.
     containing: Vec<Vec<usize>>,
-    /// Cached per-trajectory bounding boxes for branch-and-bound
-    /// candidate pruning (the paper's §V-C future-work optimization).
-    bboxes: Vec<Rect>,
-    /// Whether `increase_tf` uses trajectory-bbox branch-and-bound
-    /// instead of the segment index.
-    pub use_bbox_pruning: bool,
-    domain: Rect,
-    kind: IndexKind,
     /// Accumulated utility loss of all edits.
     pub loss: f64,
     /// Accumulated search work counters.
@@ -371,7 +365,6 @@ impl DatasetEditor {
                 }
             }
         }
-        let bboxes = trajs.iter().map(Trajectory::bbox).collect();
         Self {
             trajs,
             seg_ids,
@@ -379,20 +372,11 @@ impl DatasetEditor {
             owner,
             locations,
             containing,
-            bboxes,
-            use_bbox_pruning: false,
-            domain,
-            kind,
             loss: 0.0,
             stats: SearchStats::default(),
             insertions: 0,
             deletions: 0,
         }
-    }
-
-    /// A new segment id, owned by slot `t`.
-    fn fresh_id(&mut self, t: usize) -> u64 {
-        claim_id(&mut self.owner, t)
     }
 
     /// Finishes editing, returning the modified trajectories.
@@ -432,10 +416,9 @@ impl DatasetEditor {
     /// A trajectory's distance is that of its nearest segment, and the
     /// pick is the `delta` smallest `(distance, slot)` pairs, so on equal
     /// distance the smallest slot wins. The segment index finds them in
-    /// one grouped search (group = owning slot); with `use_bbox_pruning`
-    /// a trajectory-level branch-and-bound finds the same ones.
-    /// Trajectories without a segment (fewer than two samples) come
-    /// after all of these, in slot order, and take `q` appended.
+    /// one grouped search (group = owning slot). Trajectories without a
+    /// segment (fewer than two samples) come after all of these, in slot
+    /// order, and take `q` appended.
     pub fn increase_tf(&mut self, q: Point, delta: usize) -> usize {
         if delta == 0 {
             return 0;
@@ -447,18 +430,14 @@ impl DatasetEditor {
         for &t in &self.containing[id] {
             excluded[t] = true;
         }
-        let mut chosen: Vec<usize> = if self.use_bbox_pruning {
-            self.nearest_by_bbox(q, delta, &excluded)
-        } else {
-            let owner = &self.owner;
-            let group = |id: u64| {
-                let t = owner[id as usize];
-                (!excluded[t]).then_some(t as u64)
-            };
-            let (nearest, stats) = self.index.knn_with_stats(&q, delta, Some(&group));
-            self.accumulate(stats);
-            nearest.iter().map(|n| self.owner[n.id as usize]).collect()
+        let owner = &self.owner;
+        let group = |id: u64| {
+            let t = owner[id as usize];
+            (!excluded[t]).then_some(t as u64)
         };
+        let (nearest, stats) = self.index.knn_with_stats(&q, delta, Some(&group));
+        self.accumulate(stats);
+        let mut chosen: Vec<usize> = nearest.iter().map(|n| self.owner[n.id as usize]).collect();
         // Fallback: trajectories with no segments can still take an
         // appended point.
         for (t, traj) in self.trajs.iter().enumerate() {
@@ -476,54 +455,14 @@ impl DatasetEditor {
         inserted
     }
 
-    /// The `delta` nearest trajectories with segments, by
-    /// trajectory-level branch-and-bound — the optimization §V-C leaves
-    /// as future work: candidates are visited in ascending bounding-box
-    /// `MINdist` order and the scan stops once the next lower bound
-    /// exceeds the ∆l-th best exact insertion loss. Selects exactly what
-    /// the grouped index search does: the ∆l smallest `(insertion loss,
-    /// slot)` pairs among the slots `excluded` leaves.
-    fn nearest_by_bbox(&mut self, q: Point, delta: usize, excluded: &[bool]) -> Vec<usize> {
-        // Eligible trajectories in ascending lower-bound order.
-        let mut candidates: Vec<(f64, usize)> = self
-            .bboxes
-            .iter()
-            .enumerate()
-            .filter(|&(t, _)| !excluded[t] && self.trajs[t].num_segments() > 0)
-            .map(|(t, b)| (b.min_dist(&q), t))
-            .collect();
-        candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        // Max-heap of the ∆l best `(exact loss, slot)` pairs so far.
-        let mut best: BinaryHeap<(TotalF64, usize)> = BinaryHeap::with_capacity(delta + 1);
-        for (lower, t) in candidates {
-            // A strictly larger lower bound cannot beat the ∆l-th best
-            // loss, not even on a tie (exact >= lower > best). Lower
-            // bounds ascend, so stop outright.
-            if best.len() == delta && lower > best.peek().expect("non-empty").0 .0 {
-                break;
-            }
-            let traj = &self.trajs[t];
-            let exact =
-                traj.segments().map(|(_, s)| s.dist_to_point(&q)).fold(f64::INFINITY, f64::min);
-            self.stats.segments_checked += traj.num_segments();
-            push_bounded(&mut best, delta, (TotalF64(exact), t));
-        }
-        best.into_sorted_vec().into_iter().map(|(_, t)| t).collect()
-    }
-
-    /// Inserts `q`, location `id`, into trajectory slot `t` at its best
-    /// segment.
+    /// Inserts `q`, location `id`, into trajectory slot `t`: into its
+    /// nearest segment, or appended when it has none.
     fn insert_point_into(&mut self, t: usize, q: Point, id: usize) {
-        let traj = &self.trajs[t];
-        if traj.len() < 2 {
-            self.loss += self.trajs[t].push_point(q);
-            self.insertions += 1;
-            if self.trajs[t].len() >= 2 {
-                let pos = self.trajs[t].num_segments() - 1;
-                let id = self.fresh_id(t);
-                self.index.insert(SegmentEntry::new(id, self.trajs[t].segment(pos)));
-                self.seg_ids[t].push(id);
-            }
+        let traj = &mut self.trajs[t];
+        let (seg_ids, index, owner) = (&mut self.seg_ids[t], &mut self.index, &mut self.owner);
+        let fresh = || claim_id(owner, t);
+        self.loss += if traj.num_segments() == 0 {
+            append_sample(traj, seg_ids, index, q, fresh)
         } else {
             // Scan the trajectory for the minimum-loss segment (the
             // index already narrowed the trajectory choice).
@@ -532,20 +471,13 @@ impl DatasetEditor {
                     traj.segment(a).dist_to_point(&q).total_cmp(&traj.segment(b).dist_to_point(&q))
                 })
                 .expect("non-empty segment list");
-            self.index.remove(self.seg_ids[t][pos]);
-            self.loss += self.trajs[t].insert_into_segment(q, pos);
-            self.insertions += 1;
-            let left = self.fresh_id(t);
-            let right = self.fresh_id(t);
-            self.index.insert(SegmentEntry::new(left, self.trajs[t].segment(pos)));
-            self.index.insert(SegmentEntry::new(right, self.trajs[t].segment(pos + 1)));
-            self.seg_ids[t].splice(pos..=pos, [left, right]);
-        }
+            split_segment(traj, seg_ids, index, pos, q, fresh)
+        };
+        self.insertions += 1;
         let slots = &mut self.containing[id];
         if let Err(at) = slots.binary_search(&t) {
             slots.insert(at, t);
         }
-        self.bboxes[t].expand(&q);
     }
 
     /// TF-decreasing task (Definition 8): completely deletes `q` from the
@@ -598,23 +530,11 @@ impl DatasetEditor {
         if let Ok(at) = slots.binary_search(&t) {
             slots.remove(at);
         }
-        // Deletion may shrink the extent; recompute the cached box.
-        self.bboxes[t] = self.trajs[t].bbox();
     }
 
     /// Current TF of `q` as tracked by the editor.
     pub fn tf(&self, q: PointKey) -> usize {
         self.holders(q).len()
-    }
-
-    /// The domain the editor indexes over.
-    pub fn domain(&self) -> Rect {
-        self.domain
-    }
-
-    /// The index kind the editor was built with.
-    pub fn kind(&self) -> IndexKind {
-        self.kind
     }
 
     /// Internal invariant check used by tests.
@@ -928,10 +848,64 @@ mod tests {
         s.len()
     }
 
-    // ---------- bbox-pruned inter-trajectory modification ----------
+    // ---------- inter-trajectory selection vs. a brute-force reference ----------
+
+    /// Brute-force reference for the TF-increase selection: the `delta`
+    /// smallest `(min segment distance, slot)` pairs over the slots that
+    /// do not pass through `q` and have a segment, then the segmentless
+    /// eligible slots in slot order. Returns each chosen slot with the
+    /// loss of inserting `q` there, in selection order.
+    fn brute_force_increase(trajs: &[Trajectory], q: Point, delta: usize) -> Vec<(usize, f64)> {
+        let eligible = |t: &Trajectory| !t.passes_through(q.key());
+        let mut ranked: Vec<(f64, usize)> = trajs
+            .iter()
+            .enumerate()
+            .filter(|&(_, t)| eligible(t) && t.num_segments() > 0)
+            .map(|(slot, t)| {
+                let dist =
+                    t.segments().map(|(_, s)| s.dist_to_point(&q)).fold(f64::INFINITY, f64::min);
+                (dist, slot)
+            })
+            .collect();
+        ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let segmentless =
+            trajs.iter().enumerate().filter(|&(_, t)| eligible(t) && t.num_segments() == 0);
+        ranked
+            .into_iter()
+            .map(|(dist, slot)| (slot, dist))
+            .chain(
+                segmentless
+                    .map(|(slot, t)| (slot, t.samples.last().map_or(0.0, |s| s.loc.dist(&q)))),
+            )
+            .take(delta)
+            .collect()
+    }
+
+    /// Runs `increase_tf` on every index kind and checks it against
+    /// [`brute_force_increase`]: the same slots gain `q`, and the loss is
+    /// the reference's losses summed in selection order.
+    fn assert_increase_matches_brute_force(trajs: &[Trajectory], q: Point, delta: usize) {
+        let expected = brute_force_increase(trajs, q, delta);
+        let mut slots: Vec<usize> = expected.iter().map(|&(slot, _)| slot).collect();
+        slots.sort_unstable();
+        let loss = expected.iter().fold(0.0, |sum, &(_, loss)| sum + loss);
+        for kind in all_index_kinds() {
+            let mut ed = DatasetEditor::new(trajs.to_vec(), kind, domain());
+            assert_eq!(ed.increase_tf(q, delta), expected.len(), "{kind:?} delta={delta}");
+            ed.check_invariants();
+            let gained: Vec<usize> = (0..trajs.len())
+                .filter(|&t| {
+                    ed.trajectories()[t].passes_through(q.key())
+                        && !trajs[t].passes_through(q.key())
+                })
+                .collect();
+            assert_eq!(gained, slots, "{kind:?} delta={delta}: selection differs");
+            assert_eq!(ed.loss, loss, "{kind:?} delta={delta}: loss differs");
+        }
+    }
 
     #[test]
-    fn bbox_pruning_selects_same_trajectories() {
+    fn increase_tf_matches_brute_force_selection() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(31);
@@ -947,45 +921,8 @@ mod tests {
             .collect();
         for delta in [1usize, 3, 7] {
             let q = Point::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0));
-            let mut plain = DatasetEditor::new(trajs.clone(), IndexKind::default(), domain());
-            let mut pruned = DatasetEditor::new(trajs.clone(), IndexKind::default(), domain());
-            pruned.use_bbox_pruning = true;
-            assert_eq!(plain.increase_tf(q, delta), pruned.increase_tf(q, delta));
-            pruned.check_invariants();
-            let a: Vec<bool> =
-                plain.trajectories().iter().map(|t| t.passes_through(q.key())).collect();
-            let b: Vec<bool> =
-                pruned.trajectories().iter().map(|t| t.passes_through(q.key())).collect();
-            assert_eq!(a, b, "delta={delta}: pruned selection differs");
-            assert!((plain.loss - pruned.loss).abs() < 1e-9, "loss differs at delta={delta}");
+            assert_increase_matches_brute_force(&trajs, q, delta);
         }
-    }
-
-    #[test]
-    fn bbox_pruning_checks_fewer_segments() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(77);
-        let trajs: Vec<Trajectory> = (0..60)
-            .map(|id| {
-                let cx: f64 = rng.gen_range(0.0..900.0);
-                let cy: f64 = rng.gen_range(0.0..900.0);
-                let pts: Vec<(f64, f64)> = (0..20)
-                    .map(|_| (cx + rng.gen_range(0.0..60.0), cy + rng.gen_range(0.0..60.0)))
-                    .collect();
-                traj(id, &pts)
-            })
-            .collect();
-        let total_segments: usize = trajs.iter().map(Trajectory::num_segments).sum();
-        let mut pruned = DatasetEditor::new(trajs, IndexKind::default(), domain());
-        pruned.use_bbox_pruning = true;
-        pruned.increase_tf(Point::new(10.0, 10.0), 2);
-        assert!(
-            pruned.stats.segments_checked < total_segments / 2,
-            "pruning should skip most trajectories: checked {} of {}",
-            pruned.stats.segments_checked,
-            total_segments
-        );
     }
 
     // ---------- tie-breaking and parallel scans ----------
@@ -1004,25 +941,15 @@ mod tests {
     }
 
     #[test]
-    fn bbox_vs_index_parity_on_tie_heavy_dataset() {
+    fn increase_tf_matches_brute_force_on_tie_heavy_dataset() {
         let trajs = tie_heavy_trajs();
-        let q = Point::new(50.0, 0.0);
         for delta in [1usize, 3, 9, 12, 17] {
-            let mut plain = DatasetEditor::new(trajs.clone(), IndexKind::default(), domain());
-            let mut pruned = DatasetEditor::new(trajs.clone(), IndexKind::default(), domain());
-            pruned.use_bbox_pruning = true;
-            assert_eq!(plain.increase_tf(q, delta), pruned.increase_tf(q, delta));
-            let a: Vec<bool> =
-                plain.trajectories().iter().map(|t| t.passes_through(q.key())).collect();
-            let b: Vec<bool> =
-                pruned.trajectories().iter().map(|t| t.passes_through(q.key())).collect();
-            assert_eq!(a, b, "delta={delta}: selections diverge on ties");
-            assert!((plain.loss - pruned.loss).abs() < 1e-9, "delta={delta}");
+            assert_increase_matches_brute_force(&trajs, Point::new(50.0, 0.0), delta);
         }
     }
 
     #[test]
-    fn bbox_and_index_paths_agree_on_trajectories_without_segments() {
+    fn segmentless_trajectories_rank_after_every_segment() {
         // Slot 1 is a lone sample 1 m from q, slot 2 is empty. Neither
         // has a segment, so both rank after slot 0, whose segment lies
         // 50 m away, and take q appended in slot order.
@@ -1034,49 +961,45 @@ mod tests {
         let q = Point::new(10.0, 50.0);
         let cases = [(1usize, [3, 1, 0], 50.0), (2, [3, 2, 0], 51.0), (3, [3, 2, 1], 51.0)];
         for (delta, lengths, loss) in cases {
-            for bbox in [false, true] {
-                let mut ed = DatasetEditor::new(trajs.clone(), IndexKind::default(), domain());
-                ed.use_bbox_pruning = bbox;
-                assert_eq!(ed.increase_tf(q, delta), delta, "bbox={bbox} delta={delta}");
-                ed.check_invariants();
-                let got: Vec<usize> = ed.trajectories().iter().map(Trajectory::len).collect();
-                assert_eq!(got, lengths, "bbox={bbox} delta={delta}");
-                assert_eq!(ed.loss, loss, "bbox={bbox} delta={delta}");
-            }
+            let mut ed = DatasetEditor::new(trajs.clone(), IndexKind::default(), domain());
+            assert_eq!(ed.increase_tf(q, delta), delta, "delta={delta}");
+            ed.check_invariants();
+            let got: Vec<usize> = ed.trajectories().iter().map(Trajectory::len).collect();
+            assert_eq!(got, lengths, "delta={delta}");
+            assert_eq!(ed.loss, loss, "delta={delta}");
+            assert_increase_matches_brute_force(&trajs, q, delta);
         }
     }
 
     #[test]
     fn equal_loss_ties_go_to_smallest_slot_on_both_paths() {
         // With delta = 3 the nearer band (slots 9–17) ties nine ways;
-        // the fixed rule must pick its three smallest slots.
+        // the fixed rule must pick its three smallest slots, on the index
+        // search and on the brute-force reference alike.
         let q = Point::new(50.0, 0.0);
-        for bbox in [false, true] {
-            let mut ed = DatasetEditor::new(tie_heavy_trajs(), IndexKind::default(), domain());
-            ed.use_bbox_pruning = bbox;
-            assert_eq!(ed.increase_tf(q, 3), 3);
-            let chosen: Vec<usize> =
-                (0..18).filter(|&t| ed.trajectories()[t].passes_through(q.key())).collect();
-            assert_eq!(chosen, vec![9, 10, 11], "bbox={bbox}");
-        }
+        let mut ed = DatasetEditor::new(tie_heavy_trajs(), IndexKind::default(), domain());
+        assert_eq!(ed.increase_tf(q, 3), 3);
+        let chosen: Vec<usize> =
+            (0..18).filter(|&t| ed.trajectories()[t].passes_through(q.key())).collect();
+        assert_eq!(chosen, vec![9, 10, 11]);
+        let reference: Vec<usize> =
+            brute_force_increase(&tie_heavy_trajs(), q, 3).into_iter().map(|(t, _)| t).collect();
+        assert_eq!(reference, chosen);
     }
 
     #[test]
     fn knn_tie_straddle_at_k_cutoff_still_picks_smallest_slots() {
         // 30 identical trajectories: every eligible segment ties. The
         // grouped search must rank the tie by slot, not let index-visit
-        // order decide it, staying in lockstep with the bbox path.
+        // order decide it.
         let trajs: Vec<Trajectory> =
             (0..30).map(|id| traj(id, &[(0.0, 10.0), (100.0, 10.0)])).collect();
         let q = Point::new(50.0, 0.0);
-        for bbox in [false, true] {
-            let mut ed = DatasetEditor::new(trajs.clone(), IndexKind::default(), domain());
-            ed.use_bbox_pruning = bbox;
-            assert_eq!(ed.increase_tf(q, 2), 2);
-            let chosen: Vec<usize> =
-                (0..30).filter(|&t| ed.trajectories()[t].passes_through(q.key())).collect();
-            assert_eq!(chosen, vec![0, 1], "bbox={bbox}");
-        }
+        let mut ed = DatasetEditor::new(trajs, IndexKind::default(), domain());
+        assert_eq!(ed.increase_tf(q, 2), 2);
+        let chosen: Vec<usize> =
+            (0..30).filter(|&t| ed.trajectories()[t].passes_through(q.key())).collect();
+        assert_eq!(chosen, vec![0, 1]);
     }
 
     #[test]
@@ -1093,26 +1016,6 @@ mod tests {
         assert_eq!(ed.trajectories()[1].count_point(q), 0);
         assert!(ed.trajectories()[2].passes_through(q));
         assert!(ed.trajectories()[3].passes_through(q));
-    }
-
-    #[test]
-    fn bbox_stays_consistent_after_edits() {
-        let mut ed = make_dataset_editor();
-        let q = Point::new(5000.0, 5000.0); // outside current boxes (clamped into domain use)
-        let q = Point::new(q.x.min(1000.0), q.y.min(1000.0));
-        ed.use_bbox_pruning = true;
-        ed.increase_tf(q, 2);
-        ed.check_invariants();
-        // After inserting q the cached boxes must cover it.
-        for (t, traj) in ed.trajectories().iter().enumerate() {
-            if traj.passes_through(q.key()) {
-                assert!(ed.bboxes[t].contains(&q));
-            }
-        }
-        ed.decrease_tf(q.key(), 2);
-        for (t, traj) in ed.trajectories().iter().enumerate() {
-            assert_eq!(ed.bboxes[t], traj.bbox(), "bbox stale after deletion in slot {t}");
-        }
     }
 
     // ---------- incremental index upkeep vs. a fresh build ----------

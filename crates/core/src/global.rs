@@ -93,14 +93,16 @@ enum EditStep {
 ///
 /// This phase draws no randomness — given the perturbed targets it is a
 /// pure function of the dataset, however the perturbation was sharded.
-/// It runs serially on the calling thread: `workers` is unused and
-/// kept only for the callers that pass it.
+/// It runs serially on the calling thread. `bbox_pruning` and `workers`
+/// are ignored, kept only for the callers that pass them: every TF
+/// increase is one grouped index search, which selects what the retired
+/// trajectory-bbox search did, so either value releases the same bytes.
 pub fn realize_tf(
     ds: &Dataset,
     analysis: &FrequencyAnalysis,
     perturbed: &HashMap<PointKey, u64>,
     kind: IndexKind,
-    bbox_pruning: bool,
+    _bbox_pruning: bool,
     _workers: usize,
 ) -> (Dataset, GlobalReport) {
     // lint: allow(determinism): wall-clock feeds the timing report only; no edit decision reads it
@@ -111,7 +113,6 @@ pub fn realize_tf(
         ds.domain,
         analysis.locations(),
     );
-    editor.use_bbox_pruning = bbox_pruning;
     let mut tf_changes = HashMap::with_capacity(perturbed.len());
     // Plan every edit up front. An edit touches only occurrences of its
     // own point, so it never changes another candidate's TF and the
@@ -180,13 +181,12 @@ pub fn apply_global_streamed(
     analysis: &FrequencyAnalysis,
     epsilon: f64,
     kind: IndexKind,
-    bbox_pruning: bool,
     root_seed: u64,
 ) -> Result<(Dataset, GlobalReport), MechError> {
     let candidates = analysis.candidate_points();
     let perturbed: HashMap<PointKey, u64> =
         perturb_tf_shard(analysis, &candidates, 0, epsilon, root_seed)?.into_iter().collect();
-    Ok(realize_tf(ds, analysis, &perturbed, kind, bbox_pruning, 1))
+    Ok(realize_tf(ds, analysis, &perturbed, kind, false, 1))
 }
 
 #[cfg(test)]
@@ -258,8 +258,7 @@ mod tests {
     fn apply_global_realizes_perturbed_tf() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let (out, report) =
-            apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), false, 11).unwrap();
+        let (out, report) = apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), 11).unwrap();
         assert_eq!(out.len(), d.len());
         for (p, &(_, target)) in &report.tf_changes {
             let realized = out.trajectory_frequency(*p) as u64;
@@ -272,7 +271,7 @@ mod tests {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
         let (out, report) =
-            apply_global_streamed(&d, &fa, 1000.0, IndexKind::default(), false, 17).unwrap();
+            apply_global_streamed(&d, &fa, 1000.0, IndexKind::default(), 17).unwrap();
         assert_eq!(report.insertions, 0);
         assert_eq!(report.deletions, 0);
         assert_eq!(report.utility_loss, 0.0);
@@ -299,10 +298,10 @@ mod tests {
     fn streamed_apply_is_deterministic_and_seed_sensitive() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let (a, _) = apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), false, 5).unwrap();
-        let (b, _) = apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), false, 5).unwrap();
+        let (a, _) = apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), 5).unwrap();
+        let (b, _) = apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), 5).unwrap();
         assert_eq!(a, b);
-        let (c, _) = apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), false, 6).unwrap();
+        let (c, _) = apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), 6).unwrap();
         assert_ne!(a, c, "different root seeds must perturb differently");
     }
 
@@ -315,18 +314,16 @@ mod tests {
         let d = &world.dataset;
         let fa = FrequencyAnalysis::compute(d, 4);
         let perturbed = perturb_all(&fa, 0.4, 21);
-        for bbox in [false, true] {
-            let (base, base_report) = realize_tf(d, &fa, &perturbed, IndexKind::default(), bbox, 1);
-            for workers in [2usize, 3, 8] {
-                let (out, report) =
-                    realize_tf(d, &fa, &perturbed, IndexKind::default(), bbox, workers);
-                assert_eq!(out, base, "bbox={bbox} workers={workers} dataset diverged");
-                assert_eq!(report.insertions, base_report.insertions);
-                assert_eq!(report.deletions, base_report.deletions);
-                assert_eq!(report.utility_loss, base_report.utility_loss);
-                assert_eq!(report.tf_changes, base_report.tf_changes);
-                assert_eq!(report.search_stats, base_report.search_stats);
-            }
+        let (base, base_report) = realize_tf(d, &fa, &perturbed, IndexKind::default(), false, 1);
+        for workers in [2usize, 3, 8] {
+            let (out, report) =
+                realize_tf(d, &fa, &perturbed, IndexKind::default(), false, workers);
+            assert_eq!(out, base, "workers={workers} dataset diverged");
+            assert_eq!(report.insertions, base_report.insertions);
+            assert_eq!(report.deletions, base_report.deletions);
+            assert_eq!(report.utility_loss, base_report.utility_loss);
+            assert_eq!(report.tf_changes, base_report.tf_changes);
+            assert_eq!(report.search_stats, base_report.search_stats);
         }
     }
 
@@ -347,7 +344,7 @@ mod tests {
             IndexKind::Hier(512, Strategy::BottomUp),
             IndexKind::Hier(512, Strategy::BottomUpDown),
         ];
-        let run = |kind| apply_global_streamed(d, &fa, 0.5, kind, false, 0x60_1D).unwrap();
+        let run = |kind| apply_global_streamed(d, &fa, 0.5, kind, 0x60_1D).unwrap();
         let (base, base_report) = run(IndexKind::default());
         assert!(base_report.insertions > 0 && base_report.deletions > 0, "too few edits to tell");
         for kind in kinds {
@@ -362,8 +359,7 @@ mod tests {
     fn report_counts_are_consistent() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let (_, report) =
-            apply_global_streamed(&d, &fa, 0.2, IndexKind::default(), false, 23).unwrap();
+        let (_, report) = apply_global_streamed(&d, &fa, 0.2, IndexKind::default(), 23).unwrap();
         // Any modification must be accounted: if points moved, loss ≥ 0
         // and the counters reflect edits.
         if report.insertions == 0 && report.deletions == 0 {

@@ -41,9 +41,10 @@ pub struct FreqDpConfig {
     pub index: IndexKind,
     /// Local-mechanism ablation switches.
     pub local_opts: LocalOptions,
-    /// Use trajectory-bbox branch-and-bound in the global modification
-    /// phase instead of the segment index (the §V-C future-work
-    /// optimization; same output, different search).
+    /// Ignored: every TF increase of the global modification phase is
+    /// one grouped search of the segment index. The trajectory-bbox
+    /// search this once selected (§V-C's future-work pruning) picked the
+    /// same trajectories, so either value releases the same bytes.
     pub bbox_pruning: bool,
     /// Worker threads for the per-trajectory local mechanism, the one
     /// sharded phase; the global mechanism (TF perturbation and
@@ -144,14 +145,8 @@ pub fn anonymize(
     let run_global = |input: &Dataset| -> Result<(Dataset, GlobalReport, Duration), MechError> {
         // lint: allow(determinism): phase wall-time is reporting-only; the phase output never reads it
         let start = std::time::Instant::now();
-        let (out, report) = apply_global_streamed(
-            input,
-            &analysis,
-            cfg.eps_global,
-            cfg.index,
-            cfg.bbox_pruning,
-            cfg.seed,
-        )?;
+        let (out, report) =
+            apply_global_streamed(input, &analysis, cfg.eps_global, cfg.index, cfg.seed)?;
         Ok((out, report, start.elapsed()))
     };
     let run_local = |input: &Dataset| -> Result<(Dataset, LocalReport, Duration), MechError> {

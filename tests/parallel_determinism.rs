@@ -44,31 +44,6 @@ fn parallel_modification_is_byte_identical_for_combined_models() {
     }
 }
 
-#[test]
-fn parallel_modification_with_bbox_pruning_is_byte_identical() {
-    // The bbox branch-and-bound search is serial, so its work counters
-    // are worker-count invariant along with the release bytes.
-    let world = generate(&GeneratorConfig::tdrive_profile(25, 50, 31));
-    let base_cfg = FreqDpConfig { m: 5, seed: 0xACE, bbox_pruning: true, ..Default::default() };
-    let serial = anonymize(&world.dataset, Model::Combined, &base_cfg).unwrap();
-    let serial_csv = to_csv(&serial.dataset);
-    let serial_work = serial.global.unwrap().search_stats;
-    for workers in [2usize, 3, 8, 64] {
-        let cfg = FreqDpConfig { workers, ..base_cfg };
-        let out = anonymize(&world.dataset, Model::Combined, &cfg).unwrap();
-        assert_eq!(
-            to_csv(&out.dataset),
-            serial_csv,
-            "bbox-pruned modification diverged at {workers} workers"
-        );
-        assert_eq!(
-            out.global.unwrap().search_stats,
-            serial_work,
-            "bbox-pruned search work moved at {workers} workers"
-        );
-    }
-}
-
 /// 64-bit FNV-1a over the released bytes.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes
@@ -120,6 +95,34 @@ fn release_bytes_match_golden_hashes() {
             0xE9C7_8AE3_24A4_1AAA,
             "GL at publish scale, {workers} workers: release bytes moved"
         );
+    }
+    // Every fourth trajectory cut to one sample and every fourth emptied:
+    // trajectories without a segment take TF increases by appending, and
+    // both editors' append step is pinned for every model.
+    let mut short = generate(&GeneratorConfig::tdrive_profile(40, 80, 11)).dataset;
+    for (i, t) in short.trajectories.iter_mut().enumerate() {
+        match i % 4 {
+            1 => t.samples.truncate(1),
+            3 => t.samples.clear(),
+            _ => {}
+        }
+    }
+    let golden = [
+        (Model::PureGlobal, 0xF4BD_FBA5_88AD_8D82),
+        (Model::PureLocal, 0xC1CA_364D_F685_772E),
+        (Model::Combined, 0xACEA_C95F_DC6B_BCEC),
+        (Model::CombinedLocalFirst, 0x183C_CF77_7D40_64D7),
+    ];
+    for (model, expected) in golden {
+        for workers in [1usize, 8] {
+            let cfg = FreqDpConfig { m: 10, seed: 0x60_1D, workers, ..Default::default() };
+            let csv = to_csv(&anonymize(&short, model, &cfg).unwrap().dataset);
+            assert_eq!(
+                fnv1a64(csv.as_bytes()),
+                expected,
+                "{model:?} with short trajectories at {workers} workers: release bytes moved"
+            );
+        }
     }
 }
 
