@@ -8,6 +8,10 @@
 //! over-fine leaves is exactly its advantage.
 //! Right plot: time split between local (intra-) and global (inter-)
 //! modification under the best index (HG+).
+//! A third table gives each index variant's global search work: the
+//! distances its TF increases computed, one per distinct segment
+//! geometry a search reached (the global editor indexes each geometry
+//! once, however many trajectories drive it).
 //!
 //! ```text
 //! cargo run -p trajdp_bench --release --bin fig5
@@ -48,14 +52,17 @@ fn main() {
     }
     println!();
     let mut hgplus_split: Vec<(usize, f64, f64)> = Vec::new();
+    let mut global_work: Vec<(usize, Vec<usize>)> = Vec::new();
     for &size in &sizes {
         let world = standard_world(size, len, seed);
         print!("{size:<8}");
+        let mut distances = Vec::with_capacity(kinds.len());
         for (name, kind) in kinds {
             let cfg = FreqDpConfig { m: 10, index: kind, seed, ..Default::default() };
             let out = anonymize(&world.dataset, Model::Combined, &cfg).expect("valid config");
             let total = out.global_time + out.local_time;
             print!(" {:>10.1}", total.as_secs_f64() * 1e3);
+            distances.push(out.global.as_ref().map_or(0, |g| g.search_stats.segments_checked));
             if name == "HG+" {
                 hgplus_split.push((
                     size,
@@ -65,11 +72,29 @@ fn main() {
             }
         }
         println!();
+        global_work.push((size, distances));
     }
 
     println!("\nRight: local vs global modification time under HG+ (ms)");
     println!("{:<8} {:>10} {:>10} {:>10}", "|D|", "Local", "Global", "Total");
     for (size, local, global) in hgplus_split {
         println!("{size:<8} {local:>10.1} {global:>10.1} {:>10.1}", local + global);
+    }
+
+    println!(
+        "\nGlobal search work per index variant: distances computed, one per \
+         distinct segment geometry a TF-increase search reached"
+    );
+    print!("{:<8}", "|D|");
+    for (name, _) in &kinds {
+        print!(" {name:>10}");
+    }
+    println!();
+    for (size, distances) in global_work {
+        print!("{size:<8}");
+        for d in distances {
+            print!(" {d:>10}");
+        }
+        println!();
     }
 }

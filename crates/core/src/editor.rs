@@ -11,28 +11,32 @@
 //!   deleting it from the ∆l trajectories with the least utility loss
 //!   (Definition 8).
 //!
-//! Index upkeep is incremental in both editors, which share three
-//! steps: `split_segment` inserts a point into a segment and replaces
-//! its entry with the two halves, `append_sample` appends a point and
-//! registers the segment it closes, and `delete_sample` removes the one
-//! or two segments touching a sample and registers the merged segment.
-//! So a complete deletion of a point costs a few index operations per
-//! occurrence, not a re-registration of the whole trajectory. Segment
-//! ids come from a counter and are never reused. [`DatasetEditor`]
-//! maps them to their trajectory slots in a dense owner vector, and a
-//! TF increase is one grouped index search — the only search of the
-//! inter-trajectory modification: its group function maps a segment to
-//! its owning slot through that vector, or leaves it out when a
-//! per-query slot mask says the trajectory already contains the point,
-//! so the function the index calls for every checked segment does no
-//! hashing, and the index hands back the ∆l nearest trajectories
-//! themselves. A TF decrease needs no search: it scans the trajectories
-//! holding the point for their exact complete-deletion loss.
+//! Index upkeep is incremental in both editors, and an edit touches only
+//! the segments it changes: an insertion splits one segment into two (or
+//! appends the point and closes one segment), and a deletion removes the
+//! one or two segments touching a sample and adds the merged one. So a
+//! complete deletion of a point costs a few index operations per
+//! occurrence, not a re-registration of the whole trajectory.
+//!
+//! [`TrajectoryEditor`] indexes every segment under its own id, handed
+//! out by a counter and never reused. [`DatasetEditor`] indexes each
+//! distinct ordered segment *geometry* — a pair of location ids — once,
+//! with the number of copies every trajectory slot holds: a road segment
+//! driven by many trajectories is one entry, so a search computes its
+//! distance once. It tracks the location id of every sample, so an edit
+//! changes a few counts, an entry enters the index with its first copy
+//! and leaves with its last. A TF increase is one grouped index search —
+//! the only search of the inter-trajectory modification: its group
+//! function walks an entry's owning slots, skipping those a per-query
+//! slot mask says already contain the point, and the index hands back
+//! the ∆l nearest trajectories themselves. A TF decrease needs no
+//! search: it scans the trajectories holding the point for their exact
+//! complete-deletion loss.
 
 use crate::indexkind::{AnyIndex, IndexKind};
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use trajdp_index::{SearchStats, SegmentEntry, TotalF64};
-use trajdp_model::{LocationTable, Point, PointKey, Rect, Trajectory};
+use trajdp_model::{LocationTable, Point, PointKey, Rect, Segment, Trajectory};
 
 /// Editor for one trajectory, with an index over its segments.
 #[derive(Debug, Clone)]
@@ -195,10 +199,9 @@ fn counter(next: &mut u64) -> impl FnMut() -> u64 + '_ {
 }
 
 /// Inserts `q` into segment `pos` of `traj` and keeps its segment index
-/// in step — the one split step both editors share. The segment's entry
-/// leaves `index` and `seg_ids`, and its two halves are registered, left
-/// then right, under the ids `fresh` hands out. Returns the insertion
-/// loss.
+/// in step. The segment's entry leaves `index` and `seg_ids`, and its two
+/// halves are registered, left then right, under the ids `fresh` hands
+/// out. Returns the insertion loss.
 fn split_segment(
     traj: &mut Trajectory,
     seg_ids: &mut Vec<u64>,
@@ -216,10 +219,9 @@ fn split_segment(
     loss
 }
 
-/// Appends `q` to `traj` and keeps its segment index in step — the one
-/// append step both editors share. When the trajectory then has a last
-/// segment, it is registered under the id `fresh` hands out. Returns the
-/// append loss ([`Trajectory::push_point`]).
+/// Appends `q` to `traj` and keeps its segment index in step. When the
+/// trajectory then has a last segment, it is registered under the id
+/// `fresh` hands out. Returns the append loss ([`Trajectory::push_point`]).
 fn append_sample(
     traj: &mut Trajectory,
     seg_ids: &mut Vec<u64>,
@@ -236,12 +238,12 @@ fn append_sample(
     loss
 }
 
-/// Deletes sample `idx` of `traj` and keeps its segment index in step —
-/// the one deletion step both editors share. Only the one or two
-/// segments touching the sample change: their entries leave `index`
-/// and `seg_ids`, and an interior sample's two segments collapse into
-/// the merged segment `⟨idx − 1, idx + 1⟩`, registered under the id
-/// `fresh` hands out. Returns the reconnection loss.
+/// Deletes sample `idx` of `traj` and keeps its segment index in step.
+/// Only the one or two segments touching the sample change: their
+/// entries leave `index` and `seg_ids`, and an interior sample's two
+/// segments collapse into the merged segment `⟨idx − 1, idx + 1⟩`,
+/// registered under the id `fresh` hands out. Returns the reconnection
+/// loss.
 fn delete_sample(
     traj: &mut Trajectory,
     seg_ids: &mut Vec<u64>,
@@ -274,13 +276,6 @@ fn delete_sample(
     loss
 }
 
-/// Hands out the next segment id of a dense owner table, recording
-/// `t` as its owner: the id is the table's length.
-fn claim_id(owner: &mut Vec<usize>, t: usize) -> u64 {
-    owner.push(t);
-    (owner.len() - 1) as u64
-}
-
 /// Offers `entry` to a max-heap keeping the `delta` smallest
 /// `(loss, slot)` pairs — the fixed tie rule of the inter-trajectory
 /// selection: on equal loss the smallest slot wins, so the pick does
@@ -296,23 +291,100 @@ fn push_bounded(best: &mut BinaryHeap<(TotalF64, usize)>, delta: usize, entry: (
     }
 }
 
-/// Editor for a whole dataset, with a single index over every segment.
+/// The key of the ordered geometry `(a, b)` of two location ids.
+fn pair(a: u32, b: u32) -> u64 {
+    u64::from(a) << 32 | u64::from(b)
+}
+
+/// A trajectory slot as the geometry table stores it.
+fn slot(t: usize) -> u32 {
+    u32::try_from(t).expect("more than u32::MAX trajectories")
+}
+
+/// The distinct ordered segment geometries of a dataset, each indexed
+/// once under an entry id, with how many copies every slot holds. Entry
+/// ids count up and are never reused: a geometry that returns after its
+/// last copy left is indexed anew.
+///
+/// A geometry is an ordered pair of location ids. Ids stand for
+/// bit-exact location keys, so all copies of a geometry have the same
+/// coordinates, and the one distance a search computes for its entry is,
+/// bit for bit, the distance of every copy. The reverse pair is a
+/// geometry of its own, since its distance may round differently.
+#[derive(Debug)]
+struct Geometries {
+    index: AnyIndex,
+    /// [`pair`] key → entry id. The standard library's randomly keyed
+    /// SipHash: the ids stand for client-chosen coordinates, as in
+    /// [`LocationTable`].
+    by_pair: HashMap<u64, u32>,
+    /// `owners[id]`: `(slot, copies)` of every slot holding the geometry
+    /// indexed under `id`, ascending by slot; empty once it has left.
+    owners: Vec<Vec<(u32, u32)>>,
+}
+
+impl Geometries {
+    fn new(kind: IndexKind, domain: Rect) -> Self {
+        Self { index: AnyIndex::new(kind, domain), by_pair: HashMap::new(), owners: Vec::new() }
+    }
+
+    /// Counts one more copy of geometry `(a, b)`, segment `seg`, in slot
+    /// `t`, indexing the geometry with its first copy.
+    fn add(&mut self, a: u32, b: u32, seg: Segment, t: u32) {
+        let next = u32::try_from(self.owners.len()).expect("more than u32::MAX geometries");
+        let id = *self.by_pair.entry(pair(a, b)).or_insert(next);
+        if id == next {
+            self.owners.push(Vec::new());
+            self.index.insert(SegmentEntry::new(u64::from(id), seg));
+        }
+        let owners = &mut self.owners[id as usize];
+        match owners.last_mut() {
+            // A build goes slot by slot, so its slot is the last owner or
+            // a new one past it.
+            Some(last) if last.0 == t => last.1 += 1,
+            Some(last) if last.0 > t => {
+                match owners.binary_search_by_key(&t, |&(owner, _)| owner) {
+                    Ok(i) => owners[i].1 += 1,
+                    Err(i) => owners.insert(i, (t, 1)),
+                }
+            }
+            _ => owners.push((t, 1)),
+        }
+    }
+
+    /// Counts one copy less of geometry `(a, b)` in slot `t`, taking the
+    /// geometry out of the index with its last copy.
+    fn remove(&mut self, a: u32, b: u32, t: u32) {
+        let key = pair(a, b);
+        let id = self.by_pair[&key];
+        let owners = &mut self.owners[id as usize];
+        let i = owners
+            .binary_search_by_key(&t, |&(owner, _)| owner)
+            .expect("the slot holds a copy of the geometry");
+        owners[i].1 -= 1;
+        if owners[i].1 == 0 {
+            owners.remove(i);
+            if owners.is_empty() {
+                self.by_pair.remove(&key);
+                self.index.remove(u64::from(id));
+            }
+        }
+    }
+}
+
+/// Editor for a whole dataset, with a single index over its distinct
+/// segment geometries.
 #[derive(Debug)]
 pub struct DatasetEditor {
     trajs: Vec<Trajectory>,
-    /// `seg_ids[t][i]` is the index payload of segment `i` of slot `t`.
-    seg_ids: Vec<Vec<u64>>,
-    index: AnyIndex,
-    /// Dense owner table: `owner[id]` is the slot of segment `id`. Every
-    /// id is handed out by `claim_id`, which pushes its owner, so the
-    /// table's length is the id counter and the search filter needs no
-    /// hash lookup. Entries of retired ids stay behind, unused: ids are
-    /// never reused.
-    owner: Vec<usize>,
+    /// `sample_ids[t][i]` is the location id of sample `i` of slot `t`,
+    /// kept in step with every edit.
+    sample_ids: Vec<Vec<u32>>,
+    geometries: Geometries,
     /// Dense ids of every location the editor has seen: those of its
     /// trajectories as they came in, then any point an increase brings.
-    /// Its sample ids describe the trajectories as they came in; only
-    /// `containing` follows the edits.
+    /// Its own sample ids describe the trajectories as they came in;
+    /// `sample_ids` and `containing` follow the edits.
     locations: LocationTable,
     /// Inverted occurrence map by location id: `containing[id]` lists,
     /// ascending, the slots whose trajectory passes through location
@@ -338,38 +410,35 @@ impl DatasetEditor {
     /// [`Self::new`], numbering locations as `known` does
     /// ([`LocationTable::reindex`]): when `known` was built over these
     /// very trajectories, as a frequency analysis of the dataset was,
-    /// the occurrence map is built without hashing a sample.
+    /// the samples take their ids without a location lookup; only each
+    /// segment's id pair is looked up, to count its geometry.
     pub fn with_locations(
         trajs: Vec<Trajectory>,
         kind: IndexKind,
         domain: Rect,
         known: &LocationTable,
     ) -> Self {
-        let mut index = AnyIndex::new(kind, domain);
-        let mut seg_ids = Vec::with_capacity(trajs.len());
-        let mut owner = Vec::with_capacity(trajs.iter().map(Trajectory::num_segments).sum());
         let locations = known.reindex(&trajs);
+        let mut geometries = Geometries::new(kind, domain);
+        let mut sample_ids = Vec::with_capacity(trajs.len());
         let mut containing = vec![Vec::new(); locations.len()];
         for (t, traj) in trajs.iter().enumerate() {
-            let mut ids = Vec::with_capacity(traj.num_segments());
-            for (_, seg) in traj.segments() {
-                let id = claim_id(&mut owner, t);
-                index.insert(SegmentEntry::new(id, seg));
-                ids.push(id);
+            let ids = locations.trajectory(t);
+            for (i, seg) in traj.segments() {
+                geometries.add(ids[i], ids[i + 1], seg, slot(t));
             }
-            seg_ids.push(ids);
-            for &id in locations.trajectory(t) {
+            for &id in ids {
                 let slots: &mut Vec<usize> = &mut containing[id as usize];
                 if slots.last() != Some(&t) {
                     slots.push(t);
                 }
             }
+            sample_ids.push(ids.to_vec());
         }
         Self {
             trajs,
-            seg_ids,
-            index,
-            owner,
+            sample_ids,
+            geometries,
             locations,
             containing,
             loss: 0.0,
@@ -379,9 +448,14 @@ impl DatasetEditor {
         }
     }
 
-    /// Finishes editing, returning the modified trajectories.
-    pub fn into_trajectories(self) -> Vec<Trajectory> {
-        self.trajs
+    /// Finishes editing, returning the modified trajectories and a
+    /// location table whose sample ids describe them exactly: every
+    /// location keeps the id [`Self::with_locations`] numbered it by, so
+    /// a stage that reads the analysis's ids can read these in their
+    /// place ([`LocationTable::sample_id`]) without hashing a sample.
+    pub fn into_parts(self) -> (Vec<Trajectory>, LocationTable) {
+        let table = self.locations.with_samples(&self.sample_ids);
+        (self.trajs, table)
     }
 
     /// Read access to the trajectories being edited.
@@ -395,9 +469,9 @@ impl DatasetEditor {
     }
 
     /// The location id of `q`, numbering it if the editor has not seen it.
-    fn location_id(&mut self, q: PointKey) -> usize {
-        let id = self.locations.intern(q) as usize;
-        if id == self.containing.len() {
+    fn location_id(&mut self, q: PointKey) -> u32 {
+        let id = self.locations.intern(q);
+        if id as usize == self.containing.len() {
             self.containing.push(Vec::new());
         }
         id
@@ -415,8 +489,8 @@ impl DatasetEditor {
     ///
     /// A trajectory's distance is that of its nearest segment, and the
     /// pick is the `delta` smallest `(distance, slot)` pairs, so on equal
-    /// distance the smallest slot wins. The segment index finds them in
-    /// one grouped search (group = owning slot). Trajectories without a
+    /// distance the smallest slot wins. The geometry index finds them in
+    /// one grouped search (groups = owning slots). Trajectories without a
     /// segment (fewer than two samples) come after all of these, in slot
     /// order, and take `q` appended.
     pub fn increase_tf(&mut self, q: Point, delta: usize) -> usize {
@@ -424,57 +498,70 @@ impl DatasetEditor {
             return 0;
         }
         // Slot mask of the trajectories already passing through `q`, so
-        // the group function is two vector reads.
+        // the owner walk reads one vector per owner.
         let id = self.location_id(q.key());
         let mut excluded = vec![false; self.trajs.len()];
-        for &t in &self.containing[id] {
+        for &t in &self.containing[id as usize] {
             excluded[t] = true;
         }
-        let owner = &self.owner;
-        let group = |id: u64| {
-            let t = owner[id as usize];
-            (!excluded[t]).then_some(t as u64)
+        let owners = &self.geometries.owners;
+        let group = |entry: u64, offer: &mut dyn FnMut(u64)| {
+            for &(t, _) in &owners[entry as usize] {
+                if !excluded[t as usize] {
+                    offer(u64::from(t));
+                }
+            }
         };
-        let (nearest, stats) = self.index.knn_with_stats(&q, delta, Some(&group));
+        let (nearest, stats) = self.geometries.index.knn_with_stats(&q, delta, Some(&group));
         self.accumulate(stats);
-        let mut chosen: Vec<usize> = nearest.iter().map(|n| self.owner[n.id as usize]).collect();
         // Fallback: trajectories with no segments can still take an
         // appended point.
-        for (t, traj) in self.trajs.iter().enumerate() {
-            if chosen.len() == delta {
-                break;
-            }
-            if traj.num_segments() == 0 && !excluded[t] {
-                chosen.push(t);
-            }
+        let segmentless: Vec<usize> = (0..self.trajs.len())
+            .filter(|&t| self.trajs[t].num_segments() == 0 && !excluded[t])
+            .take(delta - nearest.len())
+            .collect();
+        for n in &nearest {
+            self.insert_point_into(n.group as usize, q, id, Some(n.dist));
         }
-        let inserted = chosen.len();
-        for t in chosen {
-            self.insert_point_into(t, q, id);
+        for &t in &segmentless {
+            self.insert_point_into(t, q, id, None);
         }
-        inserted
+        nearest.len() + segmentless.len()
     }
 
     /// Inserts `q`, location `id`, into trajectory slot `t`: into its
-    /// nearest segment, or appended when it has none.
-    fn insert_point_into(&mut self, t: usize, q: Point, id: usize) {
-        let traj = &mut self.trajs[t];
-        let (seg_ids, index, owner) = (&mut self.seg_ids[t], &mut self.index, &mut self.owner);
-        let fresh = || claim_id(owner, t);
-        self.loss += if traj.num_segments() == 0 {
-            append_sample(traj, seg_ids, index, q, fresh)
-        } else {
-            // Scan the trajectory for the minimum-loss segment (the
-            // index already narrowed the trajectory choice).
-            let pos = (0..traj.num_segments())
-                .min_by(|&a, &b| {
-                    traj.segment(a).dist_to_point(&q).total_cmp(&traj.segment(b).dist_to_point(&q))
-                })
-                .expect("non-empty segment list");
-            split_segment(traj, seg_ids, index, pos, q, fresh)
+    /// first segment at `dist` — the trajectory's distance from `q`, as
+    /// the search reported it, so the first minimum-loss segment — which
+    /// leaves the geometry table as two halves; or, with no distance,
+    /// appended to a trajectory without segments. A geometry's one index
+    /// entry has the same coordinates as every copy, so the reported
+    /// distance equals the scanned one bit for bit.
+    fn insert_point_into(&mut self, t: usize, q: Point, id: u32, dist: Option<f64>) {
+        let (traj, ids, geometries) =
+            (&mut self.trajs[t], &mut self.sample_ids[t], &mut self.geometries);
+        self.loss += match dist {
+            None => {
+                let loss = traj.push_point(q);
+                ids.push(id);
+                if let Some(last) = traj.num_segments().checked_sub(1) {
+                    geometries.add(ids[last], id, traj.segment(last), slot(t));
+                }
+                loss
+            }
+            Some(dist) => {
+                let pos = (0..traj.num_segments())
+                    .find(|&i| TotalF64(traj.segment(i).dist_to_point(&q)) == TotalF64(dist))
+                    .expect("a segment at the trajectory's reported distance");
+                geometries.remove(ids[pos], ids[pos + 1], slot(t));
+                let loss = traj.insert_into_segment(q, pos);
+                ids.insert(pos + 1, id);
+                geometries.add(ids[pos], id, traj.segment(pos), slot(t));
+                geometries.add(id, ids[pos + 2], traj.segment(pos + 1), slot(t));
+                loss
+            }
         };
         self.insertions += 1;
-        let slots = &mut self.containing[id];
+        let slots = &mut self.containing[id as usize];
         if let Err(at) = slots.binary_search(&t) {
             slots.insert(at, t);
         }
@@ -495,38 +582,49 @@ impl DatasetEditor {
         // Complete-deletion loss per candidate: Σ_s L[OP_d(q, s)].
         let mut best: BinaryHeap<(TotalF64, usize)> = BinaryHeap::with_capacity(delta + 1);
         for &t in &self.containing[id as usize] {
-            let traj = &self.trajs[t];
-            let total: f64 = traj.occurrences(q).into_iter().map(|i| traj.deletion_loss(i)).sum();
+            let (traj, ids) = (&self.trajs[t], &self.sample_ids[t]);
+            let total: f64 =
+                (0..ids.len()).filter(|&i| ids[i] == id).map(|i| traj.deletion_loss(i)).sum();
             push_bounded(&mut best, delta, (TotalF64(total), t));
         }
         let victims = best.into_sorted_vec();
         for &(_, t) in &victims {
-            self.delete_point_from(t, q, id as usize);
+            self.delete_point_from(t, id);
         }
         victims.len()
     }
 
-    /// Removes every occurrence of `q` from slot `t`. Each deletion
-    /// rewrites only the one or two segments touching the occurrence
-    /// (the step [`TrajectoryEditor`] takes too); the rest of the
-    /// trajectory keeps its index entries. Occurrences go first to last
-    /// and the losses are summed before they reach `self.loss`, exactly
-    /// as [`Trajectory::delete_all`] does. `q` is location `id`.
-    fn delete_point_from(&mut self, t: usize, q: PointKey, id: usize) {
+    /// Removes every occurrence of location `id` from slot `t`. Each
+    /// deletion rewrites only the one or two segments touching the
+    /// occurrence; the rest of the trajectory keeps its geometry counts.
+    /// Occurrences go first to last and the losses are summed before
+    /// they reach `self.loss`, exactly as [`Trajectory::delete_all`]
+    /// does.
+    fn delete_point_from(&mut self, t: usize, id: u32) {
+        let (traj, ids, geometries) =
+            (&mut self.trajs[t], &mut self.sample_ids[t], &mut self.geometries);
         let mut total = 0.0;
-        while let Some(idx) = self.trajs[t].samples.iter().position(|s| s.loc.key() == q) {
-            let owner = &mut self.owner;
-            total += delete_sample(
-                &mut self.trajs[t],
-                &mut self.seg_ids[t],
-                &mut self.index,
-                idx,
-                || claim_id(owner, t),
-            );
+        let mut from = 0;
+        while let Some(found) = ids[from..].iter().position(|&s| s == id) {
+            let (idx, len) = (from + found, ids.len());
+            if idx > 0 {
+                geometries.remove(ids[idx - 1], id, slot(t));
+            }
+            if idx + 1 < len {
+                geometries.remove(id, ids[idx + 1], slot(t));
+            }
+            total += traj.delete_at(idx);
+            ids.remove(idx);
+            // The two touching segments collapse into one (interior) or
+            // none (endpoint).
+            if idx > 0 && idx + 1 < len {
+                geometries.add(ids[idx - 1], ids[idx], traj.segment(idx - 1), slot(t));
+            }
             self.deletions += 1;
+            from = idx;
         }
         self.loss += total;
-        let slots = &mut self.containing[id];
+        let slots = &mut self.containing[id as usize];
         if let Ok(at) = slots.binary_search(&t) {
             slots.remove(at);
         }
@@ -537,28 +635,45 @@ impl DatasetEditor {
         self.holders(q).len()
     }
 
-    /// Internal invariant check used by tests.
+    /// Internal invariant check used by tests: the sample ids match the
+    /// samples, every geometry's owner counts equal the copies the
+    /// trajectories hold, no ownerless geometry stays keyed or indexed,
+    /// and the occurrence map matches the trajectories.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
-        let mut total = 0;
-        for (t, ids) in self.seg_ids.iter().enumerate() {
-            assert_eq!(ids.len(), self.trajs[t].num_segments(), "slot {t} seg count");
-            for &id in ids {
-                assert_eq!(self.owner[id as usize], t, "owner mismatch for id {id}");
+        let g = &self.geometries;
+        let mut copies: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+        for (t, traj) in self.trajs.iter().enumerate() {
+            let ids = &self.sample_ids[t];
+            assert_eq!(ids.len(), traj.len(), "slot {t} sample id count");
+            for (s, &id) in traj.samples.iter().zip(ids) {
+                assert_eq!(self.locations.key(id), s.loc.key(), "slot {t}: stale sample id");
             }
-            total += ids.len();
+            for w in ids.windows(2) {
+                let entry = *g.by_pair.get(&pair(w[0], w[1])).expect("segment geometry not keyed");
+                *copies.entry((entry, slot(t))).or_default() += 1;
+            }
         }
-        assert_eq!(self.index.len(), total, "index size mismatch");
+        let mut held: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+        for (entry, owners) in g.owners.iter().enumerate() {
+            assert!(owners.windows(2).all(|w| w[0].0 < w[1].0), "owners not ascending");
+            held.extend(owners.iter().map(|&(t, n)| ((entry as u32, t), n)));
+        }
+        // With the counts equal, every owned entry is some segment's, so
+        // a key count equal to the owned entries leaves no key to spare.
+        assert_eq!(held, copies, "owner counts differ from the trajectories' segments");
+        let live = g.owners.iter().filter(|owners| !owners.is_empty()).count();
+        assert_eq!(g.by_pair.len(), live, "an ownerless geometry stays keyed");
+        assert_eq!(g.index.len(), live, "an ownerless geometry stays indexed");
         for (id, slots) in self.containing.iter().enumerate() {
             assert!(slots.windows(2).all(|w| w[0] < w[1]), "containing not ascending");
             for &t in slots {
-                let q = self.locations.key(id as u32);
-                assert!(self.trajs[t].passes_through(q), "stale containing entry");
+                assert!(self.sample_ids[t].contains(&(id as u32)), "stale containing entry");
             }
         }
-        for (t, traj) in self.trajs.iter().enumerate() {
-            for s in &traj.samples {
-                let held = self.holders(s.loc.key()).binary_search(&t).is_ok();
+        for (t, ids) in self.sample_ids.iter().enumerate() {
+            for &id in ids {
+                let held = self.containing[id as usize].binary_search(&t).is_ok();
                 assert!(held, "missing containing entry");
             }
         }
@@ -728,7 +843,7 @@ mod tests {
         assert_eq!(n, 2);
         ed.check_invariants();
         assert_eq!(ed.tf(q.key()), 2);
-        let trajs = ed.into_trajectories();
+        let (trajs, _) = ed.into_parts();
         assert!(trajs[0].passes_through(q.key()));
         assert!(trajs[1].passes_through(q.key()));
         assert!(!trajs[2].passes_through(q.key()));
@@ -862,8 +977,11 @@ mod tests {
             .enumerate()
             .filter(|&(_, t)| eligible(t) && t.num_segments() > 0)
             .map(|(slot, t)| {
-                let dist =
-                    t.segments().map(|(_, s)| s.dist_to_point(&q)).fold(f64::INFINITY, f64::min);
+                let dist = t
+                    .segments()
+                    .map(|(_, s)| s.dist_to_point(&q))
+                    .min_by(f64::total_cmp)
+                    .expect("a segment");
                 (dist, slot)
             })
             .collect();
@@ -891,7 +1009,8 @@ mod tests {
         let loss = expected.iter().fold(0.0, |sum, &(_, loss)| sum + loss);
         for kind in all_index_kinds() {
             let mut ed = DatasetEditor::new(trajs.to_vec(), kind, domain());
-            assert_eq!(ed.increase_tf(q, delta), expected.len(), "{kind:?} delta={delta}");
+            let at = format!("{kind:?}, q = {q:?}, delta = {delta}");
+            assert_eq!(ed.increase_tf(q, delta), expected.len(), "{at}");
             ed.check_invariants();
             let gained: Vec<usize> = (0..trajs.len())
                 .filter(|&t| {
@@ -899,9 +1018,43 @@ mod tests {
                         && !trajs[t].passes_through(q.key())
                 })
                 .collect();
-            assert_eq!(gained, slots, "{kind:?} delta={delta}: selection differs");
-            assert_eq!(ed.loss, loss, "{kind:?} delta={delta}: loss differs");
+            assert_eq!(gained, slots, "{at}: selection differs");
+            assert_eq!(ed.loss.to_bits(), loss.to_bits(), "{at}: loss differs");
         }
+    }
+
+    /// Inputs whose trajectories share segment geometries: many slots
+    /// driving one segment in both directions, a segment repeated inside
+    /// one trajectory, signed zeros and NaN coordinates (each its own
+    /// location), and trajectories of zero and one sample.
+    fn shared_geometry_datasets() -> Vec<Vec<Trajectory>> {
+        let (a, b) = ((0.0, 0.0), (100.0, 0.0));
+        let shared = (0..12)
+            .map(|id| match id % 4 {
+                0 => traj(id, &[a, b]),
+                1 => traj(id, &[b, a]),
+                2 => traj(id, &[(50.0, 30.0), a, b, (150.0, 20.0)]),
+                // a→b twice, b→a once.
+                _ => traj(id, &[a, b, a, b]),
+            })
+            .collect();
+        let signed = vec![
+            traj(0, &[(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (10.0, 10.0)]),
+            traj(1, &[(-0.0, 0.0), (0.0, 0.0), (10.0, 10.0)]),
+            traj(2, &[(f64::NAN, 5.0), (10.0, 10.0), (0.0, 0.0)]),
+            traj(3, &[(0.0, 0.0), (10.0, 10.0), (-0.0, -0.0)]),
+            traj(4, &[(5.0, f64::NAN), (5.0, 5.0), (5.0, f64::NAN)]),
+            traj(5, &[(0.0, 0.0), (10.0, 10.0)]),
+        ];
+        let short = vec![
+            traj(0, &[a, b]),
+            traj(1, &[(10.0, 51.0)]),
+            Trajectory::new(2, Vec::new()),
+            traj(3, &[b, a]),
+            traj(4, &[a]),
+            Trajectory::new(5, Vec::new()),
+        ];
+        vec![shared, signed, short]
     }
 
     #[test]
@@ -922,6 +1075,65 @@ mod tests {
         for delta in [1usize, 3, 7] {
             let q = Point::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0));
             assert_increase_matches_brute_force(&trajs, q, delta);
+        }
+        // Shared geometries: on, beside and at the ends of the shared
+        // segment, on signed zeros and NaN, and next to the short ones.
+        let queries = [
+            (50.0, 0.0),
+            (50.0, 5.0),
+            (0.0, 0.0),
+            (100.0, 0.0),
+            (-0.0, 0.0),
+            (0.0, -0.0),
+            (-0.0, -0.0),
+            (f64::NAN, 5.0),
+            (5.0, f64::NAN),
+            (f64::NAN, f64::NAN),
+            (10.0, 50.0),
+            (3.0, 3.0),
+        ];
+        for trajs in shared_geometry_datasets() {
+            for (x, y) in queries {
+                for delta in [1usize, 3, 7, trajs.len()] {
+                    assert_increase_matches_brute_force(&trajs, Point::new(x, y), delta);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_repeated_segment_counts_its_copies_and_leaves_with_the_last() {
+        // Slot 0 drives a→b twice; slot 1 lies far away.
+        let (a, b) = (Point::new(0.0, 0.0), Point::new(100.0, 0.0));
+        let trajs = vec![
+            traj(0, &[(0.0, 0.0), (100.0, 0.0), (100.0, 100.0), (0.0, 0.0), (100.0, 0.0)]),
+            traj(1, &[(0.0, 1000.0), (100.0, 1000.0)]),
+        ];
+        for kind in all_index_kinds() {
+            let mut ed = DatasetEditor::new(trajs.clone(), kind, domain());
+            let copies = |ed: &DatasetEditor| {
+                let (a, b) = (ed.locations.id(a.key()).unwrap(), ed.locations.id(b.key()).unwrap());
+                let g = &ed.geometries;
+                g.by_pair.get(&pair(a, b)).map(|&id| g.owners[id as usize].clone())
+            };
+            assert_eq!(copies(&ed), Some(vec![(0, 2)]), "{kind:?}");
+            assert_eq!(ed.geometries.index.len(), 4, "{kind:?}: one entry per geometry");
+            // 1 m above a→b: the first copy splits, the second stays.
+            assert_eq!(ed.increase_tf(Point::new(50.0, 1.0), 1), 1);
+            ed.check_invariants();
+            assert_eq!(copies(&ed), Some(vec![(0, 1)]), "{kind:?}");
+            // 1 m below: the last copy is now the nearest segment.
+            assert_eq!(ed.increase_tf(Point::new(50.0, -1.0), 1), 1);
+            ed.check_invariants();
+            assert_eq!(copies(&ed), None, "{kind:?}: the geometry outlived its copies");
+            assert_eq!(ed.geometries.index.len(), 7, "{kind:?}");
+            // Deleting the inserted points merges the halves back into
+            // a→b, which is indexed anew.
+            assert_eq!(ed.decrease_tf(Point::new(50.0, 1.0).key(), 1), 1);
+            assert_eq!(ed.decrease_tf(Point::new(50.0, -1.0).key(), 1), 1);
+            ed.check_invariants();
+            assert_eq!(copies(&ed), Some(vec![(0, 2)]), "{kind:?}");
+            assert_eq!(bits(ed.trajectories()), bits(&trajs), "{kind:?}");
         }
     }
 
@@ -1023,56 +1235,77 @@ mod tests {
     /// Differential check of the incremental index upkeep: after every
     /// edit, an editor built from scratch over the current trajectories
     /// must make the same next selection, with the same loss and the
-    /// same search work. A stale or missing index entry (a segment left
-    /// behind by a deletion, or a merged segment with the wrong
-    /// geometry) passes the count-only `check_invariants` but changes
-    /// what a later search sees. Increases often target points deleted
+    /// same search work, on every index kind. A stale or missing index
+    /// entry (a geometry left behind by a deletion, or a merged segment
+    /// with the wrong geometry) can pass a count check but changes what
+    /// a later search sees. Increases often target points deleted
     /// earlier, right where a stale entry would sit.
-    #[test]
-    fn incremental_edits_match_a_fresh_index_build() {
+    fn assert_incremental_edits_match_fresh_builds(
+        trajs: &[Trajectory],
+        domain: Rect,
+        seed: u64,
+        steps: usize,
+    ) {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
+        for kind in all_index_kinds() {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut ed = DatasetEditor::new(trajs.to_vec(), kind, domain);
+            ed.check_invariants();
+            let mut deleted: Vec<Point> = Vec::new();
+            for step in 0..steps {
+                let mut fresh = DatasetEditor::new(ed.trajectories().to_vec(), kind, domain);
+                fresh.loss = ed.loss;
+                fresh.stats = ed.stats;
+                let live: Vec<&Trajectory> =
+                    ed.trajectories().iter().filter(|t| !t.is_empty()).collect();
+                if live.is_empty() {
+                    break;
+                }
+                let traj = live[rng.gen_range(0..live.len())];
+                let sample = traj.samples[rng.gen_range(0..traj.len())].loc;
+                let what = if rng.gen_bool(0.4) {
+                    let delta = rng.gen_range(1..4usize);
+                    deleted.push(sample);
+                    assert_eq!(
+                        ed.decrease_tf(sample.key(), delta),
+                        fresh.decrease_tf(sample.key(), delta)
+                    );
+                    format!("decrease {sample:?} by {delta}")
+                } else {
+                    let q = if !deleted.is_empty() && rng.gen_bool(0.5) {
+                        deleted[rng.gen_range(0..deleted.len())]
+                    } else {
+                        sample
+                    };
+                    let delta = rng.gen_range(1..5usize);
+                    assert_eq!(ed.increase_tf(q, delta), fresh.increase_tf(q, delta));
+                    format!("increase {q:?} by {delta}")
+                };
+                let at = format!("seed {seed}, {kind:?}, step {step}: {what}");
+                ed.check_invariants();
+                assert_eq!(bits(ed.trajectories()), bits(fresh.trajectories()), "{at}: selection");
+                assert_eq!(ed.loss.to_bits(), fresh.loss.to_bits(), "{at}: loss differs");
+                assert_eq!(ed.stats, fresh.stats, "{at}: search work differs");
+            }
+        }
+    }
+
+    /// The trajectories bit for bit, so NaN coordinates compare equal.
+    fn bits(trajs: &[Trajectory]) -> Vec<Vec<(PointKey, i64)>> {
+        trajs.iter().map(|t| t.samples.iter().map(|s| (s.loc.key(), s.t)).collect()).collect()
+    }
+
+    #[test]
+    fn incremental_edits_match_a_fresh_index_build() {
         use trajdp_synth::{generate, GeneratorConfig};
         for seed in [5u64, 23] {
             let world = generate(&GeneratorConfig::tdrive_profile(16, 40, seed));
-            let domain = world.dataset.domain;
-            for kind in all_index_kinds() {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut ed = DatasetEditor::new(world.dataset.trajectories.clone(), kind, domain);
-                let mut deleted: Vec<Point> = Vec::new();
-                for step in 0..60 {
-                    let mut fresh = DatasetEditor::new(ed.trajectories().to_vec(), kind, domain);
-                    fresh.loss = ed.loss;
-                    fresh.stats = ed.stats;
-                    let live: Vec<&Trajectory> =
-                        ed.trajectories().iter().filter(|t| !t.is_empty()).collect();
-                    let traj = live[rng.gen_range(0..live.len())];
-                    let sample = traj.samples[rng.gen_range(0..traj.len())].loc;
-                    let what = if rng.gen_bool(0.4) {
-                        let delta = rng.gen_range(1..4usize);
-                        deleted.push(sample);
-                        assert_eq!(
-                            ed.decrease_tf(sample.key(), delta),
-                            fresh.decrease_tf(sample.key(), delta)
-                        );
-                        format!("decrease {sample:?} by {delta}")
-                    } else {
-                        let q = if !deleted.is_empty() && rng.gen_bool(0.5) {
-                            deleted[rng.gen_range(0..deleted.len())]
-                        } else {
-                            sample
-                        };
-                        let delta = rng.gen_range(1..5usize);
-                        assert_eq!(ed.increase_tf(q, delta), fresh.increase_tf(q, delta));
-                        format!("increase {q:?} by {delta}")
-                    };
-                    let at = format!("seed {seed}, {kind:?}, step {step}: {what}");
-                    ed.check_invariants();
-                    assert_eq!(ed.trajectories(), fresh.trajectories(), "{at}: selection differs");
-                    assert_eq!(ed.loss, fresh.loss, "{at}: loss differs");
-                    assert_eq!(ed.stats, fresh.stats, "{at}: search work differs");
-                }
-            }
+            let (trajs, domain) = (&world.dataset.trajectories, world.dataset.domain);
+            assert_incremental_edits_match_fresh_builds(trajs, domain, seed, 60);
+        }
+        for (i, trajs) in shared_geometry_datasets().iter().enumerate() {
+            assert_incremental_edits_match_fresh_builds(trajs, domain(), i as u64, 40);
         }
     }
 }

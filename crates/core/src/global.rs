@@ -14,7 +14,7 @@ use crate::stream::{stream_rng, PHASE_GLOBAL};
 use std::collections::HashMap;
 use trajdp_index::SearchStats;
 use trajdp_mech::{round_to_range, LaplaceMechanism, MechError};
-use trajdp_model::{Dataset, PointKey};
+use trajdp_model::{Dataset, LocationTable, PointKey};
 
 /// Wall-clock breakdown of one [`realize_tf`] run. Pure observability:
 /// the timings never feed back into the computation, so determinism and
@@ -105,6 +105,18 @@ pub fn realize_tf(
     _bbox_pruning: bool,
     _workers: usize,
 ) -> (Dataset, GlobalReport) {
+    let (out, _, report) = realize(ds, analysis, perturbed, kind);
+    (out, report)
+}
+
+/// [`realize_tf`], also returning the location table whose sample ids
+/// describe the edited dataset ([`DatasetEditor::into_parts`]).
+fn realize(
+    ds: &Dataset,
+    analysis: &FrequencyAnalysis,
+    perturbed: &HashMap<PointKey, u64>,
+    kind: IndexKind,
+) -> (Dataset, LocationTable, GlobalReport) {
     // lint: allow(determinism): wall-clock feeds the timing report only; no edit decision reads it
     let realize_started = std::time::Instant::now();
     let mut editor = DatasetEditor::with_locations(
@@ -163,8 +175,8 @@ pub fn realize_tf(
             realize: realize_started.elapsed(),
         },
     };
-    let out = Dataset::new(ds.domain, editor.into_trajectories());
-    (out, report)
+    let (trajectories, locations) = editor.into_parts();
+    (Dataset::new(ds.domain, trajectories), locations, report)
 }
 
 /// Runs the full global mechanism: TF perturbation (Algorithm 1, lines
@@ -175,18 +187,20 @@ pub fn realize_tf(
 /// one per-point stream each), and [`realize_tf`] realizes the targets.
 /// The returned dataset realizes the perturbed TF distribution for every
 /// candidate point, up to saturation (a TF cannot exceed `|D|` or drop
-/// below the available occurrences).
+/// below the available occurrences). It comes with a location table
+/// whose sample ids describe it under the analysis's numbering, so a
+/// local phase run on it next looks none of its samples up.
 pub fn apply_global_streamed(
     ds: &Dataset,
     analysis: &FrequencyAnalysis,
     epsilon: f64,
     kind: IndexKind,
     root_seed: u64,
-) -> Result<(Dataset, GlobalReport), MechError> {
+) -> Result<(Dataset, LocationTable, GlobalReport), MechError> {
     let candidates = analysis.candidate_points();
     let perturbed: HashMap<PointKey, u64> =
         perturb_tf_shard(analysis, &candidates, 0, epsilon, root_seed)?.into_iter().collect();
-    Ok(realize_tf(ds, analysis, &perturbed, kind, false, 1))
+    Ok(realize(ds, analysis, &perturbed, kind))
 }
 
 #[cfg(test)]
@@ -258,7 +272,8 @@ mod tests {
     fn apply_global_realizes_perturbed_tf() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let (out, report) = apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), 11).unwrap();
+        let (out, _, report) =
+            apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), 11).unwrap();
         assert_eq!(out.len(), d.len());
         for (p, &(_, target)) in &report.tf_changes {
             let realized = out.trajectory_frequency(*p) as u64;
@@ -270,7 +285,7 @@ mod tests {
     fn apply_global_with_zero_noise_is_identity_on_tf() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let (out, report) =
+        let (out, _, report) =
             apply_global_streamed(&d, &fa, 1000.0, IndexKind::default(), 17).unwrap();
         assert_eq!(report.insertions, 0);
         assert_eq!(report.deletions, 0);
@@ -298,10 +313,10 @@ mod tests {
     fn streamed_apply_is_deterministic_and_seed_sensitive() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let (a, _) = apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), 5).unwrap();
-        let (b, _) = apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), 5).unwrap();
+        let (a, _, _) = apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), 5).unwrap();
+        let (b, _, _) = apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), 5).unwrap();
         assert_eq!(a, b);
-        let (c, _) = apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), 6).unwrap();
+        let (c, _, _) = apply_global_streamed(&d, &fa, 0.5, IndexKind::default(), 6).unwrap();
         assert_ne!(a, c, "different root seeds must perturb differently");
     }
 
@@ -345,10 +360,10 @@ mod tests {
             IndexKind::Hier(512, Strategy::BottomUpDown),
         ];
         let run = |kind| apply_global_streamed(d, &fa, 0.5, kind, 0x60_1D).unwrap();
-        let (base, base_report) = run(IndexKind::default());
+        let (base, _, base_report) = run(IndexKind::default());
         assert!(base_report.insertions > 0 && base_report.deletions > 0, "too few edits to tell");
         for kind in kinds {
-            let (out, report) = run(kind);
+            let (out, _, report) = run(kind);
             assert_eq!(out, base, "{kind:?} released a different dataset");
             assert_eq!(report.utility_loss, base_report.utility_loss, "{kind:?}");
             assert_eq!(report.tf_changes, base_report.tf_changes, "{kind:?}");
@@ -359,7 +374,7 @@ mod tests {
     fn report_counts_are_consistent() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let (_, report) = apply_global_streamed(&d, &fa, 0.2, IndexKind::default(), 23).unwrap();
+        let (_, _, report) = apply_global_streamed(&d, &fa, 0.2, IndexKind::default(), 23).unwrap();
         // Any modification must be accounted: if points moved, loss ≥ 0
         // and the counters reflect edits.
         if report.insertions == 0 && report.deletions == 0 {

@@ -173,15 +173,17 @@ mod tests {
     /// the owners `excluded` leaves: a grouped search's answer, by brute
     /// force.
     fn nearest_owners(
-        segs: &[(Segment, u64)],
+        segs: &[(Segment, Vec<u64>)],
         q: &Point,
         k: usize,
         excluded: &[bool],
     ) -> Vec<(f64, u64)> {
         let mut best = std::collections::BTreeMap::new();
-        for &(s, o) in segs.iter().filter(|&&(_, o)| !excluded[o as usize]) {
-            let d = s.dist_to_point(q);
-            best.entry(o).and_modify(|b: &mut f64| *b = b.min(d)).or_insert(d);
+        for (s, owners) in segs {
+            for &o in owners.iter().filter(|&&o| !excluded[o as usize]) {
+                let d = s.dist_to_point(q);
+                best.entry(o).and_modify(|b: &mut f64| *b = b.min(d)).or_insert(d);
+            }
         }
         let mut out: Vec<(f64, u64)> = best.into_iter().map(|(o, d)| (d, o)).collect();
         out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -202,9 +204,11 @@ mod tests {
         for case in 0..40 {
             let owners = rng.gen_range(1..30u64);
             let q = Point::new(rng.gen_range(100..900) as f64, rng.gen_range(100..900) as f64);
-            // Owners take segments in random order, so the index meets
-            // tied owners in no particular order.
-            let segs: Vec<(Segment, u64)> = (0..owners * 3)
+            // Each entry stands for one to three owners, as a segment
+            // geometry shared by several trajectories does; owners take
+            // entries in random order, so the index meets tied owners in
+            // no particular order.
+            let segs: Vec<(Segment, Vec<u64>)> = (0..owners * 3)
                 .map(|_| {
                     let seg = if rng.gen_bool(0.4) {
                         // Ties: a segment pointing straight away from q
@@ -224,30 +228,37 @@ mod tests {
                         let a = point(&mut rng, q, 300.0);
                         Segment::new(a, point(&mut rng, a, 40.0))
                     };
-                    (seg, rng.gen_range(0..owners))
+                    let shared = rng.gen_range(1..4usize);
+                    (seg, (0..shared).map(|_| rng.gen_range(0..owners)).collect())
                 })
                 .collect();
             let excluded: Vec<bool> = (0..owners).map(|_| rng.gen_bool(0.25)).collect();
-            let group = |id: u64| {
-                let o = segs[id as usize].1;
-                (!excluded[o as usize]).then_some(o)
+            let group = |id: u64, offer: &mut dyn FnMut(u64)| {
+                for &o in &segs[id as usize].1 {
+                    if !excluded[o as usize] {
+                        offer(o);
+                    }
+                }
             };
             for kind in kinds() {
                 let mut idx = AnyIndex::new(kind, domain);
-                for (id, &(s, _)) in segs.iter().enumerate() {
-                    idx.insert(SegmentEntry::new(id as u64, s));
+                for (id, (s, _)) in segs.iter().enumerate() {
+                    idx.insert(SegmentEntry::new(id as u64, *s));
                 }
                 for k in [1, 2, 5, owners as usize + 3] {
-                    let (hits, _) = idx.knn_with_stats(&q, k, Some(&group));
+                    let (hits, stats) = idx.knn_with_stats(&q, k, Some(&group));
                     let got: Vec<(f64, u64)> = hits
                         .iter()
                         .map(|n| {
-                            assert_eq!(n.dist, segs[n.id as usize].0.dist_to_point(&q));
-                            (n.dist, segs[n.id as usize].1)
+                            let (seg, owners) = &segs[n.id as usize];
+                            assert_eq!(n.dist, seg.dist_to_point(&q));
+                            assert!(owners.contains(&n.group));
+                            (n.dist, n.group)
                         })
                         .collect();
                     let want = nearest_owners(&segs, &q, k, &excluded);
                     assert_eq!(got, want, "case {case}, {kind:?}, k = {k}");
+                    assert!(stats.segments_checked <= segs.len(), "one distance per entry");
                 }
             }
         }

@@ -99,15 +99,22 @@ impl PfCounts {
     }
 
     /// Counts the PF of `traj`, the trajectory at `slot` of the dataset
-    /// being edited. Samples the analysis saw at the same place take
-    /// their stored ids, so an unedited trajectory hashes nothing.
-    fn count(&mut self, analysis: &FrequencyAnalysis, slot: usize, traj: &Trajectory) {
+    /// being edited, whose sample ids `samples` holds (see
+    /// [`apply_local_streamed`]). A sample still at its stored id takes
+    /// it, so a trajectory `samples` describes hashes nothing.
+    fn count(
+        &mut self,
+        analysis: &FrequencyAnalysis,
+        samples: &LocationTable,
+        slot: usize,
+        traj: &Trajectory,
+    ) {
         let table = analysis.locations();
         for (i, s) in traj.samples.iter().enumerate() {
             let key = s.loc.key();
-            let id = match table.sample_id(slot, i, key) {
-                Some(id) => id as usize,
-                None => table.len() + self.unseen.intern(key) as usize,
+            let id = match samples.sample_id(slot, i, key) {
+                Some(id) if (id as usize) < table.len() => id as usize,
+                _ => table.len() + self.unseen.intern(key) as usize,
             };
             if id >= self.pf.len() {
                 self.pf.resize(id + 1, 0);
@@ -261,7 +268,8 @@ pub fn local_unit<R: Rng + ?Sized>(
 ) -> Result<LocalUnit, MechError> {
     let mut editor = TrajectoryEditor::new(Trajectory::new(traj.id, Vec::new()), kind, domain);
     let mut counts = PfCounts::new(analysis);
-    local_unit_on(&mut editor, &mut counts, traj, analysis, slot, epsilon, opts, rng)
+    let samples = analysis.locations();
+    local_unit_on(&mut editor, &mut counts, traj, analysis, samples, slot, epsilon, opts, rng)
 }
 
 /// [`local_unit`] on a reusable editor and PF scratch: the editor
@@ -273,12 +281,13 @@ fn local_unit_on<R: Rng + ?Sized>(
     counts: &mut PfCounts,
     traj: &Trajectory,
     analysis: &FrequencyAnalysis,
+    samples: &LocationTable,
     slot: usize,
     epsilon: f64,
     opts: LocalOptions,
     rng: &mut R,
 ) -> Result<LocalUnit, MechError> {
-    counts.count(analysis, slot, traj);
+    counts.count(analysis, samples, slot, traj);
     let list = select_point_list(counts, analysis, slot, rng);
     counts.clear();
     let plan = perturb_pf(&list, analysis.m, epsilon, opts, rng)?;
@@ -351,9 +360,18 @@ pub fn merge_local_units(domain: Rect, units: Vec<LocalUnit>) -> (Dataset, Local
 /// slot order — so the output is identical at every `workers`, and
 /// `workers == 1` runs inline on the calling thread. Each shard edits
 /// its trajectories one after another on a single reused editor.
+///
+/// `samples` holds the location id of every sample of `ds` under the
+/// analysis's numbering: `analysis.locations()` when `ds` is the
+/// analysed dataset, or the table [`crate::global::apply_global_streamed`]
+/// returns with the dataset it edited. A sample whose stored id does not
+/// match, or is one the analysis lacks, is looked up instead, so the
+/// table decides only how many samples are hashed, never the output.
+#[allow(clippy::too_many_arguments)]
 pub fn apply_local_streamed(
     ds: &Dataset,
     analysis: &FrequencyAnalysis,
+    samples: &LocationTable,
     epsilon: f64,
     kind: IndexKind,
     opts: LocalOptions,
@@ -374,6 +392,7 @@ pub fn apply_local_streamed(
                     &mut counts,
                     traj,
                     analysis,
+                    samples,
                     slot,
                     epsilon,
                     opts,
@@ -406,7 +425,7 @@ mod tests {
         rng: &mut R,
     ) -> Vec<(PointKey, usize)> {
         let mut counts = PfCounts::new(fa);
-        counts.count(fa, slot, traj);
+        counts.count(fa, fa.locations(), slot, traj);
         select_point_list(&mut counts, fa, slot, rng)
     }
 
@@ -632,9 +651,17 @@ mod tests {
     fn apply_local_realizes_perturbed_pf() {
         let d = ds();
         let fa = FrequencyAnalysis::compute(&d, 2);
-        let (out, report) =
-            apply_local_streamed(&d, &fa, 0.5, IndexKind::default(), LocalOptions::default(), 1, 6)
-                .unwrap();
+        let (out, report) = apply_local_streamed(
+            &d,
+            &fa,
+            fa.locations(),
+            0.5,
+            IndexKind::default(),
+            LocalOptions::default(),
+            1,
+            6,
+        )
+        .unwrap();
         assert_eq!(out.len(), d.len());
         for (slot, plan) in report.plans.iter().enumerate() {
             for &(p, _, f_star) in &plan.entries {
@@ -654,6 +681,7 @@ mod tests {
         let (whole, report) = apply_local_streamed(
             &d,
             &fa,
+            fa.locations(),
             0.5,
             IndexKind::default(),
             LocalOptions::default(),
@@ -693,6 +721,7 @@ mod tests {
             let (sharded, sharded_report) = apply_local_streamed(
                 &d,
                 &fa,
+                fa.locations(),
                 0.5,
                 IndexKind::default(),
                 LocalOptions::default(),
@@ -711,9 +740,11 @@ mod tests {
         let fa = FrequencyAnalysis::compute(&d, 2);
         let kind = IndexKind::default();
         let (a, _) =
-            apply_local_streamed(&d, &fa, 0.5, kind, LocalOptions::default(), 1, 1).unwrap();
+            apply_local_streamed(&d, &fa, fa.locations(), 0.5, kind, LocalOptions::default(), 1, 1)
+                .unwrap();
         let (b, _) =
-            apply_local_streamed(&d, &fa, 0.5, kind, LocalOptions::default(), 1, 2).unwrap();
+            apply_local_streamed(&d, &fa, fa.locations(), 0.5, kind, LocalOptions::default(), 1, 2)
+                .unwrap();
         assert_ne!(a, b, "different root seeds should perturb differently");
     }
 
@@ -725,6 +756,7 @@ mod tests {
             let out = apply_local_streamed(
                 &d,
                 &fa,
+                fa.locations(),
                 epsilon,
                 IndexKind::default(),
                 LocalOptions::default(),
@@ -747,6 +779,7 @@ mod tests {
             let (full, _) = apply_local_streamed(
                 &d,
                 &fa,
+                fa.locations(),
                 1.0,
                 IndexKind::default(),
                 LocalOptions::default(),
@@ -757,6 +790,7 @@ mod tests {
             let (s1, _) = apply_local_streamed(
                 &d,
                 &fa,
+                fa.locations(),
                 1.0,
                 IndexKind::default(),
                 LocalOptions { stage2: false, ..Default::default() },
@@ -837,12 +871,72 @@ mod tests {
                 assert_eq!(unit.plan.entries, expected[slot], "dataset {i}, slot {slot}");
             }
             for workers in [1, 2] {
-                let (_, report) =
-                    apply_local_streamed(&e, &fa, 0.7, IndexKind::default(), opts, workers, 41)
-                        .unwrap();
+                let (_, report) = apply_local_streamed(
+                    &e,
+                    &fa,
+                    fa.locations(),
+                    0.7,
+                    IndexKind::default(),
+                    opts,
+                    workers,
+                    41,
+                )
+                .unwrap();
                 let plans: Vec<_> = report.plans.into_iter().map(|p| p.entries).collect();
                 assert_eq!(plans, expected, "dataset {i}, {workers} workers");
             }
         }
+    }
+    #[test]
+    fn units_on_a_global_phase_output_match_the_hash_map_reference() {
+        // GL: the local phase runs on what the global phase edited, with
+        // the sample ids its editor kept. Those ids describe every edited
+        // trajectory exactly and are all the analysis's own (a TF
+        // increase brings only candidate points), so no sample is looked
+        // up, and the plans are the hash-map reference's.
+        use crate::global::apply_global_streamed;
+        use trajdp_synth::{generate, GeneratorConfig};
+        let mut inputs = edge_datasets();
+        inputs.push(generate(&GeneratorConfig::tdrive_profile(30, 60, 7)).dataset);
+        let mut edits = 0;
+        // A one-location dataset has no area to grid.
+        let gridded = |d: &&Dataset| d.domain.width() > 0.0 && d.domain.height() > 0.0;
+        for (i, d) in inputs.iter().enumerate().filter(|(_, d)| gridded(d)) {
+            let fa = FrequencyAnalysis::compute(d, 3);
+            let (mid, ids, global) =
+                apply_global_streamed(d, &fa, 0.3, IndexKind::default(), 41).unwrap();
+            edits += global.insertions + global.deletions;
+            for (slot, traj) in mid.trajectories.iter().enumerate() {
+                let stored = ids.trajectory(slot);
+                assert_eq!(stored.len(), traj.len(), "dataset {i}, slot {slot}");
+                for (s, &id) in traj.samples.iter().zip(stored) {
+                    assert_eq!(ids.key(id), s.loc.key(), "dataset {i}, slot {slot}: stale id");
+                    assert!((id as usize) < fa.locations().len(), "dataset {i}: unseen location");
+                }
+            }
+            let opts = LocalOptions::default();
+            let expected: Vec<_> = mid
+                .trajectories
+                .iter()
+                .enumerate()
+                .map(|(slot, traj)| reference_plan(traj, &fa, slot, opts, 41))
+                .collect();
+            for workers in [1, 2] {
+                let (_, report) = apply_local_streamed(
+                    &mid,
+                    &fa,
+                    &ids,
+                    0.7,
+                    IndexKind::default(),
+                    opts,
+                    workers,
+                    41,
+                )
+                .unwrap();
+                let plans: Vec<_> = report.plans.into_iter().map(|p| p.entries).collect();
+                assert_eq!(plans, expected, "dataset {i}, {workers} workers");
+            }
+        }
+        assert!(edits > 100, "too few global edits to tell: {edits}");
     }
 }

@@ -13,7 +13,7 @@ use crate::indexkind::IndexKind;
 use crate::local::{apply_local_streamed, LocalOptions, LocalReport};
 use std::time::Duration;
 use trajdp_mech::{LaplaceMechanism, MechError};
-use trajdp_model::Dataset;
+use trajdp_model::{Dataset, LocationTable};
 
 /// Which anonymization model to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -142,19 +142,25 @@ pub fn anonymize(
 ) -> Result<AnonymizedOutput, MechError> {
     let epsilon_spent = total_budget(model, cfg.eps_global, cfg.eps_local)?;
     let analysis = FrequencyAnalysis::compute(ds, cfg.m);
-    let run_global = |input: &Dataset| -> Result<(Dataset, GlobalReport, Duration), MechError> {
-        // lint: allow(determinism): phase wall-time is reporting-only; the phase output never reads it
-        let start = std::time::Instant::now();
-        let (out, report) =
-            apply_global_streamed(input, &analysis, cfg.eps_global, cfg.index, cfg.seed)?;
-        Ok((out, report, start.elapsed()))
-    };
-    let run_local = |input: &Dataset| -> Result<(Dataset, LocalReport, Duration), MechError> {
+    // The global phase hands on the sample ids of the dataset it edited,
+    // so a local phase run on that dataset next looks none of them up.
+    let run_global =
+        |input: &Dataset| -> Result<(Dataset, LocationTable, GlobalReport, Duration), MechError> {
+            // lint: allow(determinism): phase wall-time is reporting-only; the phase output never reads it
+            let start = std::time::Instant::now();
+            let (out, ids, report) =
+                apply_global_streamed(input, &analysis, cfg.eps_global, cfg.index, cfg.seed)?;
+            Ok((out, ids, report, start.elapsed()))
+        };
+    let run_local = |input: &Dataset,
+                     samples: &LocationTable|
+     -> Result<(Dataset, LocalReport, Duration), MechError> {
         // lint: allow(determinism): phase wall-time is reporting-only; the phase output never reads it
         let start = std::time::Instant::now();
         let (out, report) = apply_local_streamed(
             input,
             &analysis,
+            samples,
             cfg.eps_local,
             cfg.index,
             cfg.local_opts,
@@ -166,21 +172,21 @@ pub fn anonymize(
 
     let (dataset, global, local, global_time, local_time) = match model {
         Model::PureGlobal => {
-            let (out, g, t) = run_global(ds)?;
+            let (out, _, g, t) = run_global(ds)?;
             (out, Some(g), None, t, Duration::ZERO)
         }
         Model::PureLocal => {
-            let (out, l, t) = run_local(ds)?;
+            let (out, l, t) = run_local(ds, analysis.locations())?;
             (out, None, Some(l), Duration::ZERO, t)
         }
         Model::Combined => {
-            let (mid, g, tg) = run_global(ds)?;
-            let (out, l, tl) = run_local(&mid)?;
+            let (mid, ids, g, tg) = run_global(ds)?;
+            let (out, l, tl) = run_local(&mid, &ids)?;
             (out, Some(g), Some(l), tg, tl)
         }
         Model::CombinedLocalFirst => {
-            let (mid, l, tl) = run_local(ds)?;
-            let (out, g, tg) = run_global(&mid)?;
+            let (mid, l, tl) = run_local(ds, analysis.locations())?;
+            let (out, _, g, tg) = run_global(&mid)?;
             (out, Some(g), Some(l), tg, tl)
         }
     };

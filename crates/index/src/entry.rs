@@ -30,6 +30,9 @@ impl SegmentEntry {
 pub struct Neighbor {
     /// Payload id of the matched segment.
     pub id: u64,
+    /// The group this result stands for: in a grouped search the group
+    /// the entry was offered under, in a plain search `id` itself.
+    pub group: u64,
     /// Point–segment distance from the query (the insertion utility loss).
     pub dist: f64,
     /// Geometry of the matched segment.
@@ -42,14 +45,24 @@ pub struct Neighbor {
 pub struct SearchStats {
     /// Grid cells whose contents were examined.
     pub cells_visited: usize,
-    /// Segments whose exact distance was computed.
+    /// Exact distances computed: one per entry checked, however many
+    /// groups the entry stands for. The dataset editor indexes each
+    /// distinct segment geometry once, so in its TF increases this
+    /// counts distinct geometries, not segment copies.
     pub segments_checked: usize,
 }
 
 /// An `f64` with a total order (via `f64::total_cmp`), usable as a
-/// priority in `BinaryHeap`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// priority in `BinaryHeap`. Equality follows the same order, so a NaN
+/// equals itself and the order's `Eq` is reflexive.
+#[derive(Debug, Clone, Copy)]
 pub struct TotalF64(pub f64);
+
+impl PartialEq for TotalF64 {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.total_cmp(&other.0).is_eq()
+    }
+}
 
 impl Eq for TotalF64 {}
 
@@ -101,25 +114,30 @@ impl Ord for Candidate {
     }
 }
 
-/// The group function of a grouped search: maps a segment's payload id
-/// to its group, or to `None` to leave the segment out of the search.
-pub type GroupFn<'a> = &'a dyn Fn(u64) -> Option<u64>;
+/// The group function of a grouped search: called with a checked
+/// entry's payload id and an `offer` callback, it passes every group the
+/// entry stands for to `offer` — none to leave the entry out.
+pub type GroupFn<'a> = &'a dyn Fn(u64, &mut dyn FnMut(u64));
 
 /// Bounded max-heap collecting the K nearest candidates of one search,
 /// with its work counters.
 ///
-/// * **Plain** (no group function): every segment is a candidate, its
+/// * **Plain** (no group function): every entry is a candidate, its
 ///   group its own id. A full collector accepts only a strictly smaller
-///   distance, so on a tie the earlier-visited segment stays.
-/// * **Grouped**: a candidate is a group, at the distance of its nearest
-///   segment seen so far. A full collector accepts only a strictly
-///   smaller `(dist, group)`, so the result is the K smallest
-///   `(distance, group)` pairs whatever order the segments come in.
+///   distance, so on a tie the earlier-visited entry stays.
+/// * **Grouped**: each checked entry's distance is computed once and
+///   offered under every group the group function names, and a
+///   candidate is a group at the distance of its nearest entry seen so
+///   far. A full collector accepts only a strictly smaller `(dist,
+///   group)`, so the result is the K smallest `(distance, group)` pairs
+///   whatever order the entries and their groups come in. An entry
+///   beyond the K-th kept distance of a full collector is not walked at
+///   all: none of its groups could be accepted.
 ///
 /// `threshold()` exposes the current K-th smallest distance — the pruning
 /// bound θ_K of Theorem 4. Every search prunes only what lies strictly
-/// beyond it, so a grouped search sees every segment at the K-th
-/// group's distance and the tie rule holds exactly.
+/// beyond it, so a grouped search sees every entry at the K-th group's
+/// distance and the tie rule holds exactly.
 pub(crate) struct TopK<'a> {
     k: usize,
     group: Option<GroupFn<'a>>,
@@ -139,26 +157,36 @@ impl<'a> TopK<'a> {
         Self { k, group, heap, nearest: HashMap::default(), stats: SearchStats::default() }
     }
 
-    /// Computes the distance of entry `e` from `q` and offers it, unless
-    /// the group function leaves it out.
+    /// Computes the distance of entry `e` from `q` and offers it: as
+    /// itself in a plain search, under each of its groups in a grouped
+    /// one.
     pub fn check(&mut self, e: &SegmentEntry, q: &Point) {
-        let group = match self.group {
-            None => e.id,
-            Some(f) => match f(e.id) {
-                Some(g) => g,
-                None => return,
-            },
-        };
         self.stats.segments_checked += 1;
-        let c = Candidate { dist: TotalF64(e.seg.dist_to_point(q)), group, id: e.id, seg: e.seg };
-        if self.group.is_some() {
-            self.offer_grouped(c);
-        } else if self.heap.len() < self.k {
-            self.heap.push(c);
-        } else if self.heap.peek().is_some_and(|top| c.dist.0 < top.dist.0) {
-            self.heap.pop();
-            self.heap.push(c);
+        let dist = TotalF64(e.seg.dist_to_point(q));
+        let Some(groups) = self.group else {
+            if self.heap.len() < self.k {
+                self.heap.push(Candidate { dist, group: e.id, id: e.id, seg: e.seg });
+            } else if self.heap.peek().is_some_and(|top| dist.0 < top.dist.0) {
+                self.heap.pop();
+                self.heap.push(Candidate { dist, group: e.id, id: e.id, seg: e.seg });
+            }
+            return;
+        };
+        if !self.may_take(dist) {
+            return;
         }
+        groups(e.id, &mut |group| {
+            self.offer_grouped(Candidate { dist, group, id: e.id, seg: e.seg });
+        });
+    }
+
+    /// Grouped search: whether some group at distance `dist` could be
+    /// accepted. Once the collector is full, a candidate beyond the top's
+    /// distance is rejected whatever its group, and a kept group already
+    /// sits at or below that distance. An accepted offer at `dist` keeps
+    /// the top at or beyond `dist`, so the answer holds for a whole walk.
+    fn may_take(&self, dist: TotalF64) -> bool {
+        !self.is_full() || self.heap.peek().is_some_and(|top| dist <= top.dist)
     }
 
     fn offer_grouped(&mut self, c: Candidate) {
@@ -205,7 +233,9 @@ impl<'a> TopK<'a> {
         let Self { group, heap, nearest, stats, .. } = self;
         let live = |c: &Candidate| group.is_none() || nearest.get(&c.group) == Some(&c.dist);
         let hits = heap.into_sorted_vec().into_iter().filter(live);
-        (hits.map(|c| Neighbor { id: c.id, dist: c.dist.0, seg: c.seg }).collect(), stats)
+        let neighbor =
+            |c: Candidate| Neighbor { id: c.id, group: c.group, dist: c.dist.0, seg: c.seg };
+        (hits.map(neighbor).collect(), stats)
     }
 }
 
@@ -221,6 +251,26 @@ mod tests {
     fn offer(t: &mut TopK, id: u64, dist: f64) {
         let e = SegmentEntry::new(id, Segment::new(Point::new(-1.0, dist), Point::new(1.0, dist)));
         t.check(&e, &Point::new(0.0, 0.0));
+    }
+
+    #[test]
+    fn total_f64_equality_follows_its_order() {
+        assert_eq!(TotalF64(f64::NAN), TotalF64(f64::NAN));
+        assert_ne!(TotalF64(-0.0), TotalF64(0.0));
+        assert_eq!(TotalF64(2.0), TotalF64(2.0));
+    }
+
+    #[test]
+    fn topk_grouped_keeps_a_group_at_a_nan_distance() {
+        // A NaN distance sorts after every number; a group kept at one
+        // is live, not mistaken for stale.
+        let group = |id: u64, offer: &mut dyn FnMut(u64)| offer(id);
+        let mut t = TopK::new(2, Some(&group));
+        let nan = Segment::new(Point::new(f64::NAN, 0.0), Point::new(1.0, 0.0));
+        t.check(&SegmentEntry::new(4, nan), &Point::new(0.0, 0.0));
+        offer(&mut t, 7, 3.0);
+        let out: Vec<u64> = t.finish().0.iter().map(|n| n.group).collect();
+        assert_eq!(out, [7, 4]);
     }
 
     #[test]
@@ -285,7 +335,7 @@ mod tests {
 
     #[test]
     fn topk_full_plain_keeps_the_earlier_tie_and_grouped_the_smaller_group() {
-        let group = |id: u64| Some(id / 10);
+        let group = |id: u64, offer: &mut dyn FnMut(u64)| offer(id / 10);
         let mut plain = TopK::new(1, None);
         let mut grouped = TopK::new(1, Some(&group));
         for id in [95, 31] {
@@ -301,15 +351,51 @@ mod tests {
     fn topk_grouped_keeps_each_groups_nearest_segment() {
         // Groups are ids mod 3; id 7 is left out. Group bests: 0 → 2.0
         // (id 3), 1 → 1.0 (id 4), 2 → 9.0 (id 2).
-        let group = |id: u64| (id != 7).then_some(id % 3);
+        let group = |id: u64, offer: &mut dyn FnMut(u64)| {
+            if id != 7 {
+                offer(id % 3);
+            }
+        };
         let mut t = TopK::new(2, Some(&group));
         for (id, d) in [(0, 5.0), (3, 2.0), (1, 4.0), (6, 3.0), (7, 0.0), (4, 1.0), (2, 9.0)] {
             let e = SegmentEntry::new(id, Segment::new(Point::new(0.0, d), Point::new(1.0, d)));
             t.check(&e, &Point::new(0.5, 0.0));
         }
         let (hits, stats) = t.finish();
-        let out: Vec<(u64, f64)> = hits.iter().map(|n| (n.id, n.dist)).collect();
-        assert_eq!(out, vec![(4, 1.0), (3, 2.0)]);
-        assert_eq!(stats.segments_checked, 6);
+        let out: Vec<(u64, u64, f64)> = hits.iter().map(|n| (n.id, n.group, n.dist)).collect();
+        assert_eq!(out, vec![(4, 1, 1.0), (3, 0, 2.0)]);
+        // Every entry's distance is computed, the left-out one's too.
+        assert_eq!(stats.segments_checked, 7);
+    }
+
+    #[test]
+    fn topk_grouped_offers_one_distance_under_every_group() {
+        // Entry `id` lies at distance `id` from q and stands for the
+        // groups listed under it. Group bests: 5 → 1, 2 → 1, 9 → 2, 1 → 3.
+        let owners: [&[u64]; 4] = [&[], &[5, 2], &[9, 2], &[1, 9, 5, 7, 8]];
+        let walked = std::cell::RefCell::new(Vec::new());
+        let group = |id: u64, offer: &mut dyn FnMut(u64)| {
+            for &g in owners[id as usize] {
+                walked.borrow_mut().push((id, g));
+                offer(g);
+            }
+        };
+        let mut t = TopK::new(3, Some(&group));
+        for id in [1, 2, 3] {
+            offer(&mut t, id, id as f64);
+        }
+        let (hits, stats) = t.finish();
+        let out: Vec<(u64, u64, f64)> = hits.iter().map(|n| (n.id, n.group, n.dist)).collect();
+        assert_eq!(out, vec![(1, 2, 1.0), (1, 5, 1.0), (2, 9, 2.0)]);
+        assert_eq!(stats.segments_checked, 3);
+        // Entry 3 lies beyond the full collector's 2.0: it is not walked.
+        assert_eq!(*walked.borrow(), [(1, 5), (1, 2), (2, 9), (2, 2)]);
+        // At the K-th distance itself the walk goes on: a smaller group
+        // may still displace the top.
+        walked.borrow_mut().clear();
+        let mut t = TopK::new(1, Some(&group));
+        offer(&mut t, 3, 3.0);
+        assert_eq!(walked.borrow().len(), 5);
+        assert_eq!(t.finish().0[0].group, 1);
     }
 }

@@ -505,7 +505,11 @@ mod tests {
         let g = HierGrid::from_entries(domain(), 256, entries.clone());
         let lin = LinearScan::from_entries(entries);
         let q = Point::new(512.0, 512.0);
-        let filter = |id: u64| id.is_multiple_of(3).then_some(id);
+        let filter = |id: u64, offer: &mut dyn FnMut(u64)| {
+            if id.is_multiple_of(3) {
+                offer(id);
+            }
+        };
         let expected: Vec<u64> =
             lin.knn_with_stats(&q, 5, Some(&filter)).0.iter().map(|n| n.id).collect();
         for s in STRATEGIES {

@@ -21,13 +21,16 @@
 //!
 //! Every backend's `knn_with_stats` takes an optional [`GroupFn`]. Without
 //! one it returns the K nearest segments. With one it returns the K
-//! nearest *groups*: the function maps each segment to its group (the
-//! core crate's dataset editor maps a segment to its trajectory) or
-//! leaves it out, and each result is its group's nearest segment, in
-//! ascending `(distance, group)` order. Each search is the same single
-//! branch-and-bound pass (Roussopoulos et al., SIGMOD 1995) in both
-//! modes: the pruning bound is the K-th kept distance, and nothing at
-//! that distance is pruned, so ties go to the smallest group exactly.
+//! nearest *groups*: the function names the groups each entry stands
+//! for — none to leave it out, several for a geometry many groups share
+//! (the core crate's dataset editor indexes each distinct segment
+//! geometry once and names the trajectories that drive it) — and each
+//! result is its group's nearest entry, in ascending `(distance, group)`
+//! order. An entry's distance is computed once, however many groups it
+//! stands for. Each search is the same single branch-and-bound pass
+//! (Roussopoulos et al., SIGMOD 1995) in both modes: the pruning bound
+//! is the K-th kept distance, and nothing at that distance is pruned, so
+//! ties go to the smallest group exactly.
 
 #![forbid(unsafe_code)]
 

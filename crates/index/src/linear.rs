@@ -98,8 +98,12 @@ mod tests {
     #[test]
     fn filter_excludes_ids() {
         let idx = LinearScan::from_entries(entries());
-        let out =
-            idx.knn_with_stats(&Point::new(12.0, 3.0), 1, Some(&|id| (id != 1).then_some(id))).0;
+        let keep = |id: u64, offer: &mut dyn FnMut(u64)| {
+            if id != 1 {
+                offer(id);
+            }
+        };
+        let out = idx.knn_with_stats(&Point::new(12.0, 3.0), 1, Some(&keep)).0;
         assert_eq!(out[0].id, 0); // nearest allowed is segment [0,5] at x=5
     }
 

@@ -309,13 +309,12 @@ mod tests {
     #[test]
     fn filtered_search() {
         let ug = UniformGrid::from_entries(domain(), 16, entries());
-        let out = ug
-            .knn_with_stats(
-                &Point::new(505.0, 505.0),
-                1,
-                Some(&|id| (id != 2 && id != 4).then_some(id)),
-            )
-            .0;
+        let keep = |id: u64, offer: &mut dyn FnMut(u64)| {
+            if id != 2 && id != 4 {
+                offer(id);
+            }
+        };
+        let out = ug.knn_with_stats(&Point::new(505.0, 505.0), 1, Some(&keep)).0;
         assert_eq!(out[0].id, 3);
     }
 

@@ -76,6 +76,23 @@ impl LocationTable {
         out
     }
 
+    /// This table's locations with `trajectories` as its sample ids:
+    /// `trajectories[t][i]` must be this table's id of sample `i` of
+    /// trajectory `t`. An editor that keeps the id of every sample it
+    /// edits hands its trajectories on this way, so the next stage looks
+    /// none of them up.
+    pub fn with_samples(mut self, trajectories: &[Vec<u32>]) -> Self {
+        self.samples.clear();
+        self.offsets.clear();
+        self.offsets.push(0);
+        for ids in trajectories {
+            debug_assert!(ids.iter().all(|&id| (id as usize) < self.keys.len()), "unknown id");
+            self.samples.extend_from_slice(ids);
+            self.offsets.push(self.samples.len());
+        }
+        self
+    }
+
     /// Number of distinct locations.
     #[inline]
     pub fn len(&self) -> usize {
@@ -195,6 +212,19 @@ mod tests {
         assert_eq!(table.sample_id(1, 0, Point::new(2.0, 2.0).key()), Some(2));
         assert_eq!(table.sample_id(9, 0, Point::new(2.0, 2.0).key()), Some(2));
         assert_eq!(table.sample_id(0, 1, Point::new(7.0, 7.0).key()), None);
+    }
+
+    #[test]
+    fn with_samples_describes_the_edited_trajectories() {
+        let mut table = LocationTable::new(&trajs());
+        let seven = table.intern(Point::new(7.0, 7.0).key());
+        let edited = table.with_samples(&[vec![0, seven], vec![], vec![2, 2, 1]]);
+        assert_eq!(edited.len(), 7);
+        assert_eq!(edited.trajectory(0), &[0, 6]);
+        assert!(edited.trajectory(1).is_empty());
+        assert_eq!(edited.trajectory(2), &[2, 2, 1]);
+        assert_eq!(edited.sample_id(0, 1, Point::new(7.0, 7.0).key()), Some(6));
+        assert_eq!(edited.sample_id(2, 0, Point::new(2.0, 2.0).key()), Some(2));
     }
 
     #[test]

@@ -60,7 +60,9 @@ fn rates(model: Model, n: usize, seed: u64) -> Rates {
 }
 
 /// Bounds the 8n-over-n ratio of every rate the model has, for seeds 1
-/// to 3.
+/// to 3. Every rate is bounded at 1.5×; the global segments per edit, the
+/// closest to it, measured 0.92–1.03× for GL and PureG and 1.12–1.38×
+/// for LG.
 fn assert_flat(model: Model) {
     let ratio = |small: Option<PerEdit>, large: Option<PerEdit>, rate: fn(PerEdit) -> f64| {
         assert_eq!(small.is_some(), large.is_some());
@@ -69,7 +71,7 @@ fn assert_flat(model: Model) {
     for seed in 1..=3 {
         let (small, large) = (rates(model, 50, seed), rates(model, 400, seed));
         let bounds = [
-            ("global segments per edit", ratio(small.global, large.global, |p| p.segments), 6.0),
+            ("global segments per edit", ratio(small.global, large.global, |p| p.segments), 1.5),
             ("global cells per edit", ratio(small.global, large.global, |p| p.cells), 1.5),
             ("local segments per edit", ratio(small.local, large.local, |p| p.segments), 1.5),
             ("local cells per edit", ratio(small.local, large.local, |p| p.cells), 1.5),
