@@ -899,9 +899,7 @@ mod tests {
         let mut inputs = edge_datasets();
         inputs.push(generate(&GeneratorConfig::tdrive_profile(30, 60, 7)).dataset);
         let mut edits = 0;
-        // A one-location dataset has no area to grid.
-        let gridded = |d: &&Dataset| d.domain.width() > 0.0 && d.domain.height() > 0.0;
-        for (i, d) in inputs.iter().enumerate().filter(|(_, d)| gridded(d)) {
+        for (i, d) in inputs.iter().enumerate() {
             let fa = FrequencyAnalysis::compute(d, 3);
             let (mid, ids, global) =
                 apply_global_streamed(d, &fa, 0.3, IndexKind::default(), 41).unwrap();

@@ -24,7 +24,11 @@ impl Dataset {
         Self { domain, trajectories }
     }
 
-    /// Creates a dataset, deriving the domain from the data's bounding box.
+    /// Creates a dataset, deriving the domain from the data's bounding
+    /// box. A grid needs area, so an axis on which every sample shares
+    /// one finite value is widened around it by 1 m (or, far from the
+    /// origin, by the few ulps the coordinate can resolve); a bounding
+    /// box with a positive extent on both axes is kept as it is.
     pub fn from_trajectories(trajectories: Vec<Trajectory>) -> Self {
         let mut domain = Rect::empty();
         for t in &trajectories {
@@ -34,6 +38,14 @@ impl Dataset {
         }
         if domain.is_empty() {
             domain = Rect::new(0.0, 0.0, 1.0, 1.0);
+        }
+        for (lo, hi) in
+            [(&mut domain.min_x, &mut domain.max_x), (&mut domain.min_y, &mut domain.max_y)]
+        {
+            if *hi <= *lo && lo.is_finite() {
+                let pad = (lo.abs() * f64::EPSILON).max(0.5);
+                (*lo, *hi) = (*lo - pad, *hi + pad);
+            }
         }
         Self { domain, trajectories }
     }
@@ -127,6 +139,23 @@ mod tests {
                 assert!(d.domain.contains(&s.loc));
             }
         }
+    }
+
+    #[test]
+    fn a_domain_without_area_is_widened() {
+        // One x for every sample; then one sample; then far from the origin.
+        for (points, x, y) in [
+            (&[(5.0, 1.0), (5.0, 2.0), (5.0, 3.0)][..], (4.5, 5.5), (1.0, 3.0)),
+            (&[(5.0, 1.0)][..], (4.5, 5.5), (0.5, 1.5)),
+        ] {
+            let d = Dataset::from_trajectories(vec![traj(0, points)]);
+            let r = d.domain;
+            assert_eq!(((r.min_x, r.max_x), (r.min_y, r.max_y)), (x, y), "{points:?}");
+        }
+        let far = Dataset::from_trajectories(vec![traj(0, &[(1e17, -1e17)])]).domain;
+        assert!(far.width() > 0.0 && far.height() > 0.0, "{far:?}");
+        // A domain with area on both axes is the bounding box, unchanged.
+        assert_eq!(dataset().domain, Rect::new(0.0, 0.0, 3.0, 3.0));
     }
 
     #[test]

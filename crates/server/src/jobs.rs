@@ -86,20 +86,19 @@
 //! per retained finished job; everything a finished job's original
 //! submit carried (potentially megabytes of CSV) is dropped.
 //!
-//! ## Result spilling
+//! ## Large results
 //!
 //! A journaled queue keeps the finished-job table from pinning huge
-//! response payloads in RAM: a result whose serialized form reaches
-//! [`SPILL_RESULT_BYTES`] is written to `<state-dir>/results/<id>.json`
-//! and the in-memory record keeps only the path (plus the result's
-//! dataset handle, so retention eviction can still reclaim it without a
-//! disk read). `status` reads the file back outside the queue mutex and
-//! answers with the identical bytes; journal compaction streams spilled
-//! files straight into the rewritten journal. Replay re-spills large
-//! results, and startup removes `results/` files no job references. A
-//! failed spill write falls back to keeping the result inline — the
-//! spill is a memory optimization, never a durability mechanism (the
-//! journal's `finish` event is the durable copy).
+//! response payloads in RAM. The journal already holds every finished
+//! result, as the last member of its `finish` or `done` line, so a
+//! result whose serialized form reaches [`SPILL_RESULT_BYTES`] keeps
+//! only its byte range in the journal file (plus the result's dataset
+//! handle, so retention eviction can still reclaim it without a disk
+//! read). `status` reads the range back with a positioned read,
+//! outside both locks, and answers with the identical bytes.
+//! Compaction streams each range into the rewritten journal and moves
+//! the records to their new ranges; replay records ranges in the file
+//! it replays. A result whose `finish` append failed stays in memory.
 //!
 //! ## Locking
 //!
@@ -109,18 +108,18 @@
 //! write. Appends are now serialized on a dedicated journal lock;
 //! the queue mutex is taken only for the in-memory transitions, so
 //! reads proceed while a write is in flight. Submit acknowledgements
-//! still happen strictly after the event is durable. Spill files are
-//! written and read entirely outside the queue mutex as well.
+//! still happen strictly after the event is durable.
 
 use crate::api::{render_v1, ApiError, Response};
-use crate::journal::{self, job_number, DoneRecord, Event, JournalWriter, Snapshot};
+use crate::journal::{self, job_number, DoneRecord, Event, JournalWriter, ResultRange, Snapshot};
 use crate::json::Json;
 use crate::ledger::EpsLedger;
 use crate::obs::{log_enabled, log_event, LogLevel, Metrics, PhaseTimings};
 use crate::protocol::{run_anonymize, AnonymizeParams, AnonymizeSpec, DataRef};
 use crate::store::DatasetStore;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::path::{Path, PathBuf};
+use std::fs::File;
+use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -136,21 +135,21 @@ pub enum JobState {
     /// be able to collect every retained result under the queue mutex
     /// without deep-copying any of them.
     Done(Arc<Json>),
-    /// Finished, but the result was large enough to spill to disk: only
-    /// the file path lives in memory. The result's dataset handle (if
-    /// it stored one) is captured at spill time so retention eviction
-    /// can reclaim the handle without reading the file back.
-    Spilled { path: PathBuf, dataset: Option<String> },
+    /// Finished, with a result large enough to stay in the journal:
+    /// only its byte range lives in memory. The result's dataset handle
+    /// (if it stored one) is kept beside it so retention eviction can
+    /// reclaim the handle without reading the journal.
+    Journaled { range: ResultRange, dataset: Option<String> },
 }
 
 impl JobState {
-    /// Protocol name of the state. A spilled job is still `"done"` —
-    /// where the result bytes live is invisible on the wire.
+    /// Protocol name of the state. A journal-backed job is still
+    /// `"done"` — where the result bytes live is invisible on the wire.
     pub fn name(&self) -> &'static str {
         match self {
             JobState::Queued => "queued",
             JobState::Running => "running",
-            JobState::Done(_) | JobState::Spilled { .. } => "done",
+            JobState::Done(_) | JobState::Journaled { .. } => "done",
         }
     }
 
@@ -158,7 +157,7 @@ impl JobState {
     pub(crate) fn result_handle(&self) -> Option<&str> {
         match self {
             JobState::Done(result) => result.get("dataset").and_then(Json::as_str),
-            JobState::Spilled { dataset, .. } => dataset.as_deref(),
+            JobState::Journaled { dataset, .. } => dataset.as_deref(),
             _ => None,
         }
     }
@@ -177,74 +176,12 @@ pub const MAX_FINISHED_RETAINED: usize = 256;
 /// lines.
 pub const COMPACT_FINISHED_EVENTS: usize = 256;
 
-/// Serialized result size at which a journaled queue spills a finished
-/// job's payload to `<state-dir>/results/` instead of retaining it in
-/// the job table. With [`MAX_FINISHED_RETAINED`] jobs retained, inline
-/// results below this bound the table to ~256 MiB worst case; anything
-/// larger lives on disk and is read back per `status` request.
+/// Serialized result size at which a journaled queue keeps a finished
+/// job's result in the journal only, instead of in the job table. With
+/// [`MAX_FINISHED_RETAINED`] jobs retained, results below this bound
+/// the table to ~256 MiB worst case; anything larger is read back from
+/// the journal per `status` request.
 pub const SPILL_RESULT_BYTES: usize = 1 << 20;
-
-/// Where and when finished results spill to disk. Present only on
-/// journaled queues — a memory-only queue has no state dir to spill
-/// into, so its results always stay inline.
-struct Spill {
-    /// `<state-dir>/results`, created lazily on first spill.
-    dir: PathBuf,
-    /// Serialized-size threshold at which a result spills.
-    threshold: usize,
-}
-
-impl Spill {
-    fn path_for(&self, id: &str) -> PathBuf {
-        self.dir.join(format!("{id}.json"))
-    }
-
-    /// Writes one pre-serialized result. No fsync: the journal's
-    /// `finish` event is the durable copy, and a restart re-spills from
-    /// it — a torn spill file never outlives the replay that would
-    /// have read it.
-    fn write(&self, id: &str, text: &str) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(&self.dir)?;
-        let path = self.path_for(id);
-        std::fs::write(&path, text)?;
-        Ok(path)
-    }
-}
-
-/// Decides where a finished result lives: at or above the spill
-/// threshold it goes to the results dir and only its path (plus the
-/// dataset handle, for eviction) stays in memory; otherwise inline. A
-/// failed spill write degrades to inline — worse memory, same answers.
-fn done_state(spill: Option<&Spill>, id: &str, result: Arc<Json>) -> JobState {
-    if let Some(spill) = spill {
-        let text = result.to_string();
-        if text.len() >= spill.threshold {
-            match spill.write(id, &text) {
-                Ok(path) => {
-                    let dataset = result.get("dataset").and_then(Json::as_str).map(str::to_string);
-                    if log_enabled(LogLevel::Debug) {
-                        log_event(
-                            LogLevel::Debug,
-                            "job result spilled",
-                            &[("job", Json::from(id)), ("bytes", Json::from(text.len() as u64))],
-                        );
-                    }
-                    return JobState::Spilled { path, dataset };
-                }
-                Err(e) => {
-                    if log_enabled(LogLevel::Warn) {
-                        log_event(
-                            LogLevel::Warn,
-                            "result spill failed; keeping result in memory",
-                            &[("job", Json::from(id)), ("error", Json::from(e.to_string()))],
-                        );
-                    }
-                }
-            }
-        }
-    }
-    JobState::Done(result)
-}
 
 /// In-memory observability record of one job: submission/pickup clocks,
 /// the finished wall-clock, per-phase timings, and the correlation id of
@@ -319,34 +256,52 @@ impl QueueInner {
             .count()
     }
     /// Records a completion, evicting the oldest finished jobs past the
-    /// retention cap. Returns the result dataset handles and spill
-    /// files of the evicted jobs: a `store:true` result lives *at most*
-    /// as long as its job record (LRU pressure or a TTL may evict the
-    /// handle sooner — it is an unpinned cache entry like any other),
-    /// so the caller must have the store reclaim those handles and
-    /// unlink the files — otherwise they would sit unreachable (their
-    /// job id answers "unknown") until the startup reconciliation and
-    /// orphan sweep removed them anyway. Both cleanups are the caller's
-    /// job because they touch the disk/store, never done under the
-    /// queue mutex this runs inside.
-    fn record_done(&mut self, id: &str, done: JobState) -> (Vec<String>, Vec<PathBuf>) {
-        debug_assert!(matches!(done, JobState::Done(_) | JobState::Spilled { .. }));
+    /// retention cap. The record is journal-backed when the result's
+    /// bytes sit in the journal at `range` and reach
+    /// [`SPILL_RESULT_BYTES`], in memory otherwise. Returns the result
+    /// dataset handles of the evicted jobs: a `store:true` result lives
+    /// *at most* as long as its job record (LRU pressure or a TTL may
+    /// evict the handle sooner — it is an unpinned cache entry like any
+    /// other), so the caller must have the store reclaim those handles —
+    /// otherwise they would sit unreachable (their job id answers
+    /// "unknown") until the startup reconciliation removed them anyway.
+    /// That cleanup is the caller's job because it touches the store,
+    /// never done under the queue mutex this runs inside.
+    fn record_done(
+        &mut self,
+        id: &str,
+        result: Arc<Json>,
+        range: Option<ResultRange>,
+    ) -> Vec<String> {
+        let done = match range {
+            Some(range) if range.len >= SPILL_RESULT_BYTES as u64 => JobState::Journaled {
+                dataset: result.get("dataset").and_then(Json::as_str).map(str::to_string),
+                range,
+            },
+            _ => JobState::Done(result),
+        };
         self.states.insert(id.to_string(), done);
         self.finished_order.push_back(id.to_string());
-        let mut dropped_handles = Vec::new();
-        let mut dropped_files = Vec::new();
+        let mut dropped = Vec::new();
         while self.finished_order.len() > MAX_FINISHED_RETAINED {
             if let Some(evicted) = self.finished_order.pop_front() {
                 self.meta.remove(&evicted);
                 if let Some(state) = self.states.remove(&evicted) {
-                    dropped_handles.extend(state.result_handle().map(str::to_string));
-                    if let JobState::Spilled { path, .. } = state {
-                        dropped_files.push(path);
-                    }
+                    dropped.extend(state.result_handle().map(str::to_string));
                 }
             }
         }
-        (dropped_handles, dropped_files)
+        dropped
+    }
+
+    /// Points each journal-backed record [`JournalWriter::rewrite`]
+    /// moved at its range in the new journal.
+    fn move_results(&mut self, moved: Vec<(String, ResultRange)>) {
+        for (id, new) in moved {
+            if let Some(JobState::Journaled { range, .. }) = self.states.get_mut(&id) {
+                *range = new;
+            }
+        }
     }
 
     /// A consistent copy of the state a compacted journal must record.
@@ -372,8 +327,8 @@ impl QueueInner {
                     Some(JobState::Done(result)) => {
                         Some((id.clone(), DoneRecord::Mem(Arc::clone(result))))
                     }
-                    Some(JobState::Spilled { path, .. }) => {
-                        Some((id.clone(), DoneRecord::Spilled(path.clone())))
+                    Some(JobState::Journaled { range, .. }) => {
+                        Some((id.clone(), DoneRecord::Journaled(range.clone())))
                     }
                     _ => None,
                 })
@@ -390,8 +345,6 @@ pub struct JobQueue {
     /// Serializes journal disk writes, independent of the queue mutex.
     /// Lock order is always journal → queue, never the reverse.
     journal: Arc<Mutex<Option<JournalWriter>>>,
-    /// Result spill policy; `None` on memory-only queues.
-    spill: Option<Arc<Spill>>,
     store: DatasetStore,
     /// Observability registry. The queue publishes counters and
     /// histogram samples (all-atomic) from inside its own critical
@@ -418,7 +371,6 @@ impl JobQueue {
         Self {
             inner: Arc::default(),
             journal: Arc::default(),
-            spill: None,
             store,
             metrics: Arc::default(),
             default_eps_budget: None,
@@ -463,49 +415,17 @@ impl JobQueue {
 
     /// A queue journaled at `path`: replays the existing journal (if
     /// any), re-enqueueing unfinished jobs (pinning their dataset
-    /// handles) and restoring finished results (re-spilling large ones
-    /// to `results/` beside the journal), reconciles orphaned
-    /// job-result datasets and spill files against the replayed state,
-    /// compacts the journal, then appends all further events to the
-    /// same file.
+    /// handles) and restoring finished results (large ones as ranges in
+    /// the journal), reconciles orphaned job-result datasets against
+    /// the replayed state, compacts the journal, then appends all
+    /// further events to the same file.
     pub fn with_journal(store: DatasetStore, path: &Path) -> Result<Self, String> {
-        Self::with_journal_opts(store, path, SPILL_RESULT_BYTES)
-    }
-
-    /// [`Self::with_journal`] with an explicit spill threshold, for
-    /// tests that need spilling to trigger without megabyte payloads.
-    pub fn with_journal_opts(
-        store: DatasetStore,
-        path: &Path,
-        spill_threshold: usize,
-    ) -> Result<Self, String> {
-        let spill = Arc::new(Spill {
-            dir: path.parent().map_or_else(|| PathBuf::from("results"), |d| d.join("results")),
-            threshold: spill_threshold,
-        });
-        let mut inner = QueueInner::default();
         let text = journal::read(path)?;
-        replay(&text, &mut inner, &store, Some(&spill))
+        let mut writer = JournalWriter::open(path)
+            .map_err(|e| format!("cannot open journal {}: {e}", path.display()))?;
+        let mut inner = QueueInner::default();
+        replay(&text, &mut inner, &store, &writer.file)
             .map_err(|e| format!("journal {}: {e}", path.display()))?;
-
-        // Sweep spill files no replayed job references: eviction unlinks
-        // and job re-runs can both strand a `results/` file if the
-        // process dies between the state change and the disk cleanup.
-        let live: HashSet<PathBuf> = inner
-            .states
-            .values()
-            .filter_map(|s| match s {
-                JobState::Spilled { path, .. } => Some(path.clone()),
-                _ => None,
-            })
-            .collect();
-        if let Ok(entries) = std::fs::read_dir(&spill.dir) {
-            for entry in entries.flatten() {
-                if !live.contains(&entry.path()) {
-                    let _ = std::fs::remove_file(entry.path());
-                }
-            }
-        }
 
         // A job result lives as long as its record: reclaim each one no
         // retained record names (a finish event lost to a crash, whose
@@ -522,8 +442,6 @@ impl JobQueue {
                 .chain(inner.ledger.iter().map(|(handle, _)| handle)),
         );
 
-        let mut writer = JournalWriter::open(path)
-            .map_err(|e| format!("cannot open journal {}: {e}", path.display()))?;
         if !text.is_empty() {
             // Startup compaction: restart cost must scale with live
             // state, not lifetime job count. Best-effort, like the
@@ -531,12 +449,13 @@ impl JobQueue {
             // very disk an oversized journal correlates with) leaves
             // the complete append-only journal in place, which must
             // not brick a server that just replayed it successfully.
-            let _ = writer.rewrite(inner.snapshot());
+            if let Ok(moved) = writer.rewrite(inner.snapshot()) {
+                inner.move_results(moved);
+            }
         }
         Ok(Self {
             inner: Arc::new((Mutex::new(inner), Condvar::new())),
             journal: Arc::new(Mutex::new(Some(writer))),
-            spill: Some(spill),
             store,
             metrics: Arc::default(),
             default_eps_budget: None,
@@ -744,21 +663,15 @@ impl JobQueue {
     /// on the done job can report them.
     fn finish_with_timings(&self, id: &str, result: Json, timings: Option<PhaseTimings>) {
         let mut journal = self.journal.lock().expect("journal poisoned");
-        let result = Arc::new(result);
-        if let Some(writer) = journal.as_mut() {
-            // A failed finish append is not fatal: the in-memory table
-            // still answers `status`, and a restart re-runs the job
-            // from its journaled submit to the same bytes. The result
-            // handle a `store:true` re-run strands is cleaned up by the
-            // startup orphan reconciliation.
-            let event = Event::Finish { job: id.to_string(), result: Arc::clone(&result) };
+        // A failed finish append is not fatal: the result stays in the
+        // in-memory table, which still answers `status`, and a restart
+        // re-runs the job from its journaled submit to the same bytes.
+        // The result handle a `store:true` re-run strands is cleaned up
+        // by the startup orphan reconciliation.
+        let range = journal.as_mut().and_then(|writer| {
             // lint: allow(lock-across-io): the journal mutex is the dedicated disk-write lock (order: journal -> queue); the read path never takes it
-            let _ = writer.append(event, &self.metrics);
-        }
-        // Spill before taking the queue mutex: the write is disk I/O
-        // (the journal lock held here already serializes disk work),
-        // and only the resulting path enters the table.
-        let done = done_state(self.spill.as_deref(), id, result);
+            writer.append_finish(id, &result.to_string(), &self.metrics).ok()
+        });
         let (source, dropped, snapshot, eps_gauge) = {
             let (lock, _) = &*self.inner;
             let mut q = lock.lock().expect("queue poisoned");
@@ -773,7 +686,7 @@ impl JobQueue {
                 q.ledger.settle(handle, spec.params.epsilon);
                 eps_gauge = Some((q.eps_spent(handle), handle.clone()));
             }
-            let dropped = q.record_done(id, done);
+            let dropped = q.record_done(id, Arc::new(result), range);
             let now = Instant::now();
             let meta = q.meta.entry(id.to_string()).or_default();
             meta.timings = timings;
@@ -799,14 +712,8 @@ impl JobQueue {
         }
         // Results of jobs evicted from the retention window go with
         // their job record; the store keeps one still pinned as some
-        // queued job's input until that job ends. Spill files have no
-        // pins — unlink them outright (a miss is caught by the startup
-        // orphan sweep).
-        let (dropped_handles, dropped_files) = dropped;
-        for file in dropped_files {
-            let _ = std::fs::remove_file(file);
-        }
-        for handle in dropped_handles {
+        // queued job's input until that job ends.
+        for handle in dropped {
             self.store.reclaim(&handle);
         }
         if let (Some(writer), Some(snapshot)) = (journal.as_mut(), snapshot) {
@@ -814,8 +721,9 @@ impl JobQueue {
             // journal is still complete, just longer than it needs to
             // be; the next threshold crossing (or startup) retries.
             // lint: allow(lock-across-io): compaction must see a frozen journal; the mutex is the dedicated disk-write lock and the read path never takes it
-            if writer.rewrite(snapshot).is_ok() {
+            if let Ok(moved) = writer.rewrite(snapshot) {
                 self.metrics.journal_compactions.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.inner.0.lock().expect("queue poisoned").move_results(moved);
             }
         }
     }
@@ -899,41 +807,32 @@ impl JobQueue {
                 .map_err(|_| ApiError::internal("job queue state poisoned by a panic"))?;
             (q.states.get(id).cloned(), q.meta.get(id).cloned())
         };
-        match state {
-            None => Err(ApiError::job_not_found(format!("unknown job {id:?}"))),
-            Some(JobState::Done(result)) => Ok(Response::JobStatus {
-                job: id.to_string(),
-                state: "done",
-                result: Some(result),
-                duration_secs: meta.as_ref().and_then(|m| m.duration_secs),
-                timings: meta.and_then(|m| m.timings),
-            }),
-            Some(JobState::Spilled { path, .. }) => {
-                // Read the spilled payload back outside the queue mutex
-                // (released above) — a slow disk stalls this request,
-                // never concurrent submits or polls.
-                let text = std::fs::read_to_string(&path).map_err(|e| {
-                    ApiError::io(format!("cannot read spilled result for job {id:?}: {e}"))
-                })?;
-                let result = crate::json::parse(&text).map_err(|e| {
-                    ApiError::io(format!("spilled result for job {id:?} is corrupt: {e}"))
-                })?;
-                Ok(Response::JobStatus {
+        let result = match state {
+            None => return Err(ApiError::job_not_found(format!("unknown job {id:?}"))),
+            Some(JobState::Done(result)) => result,
+            // Read the result back outside the queue mutex (released
+            // above) and without the journal lock — a slow disk stalls
+            // this request, never concurrent submits or polls.
+            Some(JobState::Journaled { range, .. }) => Arc::new(range.json().map_err(|e| {
+                ApiError::io(format!("cannot read the result of job {id:?} from the journal: {e}"))
+            })?),
+            Some(state) => {
+                return Ok(Response::JobStatus {
                     job: id.to_string(),
-                    state: "done",
-                    result: Some(Arc::new(result)),
-                    duration_secs: meta.as_ref().and_then(|m| m.duration_secs),
-                    timings: meta.and_then(|m| m.timings),
+                    state: state.name(),
+                    result: None,
+                    duration_secs: None,
+                    timings: None,
                 })
             }
-            Some(state) => Ok(Response::JobStatus {
-                job: id.to_string(),
-                state: state.name(),
-                result: None,
-                duration_secs: None,
-                timings: None,
-            }),
-        }
+        };
+        Ok(Response::JobStatus {
+            job: id.to_string(),
+            state: "done",
+            result: Some(result),
+            duration_secs: meta.as_ref().and_then(|m| m.duration_secs),
+            timings: meta.and_then(|m| m.timings),
+        })
     }
 
     /// Cancels a **queued** job: journals the cancellation (fsync
@@ -1022,18 +921,23 @@ impl JobQueue {
         Ok(())
     }
 
-    /// Forgets a deleted handle's ledger row, journaling a `reset` so a
-    /// future handle that happens to reuse the id does not inherit its
-    /// spend. The append is best-effort: if it fails, the replayed
-    /// ledger keeps a row for a dataset that no longer exists —
-    /// over-counting, which is the safe direction for a privacy budget.
+    /// Forgets a deleted handle's ledger row, journaling a `reset` so
+    /// replay does not bring the row back. A handle without a row — any
+    /// handle never budgeted or charged — journals nothing. The append is
+    /// best-effort: if it fails, the replayed ledger keeps a row for a
+    /// dataset that no longer exists — over-counting, which is the safe
+    /// direction for a privacy budget. Every ledger mutation holds the
+    /// journal lock taken here, and a deleted handle has no live job to
+    /// settle onto it, so no row can appear between the check and the
+    /// forget.
     pub fn reset_eps(&self, handle: &str) {
         let Ok(mut journal) = self.journal.lock() else { return };
-        if let Some(writer) = journal.as_mut() {
+        let (lock, _) = &*self.inner;
+        let has_row = lock.lock().is_ok_and(|q| q.ledger.row(handle).is_some());
+        if let (true, Some(writer)) = (has_row, journal.as_mut()) {
             // lint: allow(lock-across-io): the journal mutex is the dedicated disk-write lock (order: journal -> queue); the read path never takes it
             let _ = writer.append(Event::Reset { dataset: handle.to_string() }, &self.metrics);
         }
-        let (lock, _) = &*self.inner;
         if let Ok(mut q) = lock.lock() {
             q.ledger.forget(handle);
         }
@@ -1104,26 +1008,31 @@ impl JobQueue {
 /// before it. Handle-backed specs of unfinished jobs are re-resolved
 /// against `store` (and re-pinned); finished jobs never touch the
 /// store, so an input deleted after its job completed cannot brick
-/// replay.
+/// replay. `text` is the content of `file`; a large result keeps its
+/// range there.
 fn replay(
     text: &str,
     inner: &mut QueueInner,
     store: &DatasetStore,
-    spill: Option<&Spill>,
+    file: &Arc<File>,
 ) -> Result<(), String> {
     // Submit order and unresolved specs of jobs not yet seen to finish.
     let mut unfinished: Vec<String> = Vec::new();
     let mut specs: HashMap<String, AnonymizeParams> = HashMap::new();
-    // The shared tail of `finish` and `done`. The result handles of
-    // records aged out here are reclaimed by the startup reconciliation
-    // that follows replay, after the re-queued jobs pin their inputs.
-    let record = |inner: &mut QueueInner, job: &str, result: Arc<Json>| {
-        let (_, files) = inner.record_done(job, done_state(spill, job, result));
-        for file in files {
-            let _ = std::fs::remove_file(file);
-        }
+    // The shared tail of `finish` and `done`, for the line at `start`.
+    // The result handles of records aged out here are reclaimed by the
+    // startup reconciliation that follows replay, after the re-queued
+    // jobs pin their inputs.
+    let record = |inner: &mut QueueInner, job: &str, result: Arc<Json>, line: &str, start| {
+        let range = journal::result_range(file, line, start, &result);
+        inner.record_done(job, result, range);
     };
-    for (idx, line) in text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()) {
+    // Each line with the byte offset it starts at.
+    let lines = text.split_inclusive('\n').scan(0, |next, line| {
+        let start = std::mem::replace(next, *next + line.len());
+        Some((start, line.trim_end_matches(['\n', '\r'])))
+    });
+    for (idx, (start, line)) in lines.enumerate().filter(|(_, (_, l))| !l.trim().is_empty()) {
         let fail = |msg: String| format!("line {}: {msg}", idx + 1);
         let event = Event::from_json(line).map_err(fail)?;
         match event {
@@ -1154,14 +1063,14 @@ fn replay(
                     inner.ledger.settle(handle, params.epsilon);
                 }
                 unfinished.retain(|u| u != &job);
-                record(inner, &job, result);
+                record(inner, &job, result, line, start);
             }
             Event::Done { job, result } => {
                 inner.next_id = inner.next_id.max(job_number(&job).map_err(fail)?);
                 if specs.contains_key(&job) || inner.states.contains_key(&job) {
                     return Err(fail(format!("duplicate record for {job:?}")));
                 }
-                record(inner, &job, result);
+                record(inner, &job, result, line, start);
             }
             Event::Cancel { job } => {
                 // A cancelled job's record was removed entirely; its
@@ -1195,6 +1104,7 @@ fn replay(
 mod tests {
     use super::*;
     use crate::store::StoredData;
+    use std::os::unix::fs::FileExt;
     use trajdp_core::Model;
     use trajdp_model::csv::to_csv;
     use trajdp_synth::{generate, GeneratorConfig};
@@ -1857,6 +1767,10 @@ mod tests {
         let path = dir.join("jobs.jsonl");
         let q = JobQueue::with_journal(DatasetStore::new(), &path).unwrap();
         let first = q.submit(spec()).unwrap();
+        let big = big_result("read-back");
+        let done = q.submit(spec()).unwrap();
+        q.finish(&done, big.clone());
+        range_of(&q, &done);
 
         // Simulate an in-flight durable write by holding the journal
         // lock, exactly what a large submit does during its fsync.
@@ -1876,15 +1790,17 @@ mod tests {
             let first = first.clone();
             std::thread::spawn(move || {
                 let status = render_v1(q.status_response(&first));
+                let read_back = render_v1(q.status_response(&done));
                 let listed = q.list();
-                tx.send((status, listed)).unwrap();
+                tx.send((status, read_back, listed)).unwrap();
             })
         };
-        let (status, listed) = rx
+        let (status, read_back, listed) = rx
             .recv_timeout(std::time::Duration::from_secs(5))
             .expect("status/list stalled behind an in-flight journal append");
         assert_eq!(status.get("state").and_then(Json::as_str), Some("queued"));
-        assert_eq!(listed.len(), 1);
+        assert_eq!(read_back.get("csv"), big.get("csv"), "journal-backed status must answer");
+        assert_eq!(listed.len(), 2);
         reader.join().unwrap();
         drop(stalled_write);
         submitter.join().unwrap().unwrap();
@@ -2058,141 +1974,216 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A result body comfortably above the tiny spill thresholds the
-    /// tests below configure, and identifiable by its tag.
+    /// A result body of at least [`SPILL_RESULT_BYTES`], identifiable by
+    /// its tag.
     fn big_result(tag: &str) -> Json {
         Json::obj([
             ("ok", Json::Bool(true)),
-            ("csv", Json::from(format!("{tag},{}\n", "x".repeat(256)))),
+            ("csv", Json::from(format!("{tag},{}\n", "x".repeat(SPILL_RESULT_BYTES)))),
         ])
+    }
+
+    /// The range of a journal-backed record; panics on any other state.
+    fn range_of(q: &JobQueue, id: &str) -> ResultRange {
+        match q.state(id) {
+            Some(JobState::Journaled { range, .. }) => range,
+            other => panic!("{id} must be journal-backed, got {other:?}"),
+        }
+    }
+
+    /// Asserts that `status` of `id` answers in v1 and v2 with the bytes
+    /// a memory-only queue gives for `result`.
+    fn assert_status_matches_memory(q: &JobQueue, id: &str, result: &Json) {
+        let memory = JobQueue::new();
+        memory.finish(id, result.clone());
+        assert!(matches!(memory.state(id), Some(JobState::Done(_))));
+        for version in [crate::api::ProtocolVersion::V1, crate::api::ProtocolVersion::V2] {
+            let envelope = crate::api::Envelope { version, id: None, tenant: None };
+            let render =
+                |q: &JobQueue| crate::api::render(&envelope, q.status_response(id)).to_string();
+            assert!(render(q) == render(&memory), "{version:?} status of {id} differs");
+        }
+    }
+
+    /// A state dir of its own for one test.
+    fn state_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Points the record of `id` at `file` instead of the journal.
+    fn swap_range_file(q: &JobQueue, id: &str, file: File) {
+        let mut inner = q.inner.0.lock().unwrap();
+        match inner.states.get_mut(id) {
+            Some(JobState::Journaled { range, .. }) => range.file = Arc::new(file),
+            other => panic!("{id} must be journal-backed, got {other:?}"),
+        }
     }
 
     #[test]
     fn large_results_spill_to_disk_and_status_reads_back() {
-        let dir = std::env::temp_dir().join("trajdp-spill-basic-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let q =
-            JobQueue::with_journal_opts(DatasetStore::new(), &dir.join("jobs.jsonl"), 64).unwrap();
+        let dir = state_dir("trajdp-spill-basic-test");
+        let path = dir.join("jobs.jsonl");
+        let q = JobQueue::with_journal(DatasetStore::new(), &path).unwrap();
+        let big = big_result("big");
+        let small = Json::obj([("ok", Json::Bool(true))]);
+        let (a, b) = (q.submit(spec()).unwrap(), q.submit(spec()).unwrap());
+        q.finish(&a, big.clone());
+        q.finish(&b, small.clone());
 
-        // Below the threshold: stays inline.
-        q.finish("job-1", Json::obj([("ok", Json::Bool(true))]));
-        assert!(matches!(q.state("job-1"), Some(JobState::Done(_))));
+        // The large result keeps only its range, in the journal's own
+        // `finish` line; the small one stays in memory.
+        let range = range_of(&q, &a);
+        let journal = std::fs::read(&path).unwrap();
+        let bytes = &journal[range.offset as usize..(range.offset + range.len) as usize];
+        assert_eq!(bytes, big.to_string().as_bytes());
+        assert!(matches!(q.state(&b), Some(JobState::Done(_))));
+        assert_eq!(q.outstanding(), 0, "journal-backed jobs are finished jobs");
+        assert_eq!(q.list(), vec![(a.clone(), "done"), (b.clone(), "done")]);
+        assert_eq!(render_v1(q.status_response(&a)).get("csv"), big.get("csv"));
+        assert!(!dir.join("results").exists());
+        drop(q);
 
-        // Above it: only the path lives in memory, the payload on disk.
-        let result = big_result("spilled");
-        q.finish("job-2", result.clone());
-        let spilled_path = match q.state("job-2") {
-            Some(JobState::Spilled { path, dataset }) => {
-                assert_eq!(dataset, None, "no dataset member in this result");
-                path
-            }
-            other => panic!("large result must spill, got {other:?}"),
-        };
-        assert_eq!(spilled_path, dir.join("results").join("job-2.json"));
-        assert_eq!(std::fs::read_to_string(&spilled_path).unwrap(), result.to_string());
+        // Replay of the `finish` line records its range too.
+        let q = JobQueue::with_journal(DatasetStore::new(), &path).unwrap();
+        range_of(&q, &a);
+        assert_status_matches_memory(&q, &a, &big);
+        assert_status_matches_memory(&q, &b, &small);
 
-        // Status answers byte-identically to an inline result, and the
-        // wire cannot tell the states apart.
-        assert_eq!(q.outstanding(), 0, "spilled jobs are finished jobs");
-        assert_eq!(q.list(), vec![("job-1".to_string(), "done"), ("job-2".to_string(), "done")]);
-        let status = render_v1(q.status_response("job-2"));
-        assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
-        assert_eq!(status.get("csv"), result.get("csv"));
-
-        // A vanished spill file degrades to an io error on that job
-        // only — it must not panic or wedge the queue.
-        std::fs::remove_file(&spilled_path).unwrap();
-        let err = q.status_response("job-2").unwrap_err();
-        assert_eq!(err.code, crate::api::ErrorCode::Io);
+        // A corrupt range answers `io` for that job only.
+        let range = range_of(&q, &a);
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .write_at(b"#", range.offset)
+            .unwrap();
+        let err = q.status_response(&a).unwrap_err();
+        assert_eq!(err.code, crate::api::ErrorCode::Io, "{err}");
+        assert_status_matches_memory(&q, &b, &small);
+        // So does an unreadable one.
+        swap_range_file(&q, &a, std::fs::OpenOptions::new().write(true).open(&path).unwrap());
+        let err = q.status_response(&a).unwrap_err();
+        assert_eq!(err.code, crate::api::ErrorCode::Io, "{err}");
+        assert_eq!(q.list().len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn spilled_results_survive_compaction_and_replay() {
-        let dir = std::env::temp_dir().join("trajdp-spill-replay-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = state_dir("trajdp-spill-replay-test");
         let path = dir.join("jobs.jsonl");
-        let result = big_result("durable");
-        {
-            let q = JobQueue::with_journal_opts(DatasetStore::new(), &path, 64).unwrap();
-            let id = q.submit(spec()).unwrap();
-            assert_eq!(id, "job-1");
-            q.finish(&id, result.clone());
+        let big = big_result("durable");
+        // The record's range must be in the live journal, and answer as
+        // an in-memory record would.
+        let check = |q: &JobQueue| {
+            let range = range_of(q, "job-1");
+            let live = Arc::clone(&q.journal.lock().unwrap().as_ref().unwrap().file);
+            assert!(Arc::ptr_eq(&range.file, &live), "the record must move to the new journal");
+            assert_status_matches_memory(q, "job-1", &big);
+        };
+        let q = JobQueue::with_journal(DatasetStore::new(), &path).unwrap();
+        // Driven directly, like `finish_threshold_triggers_runtime_compaction`:
+        // the compaction below turns every finish into a `done` record.
+        q.finish("job-1", big.clone());
+        check(&q);
+        for i in 2..=COMPACT_FINISHED_EVENTS {
+            q.finish(&format!("job-{i}"), Json::obj([("ok", Json::Bool(true))]));
         }
-        // Restart: replay restores the job from the journal's finish
-        // event, re-spills it, and startup compaction must stream the
-        // spilled file back into the rewritten journal verbatim.
-        let q2 = JobQueue::with_journal_opts(DatasetStore::new(), &path, 64).unwrap();
         let journal = std::fs::read_to_string(&path).unwrap();
-        assert!(journal.contains("\"event\":\"done\""), "{journal}");
-        assert!(journal.contains("durable,"), "compacted journal must inline the payload");
-        assert!(matches!(q2.state("job-1"), Some(JobState::Spilled { .. })));
-        let status = render_v1(q2.status_response("job-1"));
-        assert_eq!(status.get("csv"), result.get("csv"));
-        drop(q2);
-        // And the compacted journal replays again, byte-faithfully.
-        let q3 = JobQueue::with_journal_opts(DatasetStore::new(), &path, 64).unwrap();
-        let status = render_v1(q3.status_response("job-1"));
-        assert_eq!(status.get("csv"), result.get("csv"));
+        assert!(!journal.contains("\"event\":\"finish\""), "runtime compaction must have run");
+        check(&q);
+        drop(q);
+        // Twice: replay and startup compaction, then again on what that
+        // compaction wrote.
+        for _ in 0..2 {
+            let q = JobQueue::with_journal(DatasetStore::new(), &path).unwrap();
+            check(&q);
+        }
+        assert!(!dir.join("results").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn evicted_spilled_jobs_unlink_their_files_and_reclaim_their_handles() {
-        let dir = std::env::temp_dir().join("trajdp-spill-evict-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+    fn evicted_spilled_jobs_reclaim_their_handles_without_reading_the_journal() {
+        let dir = state_dir("trajdp-spill-evict-test");
+        let path = dir.join("jobs.jsonl");
         let store = crate::store::DatasetStore::with_config(crate::store::StoreConfig {
             capacity: 2 * MAX_FINISHED_RETAINED,
             ..crate::store::StoreConfig::default()
         })
         .unwrap();
-        let q = JobQueue::with_journal_opts(store.clone(), &dir.join("jobs.jsonl"), 1).unwrap();
-        let mut handles = Vec::new();
-        for i in 1..=MAX_FINISHED_RETAINED + 1 {
-            let (h, _) = store.insert_data(format!("result {i}\n"), None, true).unwrap();
-            q.finish(
-                &format!("job-{i}"),
-                Json::obj([("ok", Json::Bool(true)), ("dataset", Json::from(h.clone()))]),
-            );
-            handles.push(h);
+        let q = JobQueue::with_journal(store.clone(), &path).unwrap();
+        let (handle, _) = store.insert_data("result\n".to_string(), None, true).unwrap();
+        let Json::Obj(mut result) = big_result("evicted") else { unreachable!() };
+        result.insert("dataset".to_string(), Json::from(handle.clone()));
+        q.finish("job-1", Json::Obj(result));
+        assert!(
+            matches!(q.state("job-1"), Some(JobState::Journaled { dataset: Some(h), .. }) if h == handle)
+        );
+        // The record can no longer read its result; its eviction must not need to.
+        swap_range_file(&q, "job-1", std::fs::OpenOptions::new().write(true).open(&path).unwrap());
+        assert_eq!(q.status_response("job-1").unwrap_err().code, crate::api::ErrorCode::Io);
+        for i in 2..=MAX_FINISHED_RETAINED + 1 {
+            q.finish(&format!("job-{i}"), Json::obj([("ok", Json::Bool(true))]));
         }
         assert_eq!(q.state("job-1"), None, "oldest job record evicted");
         assert!(
-            !dir.join("results").join("job-1.json").exists(),
-            "evicted job's spill file must be unlinked with it"
+            store.resolve(&handle).unwrap_err().message.contains("unknown"),
+            "evicted job's result handle must be reclaimed with it"
         );
-        assert!(
-            store.resolve(&handles[0]).unwrap_err().message.contains("unknown"),
-            "evicted spilled job's result handle must be reclaimed without reading the file"
-        );
-        assert!(dir.join("results").join("job-2.json").exists(), "retained files stay");
-        assert!(store.resolve(&handles[1]).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn orphaned_spill_files_are_swept_at_startup() {
-        let dir = std::env::temp_dir().join("trajdp-spill-orphan-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+    fn a_result_whose_finish_append_failed_stays_in_memory() {
+        let dir = state_dir("trajdp-spill-failed-append-test");
         let path = dir.join("jobs.jsonl");
-        {
-            let q = JobQueue::with_journal_opts(DatasetStore::new(), &path, 64).unwrap();
-            let id = q.submit(spec()).unwrap();
-            assert_eq!(id, "job-1");
-            q.finish(&id, big_result("kept"));
+        let q = JobQueue::with_journal(DatasetStore::new(), &path).unwrap();
+        // A read-only handle: every append fails.
+        q.journal.lock().unwrap().as_mut().unwrap().file = Arc::new(File::open(&path).unwrap());
+        let big = big_result("unjournaled");
+        q.finish("job-1", big.clone());
+        assert!(matches!(q.state("job-1"), Some(JobState::Done(_))));
+        assert_status_matches_memory(&q, "job-1", &big);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn deleting_an_uncharged_handle_journals_nothing() {
+        let dir = state_dir("trajdp-reset-test");
+        let path = dir.join("jobs.jsonl");
+        let store = DatasetStore::open(Some(dir.join("datasets"))).unwrap();
+        let metrics = Arc::new(Metrics::new());
+        let q = JobQueue::with_journal(store.clone(), &path)
+            .unwrap()
+            .with_metrics(Arc::clone(&metrics));
+        let (_, plain) = handle_spec(&store);
+        let (_, budgeted) = handle_spec(&store);
+        let (_, charged) = handle_spec(&store);
+        q.set_eps_budget(&budgeted, 2.0).unwrap();
+        q.charge_sync(&charged, 0.25).unwrap();
+        let (journal, appends) =
+            (std::fs::read(&path).unwrap(), metrics.snapshot().journal_appends);
+        q.reset_eps(&plain);
+        assert_eq!(metrics.snapshot().journal_appends, appends);
+        assert_eq!(std::fs::read(&path).unwrap(), journal);
+        q.reset_eps(&budgeted);
+        q.reset_eps(&charged);
+        assert_eq!(metrics.snapshot().journal_appends, appends + 2);
+        let text = std::fs::read_to_string(&path).unwrap();
+        for handle in [&budgeted, &charged] {
+            assert!(text.contains(&format!("{{\"dataset\":\"{handle}\",\"event\":\"reset\"}}")));
         }
-        // A stray file: a crash between an eviction's table update and
-        // its unlink, or a re-run whose first attempt never journaled.
-        std::fs::write(dir.join("results").join("job-9.json"), "{\"ok\":true}").unwrap();
-        let q = JobQueue::with_journal_opts(DatasetStore::new(), &path, 64).unwrap();
-        assert!(!dir.join("results").join("job-9.json").exists(), "orphan must be swept");
-        assert!(dir.join("results").join("job-1.json").exists(), "live spill file survives");
-        let status = render_v1(q.status_response("job-1"));
-        assert_eq!(status.get("csv"), big_result("kept").get("csv"));
+        drop(q);
+        let q =
+            JobQueue::with_journal(DatasetStore::open(Some(dir.join("datasets"))).unwrap(), &path)
+                .unwrap();
+        let ledger = q.inner.0.lock().unwrap().ledger.clone();
+        assert!(ledger.is_empty(), "every row must be forgotten after replay");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -7,7 +7,9 @@ use crate::json::Json;
 use crate::ledger::{EpsLedger, LedgerRow};
 use crate::obs::Metrics;
 use crate::protocol::{spec_from_json, spec_to_json, AnonymizeParams};
-use std::io::{Seek, Write};
+use std::fs::{File, OpenOptions};
+use std::io::{Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -176,18 +178,78 @@ pub(crate) struct Snapshot {
     pub(crate) ledger: EpsLedger,
 }
 
-/// Where one retained result's bytes live at compaction time. A spilled
-/// result is recorded by path only and streamed from its file, so a
-/// snapshot of 256 spilled results never holds them in memory at once.
+/// Where one retained result's bytes live at compaction time. A
+/// journal-backed result is streamed from its range one at a time, so a
+/// snapshot of 256 of them never holds them in memory at once.
 pub(crate) enum DoneRecord {
     Mem(Arc<Json>),
-    Spilled(PathBuf),
+    Journaled(ResultRange),
+}
+
+/// The bytes of one result inside a journal file: the `result` member
+/// of its `finish` or `done` line. The handle is shared, so a range
+/// stays readable after a compaction renames a new journal over its
+/// file, until the records move to the new one.
+#[derive(Debug, Clone)]
+pub struct ResultRange {
+    pub(crate) file: Arc<File>,
+    pub(crate) offset: u64,
+    pub(crate) len: u64,
+}
+
+impl ResultRange {
+    /// The range's bytes, by a positioned read: it neither moves nor
+    /// waits for the writer's cursor, so it needs no lock.
+    pub(crate) fn read(&self) -> std::io::Result<Vec<u8>> {
+        let mut buf = vec![0; self.len as usize];
+        self.file.read_exact_at(&mut buf, self.offset)?;
+        Ok(buf)
+    }
+
+    /// The result the range holds.
+    pub(crate) fn json(&self) -> Result<Json, String> {
+        let text = String::from_utf8(self.read().map_err(|e| e.to_string())?)
+            .map_err(|e| e.to_string())?;
+        crate::json::parse(&text).map_err(|e| e.to_string())
+    }
+}
+
+impl PartialEq for ResultRange {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.file, &other.file) && (self.offset, self.len) == (other.offset, other.len)
+    }
+}
+
+/// A `finish` or `done` line, built with a `null` result, cut before
+/// that result. `result` sorts last among the members, so the full line
+/// is this head, the result's JSON, and `}`.
+fn result_head(event: Event) -> String {
+    let mut line = event.into_json().to_string();
+    line.truncate(line.len() - "null}".len());
+    line
+}
+
+/// Where `result` sits in `file`, given its `finish` or `done` line and
+/// the byte the line starts at: `None` unless the line ends in the
+/// result's own serialization and `}`, as every line [`JournalWriter`]
+/// writes does.
+pub(crate) fn result_range(
+    file: &Arc<File>,
+    line: &str,
+    start: usize,
+    result: &Json,
+) -> Option<ResultRange> {
+    let text = result.to_string();
+    let head = line.strip_suffix('}')?.strip_suffix(text.as_str())?;
+    let (offset, len) = ((start + head.len()) as u64, text.len() as u64);
+    Some(ResultRange { file: Arc::clone(file), offset, len })
 }
 
 /// The append/rewrite half of the journal, behind its own lock so disk
 /// writes never hold the queue mutex.
 pub(crate) struct JournalWriter {
-    file: std::fs::File,
+    /// Opened read-write: result ranges read through the same handle.
+    pub(crate) file: Arc<File>,
     path: PathBuf,
     /// Finish events appended since the last compaction, failed ones too.
     pub(crate) finished_appends: usize,
@@ -195,8 +257,8 @@ pub(crate) struct JournalWriter {
 
 impl JournalWriter {
     pub(crate) fn open(path: &Path) -> std::io::Result<JournalWriter> {
-        let file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(JournalWriter { file, path: path.to_path_buf(), finished_appends: 0 })
+        let file = OpenOptions::new().create(true).read(true).append(true).open(path)?;
+        Ok(JournalWriter { file: Arc::new(file), path: path.to_path_buf(), finished_appends: 0 })
     }
 
     /// Appends one event line and syncs it to disk — the "appended
@@ -211,19 +273,39 @@ impl JournalWriter {
     /// one corrupt mid-file line, which replay (rightly) refuses —
     /// bricking every future restart on this state dir.
     pub(crate) fn append(&mut self, event: Event, metrics: &Metrics) -> std::io::Result<u64> {
-        if matches!(event, Event::Finish { .. }) {
-            self.finished_appends += 1;
-        }
         let line = format!("{}\n", event.into_json());
+        self.append_parts(&[line.as_bytes()], metrics)
+    }
+
+    /// Appends the `finish` event of `job` with its already serialized
+    /// `result`, as [`Self::append`] does, and returns where the result
+    /// landed in the file.
+    pub(crate) fn append_finish(
+        &mut self,
+        job: &str,
+        result: &str,
+        metrics: &Metrics,
+    ) -> std::io::Result<ResultRange> {
+        self.finished_appends += 1;
+        let head =
+            result_head(Event::Finish { job: job.to_string(), result: Arc::new(Json::Null) });
+        let before = self.append_parts(&[head.as_bytes(), result.as_bytes(), b"}\n"], metrics)?;
+        let offset = before + head.len() as u64;
+        Ok(ResultRange { file: Arc::clone(&self.file), offset, len: result.len() as u64 })
+    }
+
+    /// The write, fsync and rollback of one line given in `parts`.
+    fn append_parts(&mut self, parts: &[&[u8]], metrics: &Metrics) -> std::io::Result<u64> {
         let started = Instant::now();
+        let mut file = &*self.file;
         // Seek explicitly: after a compaction the handle is the temp
         // file's plain fd (not `O_APPEND`), and a preceding rollback
         // truncates without moving the cursor — writing at a stale
         // cursor past EOF would punch a NUL-filled gap into the
         // journal, which strict replay (rightly) refuses forever.
-        let before = self.file.seek(std::io::SeekFrom::End(0))?;
-        let write = self.file.write_all(line.as_bytes()).and_then(|()| self.file.sync_data());
-        if let Err(e) = write {
+        let before = file.seek(SeekFrom::End(0))?;
+        let write = parts.iter().try_for_each(|part| file.write_all(part));
+        if let Err(e) = write.and_then(|()| file.sync_data()) {
             self.rollback_to(before);
             return Err(e);
         }
@@ -238,7 +320,7 @@ impl JournalWriter {
     /// one being rolled back.
     pub(crate) fn rollback_to(&mut self, len: u64) {
         let _ = self.file.set_len(len);
-        let _ = self.file.seek(std::io::SeekFrom::Start(len));
+        let _ = (&*self.file).seek(SeekFrom::Start(len));
     }
 
     /// Atomically replaces the journal with the snapshot (temp file +
@@ -247,43 +329,48 @@ impl JournalWriter {
     /// never a mixture. The temp file's own descriptor becomes the
     /// append handle the moment the rename lands — re-opening by path
     /// could fail (e.g. fd exhaustion) and leave acknowledged appends
-    /// going to the replaced, unlinked inode.
-    pub(crate) fn rewrite(&mut self, snapshot: Snapshot) -> std::io::Result<()> {
+    /// going to the replaced, unlinked inode. Returns the new range of
+    /// every journal-backed result, for the caller to move its record.
+    pub(crate) fn rewrite(
+        &mut self,
+        snapshot: Snapshot,
+    ) -> std::io::Result<Vec<(String, ResultRange)>> {
         let tmp = self.path.with_extension("jsonl.tmp");
         // Stream each event straight into the temp file: the retained
         // results can total hundreds of MB, so neither they nor the
         // assembled journal text may be held in a transient buffer.
-        let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+        let file = OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&tmp);
+        let file = Arc::new(file?);
+        let mut f = std::io::BufWriter::new(&*file);
         let header = Event::Snapshot { next: snapshot.next_id, ledger: snapshot.ledger };
         writeln!(f, "{}", header.into_json())?;
         for (job, spec) in snapshot.submits {
             writeln!(f, "{}", Event::Submit { job, spec }.into_json())?;
         }
+        let mut moved = Vec::new();
         for (job, record) in snapshot.dones {
-            // `result` sorts last, so the line encoded with a `null`
-            // result is the head plus `null}`; the result's bytes (a spill
-            // file holds its one-line JSON) stream in between, uncopied.
-            let line = Event::Done { job, result: Arc::new(Json::Null) }.into_json().to_string();
-            f.write_all(line.trim_end_matches("null}").as_bytes())?;
+            let head = Event::Done { job: job.clone(), result: Arc::new(Json::Null) };
+            f.write_all(result_head(head).as_bytes())?;
             match record {
                 DoneRecord::Mem(result) => write!(f, "{result}")?,
-                DoneRecord::Spilled(path) => {
-                    std::io::copy(&mut std::fs::File::open(path)?, &mut f)?;
+                DoneRecord::Journaled(old) => {
+                    let (offset, len) = (f.stream_position()?, old.len);
+                    f.write_all(&old.read()?)?;
+                    moved.push((job, ResultRange { file: Arc::clone(&file), offset, len }));
                 }
             }
             writeln!(f, "}}")?;
         }
-        let f = f.into_inner().map_err(|e| e.into_error())?;
-        f.sync_all()?;
+        f.into_inner().map_err(|e| e.into_error())?.sync_all()?;
         std::fs::rename(&tmp, &self.path)?;
-        // From here on `f` IS the live journal: later appends must go
-        // to it even if the directory fsync below fails.
-        self.file = f;
+        // From here on `file` IS the live journal: later appends must
+        // go to it even if the directory fsync below fails.
+        self.file = file;
         self.finished_appends = 0;
         if let Some(dir) = self.path.parent() {
-            std::fs::File::open(dir)?.sync_all()?;
+            File::open(dir)?.sync_all()?;
         }
-        Ok(())
+        Ok(moved)
     }
 }
 

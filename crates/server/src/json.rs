@@ -306,9 +306,15 @@ impl<'a> Parser<'a> {
         // PANIC: every byte in `start..pos` matched the ASCII digit/sign
         // classes above, so the range is in bounds and valid UTF-8.
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| ParseError { message: format!("bad number {text:?}"), at: start })
+        // An overflow to infinity is refused: JSON has no infinity, and
+        // the writer would turn it into `null`.
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            Ok(_) => {
+                Err(ParseError { message: format!("number {text:?} out of range"), at: start })
+            }
+            Err(_) => Err(ParseError { message: format!("bad number {text:?}"), at: start }),
+        }
     }
 
     fn hex4(&mut self) -> Result<u16, ParseError> {
@@ -353,6 +359,11 @@ impl<'a> Parser<'a> {
                                     self.pos += 1;
                                     self.expect(b'u')?;
                                     let lo = self.hex4()?;
+                                    // A second half outside the low range would
+                                    // underflow the subtraction below.
+                                    if !(0xDC00..0xE000).contains(&lo) {
+                                        return Err(self.err("bad surrogate pair"));
+                                    }
                                     let code = 0x10000
                                         + ((hi as u32 - 0xD800) << 10)
                                         + (lo as u32 - 0xDC00);
@@ -499,6 +510,78 @@ mod tests {
     }
 
     #[test]
+    fn array_and_object_parse_is_linear_in_members() {
+        let members = |n: usize, member: fn(usize) -> String| {
+            (0..n).map(member).collect::<Vec<_>>().join(",")
+        };
+        let array =
+            |n| (n, format!("[{}]", members(n, |i| ["1.5", "\"ab\"", "null"][i % 3].into())));
+        crate::assert_linear(16 * 1024, array, |(n, line)| {
+            assert!(matches!(parse(line).unwrap(), Json::Arr(a) if a.len() == *n))
+        });
+        let object = |n| (n, format!("{{{}}}", members(n, |i| format!("\"k{i}\":[{i}]"))));
+        crate::assert_linear(16 * 1024, object, |(n, line)| {
+            assert!(matches!(parse(line).unwrap(), Json::Obj(m) if m.len() == *n))
+        });
+    }
+
+    /// Mutates valid documents by truncation, byte flips, deep nesting
+    /// and long escape runs: no input may panic, every error must point
+    /// inside its input, and every accepted document must come back
+    /// unchanged through `to_string`.
+    #[test]
+    fn mutated_documents_never_panic_and_accepted_ones_round_trip() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const SEEDS: [&str; 5] = [
+            r#"{"async":true,"cmd":"anonymize","eps_split":0.3,"epsilon":1.5,"m":4,"seed":9}"#,
+            r#"{"a":[1,-2.5e3,1e300,1E-7,0.000001,-0,null,true,false],"b":{"c":{}},"d":[]}"#,
+            r#""\" \\ \/ \b \f \n \r \t \u0041 \u00e9 \ud83d\ude00 caf\u00e9""#,
+            "[\"multi-byte \u{e9} \u{4e2d}\u{6587} \u{1F600}\",{\"k\\u0000\":\"\\u001f\"}]",
+            r#"{"csv":"traj_id,x,y,t\n0,0.5,0.25,0\n","ok":true,"report":{"loss":0.3333333333333333}}"#,
+        ];
+        const BYTES: &[u8] = b"{}[]\":,\\/-+.eE019aAfFnu \t\n\x00\x7f\xc3\xff";
+        const ESCAPES: [&str; 4] = ["\\\\", "\\u0041", "\\ud83d\\ude00", "\\n\\\""];
+        let mut rng = StdRng::seed_from_u64(0x15_0a);
+        for _ in 0..20_000 {
+            let seed = SEEDS[rng.gen_range(0..SEEDS.len())];
+            let mut bytes = seed.as_bytes().to_vec();
+            match rng.gen_range(0..4u32) {
+                0 => bytes.truncate(rng.gen_range(0..bytes.len())),
+                1 => {
+                    for _ in 0..rng.gen_range(1..4usize) {
+                        let i = rng.gen_range(0..bytes.len());
+                        bytes[i] = BYTES[rng.gen_range(0..BYTES.len())];
+                    }
+                }
+                2 => {
+                    let (open, close) =
+                        if rng.gen_bool(0.5) { ("[", "]") } else { ("{\"a\":", "}") };
+                    let depth = rng.gen_range(1..2 * MAX_DEPTH);
+                    let closed = depth - rng.gen_range(0..2usize).min(depth);
+                    bytes = format!("{}{seed}{}", open.repeat(depth), close.repeat(closed))
+                        .into_bytes();
+                }
+                _ => {
+                    let run =
+                        ESCAPES[rng.gen_range(0..ESCAPES.len())].repeat(rng.gen_range(1..4096));
+                    let at = rng.gen_range(0..=bytes.len());
+                    bytes = if rng.gen_bool(0.5) {
+                        format!("[\"{run}\",{seed}]").into_bytes()
+                    } else {
+                        [&bytes[..at], run.as_bytes(), &bytes[at..]].concat()
+                    };
+                }
+            }
+            let input = String::from_utf8_lossy(&bytes);
+            match parse(&input) {
+                Ok(v) => assert_eq!(parse(&v.to_string()), Ok(v), "{input:?}"),
+                Err(e) => assert!(e.at <= input.len(), "{e} lies outside {input:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn nesting_depth_is_bounded() {
         // On a thread with the default stack, as the server's executor
         // threads are: an unbounded recursion would abort the process
@@ -528,6 +611,14 @@ mod tests {
     }
 
     #[test]
+    fn a_high_surrogate_needs_a_low_one() {
+        for text in [r#""\ud83d\u0041""#, r#""\ud83d\uffff""#, r#""\ud83d\ud83d""#] {
+            let e = parse(text).unwrap_err();
+            assert!(e.message.contains("surrogate"), "{text}: {e}");
+        }
+    }
+
+    #[test]
     fn unicode_escapes_parse() {
         assert_eq!(parse(r#""A""#).unwrap(), Json::Str("A".into()));
         // Surrogate pair for 😀.
@@ -549,6 +640,14 @@ mod tests {
         assert!(parse("{\"a\":1} extra").is_err());
         let e = parse("nope").unwrap_err();
         assert!(e.to_string().contains("byte 0"));
+    }
+
+    #[test]
+    fn numbers_past_the_f64_range_are_refused() {
+        let e = parse("[1,-1e999]").unwrap_err();
+        assert_eq!((e.at, e.message.contains("out of range")), (3, true), "{e}");
+        assert_eq!(parse("1e308").unwrap(), Json::Num(1e308));
+        assert_eq!(parse("1e-999").unwrap(), Json::Num(0.0), "underflow is not an error");
     }
 
     #[test]

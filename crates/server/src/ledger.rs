@@ -245,8 +245,7 @@ impl EpsLedger {
         self.rows.entry(handle.to_string()).or_default().budget = Some(budget);
     }
 
-    /// Drops a handle's row (the dataset was deleted; a later handle
-    /// reusing the id after a restart must not inherit its spend).
+    /// Drops a handle's row (the dataset was deleted).
     pub fn forget(&mut self, handle: &str) {
         self.rows.remove(handle);
     }

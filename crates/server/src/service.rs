@@ -251,9 +251,10 @@ fn dispatch(
         }
         Request::Delete { dataset } => {
             let response = protocol::run_delete(store, &dataset)?;
-            // The handle is gone; drop its ledger row so a recycled id
-            // starts fresh. Ordered after the delete so a refused
-            // delete (pinned handle) keeps its spend.
+            // The handle is gone, and its id is never reissued; drop its
+            // ledger row so the ledger holds live handles only. Ordered
+            // after the delete so a refused delete (pinned handle) keeps
+            // its spend.
             jobs.reset_eps(&dataset);
             Ok(response)
         }

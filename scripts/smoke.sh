@@ -8,9 +8,10 @@
 # compacted journal still resolves the finished job and its stored
 # result; delete that result, restart once more, and check that its id
 # is not reissued to fresh uploads. A hostile 20 KB line of nested brackets must get an error
-# answer and leave the server up. A final two-tenant phase spends a dataset's ε budget to the
+# answer and leave the server up. A two-tenant phase spends a dataset's ε budget to the
 # brim, kills the server, and proves the replayed ledger still refuses
-# further spend. Exercises the code paths `cargo test` cannot: the
+# further spend. A last phase reads a result over 1 MiB back from the
+# journal before and after a kill. Exercises the code paths `cargo test` cannot: the
 # actual process boundary, CLI flag plumbing, and journal
 # replay/compaction across a process death.
 #
@@ -23,6 +24,8 @@ ADDR2=${ADDR2:-127.0.0.1:7944} # restart on a fresh port: no TIME_WAIT races
 ADDR3=${ADDR3:-127.0.0.1:7945} # tenancy phase
 ADDR4=${ADDR4:-127.0.0.1:7946} # tenancy phase, after the kill
 ADDR5=${ADDR5:-127.0.0.1:7947} # second restart of the first state dir
+ADDR6=${ADDR6:-127.0.0.1:7948} # large-result phase
+ADDR7=${ADDR7:-127.0.0.1:7949} # large-result phase, after the kill
 TMP=$(mktemp -d)
 SERVER_PID=""
 
@@ -334,4 +337,51 @@ STILL=$(echo "{\"cmd\":\"anonymize\",\"dataset\":\"$ADS\",\"model\":\"gl\",\"m\"
 printf '%s' "$STILL" | grep -q '"code":"budget-exhausted"' \
     || { echo "FAIL: ε spend must survive the restart: $STILL" >&2; exit 1; }
 
-echo "smoke test passed: chunked transfer byte-identical, lifecycle at the cap OK, compacted journal replays, a deleted result id is not reissued after a second restart, v2 envelope + error codes + metrics scrape + parallel burst + exit classes OK, nested-line hostile input survived, tenant budget survives kill+restart"
+# ---- large results: read back from the journal across a kill -------
+# An inline (store:false) result over 1 MiB is kept out of the job
+# table and read back from its journal line. Its `status` must match
+# the offline CLI release byte for byte, before and after a kill +
+# restart, and nothing may be written beside the journal.
+kill "$SERVER_PID"
+wait "$SERVER_PID" 2>/dev/null || true
+SERVER_PID=""
+"$BIN" gen --size 200 --len 200 --seed 5 --out "$TMP/big.csv"
+"$BIN" anonymize --model gl --m 4 --seed 9 --input "$TMP/big.csv" --out "$TMP/big-inline.csv"
+[ "$(wc -c < "$TMP/big-inline.csv")" -gt 1048576 ] \
+    || { echo "FAIL: the large-result release must exceed 1 MiB" >&2; exit 1; }
+"$BIN" serve --addr "$ADDR6" --workers 2 --state-dir "$TMP/bstate" &
+SERVER_PID=$!
+wait_healthy "$ADDR6"
+printf '%s\n' '{"cmd":"anonymize","model":"gl","m":4,"seed":9,"async":true,"store":false}' \
+    > "$TMP/big-req.json"
+RESP=$("$BIN" submit --addr "$ADDR6" --file "$TMP/big-req.json" --data "$TMP/big.csv")
+BIGJOB=$(printf '%s' "$RESP" | grep -o '"job":"[^"]*"' | head -1 | cut -d'"' -f4)
+[ -n "$BIGJOB" ] || { echo "FAIL: no job id in: $RESP" >&2; exit 1; }
+
+# Polls $BIGJOB at $1 until done and checks its csv member against the
+# offline release; the member's only escapes are the CSV's newlines.
+check_big_status() {
+    for i in $(seq 1 600); do
+        echo "{\"cmd\":\"status\",\"job\":\"$BIGJOB\"}" | "$BIN" submit --addr "$1" \
+            > "$TMP/big-status.json"
+        grep -q '"state":"done"' "$TMP/big-status.json" && break
+        [ "$i" = 600 ] && { echo "FAIL: large job never finished" >&2; exit 1; }
+        sleep 0.1
+    done
+    grep -o '"csv":"[^"]*"' "$TMP/big-status.json" \
+        | sed -e 's/^"csv":"//' -e 's/"$//' -e 's/\\n/\n/g' | head -c -1 > "$TMP/big-remote.csv"
+    cmp "$TMP/big-inline.csv" "$TMP/big-remote.csv" \
+        || { echo "FAIL: large result at $1 differs from the CLI release" >&2; exit 1; }
+}
+check_big_status "$ADDR6"
+kill "$SERVER_PID"
+wait "$SERVER_PID" 2>/dev/null || true
+SERVER_PID=""
+"$BIN" serve --addr "$ADDR7" --workers 2 --state-dir "$TMP/bstate" &
+SERVER_PID=$!
+wait_healthy "$ADDR7"
+check_big_status "$ADDR7"
+[ ! -e "$TMP/bstate/results" ] \
+    || { echo "FAIL: the server wrote a results/ directory beside the journal" >&2; exit 1; }
+
+echo "smoke test passed: chunked transfer byte-identical, lifecycle at the cap OK, compacted journal replays, a deleted result id is not reissued after a second restart, v2 envelope + error codes + metrics scrape + parallel burst + exit classes OK, nested-line hostile input survived, tenant budget survives kill+restart, large result read back from the journal across a kill"

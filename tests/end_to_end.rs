@@ -148,3 +148,21 @@ fn exchangeable_composition_orders_both_work() {
     assert!(a.global.is_some() && a.local.is_some());
     assert!(b.global.is_some() && b.local.is_some());
 }
+
+#[test]
+fn inputs_without_area_anonymize_under_every_model() {
+    // Every sample on one x; then a single sample. Both used to abort
+    // grid construction with a zero-width domain.
+    let one_x = "traj_id,x,y,t\n0,5,1,0\n0,5,2,1\n1,5,3,0\n1,5,1,1\n";
+    let one_sample = "traj_id,x,y,t\n0,5,1,0\n";
+    for csv in [one_x, one_sample] {
+        let ds = traj_freq_dp::model::csv::from_csv(csv).unwrap();
+        for model in
+            [Model::Combined, Model::CombinedLocalFirst, Model::PureLocal, Model::PureGlobal]
+        {
+            let cfg = FreqDpConfig { m: 2, seed: 3, ..Default::default() };
+            let out = anonymize(&ds, model, &cfg).unwrap();
+            assert!(!out.dataset.is_empty(), "{model:?} on {csv:?}");
+        }
+    }
+}
