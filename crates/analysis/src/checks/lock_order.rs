@@ -25,7 +25,8 @@
 //! taken from (through `let (lock, cvar) = &*self.inner;`-style
 //! aliases), qualified by file stem, with the server's well-known
 //! fields mapped to their canonical names (`jobs.rs`'s `inner` *is* the
-//! queue).
+//! queue, and the `journal` field of both `jobs.rs` and `store.rs` is
+//! the one shared journal).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::Path;
@@ -46,7 +47,7 @@ const HIERARCHY: [&str; 3] = ["journal", "queue", "store"];
 fn canonical(stem: &str, raw: &str) -> String {
     match (stem, raw) {
         ("jobs", "inner") | ("jobs", "JobQueue") => "queue".to_string(),
-        ("jobs", "journal") => "journal".to_string(),
+        ("jobs", "journal") | ("store", "journal") => "journal".to_string(),
         ("store", "inner") | ("store", "DatasetStore") => "store".to_string(),
         _ => format!("{stem}.{raw}"),
     }

@@ -263,7 +263,10 @@ pub fn cfg_test_mask(toks: &[Tok]) -> Vec<bool> {
                 cj += 1;
             }
         }
+        // A field of a struct literal (`#[cfg(test)] gate: None,`) ends
+        // at its top-level `,`, or where the literal closes.
         let mut brace = 0i32;
+        let mut nest = 0i32;
         let mut entered = false;
         while cj < code.len() {
             let t = &toks[code[cj]];
@@ -271,12 +274,19 @@ pub fn cfg_test_mask(toks: &[Tok]) -> Vec<bool> {
                 brace += 1;
                 entered = true;
             } else if t.is_punct('}') {
+                if !entered {
+                    break;
+                }
                 brace -= 1;
-                if entered && brace == 0 {
+                if brace == 0 {
                     cj += 1;
                     break;
                 }
-            } else if t.is_punct(';') && !entered {
+            } else if t.is_punct('(') || t.is_punct('[') {
+                nest += 1;
+            } else if t.is_punct(')') || t.is_punct(']') {
+                nest -= 1;
+            } else if (t.is_punct(';') || (t.is_punct(',') && nest == 0)) && !entered {
                 cj += 1;
                 break;
             }
@@ -396,5 +406,20 @@ mod tests {
         assert!(mask[idx_of("tests")]);
         assert!(mask[idx_of("t")]);
         assert!(!mask[idx_of("after")]);
+    }
+
+    #[test]
+    fn cfg_test_mask_ends_a_struct_literal_field_at_its_comma() {
+        let src =
+            "fn new() -> S {\n  S {\n    #[cfg(test)]\n    gate: None,\n    live: 1,\n  }\n}\n\
+                   fn after(a: u8, b: u8) {}\n#[cfg(test)]\nfn t(a: u8, b: u8) {}\nfn last() {}";
+        let toks = lexer::lex(src);
+        let mask = cfg_test_mask(&toks);
+        let idx_of = |name: &str| toks.iter().position(|t| t.is_ident(name)).unwrap();
+        assert!(mask[idx_of("gate")]);
+        assert!(!mask[idx_of("live")]);
+        assert!(!mask[idx_of("after")]);
+        assert!(mask[idx_of("t")]);
+        assert!(!mask[idx_of("last")]);
     }
 }

@@ -107,6 +107,8 @@ fn lock_order_flags_inversion_cycle_call_edge_and_self_edge() {
         "{out:?}"
     );
     assert!(msgs.iter().any(|m| m.contains("self-deadlock")), "{out:?}");
+    // store.rs's journal field is the shared journal, not a lock of its own.
+    assert!(msgs.iter().any(|m| m.contains("`journal` acquired while `store` is held")), "{out:?}");
 }
 
 #[test]

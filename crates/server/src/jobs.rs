@@ -10,8 +10,8 @@
 //!
 //! With a journal path (the server's `--state-dir`), every lifecycle
 //! transition is appended as one JSON line *before* it is acknowledged.
-//! `journal::Event` (in `journal.rs`) is the one definition of those
-//! lines; members serialize in sorted key order:
+//! `journal::Event` is the one definition of those lines; members
+//! serialize in sorted key order:
 //!
 //! ```text
 //! {"event":"submit","job":"job-3","spec":{...}}          job accepted
@@ -20,95 +20,79 @@
 //! {"dataset":"ds-1","eps_budget":3.5,"event":"budget"}   explicit upload budget
 //! {"dataset":"ds-1","eps":0.5,"event":"spend"}           synchronous run charge
 //! {"dataset":"ds-1","event":"reset"}                     dataset deleted
+//! {"dataset":"ds-1","event":"commit"}                    dataset committed
+//! {"event":"ids","upto":1024}                            dataset id mark
 //! ```
 //!
-//! A submit whose dataset came from a store handle journals the handle
-//! id (`"dataset"` inside the spec), not the resolved CSV — the bytes
-//! are already durable in the dataset store and the handle is **pinned**
-//! for the job's lifetime, so neither `delete` nor LRU/TTL eviction can
-//! remove what a replay would need. Inline submits still record their
-//! text verbatim. A handle deleted after the request resolved it but
-//! before the submit pins it refuses the submit with
-//! `dataset-not-found`, as if the delete had landed first.
+//! The journal is the state directory's only metadata record; the
+//! dataset store appends the last two (see `store.rs`).
 //!
-//! A `store:true` result lives as long as its job record: once the
-//! record ages out, the store reclaims the handle
-//! ([`DatasetStore::reclaim`]) at once or, if queued jobs pin it, when
-//! the last of them finishes or is cancelled.
+//! A submit by handle journals the handle id, not the resolved CSV: the
+//! bytes are already durable in the store, and the handle is **pinned**
+//! for the job's lifetime, so neither `delete` nor LRU/TTL eviction can
+//! remove what a replay needs. A handle deleted after the request
+//! resolved it but before the submit pins it refuses the submit with
+//! `dataset-not-found`, as if the delete had landed first. A
+//! `store:true` result lives as long as its job record: once the record
+//! ages out, the store reclaims the handle ([`DatasetStore::reclaim`]),
+//! at once or when the last job pinning it ends.
 //!
 //! On restart the journal is replayed: finished jobs answer `status`
-//! with their recorded result, and jobs that were `queued` or `running`
-//! at the crash are re-enqueued (re-resolving journaled handles against
-//! the reloaded store). Because the executor is deterministic per seed,
-//! a replayed run produces byte-identical output to the original.
-//! Once the re-enqueued jobs have pinned their inputs, every job result
-//! no retained record names is reclaimed the same way, and the store
-//! skips every `ds-<n>` the replayed state names (retained results,
-//! live inputs, ε-ledger rows), so a deleted result's id is never
-//! reissued.
-//! Replay is strict — a malformed line fails startup loudly rather than
-//! silently dropping jobs — except for a torn final line, which is
-//! exactly what a crash mid-append leaves behind and means that event
-//! was never acknowledged.
+//! with their recorded result, and jobs `queued` or `running` at the
+//! crash re-run, to the same bytes (the executor is deterministic per
+//! seed). The store loads exactly the handles the journal names: the
+//! committed ones (snapshot members and `commit`s, less `reset`s), the
+//! results of retained job records, and the inputs of re-queued jobs —
+//! an input no other group names is a result whose record aged out, and
+//! goes with its last pin. Every other blob is deleted, and the ledger
+//! rows of handles that did not load are forgotten: ids are never
+//! reissued, so no charge can reach them again. Replay is strict — a
+//! malformed line fails startup loudly — except for a torn final line,
+//! which a crash mid-append leaves behind for an event never
+//! acknowledged.
 //!
 //! ## Privacy-budget ledger
 //!
 //! The queue owns the per-dataset ε accumulator ([`EpsLedger`]) under
-//! its existing mutex; the budget, spend and reset events make it
-//! durable.
-//!
-//! The ledger's `spent` holds **settled** charges only (finished jobs
-//! and synchronous runs); the charge of an accepted-but-unfinished job
-//! is derived from its live spec at check time. That split is what
-//! makes replay exact: a journaled `submit` without a matching `finish`
-//! re-enqueues and thereby re-charges in flight, a `finish` settles the
-//! same `f64` the original run settled (same additions, same order —
-//! bit-identical), and compaction folds settled spend into the
-//! snapshot line's `"ledger"` member, which round-trips through JSON
-//! exactly (Rust floats print shortest-round-trip). A crash between
-//! the fsynced event and the acknowledgement replays the charge —
-//! over-counting at worst, never under-counting.
-//!
-//! Every budget mutation fsyncs *before* the in-memory ledger changes
-//! and before the client hears an acknowledgement, under the same
-//! journal lock that serializes submits — so concurrent
-//! check-then-charge sequences cannot interleave and overspend.
+//! its mutex; the budget, spend and reset events make it durable. Its
+//! `spent` holds **settled** charges only (finished jobs and synchronous
+//! runs); an unfinished job's charge derives from its live spec. That
+//! split makes replay exact: an unfinished `submit` re-enqueues and so
+//! re-charges in flight, a `finish` settles the same `f64` in the same
+//! order, and the snapshot's `"ledger"` round-trips through JSON bit for
+//! bit. A crash between the fsynced event and the acknowledgement
+//! replays the charge — over-counting at worst, never under-counting.
+//! Every budget mutation fsyncs before the ledger changes, under the
+//! journal lock that serializes submits, so concurrent check-then-charge
+//! sequences cannot overspend.
 //!
 //! ## Compaction
 //!
-//! An append-only journal's replay cost scales with lifetime job count,
-//! not live state. The journal is therefore rewritten — temp file +
-//! fsync + rename, so a crash mid-compaction leaves the old journal
-//! intact — whenever [`COMPACT_FINISHED_EVENTS`] finish events have
-//! accumulated since the last rewrite, and once at every startup. A
-//! compacted journal holds one `snapshot` line (preserving the id
-//! counter), one `submit` line per unfinished job, and one `done` line
-//! per retained finished job; everything a finished job's original
-//! submit carried (potentially megabytes of CSV) is dropped.
+//! So that replay cost scales with live state, not lifetime job count,
+//! the journal is rewritten (temp file + fsync + rename) whenever
+//! [`COMPACT_FINISHED_EVENTS`] finish events have accumulated, and at
+//! every startup. A compacted journal holds one `snapshot` line (job id
+//! counter, ledger, the live committed handles no job names, the
+//! dataset id mark), one `submit` per unfinished job and one `done` per
+//! retained finished job. Only `finish` appends count toward the
+//! trigger: `commit`, `ids`, `reset` and the ε events are one short line
+//! each and wait for the next finish-driven or startup compaction.
 //!
 //! ## Large results
 //!
-//! A journaled queue keeps the finished-job table from pinning huge
-//! response payloads in RAM. The journal already holds every finished
-//! result, as the last member of its `finish` or `done` line, so a
-//! result whose serialized form reaches [`SPILL_RESULT_BYTES`] keeps
-//! only its byte range in the journal file (plus the result's dataset
-//! handle, so retention eviction can still reclaim it without a disk
-//! read). `status` reads the range back with a positioned read,
-//! outside both locks, and answers with the identical bytes.
-//! Compaction streams each range into the rewritten journal and moves
-//! the records to their new ranges; replay records ranges in the file
-//! it replays. A result whose `finish` append failed stays in memory.
+//! A result whose serialized form reaches [`SPILL_RESULT_BYTES`] keeps
+//! only its byte range in the journal — the last member of its `finish`
+//! or `done` line — plus its dataset handle, for retention eviction.
+//! `status` reads the range back with a positioned read, outside both
+//! locks. Compaction streams each range into the new journal and moves
+//! the records; replay records ranges in the file it replays. A result
+//! whose `finish` append failed stays in memory.
 //!
 //! ## Locking
 //!
-//! Journal appends fsync. Doing that under the queue mutex — as the
-//! first durable version did — meant one large inline submit stalled
-//! every concurrent `status`/`list` poll for the duration of the disk
-//! write. Appends are now serialized on a dedicated journal lock;
-//! the queue mutex is taken only for the in-memory transitions, so
-//! reads proceed while a write is in flight. Submit acknowledgements
-//! still happen strictly after the event is durable.
+//! Appends fsync on a dedicated journal lock, so `status`/`list` reads
+//! under the queue mutex never wait for a disk write; acknowledgements
+//! still follow the durable event.
 
 use crate::api::{render_v1, ApiError, Response};
 use crate::journal::{self, job_number, DoneRecord, Event, JournalWriter, ResultRange, Snapshot};
@@ -116,8 +100,8 @@ use crate::json::Json;
 use crate::ledger::EpsLedger;
 use crate::obs::{log_enabled, log_event, LogLevel, Metrics, PhaseTimings};
 use crate::protocol::{run_anonymize, AnonymizeParams, AnonymizeSpec, DataRef};
-use crate::store::DatasetStore;
-use std::collections::{HashMap, HashSet, VecDeque};
+use crate::store::{handle_number, DatasetStore};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fs::File;
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
@@ -261,12 +245,8 @@ impl QueueInner {
     /// [`SPILL_RESULT_BYTES`], in memory otherwise. Returns the result
     /// dataset handles of the evicted jobs: a `store:true` result lives
     /// *at most* as long as its job record (LRU pressure or a TTL may
-    /// evict the handle sooner — it is an unpinned cache entry like any
-    /// other), so the caller must have the store reclaim those handles —
-    /// otherwise they would sit unreachable (their job id answers
-    /// "unknown") until the startup reconciliation removed them anyway.
-    /// That cleanup is the caller's job because it touches the store,
-    /// never done under the queue mutex this runs inside.
+    /// evict it sooner), so the caller — outside this queue mutex — has
+    /// the store reclaim them, or they would sit unreachable.
     fn record_done(
         &mut self,
         id: &str,
@@ -304,15 +284,21 @@ impl QueueInner {
         }
     }
 
-    /// A consistent copy of the state a compacted journal must record.
-    /// Cheap to build under the queue mutex: specs alias their CSV via
-    /// `Arc` and results are `Arc`-shared, so nothing is deep-copied
-    /// here — serialization happens later, under the journal lock only.
-    fn snapshot(&self) -> Snapshot {
+    /// A consistent copy of the state a compacted journal must record,
+    /// with the store's `datasets` and id mark `ids`. Cheap to build
+    /// under the queue mutex: specs alias their CSV via `Arc` and
+    /// results are `Arc`-shared, so nothing is deep-copied here —
+    /// serialization happens later, under the journal lock only.
+    fn snapshot(&self, datasets: Vec<String>, ids: u64) -> Snapshot {
         let mut unfinished: Vec<&String> = self.live_specs.keys().collect();
         unfinished.sort_by_key(|id| job_number(id).unwrap_or(u64::MAX));
         Snapshot {
-            next_id: self.next_id,
+            header: Event::Snapshot {
+                next: self.next_id,
+                ledger: self.ledger.clone(),
+                datasets,
+                ids,
+            },
             submits: unfinished
                 .into_iter()
                 // PANIC: `unfinished` was collected from `live_specs.keys()`
@@ -333,7 +319,6 @@ impl QueueInner {
                     _ => None,
                 })
                 .collect(),
-            ledger: self.ledger.clone(),
         }
     }
 }
@@ -342,9 +327,8 @@ impl QueueInner {
 #[derive(Clone, Default)]
 pub struct JobQueue {
     inner: Arc<(Mutex<QueueInner>, Condvar)>,
-    /// Serializes journal disk writes, independent of the queue mutex.
-    /// Lock order is always journal → queue, never the reverse.
-    journal: Arc<Mutex<Option<JournalWriter>>>,
+    /// Holds the journal, whose lock serializes disk writes apart from
+    /// the queue mutex: journal → queue and journal → store only.
     store: DatasetStore,
     /// Observability registry. The queue publishes counters and
     /// histogram samples (all-atomic) from inside its own critical
@@ -368,13 +352,7 @@ impl JobQueue {
     /// An empty, memory-only queue sharing `store` (so `"store": true`
     /// job results land where `download` can find them).
     pub fn with_store(store: DatasetStore) -> Self {
-        Self {
-            inner: Arc::default(),
-            journal: Arc::default(),
-            store,
-            metrics: Arc::default(),
-            default_eps_budget: None,
-        }
+        Self { inner: Arc::default(), store, metrics: Arc::default(), default_eps_budget: None }
     }
 
     /// The same queue publishing into `metrics` instead of its private
@@ -384,18 +362,10 @@ impl JobQueue {
     /// first scrape.
     pub fn with_metrics(mut self, metrics: Arc<Metrics>) -> Self {
         self.metrics = metrics;
-        let gauges = {
-            let (lock, _) = &*self.inner;
-            let Ok(q) = lock.lock() else { return self };
-            let mut handles: HashSet<String> =
-                q.ledger.iter().map(|(h, _)| h.to_string()).collect();
-            handles.extend(q.live_specs.values().filter_map(|s| s.source().map(str::to_string)));
-            handles.into_iter().map(|h| (q.eps_spent(&h), h)).collect::<Vec<_>>()
-        };
-        // Publish outside the queue mutex: the gauge family is behind
-        // its own metrics lock, and mixing the two would couple the
-        // read path to queue contention.
-        for (spent, handle) in gauges {
+        // `eps_overview` lets go of the queue mutex before the gauges
+        // are set behind their own lock: the read path never couples
+        // to queue contention.
+        for (handle, (spent, _)) in self.eps_overview() {
             self.metrics.set_eps_spent(&handle, spent);
         }
         self
@@ -414,52 +384,47 @@ impl JobQueue {
     }
 
     /// A queue journaled at `path`: replays the existing journal (if
-    /// any), re-enqueueing unfinished jobs (pinning their dataset
-    /// handles) and restoring finished results (large ones as ranges in
-    /// the journal), reconciles orphaned job-result datasets against
-    /// the replayed state, compacts the journal, then appends all
-    /// further events to the same file.
+    /// any) into itself and `store` (see `replay`), attaches the journal to
+    /// `store`, compacts it, then appends all further events to it.
     pub fn with_journal(store: DatasetStore, path: &Path) -> Result<Self, String> {
         let text = journal::read(path)?;
-        let mut writer = JournalWriter::open(path)
+        let writer = JournalWriter::open(path)
             .map_err(|e| format!("cannot open journal {}: {e}", path.display()))?;
         let mut inner = QueueInner::default();
         replay(&text, &mut inner, &store, &writer.file)
             .map_err(|e| format!("journal {}: {e}", path.display()))?;
-
-        // A job result lives as long as its record: reclaim each one no
-        // retained record names (a finish event lost to a crash, whose
-        // re-run mints a fresh handle, or a record that aged out). The
-        // replay pinned live inputs, so those go when their jobs end.
-        let retained: HashSet<String> =
-            inner.states.values().filter_map(JobState::result_handle).map(str::to_string).collect();
-        store.reconcile_job_results(&retained);
-        // Never reissue an id the replayed state names, even one whose
-        // file is gone: new data under it would pass for that result.
-        store.skip_ids(
-            (retained.iter().map(String::as_str))
-                .chain(inner.live_specs.values().filter_map(AnonymizeSpec::source))
-                .chain(inner.ledger.iter().map(|(handle, _)| handle)),
-        );
-
-        if !text.is_empty() {
-            // Startup compaction: restart cost must scale with live
-            // state, not lifetime job count. Best-effort, like the
-            // runtime path: a failed rewrite (ENOSPC — likely on the
-            // very disk an oversized journal correlates with) leaves
-            // the complete append-only journal in place, which must
-            // not brick a server that just replayed it successfully.
-            if let Ok(moved) = writer.rewrite(inner.snapshot()) {
-                inner.move_results(moved);
-            }
-        }
-        Ok(Self {
+        *store.journal.lock().map_err(|e| e.to_string())? = Some(writer);
+        let queue = Self {
             inner: Arc::new((Mutex::new(inner), Condvar::new())),
-            journal: Arc::new(Mutex::new(Some(writer))),
             store,
             metrics: Arc::default(),
             default_eps_budget: None,
-        })
+        };
+        if !text.is_empty() {
+            // Startup compaction, best-effort like the runtime path: a
+            // failed rewrite (ENOSPC, say) leaves the complete journal
+            // in place, which must not brick a server that replayed it.
+            if let Some(writer) = queue.store.journal.lock().map_err(|e| e.to_string())?.as_mut() {
+                let _ = queue.rewrite(writer);
+            }
+        }
+        Ok(queue)
+    }
+
+    /// Rewrites the journal as the queue's and the store's snapshot and
+    /// moves the journal-backed records to the new file, under the
+    /// journal lock the caller holds.
+    fn rewrite(&self, writer: &mut JournalWriter) -> std::io::Result<()> {
+        let poisoned = || std::io::Error::other("job queue state poisoned by a panic");
+        let (datasets, ids) =
+            self.store.persisted().map_err(|e| std::io::Error::other(e.message))?;
+        let snapshot = {
+            let q = self.inner.0.lock().map_err(|_| poisoned())?;
+            q.snapshot(datasets, ids)
+        };
+        let moved = writer.rewrite(snapshot)?;
+        self.inner.0.lock().map_err(|_| poisoned())?.move_results(moved);
+        Ok(())
     }
 
     /// Enqueues a job, returning its id. Fails once shutdown has begun
@@ -506,7 +471,7 @@ impl JobQueue {
             }
             e
         };
-        let mut journal = self.journal.lock().map_err(|_| refuse(poisoned()))?;
+        let mut journal = self.store.journal.lock().map_err(|_| refuse(poisoned()))?;
         let id = self.admit(&spec, tenant.as_deref(), max_jobs).map_err(refuse)?;
         let mut appended_at = None;
         if let Some(writer) = journal.as_mut() {
@@ -654,7 +619,7 @@ impl JobQueue {
     /// Test shorthand for [`Self::finish_with_timings`] without timings
     /// (production code always finishes via the worker, which has them).
     #[cfg(test)]
-    fn finish(&self, id: &str, result: Json) {
+    pub(crate) fn finish(&self, id: &str, result: Json) {
         self.finish_with_timings(id, result, None);
     }
 
@@ -662,17 +627,17 @@ impl JobQueue {
     /// in the in-memory job metadata (never the journal) so `status`
     /// on the done job can report them.
     fn finish_with_timings(&self, id: &str, result: Json, timings: Option<PhaseTimings>) {
-        let mut journal = self.journal.lock().expect("journal poisoned");
+        let mut journal = self.store.journal.lock().expect("journal poisoned");
         // A failed finish append is not fatal: the result stays in the
         // in-memory table, which still answers `status`, and a restart
         // re-runs the job from its journaled submit to the same bytes.
-        // The result handle a `store:true` re-run strands is cleaned up
-        // by the startup orphan reconciliation.
+        // The result handle of the first run is named by no event, so
+        // the restart deletes it.
         let range = journal.as_mut().and_then(|writer| {
             // lint: allow(lock-across-io): the journal mutex is the dedicated disk-write lock (order: journal -> queue); the read path never takes it
             writer.append_finish(id, &result.to_string(), &self.metrics).ok()
         });
-        let (source, dropped, snapshot, eps_gauge) = {
+        let (source, dropped, eps_gauge) = {
             let (lock, _) = &*self.inner;
             let mut q = lock.lock().expect("queue poisoned");
             let removed = q.live_specs.remove(id);
@@ -698,11 +663,7 @@ impl JobQueue {
             }
             self.metrics.jobs_completed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             self.metrics.set_queue_depth(q.live_specs.len() as u64);
-            let snapshot = match journal.as_ref() {
-                Some(w) if w.finished_appends >= COMPACT_FINISHED_EVENTS => Some(q.snapshot()),
-                _ => None,
-            };
-            (source, dropped, snapshot, eps_gauge)
+            (source, dropped, eps_gauge)
         };
         if let Some((spent, handle)) = eps_gauge {
             self.metrics.set_eps_spent(&handle, spent);
@@ -716,14 +677,15 @@ impl JobQueue {
         for handle in dropped {
             self.store.reclaim(&handle);
         }
-        if let (Some(writer), Some(snapshot)) = (journal.as_mut(), snapshot) {
+        if let Some(writer) =
+            journal.as_mut().filter(|w| w.finished_appends >= COMPACT_FINISHED_EVENTS)
+        {
             // Compaction failure is not fatal either: the append-only
             // journal is still complete, just longer than it needs to
             // be; the next threshold crossing (or startup) retries.
             // lint: allow(lock-across-io): compaction must see a frozen journal; the mutex is the dedicated disk-write lock and the read path never takes it
-            if let Ok(moved) = writer.rewrite(snapshot) {
+            if self.rewrite(writer).is_ok() {
                 self.metrics.journal_compactions.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.inner.0.lock().expect("queue poisoned").move_results(moved);
             }
         }
     }
@@ -845,7 +807,7 @@ impl JobQueue {
     /// race, and the journaled cancel is rolled back.
     pub fn cancel(&self, id: &str) -> Result<Response, ApiError> {
         let poisoned = || ApiError::internal("job queue state poisoned by a panic");
-        let mut journal = self.journal.lock().map_err(|_| poisoned())?;
+        let mut journal = self.store.journal.lock().map_err(|_| poisoned())?;
         let (lock, _) = &*self.inner;
         {
             let q = lock.lock().map_err(|_| poisoned())?;
@@ -907,7 +869,7 @@ impl JobQueue {
     /// loosen to the server default on restart.
     pub fn set_eps_budget(&self, handle: &str, budget: f64) -> Result<(), ApiError> {
         let poisoned = || ApiError::internal("job queue state poisoned by a panic");
-        let mut journal = self.journal.lock().map_err(|_| poisoned())?;
+        let mut journal = self.store.journal.lock().map_err(|_| poisoned())?;
         if let Some(writer) = journal.as_mut() {
             let event = Event::Budget { dataset: handle.to_string(), eps_budget: budget };
             // lint: allow(lock-across-io): the journal mutex is the dedicated disk-write lock (order: journal -> queue); the read path never takes it
@@ -921,27 +883,34 @@ impl JobQueue {
         Ok(())
     }
 
-    /// Forgets a deleted handle's ledger row, journaling a `reset` so
-    /// replay does not bring the row back. A handle without a row — any
-    /// handle never budgeted or charged — journals nothing. The append is
-    /// best-effort: if it fails, the replayed ledger keeps a row for a
-    /// dataset that no longer exists — over-counting, which is the safe
-    /// direction for a privacy budget. Every ledger mutation holds the
-    /// journal lock taken here, and a deleted handle has no live job to
-    /// settle onto it, so no row can appear between the check and the
-    /// forget.
-    pub fn reset_eps(&self, handle: &str) {
-        let Ok(mut journal) = self.journal.lock() else { return };
+    /// Deletes a handle (the `delete` verb; refusals as in
+    /// [`DatasetStore::delete`]). A handle with a ledger row journals a
+    /// `reset` before its blob is unlinked, and the unlink is made
+    /// durable before the journal lock is released, so neither a restart
+    /// nor a compaction that drops the `reset` brings back a handle whose
+    /// row was forgotten; one without a row journals nothing. The append
+    /// is best-effort: the blob goes anyway, and a restart forgets the
+    /// row of a handle it does not load. Every ledger mutation holds this
+    /// journal lock, so no row appears between the check and the forget.
+    pub fn delete(&self, handle: &str) -> Result<usize, ApiError> {
+        let poisoned = || ApiError::internal("job journal poisoned by a panic");
+        let mut journal = self.store.journal.lock().map_err(|_| poisoned())?;
         let (lock, _) = &*self.inner;
-        let has_row = lock.lock().is_ok_and(|q| q.ledger.row(handle).is_some());
-        if let (true, Some(writer)) = (has_row, journal.as_mut()) {
-            // lint: allow(lock-across-io): the journal mutex is the dedicated disk-write lock (order: journal -> queue); the read path never takes it
-            let _ = writer.append(Event::Reset { dataset: handle.to_string() }, &self.metrics);
-        }
-        if let Ok(mut q) = lock.lock() {
-            q.ledger.forget(handle);
-        }
+        let bytes = self.store.delete_logged(handle, || {
+            if !lock.lock().is_ok_and(|q| q.ledger.row(handle).is_some()) {
+                return false;
+            }
+            let logged = journal.as_mut().is_some_and(|writer| {
+                // lint: allow(lock-across-io): the journal mutex is the dedicated disk-write lock (order: journal -> queue); the read path never takes it
+                writer.append(Event::Reset { dataset: handle.to_string() }, &self.metrics).is_ok()
+            });
+            if let Ok(mut q) = lock.lock() {
+                q.ledger.forget(handle);
+            }
+            logged
+        })?;
         self.metrics.clear_eps_spent(handle);
+        Ok(bytes)
     }
 
     /// Atomically checks and settles a synchronous run's ε charge
@@ -954,7 +923,7 @@ impl JobQueue {
     /// made durable.
     pub fn charge_sync(&self, handle: &str, eps: f64) -> Result<(), ApiError> {
         let poisoned = || ApiError::internal("job queue state poisoned by a panic");
-        let mut journal = self.journal.lock().map_err(|_| poisoned())?;
+        let mut journal = self.store.journal.lock().map_err(|_| poisoned())?;
         let (lock, _) = &*self.inner;
         {
             let q = lock.lock().map_err(|_| poisoned())?;
@@ -1005,24 +974,26 @@ impl JobQueue {
 
 /// Rebuilds queue state from journal text, one [`Event`] per line,
 /// failing on a line that does not decode or contradicts the events
-/// before it. Handle-backed specs of unfinished jobs are re-resolved
-/// against `store` (and re-pinned); finished jobs never touch the
-/// store, so an input deleted after its job completed cannot brick
-/// replay. `text` is the content of `file`; a large result keeps its
-/// range there.
+/// before it, then has `store` load the handles the journal names (see
+/// the module doc) and re-queues the unfinished jobs against it.
+/// Finished jobs never touch the store, so an input deleted after its
+/// job completed cannot brick replay. `text` is the content of `file`;
+/// a large result keeps its range there.
 fn replay(
     text: &str,
     inner: &mut QueueInner,
     store: &DatasetStore,
     file: &Arc<File>,
 ) -> Result<(), String> {
+    // The handles to load, by number, each with whether a job made it,
+    // the handles a `reset` deleted, and the dataset id mark.
+    let (mut named, mut gone, mut mark) = (BTreeMap::new(), HashSet::new(), 0);
     // Submit order and unresolved specs of jobs not yet seen to finish.
     let mut unfinished: Vec<String> = Vec::new();
     let mut specs: HashMap<String, AnonymizeParams> = HashMap::new();
     // The shared tail of `finish` and `done`, for the line at `start`.
-    // The result handles of records aged out here are reclaimed by the
-    // startup reconciliation that follows replay, after the re-queued
-    // jobs pin their inputs.
+    // The result handles of records aged out here are named by nothing,
+    // so the store does not load them.
     let record = |inner: &mut QueueInner, job: &str, result: Arc<Json>, line: &str, start| {
         let range = journal::result_range(file, line, start, &result);
         inner.record_done(job, result, range);
@@ -1036,13 +1007,20 @@ fn replay(
         let fail = |msg: String| format!("line {}: {msg}", idx + 1);
         let event = Event::from_json(line).map_err(fail)?;
         match event {
-            Event::Snapshot { next, ledger } => {
+            Event::Snapshot { next, ledger, datasets, ids } => {
                 inner.next_id = inner.next_id.max(next);
                 inner.ledger = ledger;
+                named.extend(datasets.iter().filter_map(|h| handle_number(h)).map(|n| (n, false)));
+                mark = mark.max(ids);
             }
             Event::Budget { dataset, eps_budget } => inner.ledger.set_budget(&dataset, eps_budget),
             Event::Spend { dataset, eps } => inner.ledger.settle(&dataset, eps),
-            Event::Reset { dataset } => inner.ledger.forget(&dataset),
+            Event::Reset { dataset } => {
+                inner.ledger.forget(&dataset);
+                gone.extend(handle_number(&dataset));
+            }
+            Event::Commit { dataset } => named.extend(handle_number(&dataset).map(|n| (n, false))),
+            Event::Ids { upto } => mark = mark.max(upto),
             Event::Submit { job, spec } => {
                 // A finish or cancel needs this submit first, so only
                 // submits and compacted `done` lines advance the counter.
@@ -1083,6 +1061,25 @@ fn replay(
             }
         }
     }
+    let results = inner.states.values().filter_map(JobState::result_handle);
+    for n in results.filter_map(handle_number) {
+        named.entry(n).or_insert(true);
+    }
+    // An input that no commit or retained record names is a result
+    // whose record aged out: it goes with its last pin.
+    let inputs = specs.values().filter_map(|params| match &params.data {
+        DataRef::Handle(handle) => handle_number(handle),
+        DataRef::Inline(_) => None,
+    });
+    let orphans: Vec<u64> = inputs.filter(|n| !named.contains_key(n)).collect();
+    named.extend(orphans.iter().map(|&n| (n, true)));
+    // A deleted handle stays deleted, even one a retained job record
+    // names as its result and whose unlink a power loss undid.
+    named.retain(|n, _| !gone.contains(n));
+    let loaded = store.load(&named, mark)?;
+    // Ids are never reissued, so the row of a handle that did not load
+    // can never be charged again.
+    inner.ledger.retain(|handle| loaded.contains(handle));
     // Jobs caught mid-flight re-queue in their original submit order,
     // re-resolving and re-pinning journaled dataset handles.
     for id in unfinished {
@@ -1096,6 +1093,9 @@ fn replay(
         inner.states.insert(id.clone(), JobState::Queued);
         inner.live_specs.insert(id.clone(), spec);
         inner.pending.push_back(id);
+    }
+    for n in orphans {
+        store.reclaim(&format!("ds-{n}"));
     }
     Ok(())
 }
@@ -1353,7 +1353,7 @@ mod tests {
             store2.resolve(&ds_r).unwrap_err().message.contains("unknown"),
             "the result must go with the last pin, across the restart"
         );
-        assert!(!dir.join("datasets").join(format!("{ds_r}.job.csv")).exists());
+        assert!(!dir.join("datasets").join(format!("{ds_r}.csv")).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1708,7 +1708,7 @@ mod tests {
         {
             // Append-then-rollback directly on the writer, the exact
             // sequence a shutdown-raced submit performs.
-            let mut journal = q2.journal.lock().unwrap();
+            let mut journal = q2.store.journal.lock().unwrap();
             let writer = journal.as_mut().unwrap();
             // Replay rejects a cancel for a job it never saw queued,
             // so the line must be gone from disk, not just skipped.
@@ -1774,7 +1774,7 @@ mod tests {
 
         // Simulate an in-flight durable write by holding the journal
         // lock, exactly what a large submit does during its fsync.
-        let stalled_write = q.journal.lock().unwrap();
+        let stalled_write = q.store.journal.lock().unwrap();
         let submitter = {
             let q = q.clone();
             std::thread::spawn(move || q.submit(spec()))
@@ -1825,7 +1825,7 @@ mod tests {
 
         // Hold both locks in journal → queue order, exactly what a
         // submit does around its fsync.
-        let journal_guard = q.journal.lock().unwrap();
+        let journal_guard = q.store.journal.lock().unwrap();
         let (lock, _) = &*q.inner;
         let queue_guard = lock.lock().unwrap();
 
@@ -1931,47 +1931,239 @@ mod tests {
         assert!(v1.get("timings").is_none(), "v1 done-status shape is frozen");
     }
 
+    /// The `dataset` member of a finished job's result.
+    fn result_dataset(result: &Json) -> String {
+        result.get("dataset").and_then(Json::as_str).expect("a stored result").to_string()
+    }
+
+    /// The blob of `handle` in the state dir `dir`.
+    fn blob_of(dir: &Path, handle: &str) -> std::path::PathBuf {
+        dir.join("datasets").join(format!("{handle}.csv"))
+    }
+
+    /// A store persisted in `dir/datasets` and a queue journaled at
+    /// `dir/jobs.jsonl`: the server's restart path.
+    fn reopen(dir: &Path) -> (DatasetStore, JobQueue) {
+        let store = DatasetStore::open(Some(dir.join("datasets"))).unwrap();
+        let q = JobQueue::with_journal(store.clone(), &dir.join("jobs.jsonl")).unwrap();
+        (store, q)
+    }
+
     #[test]
     fn orphaned_job_results_are_reconciled_at_startup() {
-        let dir = std::env::temp_dir().join("trajdp-journal-orphan-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("jobs.jsonl");
-        let store = DatasetStore::open(Some(dir.join("datasets"))).unwrap();
-        let q = JobQueue::with_journal(store.clone(), &path).unwrap();
-
-        // A store:true job runs to completion; its result handle is
-        // journaled in the finish event and must survive restarts.
+        // Crash window: a `store:true` result is inserted, but its job's
+        // `finish` never lands. The restart deletes the result, and the
+        // re-run mints a new handle.
+        let dir = state_dir("trajdp-journal-orphan-test");
+        let (store, q) = reopen(&dir);
         let mut stored_spec = spec();
         stored_spec.params.store_result = true;
-        let id = q.submit(stored_spec).unwrap();
-        let worker = {
-            let q = q.clone();
-            std::thread::spawn(move || q.work())
-        };
-        let done = wait_done(&q, &id);
-        let kept = done.get("dataset").and_then(Json::as_str).unwrap().to_string();
-        q.shutdown();
-        worker.join().unwrap();
-        drop(q);
-
-        // Simulate the bug scenario: a result insert whose finish event
-        // never reached the journal (crash between the two).
-        let orphan = store.insert_data("orphan,result\n".to_string(), None, true).unwrap().0;
-        // And a plain client upload, which no journal ever references.
+        let id = q.submit(stored_spec.clone()).unwrap();
+        let crashed = q.submit(stored_spec).unwrap();
+        // The first job runs to completion, as a worker runs it; its
+        // finish line names its result, which must survive restarts.
+        let (taken, first, _) = q.take().unwrap();
+        assert_eq!(taken, id);
+        let done = render_v1(run_anonymize(&first, &store, true));
+        let kept = result_dataset(&done);
+        q.finish(&id, done);
+        // The second job's worker stores its result and dies before the
+        // finish append.
+        let (_, second, _) = q.take().unwrap();
+        let orphan = result_dataset(&render_v1(run_anonymize(&second, &store, true)));
+        assert!(blob_of(&dir, &orphan).exists());
+        // And a plain client upload, which no job names.
         let upload = store.insert("client,upload\n".to_string()).unwrap().0;
-        drop(store);
+        drop((store, q));
 
-        let store2 = DatasetStore::open(Some(dir.join("datasets"))).unwrap();
-        let q2 = JobQueue::with_journal(store2.clone(), &path).unwrap();
+        let (store2, q2) = reopen(&dir);
         assert!(
             store2.resolve(&orphan).unwrap_err().message.contains("unknown"),
             "unreferenced job result must be reconciled away"
         );
+        assert!(!blob_of(&dir, &orphan).exists());
         assert!(store2.resolve(&kept).is_ok(), "journal-referenced result must be kept");
         assert!(store2.resolve(&upload).is_ok(), "client uploads are never reconciled");
         assert!(matches!(q2.state(&id), Some(JobState::Done(_))));
+        assert_eq!(q2.state(&crashed), Some(JobState::Queued));
+        let worker = {
+            let q = q2.clone();
+            std::thread::spawn(move || q.work())
+        };
+        let rerun = result_dataset(&wait_done(&q2, &crashed));
+        q2.shutdown();
+        worker.join().unwrap();
+        assert!(handle_number(&rerun) > handle_number(&orphan), "{rerun} after {orphan}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_blob_without_its_commit_is_swept_at_restart() {
+        // Crash window: an upload's blob is durable, but the process
+        // dies before its `commit` event.
+        let dir = state_dir("trajdp-journal-uncommitted-blob-test");
+        let (store, q) = reopen(&dir);
+        let id = store.begin().unwrap();
+        store.append(&id, "traj_id,x,y,t\n").unwrap();
+        std::fs::write(blob_of(&dir, &id), "traj_id,x,y,t\n").unwrap();
+        drop((store, q));
+
+        let (store, _q) = reopen(&dir);
+        assert!(!blob_of(&dir, &id).exists(), "a blob no event names must be deleted");
+        assert_eq!(store.resolve(&id).unwrap_err().code, crate::api::ErrorCode::DatasetNotFound);
+        let fresh = store.begin().unwrap();
+        assert!(handle_number(&fresh) > handle_number(&id), "{fresh} reissued {id}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_reset_whose_unlink_was_lost_stays_deleted() {
+        // Crash window: the `reset` of a charged handle is durable, but
+        // a power loss undoes the unlink that followed it. Once for an
+        // upload, and once for an async job's result, which its job's
+        // `finish` line (after the compaction, `done` line) still names.
+        let dir = state_dir("trajdp-journal-lost-unlink-test");
+        let (store, q) = reopen(&dir);
+        let (_, upload) = handle_spec(&store);
+        q.set_eps_budget(&upload, 2.0).unwrap();
+        let mut stored_spec = spec();
+        stored_spec.params.store_result = true;
+        let job = q.submit(stored_spec).unwrap();
+        let (_, taken, _) = q.take().unwrap();
+        let done = render_v1(run_anonymize(&taken, &store, true));
+        let result = result_dataset(&done);
+        q.finish(&job, done);
+        for handle in [&upload, &result] {
+            q.charge_sync(handle, 0.5).unwrap();
+            let bytes = std::fs::read(blob_of(&dir, handle)).unwrap();
+            q.delete(handle).unwrap();
+            assert!(!blob_of(&dir, handle).exists());
+            std::fs::write(blob_of(&dir, handle), bytes).unwrap();
+        }
+        drop((store, q));
+
+        // Twice: the first start replays the `reset`s and compacts them
+        // away; the second replays the compacted journal.
+        for _ in 0..2 {
+            let (store, q) = reopen(&dir);
+            assert!(matches!(q.state(&job), Some(JobState::Done(_))));
+            for handle in [&upload, &result] {
+                assert_eq!(
+                    store.resolve(handle).unwrap_err().code,
+                    crate::api::ErrorCode::DatasetNotFound
+                );
+                assert!(q.inner.0.lock().unwrap().ledger.row(handle).is_none());
+                assert_eq!(q.eps_info(handle), (0.0, None));
+                assert!(!blob_of(&dir, handle).exists(), "the blob must be swept");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn commits_on_both_sides_of_a_runtime_compaction_reload() {
+        let dir = state_dir("trajdp-journal-compaction-commit-test");
+        let (store, q) = reopen(&dir);
+        let (before, _) = store.insert("before\n".to_string()).unwrap();
+        // Driven directly, like `finish_threshold_triggers_runtime_compaction`.
+        for i in 1..=COMPACT_FINISHED_EVENTS {
+            q.finish(&format!("job-{i}"), Json::obj([("ok", Json::Bool(true))]));
+        }
+        let journal = std::fs::read_to_string(dir.join("jobs.jsonl")).unwrap();
+        assert!(journal.contains(&format!(r#""datasets":["{before}"]"#)), "{journal}");
+        assert!(!journal.contains(r#""event":"commit""#), "the snapshot folds the commit");
+        let (after, _) = store.insert("after\n".to_string()).unwrap();
+        drop((store, q));
+
+        let (store, _q) = reopen(&dir);
+        assert_eq!(store.resolve(&before).unwrap().text().as_str(), "before\n");
+        assert_eq!(store.resolve(&after).unwrap().text().as_str(), "after\n");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn state_dirs_of_older_servers_are_refused() {
+        // Each holds what only a server from before the journal kept the
+        // store's record wrote: the id mark file, a job result's
+        // provenance suffix, or a blob with no id mark in the journal.
+        for old in ["ids", "ds-1.job.csv", "ds-1.csv"] {
+            let dir = state_dir("trajdp-journal-old-dir-test");
+            let datasets = dir.join("datasets");
+            std::fs::create_dir_all(&datasets).unwrap();
+            std::fs::write(datasets.join(old), "").unwrap();
+            let store = DatasetStore::open(Some(datasets.clone())).unwrap();
+            let err =
+                JobQueue::with_journal(store, &dir.join("jobs.jsonl")).map(|_| ()).unwrap_err();
+            assert!(err.contains(&datasets.display().to_string()), "{old}: {err}");
+            assert!(datasets.join(old).exists(), "{old}: a refused dir is left as it was");
+        }
+        std::fs::remove_dir_all(std::env::temp_dir().join("trajdp-journal-old-dir-test")).ok();
+    }
+
+    #[test]
+    fn rows_of_handles_gone_by_eviction_are_forgotten_at_restart() {
+        let dir = state_dir("trajdp-journal-evicted-row-test");
+        let open = || {
+            let cfg = crate::store::StoreConfig {
+                dir: Some(dir.join("datasets")),
+                capacity: 2,
+                ..crate::store::StoreConfig::default()
+            };
+            let store = DatasetStore::with_config(cfg).unwrap();
+            let metrics = Arc::new(Metrics::new());
+            let q = JobQueue::with_journal(store.clone(), &dir.join("jobs.jsonl"))
+                .unwrap()
+                .with_metrics(Arc::clone(&metrics));
+            (store, q, metrics)
+        };
+        let (store, q, _) = open();
+        let (_, evicted) = handle_spec(&store);
+        let (_, live) = handle_spec(&store);
+        for handle in [&evicted, &live] {
+            q.set_eps_budget(handle, 2.0).unwrap();
+            q.charge_sync(handle, 0.1).unwrap();
+            q.charge_sync(handle, 0.2).unwrap();
+        }
+        // At the cap, the next insert evicts the colder handle.
+        store.resolve(&live).unwrap();
+        store.insert("third\n".to_string()).unwrap();
+        assert!(store.resolve(&evicted).is_err());
+        let kept = q.eps_info(&live);
+        drop((store, q));
+
+        let (_store, q, metrics) = open();
+        assert!(q.inner.0.lock().unwrap().ledger.row(&evicted).is_none());
+        assert!(!q.eps_overview().contains_key(&evicted), "list must have no row for it");
+        let gauges = metrics.snapshot().eps_spent;
+        assert!(gauges.iter().all(|(handle, _)| handle != &evicted), "{gauges:?}");
+        let (spent, budget) = q.eps_info(&live);
+        assert_eq!((spent.to_bits(), budget), (kept.0.to_bits(), kept.1));
+        assert!(gauges.contains(&(live.clone(), spent)), "{gauges:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn restart_cost_scales_with_live_state_not_deleted_uploads() {
+        // n and 8n budgeted upload → commit → delete cycles beside one
+        // live upload: both compacted journals have the same lines.
+        let lines = |cycles: usize| {
+            let dir = state_dir(&format!("trajdp-journal-cycles-{cycles}-test"));
+            let (store, q) = reopen(&dir);
+            handle_spec(&store);
+            for _ in 0..cycles {
+                let id = store.begin().unwrap();
+                q.set_eps_budget(&id, 1.0).unwrap();
+                store.append(&id, "traj_id,x,y,t\n").unwrap();
+                store.commit(&id).unwrap();
+                q.delete(&id).unwrap();
+            }
+            drop((store, q));
+            let _reopened = reopen(&dir);
+            let text = std::fs::read_to_string(dir.join("jobs.jsonl")).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            text.lines().count()
+        };
+        assert_eq!(lines(16), lines(128));
     }
 
     /// A result body of at least [`SPILL_RESULT_BYTES`], identifiable by
@@ -2080,7 +2272,7 @@ mod tests {
         // an in-memory record would.
         let check = |q: &JobQueue| {
             let range = range_of(q, "job-1");
-            let live = Arc::clone(&q.journal.lock().unwrap().as_ref().unwrap().file);
+            let live = Arc::clone(&q.store.journal.lock().unwrap().as_ref().unwrap().file);
             assert!(Arc::ptr_eq(&range.file, &live), "the record must move to the new journal");
             assert_status_matches_memory(q, "job-1", &big);
         };
@@ -2143,7 +2335,8 @@ mod tests {
         let path = dir.join("jobs.jsonl");
         let q = JobQueue::with_journal(DatasetStore::new(), &path).unwrap();
         // A read-only handle: every append fails.
-        q.journal.lock().unwrap().as_mut().unwrap().file = Arc::new(File::open(&path).unwrap());
+        q.store.journal.lock().unwrap().as_mut().unwrap().file =
+            Arc::new(File::open(&path).unwrap());
         let big = big_result("unjournaled");
         q.finish("job-1", big.clone());
         assert!(matches!(q.state("job-1"), Some(JobState::Done(_))));
@@ -2168,11 +2361,11 @@ mod tests {
         q.charge_sync(&charged, 0.25).unwrap();
         let (journal, appends) =
             (std::fs::read(&path).unwrap(), metrics.snapshot().journal_appends);
-        q.reset_eps(&plain);
+        q.delete(&plain).unwrap();
         assert_eq!(metrics.snapshot().journal_appends, appends);
         assert_eq!(std::fs::read(&path).unwrap(), journal);
-        q.reset_eps(&budgeted);
-        q.reset_eps(&charged);
+        q.delete(&budgeted).unwrap();
+        q.delete(&charged).unwrap();
         assert_eq!(metrics.snapshot().journal_appends, appends + 2);
         let text = std::fs::read_to_string(&path).unwrap();
         for handle in [&budgeted, &charged] {
@@ -2221,11 +2414,10 @@ mod tests {
         q.submit(s.clone()).unwrap();
         assert_eq!(q.eps_info(&handle), (2.0, Some(2.0)));
         assert_eq!(q.submit(s).unwrap_err().code, crate::api::ErrorCode::BudgetExhausted);
-        // reset_eps forgets the ledger row — settled spend and the
-        // explicit budget — but in-flight charges still derive from the
-        // live queued specs, so the four queued jobs keep counting.
-        q.reset_eps(&handle);
-        assert_eq!(q.eps_info(&handle), (2.0, Some(1.0)));
+        // The queued jobs pin the handle: its delete is refused and its
+        // ledger row, budget and spend, stays.
+        assert_eq!(q.delete(&handle).unwrap_err().code, crate::api::ErrorCode::DatasetInUse);
+        assert_eq!(q.eps_info(&handle), (2.0, Some(2.0)));
     }
 
     #[test]

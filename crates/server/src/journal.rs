@@ -18,10 +18,11 @@ use std::time::Instant;
 /// One journal line.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Event {
-    /// Compaction header: the id counter, which outlives the records of
-    /// evicted jobs, and the settled ε ledger (in-flight charges
-    /// re-derive from the re-recorded submits).
-    Snapshot { next: u64, ledger: EpsLedger },
+    /// Compaction header: the job id counter, which outlives the records
+    /// of evicted jobs, the settled ε ledger (in-flight charges re-derive
+    /// from the re-recorded submits), the live committed handles no job
+    /// names, and the dataset id mark.
+    Snapshot { next: u64, ledger: EpsLedger, datasets: Vec<String>, ids: u64 },
     /// An accepted job; a handle-backed spec names the handle.
     Submit { job: String, spec: AnonymizeParams },
     /// A finished job's v1-shaped result.
@@ -34,8 +35,12 @@ pub(crate) enum Event {
     Budget { dataset: String, eps_budget: f64 },
     /// A synchronous run's settled ε charge.
     Spend { dataset: String, eps: f64 },
-    /// A deleted handle's ledger row, forgotten.
+    /// A deleted handle: gone, and its ledger row forgotten.
     Reset { dataset: String },
+    /// A committed dataset whose blob `ds-<n>.csv` is durable.
+    Commit { dataset: String },
+    /// The dataset id mark: no id past `upto` has been handed out.
+    Ids { upto: u64 },
 }
 
 /// The one rule for a journaled ε amount: finite and positive.
@@ -60,9 +65,14 @@ impl Event {
         let (kind, mut members) = match self {
             // The ledger is omitted when empty, so journals that never
             // touched the budget machinery keep their pre-ledger shape.
-            Event::Snapshot { next, ledger } => {
+            Event::Snapshot { next, ledger, datasets, ids } => {
                 let ledger = (!ledger.is_empty()).then(|| ("ledger", ledger.to_json()));
-                ("snapshot", [("next", Json::from(next))].into_iter().chain(ledger).collect())
+                let datasets = Json::Arr(datasets.into_iter().map(Json::from).collect());
+                let members = [("next", Json::from(next)), ("datasets", datasets)];
+                (
+                    "snapshot",
+                    members.into_iter().chain(ledger).chain([("ids", Json::from(ids))]).collect(),
+                )
             }
             Event::Submit { job: id, spec } => {
                 ("submit", vec![job(id), ("spec", spec_to_json(spec))])
@@ -77,6 +87,8 @@ impl Event {
                 ("spend", vec![dataset(ds), ("eps", Json::from(eps))])
             }
             Event::Reset { dataset: ds } => ("reset", vec![dataset(ds)]),
+            Event::Commit { dataset: ds } => ("commit", vec![dataset(ds)]),
+            Event::Ids { upto } => ("ids", vec![("upto", Json::from(upto))]),
         };
         members.push(("event", Json::from(kind)));
         Json::obj(members)
@@ -113,7 +125,20 @@ impl Event {
                         "ledger row {handle:?} needs a finite spent >= 0 and a positive budget"
                     ));
                 }
-                Event::Snapshot { next, ledger }
+                // Snapshots older than the store's record lack both.
+                let datasets = match v.get("datasets") {
+                    None => Some(Vec::new()),
+                    Some(Json::Arr(items)) => {
+                        items.iter().map(|d| d.as_str().map(Into::into)).collect()
+                    }
+                    Some(_) => None,
+                };
+                let datasets = datasets.ok_or("snapshot datasets must be an array of handles")?;
+                let ids = v
+                    .get("ids")
+                    .map_or(Some(0), Json::as_u64)
+                    .ok_or("snapshot ids must be a mark")?;
+                Event::Snapshot { next, ledger, datasets, ids }
             }
             "submit" => {
                 let spec = v.get("spec").ok_or("submit without spec")?;
@@ -131,6 +156,10 @@ impl Event {
                 eps: amount("eps").ok_or("spend without a positive eps")?,
             },
             "reset" => Event::Reset { dataset: dataset()? },
+            "commit" => Event::Commit { dataset: dataset()? },
+            "ids" => {
+                Event::Ids { upto: v.get("upto").and_then(Json::as_u64).ok_or("ids without upto")? }
+            }
             other => return Err(format!("unknown event {other:?}")),
         })
     }
@@ -169,13 +198,12 @@ pub(crate) fn read(path: &Path) -> Result<String, String> {
     Ok(text)
 }
 
-/// State captured for one compaction: id counter, unfinished submits in
-/// id order, retained results in completion order, settled ε ledger.
+/// State captured for one compaction: the [`Event::Snapshot`] header,
+/// unfinished submits in id order, retained results in completion order.
 pub(crate) struct Snapshot {
-    pub(crate) next_id: u64,
+    pub(crate) header: Event,
     pub(crate) submits: Vec<(String, AnonymizeParams)>,
     pub(crate) dones: Vec<(String, DoneRecord)>,
-    pub(crate) ledger: EpsLedger,
 }
 
 /// Where one retained result's bytes live at compaction time. A
@@ -342,8 +370,7 @@ impl JournalWriter {
         let file = OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&tmp);
         let file = Arc::new(file?);
         let mut f = std::io::BufWriter::new(&*file);
-        let header = Event::Snapshot { next: snapshot.next_id, ledger: snapshot.ledger };
-        writeln!(f, "{}", header.into_json())?;
+        writeln!(f, "{}", snapshot.header.into_json())?;
         for (job, spec) in snapshot.submits {
             writeln!(f, "{}", Event::Submit { job, spec }.into_json())?;
         }
@@ -406,16 +433,28 @@ mod tests {
 {"event":"finish","job":"job-6","result":{"error":"boom é","ok":false}}
 "#;
 
+    /// What the parent journal needs in front to be a state dir of this
+    /// writer's: the id mark, and a `commit` for every handle whose blob
+    /// the replay must load (`ds-1` feeds the queued jobs, `ds-3` and
+    /// `ds-4` carry ledger rows).
+    const STORE_LINES: &str = r#"{"event":"ids","upto":1024}
+{"dataset":"ds-1","event":"commit"}
+{"dataset":"ds-3","event":"commit"}
+{"dataset":"ds-4","event":"commit"}
+"#;
+
     #[test]
     fn parent_journal_replays_to_the_parent_state() {
         let dir = std::env::temp_dir().join("trajdp-parent-journal-test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("jobs.jsonl");
-        std::fs::write(&path, PARENT_JOURNAL).unwrap();
-        // The queued by-handle jobs re-resolve `ds-1` at replay.
-        let store = DatasetStore::open(Some(dir.join("datasets"))).unwrap();
-        assert_eq!(store.insert("traj_id,x,y,t\n0,0,0,0\n".to_string()).unwrap().0, "ds-1");
+        std::fs::write(&path, format!("{STORE_LINES}{PARENT_JOURNAL}")).unwrap();
+        let datasets = dir.join("datasets");
+        std::fs::create_dir_all(&datasets).unwrap();
+        for id in ["ds-1", "ds-3", "ds-4"] {
+            std::fs::write(datasets.join(format!("{id}.csv")), "traj_id,x,y,t\n0,0,0,0\n").unwrap();
+        }
 
         // Twice: the first open replays the parent's lines and compacts
         // them; the second replays what this writer wrote.
@@ -488,8 +527,13 @@ mod tests {
         };
         let result = Arc::new(crate::json::parse(r#"{"csv":"1,0.5,2\n","ok":true}"#).unwrap());
         let events = [
-            Event::Snapshot { next: 7, ledger },
-            Event::Snapshot { next: 0, ledger: EpsLedger::default() },
+            Event::Snapshot {
+                next: 7,
+                ledger,
+                datasets: vec!["ds-2".into(), "ds-10".into()],
+                ids: 2048,
+            },
+            Event::Snapshot { next: 0, ledger: EpsLedger::default(), datasets: vec![], ids: 0 },
             Event::Submit { job: "job-1".into(), spec: params(DataRef::Handle("ds-1".into())) },
             Event::Submit {
                 job: "job-2".into(),
@@ -501,6 +545,8 @@ mod tests {
             Event::Budget { dataset: "ds-1".into(), eps_budget: 3.5 },
             Event::Spend { dataset: "ds-1".into(), eps: 0.1 + 0.2 },
             Event::Reset { dataset: "ds-1".into() },
+            Event::Commit { dataset: "ds-3".into() },
+            Event::Ids { upto: 1024 },
         ];
         for event in events {
             let text = event.clone().into_json().to_string();

@@ -250,6 +250,11 @@ impl EpsLedger {
         self.rows.remove(handle);
     }
 
+    /// Keeps only the rows of handles `keep` accepts.
+    pub fn retain(&mut self, keep: impl Fn(&str) -> bool) {
+        self.rows.retain(|handle, _| keep(handle));
+    }
+
     /// Would charging `eps` more — on top of settled spend and
     /// `in_flight` (the sum of accepted-but-unfinished charges) — push
     /// the handle past its effective budget? Spend may *reach* the

@@ -743,13 +743,10 @@ pub fn spec_from_json(v: &Json) -> Result<AnonymizeParams, ApiError> {
 
 /// The response payload of a produced `gen`/`anonymize` result: its CSV
 /// inline, or — given a `store` — the `dataset` handle and byte size of
-/// the result kept there, held parsed. `from_job` marks results minted
-/// by async jobs, whose handles are reconciled against the replayed
-/// journal at startup (a synchronous `store:true` response has no
-/// journal record, so its handle must never be treated as an orphan).
-/// A full store turns the outcome into an error (the computed result
-/// would otherwise be silently dropped) — with the underlying code
-/// preserved.
+/// the result kept there, held parsed (`from_job` marks an async job's
+/// result, which its `finish` line names). A full store turns the
+/// outcome into an error, with the underlying code preserved, rather
+/// than silently dropping the computed result.
 fn payload(ds: Dataset, store: Option<&DatasetStore>, from_job: bool) -> Result<Payload, ApiError> {
     match store {
         None => Ok(Payload::Inline(to_csv(&ds))),
@@ -781,14 +778,6 @@ pub fn run_download(
         total_bytes: total,
         eof,
     })
-}
-
-/// Executes a `delete` request: frees a handle (and its persisted
-/// file). A handle pinned by a queued/running job answers a distinct
-/// [`crate::api::ErrorCode::DatasetInUse`] error instead of yanking the
-/// job's data.
-pub fn run_delete(store: &DatasetStore, dataset: &str) -> Result<Response, ApiError> {
-    store.delete(dataset).map(|bytes| Response::Delete { dataset: dataset.to_string(), bytes })
 }
 
 /// Executes a `gen` request (parameters were checked at parse time, so

@@ -1042,6 +1042,78 @@ mod tests {
         });
     }
 
+    /// The lines `scanner` yields from `chunks`, pushed in order, up to
+    /// the first framing error's kind.
+    fn frame(
+        mut scanner: LineScanner,
+        chunks: &[&[u8]],
+        max: usize,
+    ) -> (Vec<String>, Option<io::ErrorKind>) {
+        let mut lines = Vec::new();
+        for chunk in chunks {
+            scanner.push(chunk);
+            loop {
+                match scanner.next_line(max) {
+                    Ok(Some(line)) => lines.push(line),
+                    Ok(None) => break,
+                    Err(e) => return (lines, Some(e.kind())),
+                }
+            }
+        }
+        (lines, None)
+    }
+
+    #[test]
+    fn fuzzed_byte_streams_frame_alike_in_every_chunking() {
+        // Random streams of valid UTF-8, invalid bytes, terminators and
+        // lines of about `MAX` bytes, fed in random chunk sizes: each
+        // chunking yields the lines and first error of the one-chunk
+        // reference, and `discard_partial` keeps exactly the complete
+        // lines.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const MAX: usize = 24;
+        let mut rng = StdRng::seed_from_u64(0xf4a3);
+        let (mut errors, mut lines) = (0, 0);
+        for _ in 0..2_000 {
+            let mut stream = Vec::new();
+            for _ in 0..rng.gen_range(0..10) {
+                match rng.gen_range(0..8u32) {
+                    0 => stream.extend_from_slice("é😀".as_bytes()),
+                    1 => stream.push(rng.gen_range(0x80..=0xffu32) as u8),
+                    2 | 3 => stream.push(b'\n'),
+                    4 => {
+                        stream.extend(std::iter::repeat_n(b'x', MAX - 1 + rng.gen_range(0..3usize)))
+                    }
+                    _ => stream
+                        .extend((0..rng.gen_range(0..6)).map(|_| rng.gen_range(32..127u32) as u8)),
+                }
+            }
+            let reference = frame(LineScanner::default(), &[&stream], MAX);
+            errors += usize::from(reference.1.is_some());
+            lines += reference.0.len();
+            for _ in 0..4 {
+                let mut chunks = Vec::new();
+                let mut rest = &stream[..];
+                while !rest.is_empty() {
+                    let (chunk, tail) = rest.split_at(rng.gen_range(1..=rest.len().min(MAX + 3)));
+                    chunks.push(chunk);
+                    rest = tail;
+                }
+                assert_eq!(frame(LineScanner::default(), &chunks, MAX), reference, "{stream:?}");
+            }
+            let mut scanner = LineScanner::default();
+            scanner.push(&stream);
+            scanner.discard_partial();
+            let complete = stream.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+            let expected = frame(LineScanner::default(), &[&stream[..complete]], MAX);
+            let kept = frame(scanner, &[&[]], MAX);
+            assert_eq!(kept, expected, "{stream:?}");
+        }
+        // The seed reaches both outcomes, not just one.
+        assert!(errors > 100 && lines > 1_000, "{errors} errors, {lines} lines");
+    }
+
     #[test]
     fn framing_errors_carry_the_documented_codes() {
         // The mapping is pinned here because hitting it over the wire

@@ -53,12 +53,10 @@ pub struct ServerConfig {
     /// Shutdown grace: how long the reactor keeps flushing responses
     /// for requests received before [`Server::shutdown`].
     pub drain_window: Duration,
-    /// Durable-state directory (CLI `--state-dir`). When set, the job
-    /// table is journaled to `<dir>/jobs.jsonl` (compacted at startup
-    /// and after enough finish events) and committed datasets are
-    /// mirrored under `<dir>/datasets/`; a restarted server replays
-    /// both, re-queueing jobs that were in flight and answering
-    /// `status`/`download` for work finished before the restart.
+    /// Durable-state directory (CLI `--state-dir`): the journal
+    /// `<dir>/jobs.jsonl` and the dataset blobs under `<dir>/datasets/`.
+    /// A restarted server replays the journal, re-queueing jobs that
+    /// were in flight and answering `status`/`download` for earlier work.
     pub state_dir: Option<PathBuf>,
     /// Dataset-store capacity (CLI `--max-datasets`): pending +
     /// committed handles held at once. When full, the LRU unpinned
@@ -213,8 +211,8 @@ fn dispatch(
                 if let Some(handle) = spec.source() {
                     jobs.charge_sync(handle, spec.params.epsilon)?;
                 }
-                // Synchronous results are acknowledged inline, not via
-                // the journal — never orphan-reconciled.
+                // No job record names a synchronous result, so a stored
+                // one is journaled as a `commit` of its own.
                 protocol::run_anonymize(&spec, store, false)
             }
         }
@@ -249,14 +247,9 @@ fn dispatch(
         Request::Download { dataset, offset, max_bytes } => {
             protocol::run_download(store, &dataset, offset, max_bytes)
         }
+        // The queue also drops the handle's ledger row.
         Request::Delete { dataset } => {
-            let response = protocol::run_delete(store, &dataset)?;
-            // The handle is gone, and its id is never reissued; drop its
-            // ledger row so the ledger holds live handles only. Ordered
-            // after the delete so a refused delete (pinned handle) keeps
-            // its spend.
-            jobs.reset_eps(&dataset);
-            Ok(response)
+            jobs.delete(&dataset).map(|bytes| Response::Delete { dataset, bytes })
         }
         Request::Cancel { job } => jobs.cancel(&job),
         Request::List => {

@@ -13,8 +13,7 @@
 //! ## Lifecycle
 //!
 //! The store holds at most `capacity` handles, and it alone ends a
-//! handle's life — one function removes an entry and unlinks its file —
-//! in four ways:
+//! handle's life, in four ways:
 //!
 //! * **`delete`** — the explicit protocol verb. Deleting a handle that
 //!   is pinned by a queued/running job is rejected with a distinct
@@ -22,9 +21,9 @@
 //!   journal replay unable to re-run it.
 //! * **LRU eviction** — when a new `upload`/`insert` finds the store
 //!   full, the least-recently-used *unpinned committed* handle is
-//!   evicted (its persisted file removed). Handles reloaded from disk
-//!   on restart enter the LRU cold, in id order, so an old restart
-//!   residue is evicted before anything a live client has touched.
+//!   evicted (its blob removed). Handles loaded on restart enter the
+//!   LRU cold, in id order, so an old restart residue is evicted before
+//!   anything a live client has touched.
 //! * **TTL sweep** — with a configured [`StoreConfig::ttl`], committed
 //!   handles untouched for longer than the TTL are evicted by
 //!   [`DatasetStore::sweep`]; independent of the TTL, pending uploads
@@ -37,29 +36,25 @@
 //!   a queued/running job's input is marked, and the `unpin` that drops
 //!   its last pin (the job finished or was cancelled) removes it.
 //!
-//! With a persistence directory (the server's `--state-dir`), every
-//! *committed* dataset is also written to `<dir>/ds-<id>.csv` and
-//! reloaded on restart, so result handles recorded in the job journal
-//! stay downloadable across restarts. Results minted *by async jobs*
-//! persist as `ds-<id>.job.csv` — the provenance marker lets
-//! [`DatasetStore::reconcile_job_results`] reclaim at startup every job
-//! result no retained job record names (a finish event lost to a crash,
-//! a record aged out), a pinned one at its last `unpin` as before a
-//! restart; and [`DatasetStore::skip_ids`] keeps a deleted result's id
-//! from being reissued while a job record still names it.
-//! Pending uploads are memory-only by design: an upload interrupted by
-//! a crash has no owner to resume it, so the client simply starts over.
-//! Their ids are not reissued either: `<dir>/ids` durably records a
-//! high-water mark past every id handed out, extended one block of
-//! `ID_BLOCK` ids at a time, and a reopened store resumes past it, so
-//! a chunk for a pre-restart upload id answers `dataset-not-found`
-//! instead of landing in another client's upload.
+//! ## Persistence
 //!
-//! The disk writes of `commit`/`insert` (write + fsync + rename + dir
-//! fsync) run **outside the store mutex**: a multi-GB persist must not
-//! stall every concurrent `download`/`status` that merely reads the
-//! table. The entry being persisted sits in a `Committing` state that
-//! rejects concurrent mutation until the write lands.
+//! With a persistence directory (the server's `--state-dir`), every
+//! committed dataset is also written to its blob, `<dir>/ds-<id>.csv`,
+//! outside the store mutex: a multi-GB write must not stall concurrent
+//! reads, so the entry sits in a `Committing` state that rejects
+//! mutation until it lands. The job journal, once a journaled
+//! [`crate::jobs::JobQueue`] attaches it, is the only record of which
+//! blobs are live and which ids were handed out, and one rule orders
+//! every write: **the blob before the event that names it, and the
+//! `reset` before the unlink.** A `commit`, or an `insert` other than
+//! an async job's result (its `finish` line names it), appends a
+//! `commit` event; minting past the id mark first appends an `ids` event
+//! moving it `ID_BLOCK` ids on, so no id is ever reissued, not even a
+//! pending upload's. At startup `DatasetStore::load` loads exactly the
+//! blobs the replayed journal names and deletes the other blobs, so a
+//! crash leaves nothing the next start keeps. A store without a
+//! journal persists blobs and reloads none; pending uploads are memory
+//! only, and a crashed upload starts over.
 //!
 //! ## One form per dataset
 //!
@@ -88,15 +83,16 @@
 //! So jobs and download pieces alternating on one handle cost one
 //! rendering and one check, never one per piece.
 //!
-//! Files on disk are always CSV; a reopened store holds text.
+//! Blobs are always CSV; a loaded handle holds text.
 
 use crate::api::ApiError;
+use crate::journal::{Event, JournalWriter};
 use crate::ledger::TenantLimits;
 use crate::obs::Metrics;
-use std::collections::{HashMap, HashSet};
-use std::path::PathBuf;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use trajdp_model::csv::{from_csv, renders_to, round_trip, to_csv};
 use trajdp_model::{Dataset, ModelError};
@@ -118,12 +114,9 @@ pub const DEFAULT_DOWNLOAD_CHUNK_BYTES: usize = 1024 * 1024;
 /// Default age past which a pending upload with no new `chunk` is
 /// considered abandoned and reclaimed by the sweep.
 pub const UPLOAD_TTL: Duration = Duration::from_secs(15 * 60);
-/// Ids reserved per durable write of the id high-water mark: minting
-/// pays one small fsynced write per block, and a restart skips at most
-/// one block of unused ids.
+/// Ids reserved per `ids` event: minting pays one small fsynced append
+/// per block, and a restart skips at most one block of unused ids.
 const ID_BLOCK: u64 = 1024;
-/// File under the persistence directory holding the id high-water mark.
-const ID_MARK: &str = "ids";
 
 /// Tuning knobs of a [`DatasetStore`].
 #[derive(Debug, Clone)]
@@ -199,9 +192,8 @@ enum Entry {
         /// Set by [`DatasetStore::reclaim`] while pinned: the `unpin`
         /// that drops the last pin removes the entry.
         reclaim: bool,
-        /// Minted by an async job (`store:true` result) rather than a
-        /// client upload; persisted as `ds-<id>.job.csv` and subject to
-        /// startup orphan reconciliation.
+        /// An async job's `store:true` result, which its job's record
+        /// (not a `commit` or a snapshot) names. In memory only.
         from_job: bool,
         /// The authenticated tenant that uploaded the dataset, for
         /// quota accounting ([`StoreInner::usage`]). In-memory only:
@@ -232,8 +224,8 @@ impl Entry {
 struct StoreInner {
     /// The last id handed out.
     next_id: u64,
-    /// Ids up to this one are covered by the durable high-water mark
-    /// (`<dir>/ids`); minting past it extends the mark first.
+    /// The journaled id mark: minting past it extends the mark first.
+    /// Unbounded without a journal.
     reserved: u64,
     /// LRU clock, bumped on every touch of a committed entry.
     clock: u64,
@@ -311,39 +303,33 @@ impl StoreInner {
         );
     }
 
-    /// Reserves the next [`ID_BLOCK`] ids past `next_id`, durably
-    /// recording the new high-water mark first when the store persists.
-    fn reserve(&mut self) -> std::io::Result<()> {
-        let upto = self.next_id.saturating_add(ID_BLOCK);
-        if let Some(dir) = &self.dir {
-            write_durably(dir, ID_MARK, &format!("{upto}\n"), || {})?;
-        }
-        self.reserved = upto;
-        Ok(())
-    }
-
     /// Hands out the next handle id, the one mint of `begin` and
-    /// `insert`. The id is on record in the high-water mark before it
-    /// leaves, so a restart never reissues it, not even a pending
-    /// upload's, which has no file.
-    fn mint(&mut self) -> Result<String, ApiError> {
-        if self.next_id >= self.reserved {
-            // lint: allow(lock-across-io): a few-byte write once per ID_BLOCK ids; holding the lock keeps two mints from handing out ids past a mark not yet on disk
-            self.reserve().map_err(|e| ApiError::io(format!("cannot record handle ids: {e}")))?;
-        }
-        self.next_id += 1;
-        Ok(format!("ds-{}", self.next_id))
+    /// `insert`; `None` once the id mark is used up, until
+    /// [`DatasetStore::extend_ids`] journals a new one. So every id is
+    /// on record before it leaves, and a restart never reissues it.
+    fn mint(&mut self) -> Option<String> {
+        (self.next_id < self.reserved).then(|| {
+            self.next_id += 1;
+            format!("ds-{}", self.next_id)
+        })
     }
 
-    /// Removes `id`'s entry and, for a committed one, its persisted
-    /// file: the one place an entry leaves the store and the only
-    /// unlink of a dataset file. An unlink is a metadata operation (no
-    /// data fsync), so it is cheap enough to run under the lock — only
-    /// the bulk writes of `persist()` must happen outside it.
+    /// Unlinks `id`'s blob, if the store persists. An unlink is a
+    /// metadata operation (no data fsync), so it is cheap enough to run
+    /// under the lock — only the bulk writes of `persist()` must happen
+    /// outside it.
+    fn unlink(&self, id: &str) {
+        if let Some(dir) = &self.dir {
+            let _ = std::fs::remove_file(blob(dir, id));
+        }
+    }
+
+    /// Removes `id`'s entry and, unless it was a pending upload, its
+    /// blob: the one place an entry leaves the store besides `delete`.
     fn remove(&mut self, id: &str) -> Option<Entry> {
         let removed = self.entries.remove(id);
-        if let (Some(dir), Some(Entry::Committed { from_job, .. })) = (&self.dir, &removed) {
-            let _ = std::fs::remove_file(dir.join(file_name(id, *from_job)));
+        if matches!(removed, Some(Entry::Committed { .. } | Entry::Committing { .. })) {
+            self.unlink(id);
         }
         removed
     }
@@ -363,7 +349,7 @@ impl StoreInner {
     /// Drops pending uploads untouched for the upload TTL and (with a
     /// TTL) stale unpinned committed entries. Returns how many slots
     /// were reclaimed.
-    fn sweep(&mut self, now: Instant) -> usize {
+    fn expire(&mut self, now: Instant) -> usize {
         self.metrics.store_ttl_sweeps.fetch_add(1, Relaxed);
         let expired = |touched: &Instant, ttl: Duration| now.duration_since(*touched) >= ttl;
         let stale: Vec<String> = self
@@ -396,7 +382,7 @@ impl StoreInner {
     /// one-in-one-out above it forever). Errors when every remaining
     /// slot is pinned or pending.
     fn make_room(&mut self) -> Result<(), ApiError> {
-        self.sweep(Instant::now());
+        self.expire(Instant::now());
         while self.entries.len() >= self.capacity {
             let victim = self
                 .entries
@@ -428,6 +414,10 @@ impl StoreInner {
 #[derive(Clone)]
 pub struct DatasetStore {
     inner: Arc<Mutex<StoreInner>>,
+    /// The job journal, shared with the journaled queue that attaches
+    /// it ([`crate::jobs::JobQueue::with_journal`]); `None` inside until
+    /// then. Lock order: journal → store, never the reverse.
+    pub(crate) journal: Arc<Mutex<Option<JournalWriter>>>,
     /// Test hook: when set, `persist` blocks on this lock *outside* the
     /// store mutex — the no-stall regression tests hold it to simulate
     /// a slow disk while concurrent reads must keep answering.
@@ -441,15 +431,22 @@ impl Default for DatasetStore {
     }
 }
 
-/// Persisted file name of a handle. Job-minted results carry a
-/// provenance marker so restart reconciliation can tell them from
-/// client uploads.
-fn file_name(id: &str, from_job: bool) -> String {
-    if from_job {
-        format!("{id}.job.csv")
-    } else {
-        format!("{id}.csv")
-    }
+/// The held journal lock.
+type Journal<'a> = MutexGuard<'a, Option<JournalWriter>>;
+
+/// The blob of handle `id` under `dir`.
+fn blob(dir: &Path, id: &str) -> PathBuf {
+    dir.join(format!("{id}.csv"))
+}
+
+/// Makes the creates, renames and unlinks of entries in `dir` durable.
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    std::fs::File::open(dir)?.sync_all()
+}
+
+/// The number of a `ds-<n>` handle.
+pub(crate) fn handle_number(id: &str) -> Option<u64> {
+    id.strip_prefix("ds-")?.parse().ok()
 }
 
 impl DatasetStore {
@@ -464,97 +461,107 @@ impl DatasetStore {
         Self::with_config(StoreConfig { dir, ..StoreConfig::default() })
     }
 
-    /// Opens a store with explicit lifecycle knobs. With a persistence
-    /// directory, creates it if missing and reloads every `ds-<id>.csv`
-    /// / `ds-<id>.job.csv` as a committed dataset; `next_id` resumes
-    /// past the highest id on disk and past the recorded high-water mark
-    /// (`<dir>/ids`), which is moved one `ID_BLOCK` on before the
-    /// store opens, and a journaled job queue moves it past the ids its
-    /// replayed state names ([`Self::skip_ids`]; state directories
-    /// written before the mark existed have none).
-    /// Reloaded handles enter the LRU cold, in id order — nothing has
-    /// touched them since the restart.
+    /// Opens a store with explicit lifecycle knobs, creating the
+    /// persistence directory if missing. It loads nothing: a journaled
+    /// queue loads what its journal names (`DatasetStore::load`).
     pub fn with_config(cfg: StoreConfig) -> std::io::Result<Self> {
-        let mut entries = HashMap::new();
-        let mut max_id = 0u64;
-        let mut clock = 0u64;
         if let Some(dir) = &cfg.dir {
             std::fs::create_dir_all(dir)?;
-            match std::fs::read_to_string(dir.join(ID_MARK)) {
-                Ok(mark) => {
-                    max_id = mark.trim().parse().map_err(|e| {
-                        std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!("malformed id mark {:?}: {e}", dir.join(ID_MARK)),
-                        )
-                    })?;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
-            let mut reloaded: Vec<(u64, bool, PathBuf)> = Vec::new();
-            for entry in std::fs::read_dir(dir)? {
-                let path = entry?.path();
-                let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-                if name.ends_with(".tmp") {
-                    // A crash between persist()'s write and rename
-                    // leaves a temp file behind; it holds no committed
-                    // data.
-                    let _ = std::fs::remove_file(&path);
-                    continue;
-                }
-                let Some(stem) = name.strip_prefix("ds-") else { continue };
-                let (id, from_job) = match stem.strip_suffix(".job.csv") {
-                    Some(id) => (id, true),
-                    None => match stem.strip_suffix(".csv") {
-                        Some(id) => (id, false),
-                        None => continue,
-                    },
-                };
-                let Ok(n) = id.parse::<u64>() else { continue };
-                reloaded.push((n, from_job, path));
-            }
-            // Cold LRU stamps in id order: on the first eviction the
-            // oldest restart residue goes first.
-            reloaded.sort_by_key(|&(n, _, _)| n);
-            let now = Instant::now();
-            for (n, from_job, path) in reloaded {
-                let text = std::fs::read_to_string(&path)?;
-                max_id = max_id.max(n);
-                clock += 1;
-                entries.insert(
-                    format!("ds-{n}"),
-                    Entry::Committed {
-                        bytes: text.len(),
-                        data: StoredData::Text(Arc::new(text)),
-                        settled: false,
-                        last_used: clock,
-                        touched: now,
-                        pins: 0,
-                        reclaim: false,
-                        from_job,
-                        owner: None,
-                    },
-                );
-            }
         }
-        let mut inner = StoreInner {
-            next_id: max_id,
-            reserved: max_id,
-            clock,
-            entries,
+        let inner = StoreInner {
+            next_id: 0,
+            reserved: u64::MAX,
+            clock: 0,
+            entries: HashMap::new(),
             dir: cfg.dir,
             capacity: cfg.capacity.max(1),
             ttl: cfg.ttl,
             upload_ttl: cfg.upload_ttl,
             metrics: Arc::default(),
         };
-        inner.reserve()?;
         Ok(Self {
             inner: Arc::new(Mutex::new(inner)),
+            journal: Arc::default(),
             #[cfg(test)]
             persist_gate: None,
         })
+    }
+
+    /// Loads the blobs a replayed journal names (`named`: handle number →
+    /// minted by a job) cold in id order, deletes every other blob and
+    /// temp file, and resumes minting past the id `mark`. The deletes are
+    /// durable before this returns, so the startup compaction that drops
+    /// the `reset` lines cannot outlive them. A named handle without a
+    /// blob stays gone. Refuses, naming the directory, what an older
+    /// server wrote: an `ids` file, any other `ds-*` file (its job
+    /// results had their own suffix), or a blob with no mark.
+    pub(crate) fn load(
+        &self,
+        named: &BTreeMap<u64, bool>,
+        mark: u64,
+    ) -> Result<HashSet<String>, String> {
+        let dir = self.lock().map_err(|e| e.message)?.dir.clone();
+        let mut blobs = Vec::new();
+        if let Some(dir) = &dir {
+            let fail = |e: std::io::Error| format!("cannot load {}: {e}", dir.display());
+            let mut names = Vec::new();
+            for entry in std::fs::read_dir(dir).map_err(fail)? {
+                names.extend(entry.map_err(fail)?.file_name().into_string());
+            }
+            let blob_number = |name: &str| name.strip_suffix(".csv").and_then(handle_number);
+            let ours =
+                |name: &str| blob_number(name.strip_suffix(".tmp").unwrap_or(name)).is_some();
+            let old = names.iter().find(|name| {
+                *name == "ids"
+                    || (name.starts_with("ds-") && !ours(name))
+                    || (mark == 0 && ours(name))
+            });
+            if let Some(name) = old {
+                let dir = dir.display();
+                return Err(format!("{dir} was written by an older server (it holds {name:?}); start on a fresh --state-dir"));
+            }
+            let live = |name: &str| blob_number(name).is_some_and(|n| named.contains_key(&n));
+            for name in names.iter().filter(|name| ours(name) && !live(name)) {
+                std::fs::remove_file(dir.join(name)).map_err(fail)?;
+            }
+            sync_dir(dir).map_err(fail)?;
+            for (&n, &from_job) in named {
+                let id = format!("ds-{n}");
+                match std::fs::read_to_string(blob(dir, &id)) {
+                    Ok(text) => blobs.push((id, from_job, text)),
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                    Err(e) => return Err(format!("cannot load dataset {id}: {e}")),
+                }
+            }
+        }
+        let mut s = self.lock().map_err(|e| e.message)?;
+        s.next_id = s.next_id.max(mark);
+        s.reserved = s.next_id;
+        // Cold LRU stamps in id order: on the first eviction the oldest
+        // restart residue goes first.
+        let mut loaded = HashSet::new();
+        for (id, from_job, text) in blobs {
+            let bytes = text.len();
+            s.install_committed(&id, StoredData::Text(Arc::new(text)), bytes, from_job, None);
+            loaded.insert(id);
+        }
+        s.publish_gauges();
+        Ok(loaded)
+    }
+
+    /// The store's part of a compaction snapshot: the committed handles
+    /// no job names, in id order, and the id mark. Called under the
+    /// journal lock, which every `commit` and mark extension holds.
+    pub(crate) fn persisted(&self) -> Result<(Vec<String>, u64), ApiError> {
+        let s = self.lock()?;
+        let mut numbers: Vec<u64> = s
+            .entries
+            .iter()
+            .filter(|(_, e)| matches!(e, Entry::Committed { from_job: false, .. }))
+            .filter_map(|(id, _)| handle_number(id))
+            .collect();
+        numbers.sort_unstable();
+        Ok((numbers.into_iter().map(|n| format!("ds-{n}")).collect(), s.reserved))
     }
 
     /// The store mutex, with poisoning surfaced as a stable `internal`
@@ -563,8 +570,37 @@ impl DatasetStore {
     /// operation with a wire error keeps the connection plane alive and
     /// the failure observable, where an unwrap would take down the
     /// whole process.
-    fn lock(&self) -> Result<std::sync::MutexGuard<'_, StoreInner>, ApiError> {
+    fn lock(&self) -> Result<MutexGuard<'_, StoreInner>, ApiError> {
         self.inner.lock().map_err(|_| ApiError::internal("store state poisoned by a panic"))
+    }
+
+    /// Appends `event` to the attached journal, if any, and returns the
+    /// journal lock (taken before the store lock) still held.
+    fn log(&self, event: Event) -> Result<Journal<'_>, ApiError> {
+        let poisoned = || ApiError::internal("job journal poisoned by a panic");
+        let mut journal = self.journal.lock().map_err(|_| poisoned())?;
+        if let Some(writer) = journal.as_mut() {
+            let metrics = {
+                let s = self.lock()?;
+                Arc::clone(&s.metrics)
+            };
+            // lint: allow(lock-across-io): the journal mutex is the dedicated disk-write lock (order: journal -> store); the store lock is not held here
+            if let Err(e) = writer.append(event, &metrics) {
+                return Err(ApiError::io(format!("cannot journal a dataset event: {e}")));
+            }
+        }
+        Ok(journal)
+    }
+
+    /// Moves the id mark [`ID_BLOCK`] ids past the last id handed out by
+    /// journaling an `ids` event. Replay keeps the largest mark, so two
+    /// mints racing to extend it append two lines and lose nothing.
+    fn extend_ids(&self) -> Result<(), ApiError> {
+        let upto = self.lock()?.next_id.saturating_add(ID_BLOCK);
+        let _journal = self.log(Event::Ids { upto })?;
+        let mut s = self.lock()?;
+        s.reserved = s.reserved.max(upto);
+        Ok(())
     }
 
     /// Attaches the shared observability registry and seeds the
@@ -589,7 +625,7 @@ impl DatasetStore {
     /// implicitly before every `begin`/`insert`.
     pub fn sweep(&self) -> usize {
         let Ok(mut s) = self.lock() else { return 0 };
-        let reclaimed = s.sweep(Instant::now());
+        let reclaimed = s.expire(Instant::now());
         s.publish_gauges();
         reclaimed
     }
@@ -606,16 +642,16 @@ impl DatasetStore {
     /// concurrent uploads cannot all pass it. Ownership follows the
     /// handle through commit.
     pub fn begin_for(&self, tenant: Option<(&str, TenantLimits)>) -> Result<String, ApiError> {
-        let mut s = self.lock()?;
-        if let Some((tenant, TenantLimits { max_datasets: Some(cap), .. })) = tenant {
-            if s.usage(tenant).0 >= cap {
-                return Err(ApiError::quota_exceeded(format!(
+        let (mut s, id) = self.mint_room(|s| match tenant {
+            Some((tenant, TenantLimits { max_datasets: Some(cap), .. }))
+                if s.usage(tenant).0 >= cap =>
+            {
+                Err(ApiError::quota_exceeded(format!(
                     "tenant {tenant:?} already holds {cap} datasets (max_datasets quota)"
-                )));
+                )))
             }
-        }
-        s.make_room()?;
-        let id = s.mint()?;
+            _ => Ok(()),
+        })?;
         s.entries.insert(
             id.clone(),
             Entry::Pending {
@@ -626,6 +662,25 @@ impl DatasetStore {
         );
         s.publish_gauges();
         Ok(id)
+    }
+
+    /// The store lock, once `quota` passes, with room made for one more
+    /// handle and that handle's id minted. A used-up id mark is extended
+    /// with the store lock released, since the journal lock comes first.
+    fn mint_room(
+        &self,
+        quota: impl Fn(&StoreInner) -> Result<(), ApiError>,
+    ) -> Result<(MutexGuard<'_, StoreInner>, String), ApiError> {
+        loop {
+            let mut s = self.lock()?;
+            quota(&s)?;
+            s.make_room()?;
+            if let Some(id) = s.mint() {
+                return Ok((s, id));
+            }
+            drop(s);
+            self.extend_ids()?;
+        }
     }
 
     /// Appends one piece to a pending handle, returning the assembled
@@ -682,47 +737,41 @@ impl DatasetStore {
     }
 
     /// Seals a pending handle, making it usable as request input and by
-    /// `download`. Returns the final size. With a persistence directory
-    /// the dataset is durably written (temp file + fsync + rename)
-    /// before the commit is acknowledged — but the write runs **outside
-    /// the store mutex**, so concurrent reads never stall behind it; a
-    /// failed write leaves the handle pending so the client may retry.
+    /// `download`. Returns the final size. The blob and its `commit`
+    /// are durable before the acknowledgement, written **outside the
+    /// store mutex** so reads never stall behind them; a failure leaves
+    /// the handle pending so the client may retry.
     pub fn commit(&self, id: &str) -> Result<usize, ApiError> {
         let (mut buf, owner, dir) = {
             let mut s = self.lock()?;
-            match s.entries.get(id) {
-                None => return Err(ApiError::dataset_not_found(format!("unknown dataset {id:?}"))),
-                Some(Entry::Committed { .. }) => {
-                    return Err(ApiError::dataset_state(format!(
-                        "dataset {id:?} is already committed"
-                    )))
+            let (buf, owner) = match s.entries.remove(id) {
+                Some(Entry::Pending { buf, owner, .. }) => (buf, owner),
+                other => {
+                    let state = match &other {
+                        None => {
+                            return Err(ApiError::dataset_not_found(format!(
+                                "unknown dataset {id:?}"
+                            )))
+                        }
+                        Some(Entry::Committing { .. }) => "already being committed",
+                        Some(_) => "already committed",
+                    };
+                    s.entries.extend(other.map(|entry| (id.to_string(), entry)));
+                    return Err(ApiError::dataset_state(format!("dataset {id:?} is {state}")));
                 }
-                Some(Entry::Committing { .. }) => {
-                    return Err(ApiError::dataset_state(format!(
-                        "dataset {id:?} is already being committed"
-                    )))
-                }
-                Some(Entry::Pending { .. }) => {}
-            }
-            let owner = s.entries.get(id).and_then(|e| e.owner().map(str::to_string));
-            let bytes = s.entries.get(id).map_or(0, Entry::bytes);
-            let Some(Entry::Pending { buf, .. }) =
-                s.entries.insert(id.to_string(), Entry::Committing { owner: owner.clone(), bytes })
-            else {
-                // PANIC: the match above saw `Entry::Pending` for this id
-                // and the mutex has been held since.
-                unreachable!()
             };
+            let bytes = buf.len();
+            s.entries.insert(id.to_string(), Entry::Committing { owner: owner.clone(), bytes });
             (buf, owner, s.dir.clone())
         };
-        if let Some(dir) = dir {
-            if let Err(e) = self.persist(&dir, &file_name(id, false), &buf) {
-                let mut s = self.lock()?;
-                s.entries
-                    .insert(id.to_string(), Entry::Pending { buf, touched: Instant::now(), owner });
+        let _journal = match self.persist(dir, id, &buf, false) {
+            Ok(journal) => journal,
+            Err(e) => {
+                let pending = Entry::Pending { buf, touched: Instant::now(), owner };
+                self.lock()?.entries.insert(id.to_string(), pending);
                 return Err(e);
             }
-        }
+        };
         // The held text keeps none of the growth slack its appends left.
         buf.shrink_to_fit();
         let mut s = self.lock()?;
@@ -759,9 +808,9 @@ impl DatasetStore {
     }
 
     /// The one insert path: persists `csv` and installs `parsed` (when
-    /// given, the dataset `csv` renders) or else the text itself.
-    /// `from_job` marks results minted by async jobs for startup orphan
-    /// reconciliation.
+    /// given, the dataset `csv` renders) or else the text itself. With a
+    /// journal, the insert is journaled as a `commit` unless `from_job`
+    /// marks an async job's result, which its job's `finish` line names.
     pub(crate) fn insert_data(
         &self,
         mut csv: String,
@@ -775,18 +824,17 @@ impl DatasetStore {
             )));
         }
         let (id, dir) = {
-            let mut s = self.lock()?;
-            s.make_room()?;
-            let id = s.mint()?;
+            let (mut s, id) = self.mint_room(|_| Ok(()))?;
             s.entries.insert(id.clone(), Entry::Committing { owner: None, bytes });
             (id, s.dir.clone())
         };
-        if let Some(dir) = dir {
-            if let Err(e) = self.persist(&dir, &file_name(&id, from_job), &csv) {
-                self.lock()?.remove(&id);
+        let _journal = match self.persist(dir, &id, &csv, from_job) {
+            Ok(journal) => journal,
+            Err(e) => {
+                self.lock()?.entries.remove(&id);
                 return Err(e);
             }
-        }
+        };
         let data = match parsed {
             Some(ds) => StoredData::Parsed(ds),
             None => {
@@ -802,30 +850,55 @@ impl DatasetStore {
         Ok((id, bytes))
     }
 
-    /// Deletes a handle, freeing its slot and removing its persisted
-    /// file. Pending uploads may be deleted (aborting the upload).
-    /// Deleting a handle pinned by a queued/running job is rejected
-    /// with a distinct error — the job owns that data until it
-    /// finishes.
+    /// Deletes a handle, freeing its slot and removing its blob.
+    /// Pending uploads may be deleted (aborting the upload). Deleting a
+    /// handle pinned by a queued/running job is rejected with a distinct
+    /// error — the job owns that data until it finishes.
     pub fn delete(&self, id: &str) -> Result<usize, ApiError> {
+        self.delete_logged(id, || false)
+    }
+
+    /// [`Self::delete`], running `log` between removing the entry and
+    /// unlinking its blob ([`crate::jobs::JobQueue::delete`]). When `log`
+    /// journaled the delete, the unlink is made durable before this
+    /// returns, so a compaction that drops the `reset` cannot outlive it.
+    pub(crate) fn delete_logged(
+        &self,
+        id: &str,
+        log: impl FnOnce() -> bool,
+    ) -> Result<usize, ApiError> {
         let mut s = self.lock()?;
         match s.entries.get(id) {
-            None => Err(ApiError::dataset_not_found(format!("unknown dataset {id:?}"))),
-            Some(Entry::Committing { .. }) => Err(ApiError::dataset_state(format!(
-                "dataset {id:?} is being committed; retry the delete"
-            ))),
-            Some(Entry::Committed { pins, .. }) if *pins > 0 => {
-                Err(ApiError::dataset_in_use(format!(
-                    "dataset {id:?} is referenced by a queued or running job; \
-                 delete is rejected until the job finishes"
+            None => return Err(ApiError::dataset_not_found(format!("unknown dataset {id:?}"))),
+            Some(Entry::Committing { .. }) => {
+                return Err(ApiError::dataset_state(format!(
+                    "dataset {id:?} is being committed; retry the delete"
                 )))
             }
-            Some(Entry::Committed { .. } | Entry::Pending { .. }) => {
-                let removed = s.remove(id);
-                s.publish_gauges();
-                Ok(removed.map_or(0, |e| e.bytes()))
+            Some(Entry::Committed { pins, .. }) if *pins > 0 => {
+                return Err(ApiError::dataset_in_use(format!(
+                    "dataset {id:?} is referenced by a queued or running job; \
+                     delete is rejected until the job finishes"
+                )))
+            }
+            Some(Entry::Committed { .. } | Entry::Pending { .. }) => {}
+        }
+        let removed = s.entries.remove(id);
+        s.publish_gauges();
+        drop(s);
+        let logged = log();
+        if matches!(removed, Some(Entry::Committed { .. })) {
+            let dir = {
+                let s = self.lock()?;
+                s.unlink(id);
+                s.dir.clone()
+            };
+            // Best-effort like the `reset` append: the handle is gone.
+            if let Some(dir) = dir.filter(|_| logged) {
+                let _ = sync_dir(&dir);
             }
         }
+        Ok(removed.map_or(0, |e| e.bytes()))
     }
 
     /// Ends a job result's life for the server's own bookkeeping (not
@@ -868,44 +941,6 @@ impl DatasetStore {
         if last {
             s.remove(id);
             s.publish_gauges();
-        }
-    }
-
-    /// Reclaims every committed job-result handle (`from_job`
-    /// provenance) whose id is not in `retained` — the results no
-    /// retained job record names: orphans a crash between a job's
-    /// result insert and its finish-event journal append leaves behind
-    /// (the replayed journal re-runs the job and mints a fresh handle),
-    /// and results whose record aged out. A pinned one goes at its last
-    /// `unpin`. Returns the ids reclaimed.
-    pub fn reconcile_job_results(&self, retained: &HashSet<String>) -> Vec<String> {
-        let Ok(mut s) = self.lock() else { return Vec::new() };
-        let orphans: Vec<String> = s
-            .entries
-            .iter()
-            .filter_map(|(id, e)| match e {
-                Entry::Committed { from_job: true, .. } if !retained.contains(id) => {
-                    Some(id.clone())
-                }
-                _ => None,
-            })
-            .collect();
-        for id in &orphans {
-            s.reclaim_entry(id);
-        }
-        s.publish_gauges();
-        orphans
-    }
-
-    /// Moves the id counter past every `ds-<n>` in `named`, so new data
-    /// never takes an id that something still names, even once its
-    /// file is gone. The id mark already covers every id a store with
-    /// the mark handed out; this covers state directories written
-    /// before it.
-    pub fn skip_ids<'a>(&self, named: impl IntoIterator<Item = &'a str>) {
-        let Ok(mut s) = self.lock() else { return };
-        for n in named.into_iter().filter_map(|id| id.strip_prefix("ds-")?.parse::<u64>().ok()) {
-            s.next_id = s.next_id.max(n);
         }
     }
 
@@ -1044,44 +1079,52 @@ impl DatasetStore {
         Ok((text[offset..end].to_string(), text.len(), end == text.len()))
     }
 
-    /// Durably writes the dataset file `<dir>/<file>` ([`write_durably`]).
-    /// Must be called **without** the store mutex held.
-    fn persist(&self, dir: &std::path::Path, file: &str, text: &str) -> Result<(), ApiError> {
-        // Test hook: park once the temp file is visible, to prove the
-        // store mutex is not held across the disk write.
-        let written = || {
+    /// Persists the `Committing` entry `id`: with a `dir`, its blob
+    /// (temp file + fsync + rename + directory fsync: no crash leaves a
+    /// torn blob), then its `commit`, unless a job's `finish` will name
+    /// it. Returns the journal lock, under which the caller installs the
+    /// entry, so a compaction sees the handle or precedes its event. On
+    /// failure the blob is gone. Runs **without** the store mutex.
+    fn persist(
+        &self,
+        dir: Option<PathBuf>,
+        id: &str,
+        text: &str,
+        from_job: bool,
+    ) -> Result<Option<Journal<'_>>, ApiError> {
+        use std::io::Write as _;
+        let write = |dir: PathBuf| {
+            let (path, tmp) = (blob(&dir, id), dir.join(format!("{id}.csv.tmp")));
+            let mut f = std::fs::File::create(&tmp)?;
+            f.write_all(text.as_bytes())?;
+            // Test hook: park once the temp file is visible, to prove the
+            // store mutex is not held across the disk write.
             #[cfg(test)]
             drop(self.persist_gate.as_ref().map(|g| g.lock().expect("gate poisoned")));
+            f.sync_all()?;
+            std::fs::rename(&tmp, &path)?;
+            // The rename itself must survive power loss too.
+            sync_dir(&dir)
         };
-        write_durably(dir, file, text, written)
-            .map_err(|e| ApiError::io(format!("cannot persist dataset {file:?}: {e}")))
+        let written = dir.map_or(Ok(()), write);
+        let sealed = written
+            .map_err(|e| ApiError::io(format!("cannot persist dataset {id:?}: {e}")))
+            .and_then(|()| match from_job {
+                true => Ok(None),
+                false => self.log(Event::Commit { dataset: id.to_string() }).map(Some),
+            });
+        if sealed.is_err() {
+            self.lock()?.unlink(id);
+        }
+        sealed
     }
-}
-
-/// Durably writes `<dir>/<file>` via temp file + fsync + rename +
-/// directory fsync, so neither a process crash nor a power loss can
-/// leave a torn (or silently empty) file that a reload would trust.
-/// `written` runs once the temp file holds the bytes, before its fsync.
-fn write_durably(
-    dir: &std::path::Path,
-    file: &str,
-    text: &str,
-    written: impl FnOnce(),
-) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let tmp = dir.join(format!("{file}.tmp"));
-    let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(text.as_bytes())?;
-    written();
-    f.sync_all()?;
-    std::fs::rename(&tmp, dir.join(file))?;
-    // The rename itself must survive power loss too.
-    std::fs::File::open(dir)?.sync_all()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::JobQueue;
+    use crate::protocol::{AnonymizeParams, DataRef};
 
     impl StoredData {
         /// The CSV text, rendering a parsed dataset.
@@ -1321,11 +1364,29 @@ mod tests {
         assert_eq!(cap, len);
     }
 
+    /// A fresh state dir of its own for one test.
+    fn state_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// A store of `capacity` handles persisted under `dir/datasets`, with
+    /// the journal `dir/jobs.jsonl` replayed into it and attached: the
+    /// server's restart path.
+    fn journaled(dir: &Path, capacity: usize) -> (DatasetStore, JobQueue) {
+        let cfg =
+            StoreConfig { dir: Some(dir.join("datasets")), capacity, ..StoreConfig::default() };
+        let store = DatasetStore::with_config(cfg).unwrap();
+        let queue = JobQueue::with_journal(store.clone(), &dir.join("jobs.jsonl")).unwrap();
+        (store, queue)
+    }
+
     #[test]
     fn persisted_datasets_survive_reopen_and_reload_cold() {
-        let dir = std::env::temp_dir().join("trajdp-store-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = DatasetStore::open(Some(dir.clone())).unwrap();
+        let dir = state_dir("trajdp-store-test");
+        let (store, _queue) = journaled(&dir, MAX_STORED_DATASETS);
         let id = store.begin().unwrap();
         store.append(&id, "hello\n").unwrap();
         store.commit(&id).unwrap();
@@ -1335,17 +1396,12 @@ mod tests {
         store.append(&pending, "partial").unwrap();
         drop(store);
 
-        let reopened = DatasetStore::with_config(StoreConfig {
-            dir: Some(dir.clone()),
-            capacity: 2,
-            ..StoreConfig::default()
-        })
-        .unwrap();
+        let (reopened, _queue) = journaled(&dir, 2);
         assert_eq!(reopened.resolve(&id).unwrap().text().as_str(), "hello\n");
         assert_eq!(reopened.resolve(&id2).unwrap().text().as_str(), "world\n");
         assert!(reopened.resolve(&pending).unwrap_err().message.contains("unknown"));
-        // Reloaded handles are LRU-cold in id order: at capacity, the
-        // lower-id reloaded entry is evicted first — and its file goes
+        // Loaded handles are LRU-cold in id order: at capacity, the
+        // lower-id loaded entry is evicted first — and its blob goes
         // with it, so the eviction survives another reopen.
         let (id3, _) = reopened.insert("x".to_string()).unwrap();
         assert_ne!(id3, id);
@@ -1353,22 +1409,22 @@ mod tests {
         assert!(reopened.resolve(&id).unwrap_err().message.contains("unknown"));
         assert!(reopened.resolve(&id2).is_ok());
         drop(reopened);
-        let again = DatasetStore::open(Some(dir.clone())).unwrap();
+        let (again, _queue) = journaled(&dir, MAX_STORED_DATASETS);
         assert!(again.resolve(&id).unwrap_err().message.contains("unknown"));
         assert!(again.resolve(&id2).is_ok());
+        assert_eq!(again.resolve(&id3).unwrap().text().as_str(), "x");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn a_reopened_store_never_reissues_a_pending_upload_id() {
-        let dir = std::env::temp_dir().join("trajdp-store-pending-id-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = DatasetStore::open(Some(dir.clone())).unwrap();
+        let dir = state_dir("trajdp-store-pending-id-test");
+        let (store, _queue) = journaled(&dir, MAX_STORED_DATASETS);
         let lost = store.begin().unwrap();
         store.append(&lost, "partial").unwrap();
         drop(store);
 
-        let reopened = DatasetStore::open(Some(dir.clone())).unwrap();
+        let (reopened, _queue) = journaled(&dir, MAX_STORED_DATASETS);
         let fresh = reopened.begin().unwrap();
         assert_ne!(fresh, lost, "a reopen reissued a pending upload's id");
         let err = reopened.append(&lost, "resumed").unwrap_err();
@@ -1378,44 +1434,31 @@ mod tests {
 
     #[test]
     fn the_id_mark_grows_past_a_used_up_block() {
-        // Mint one id past the block reserved at open: the mark must
-        // move before that id is handed out, so a reopen resumes past it.
-        let dir = std::env::temp_dir().join("trajdp-store-id-block-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = StoreConfig {
-            dir: Some(dir.clone()),
-            capacity: ID_BLOCK as usize + 2,
-            ..StoreConfig::default()
-        };
-        let store = DatasetStore::with_config(cfg.clone()).unwrap();
+        // Mint one id past the first block: the mark must move before
+        // that id is handed out, so a reopen resumes past it.
+        let dir = state_dir("trajdp-store-id-block-test");
+        let (store, _queue) = journaled(&dir, ID_BLOCK as usize + 2);
         let ids: Vec<String> = (0..=ID_BLOCK).map(|_| store.begin().unwrap()).collect();
+        let journal = std::fs::read_to_string(dir.join("jobs.jsonl")).unwrap();
+        assert_eq!(journal.matches(r#""event":"ids""#).count(), 2, "{journal}");
         drop(store);
-        let reopened = DatasetStore::with_config(cfg).unwrap();
+        let (reopened, _queue) = journaled(&dir, ID_BLOCK as usize + 2);
         let fresh = reopened.begin().unwrap();
         assert!(!ids.contains(&fresh), "{fresh} was handed out before the reopen");
-        std::fs::write(dir.join(ID_MARK), "not a number\n").unwrap();
-        let err = DatasetStore::open(Some(dir.clone())).err().expect("a malformed mark opened");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn reload_above_capacity_shrinks_to_the_cap() {
-        let dir = std::env::temp_dir().join("trajdp-store-shrink-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = DatasetStore::open(Some(dir.clone())).unwrap();
+        let dir = state_dir("trajdp-store-shrink-test");
+        let (store, _queue) = journaled(&dir, MAX_STORED_DATASETS);
         for i in 0..5 {
             store.insert(format!("dataset {i}\n")).unwrap();
         }
         drop(store);
-        // Reopen with a smaller cap: the reload holds everything, but
-        // the first insert must evict down to the cap, not one-for-one.
-        let small = DatasetStore::with_config(StoreConfig {
-            dir: Some(dir.clone()),
-            capacity: 2,
-            ..StoreConfig::default()
-        })
-        .unwrap();
+        // Reopen with a smaller cap: the load holds everything, but the
+        // first insert must evict down to the cap, not one-for-one.
+        let (small, _queue) = journaled(&dir, 2);
         assert_eq!(small.count(), 5);
         small.insert("fresh\n".to_string()).unwrap();
         assert_eq!(small.count(), 2, "over-capacity reload must shrink to the cap");
@@ -1424,40 +1467,41 @@ mod tests {
 
     #[test]
     fn delete_removes_the_persisted_file() {
-        let dir = std::env::temp_dir().join("trajdp-store-delete-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = DatasetStore::open(Some(dir.clone())).unwrap();
+        let dir = state_dir("trajdp-store-delete-test");
+        let (store, _queue) = journaled(&dir, MAX_STORED_DATASETS);
         let (id, _) = store.insert("data\n".to_string()).unwrap();
-        assert!(dir.join(format!("{id}.csv")).exists());
+        let file = dir.join("datasets").join(format!("{id}.csv"));
+        assert!(file.exists());
         store.delete(&id).unwrap();
-        assert!(!dir.join(format!("{id}.csv")).exists());
+        assert!(!file.exists());
         drop(store);
-        let reopened = DatasetStore::open(Some(dir.clone())).unwrap();
+        let (reopened, _queue) = journaled(&dir, MAX_STORED_DATASETS);
         assert!(reopened.resolve(&id).unwrap_err().message.contains("unknown"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn job_results_reconcile_against_referenced_set() {
-        let dir = std::env::temp_dir().join("trajdp-store-reconcile-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = DatasetStore::open(Some(dir.clone())).unwrap();
+        let dir = state_dir("trajdp-store-reconcile-test");
+        let (store, queue) = journaled(&dir, MAX_STORED_DATASETS);
         let (upload, _) = store.insert("client upload\n".to_string()).unwrap();
         let (kept, _) = store.insert_data("journaled result\n".to_string(), None, true).unwrap();
         let (orphan, _) = store.insert_data("orphan result\n".to_string(), None, true).unwrap();
-        assert!(dir.join(format!("{kept}.job.csv")).exists());
-        drop(store);
+        let data = DataRef::Inline(Arc::new("traj_id,x,y,t\n".to_string()));
+        let spec = AnonymizeParams::new(trajdp_core::Model::PureLocal, data).resolve(&store);
+        let job = queue.submit(spec.unwrap()).unwrap();
+        let result = crate::json::Json::obj([("dataset", crate::json::Json::from(kept.as_str()))]);
+        queue.finish(&job, result);
+        drop((store, queue));
 
-        // Restart: the journal references only `kept`. The orphan job
-        // result is deleted; the client upload is untouched even though
-        // nothing references it.
-        let reopened = DatasetStore::open(Some(dir.clone())).unwrap();
-        let referenced: HashSet<String> = [kept.clone()].into_iter().collect();
-        assert_eq!(reopened.reconcile_job_results(&referenced), vec![orphan.clone()]);
+        // Restart: a finished job names `kept`, and the upload has its
+        // `commit`. Nothing names the orphan job result: it and its
+        // blob are gone.
+        let (reopened, _queue) = journaled(&dir, MAX_STORED_DATASETS);
         assert!(reopened.resolve(&orphan).unwrap_err().message.contains("unknown"));
         assert_eq!(reopened.resolve(&kept).unwrap().text().as_str(), "journaled result\n");
         assert_eq!(reopened.resolve(&upload).unwrap().text().as_str(), "client upload\n");
-        assert!(!dir.join(format!("{orphan}.job.csv")).exists());
+        assert!(!dir.join("datasets").join(format!("{orphan}.csv")).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

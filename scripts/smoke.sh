@@ -11,7 +11,10 @@
 # answer and leave the server up. A two-tenant phase spends a dataset's ε budget to the
 # brim, kills the server, and proves the replayed ledger still refuses
 # further spend. A last phase reads a result over 1 MiB back from the
-# journal before and after a kill. Exercises the code paths `cargo test` cannot: the
+# journal before and after a kill. A state-dir phase deletes a charged dataset, survives a
+# kill -9, and checks that the journal alone decides what comes back: the deleted handle
+# stays gone, ids move on, `datasets/` holds only blobs, and a state dir an older server
+# wrote is refused. Exercises the code paths `cargo test` cannot: the
 # actual process boundary, CLI flag plumbing, and journal
 # replay/compaction across a process death.
 #
@@ -26,6 +29,9 @@ ADDR4=${ADDR4:-127.0.0.1:7946} # tenancy phase, after the kill
 ADDR5=${ADDR5:-127.0.0.1:7947} # second restart of the first state dir
 ADDR6=${ADDR6:-127.0.0.1:7948} # large-result phase
 ADDR7=${ADDR7:-127.0.0.1:7949} # large-result phase, after the kill
+ADDR8=${ADDR8:-127.0.0.1:7950} # state-dir phase
+ADDR9=${ADDR9:-127.0.0.1:7951} # state-dir phase, after the kill -9
+ADDR10=${ADDR10:-127.0.0.1:7952} # state-dir phase, an older server's dir
 TMP=$(mktemp -d)
 SERVER_PID=""
 
@@ -384,4 +390,77 @@ check_big_status "$ADDR7"
 [ ! -e "$TMP/bstate/results" ] \
     || { echo "FAIL: the server wrote a results/ directory beside the journal" >&2; exit 1; }
 
-echo "smoke test passed: chunked transfer byte-identical, lifecycle at the cap OK, compacted journal replays, a deleted result id is not reissued after a second restart, v2 envelope + error codes + metrics scrape + parallel burst + exit classes OK, nested-line hostile input survived, tenant budget survives kill+restart, large result read back from the journal across a kill"
+# ---- state dir: the journal is the only metadata record -----------
+# A budgeted upload is charged by a synchronous run and deleted, so its
+# `reset` is journaled; a second upload stays. After a kill -9 the
+# restarted server must keep the first gone and the second intact.
+kill "$SERVER_PID"
+wait "$SERVER_PID" 2>/dev/null || true
+SERVER_PID=""
+"$BIN" serve --addr "$ADDR8" --workers 2 --state-dir "$TMP/sstate" &
+SERVER_PID=$!
+wait_healthy "$ADDR8"
+# Uploads and commits the CSV text $2 (JSON-escaped) at $1 with the
+# upload members $3, printing the handle.
+upload_csv() {
+    local ds
+    ds=$(echo "{\"cmd\":\"upload\"$3}" | "$BIN" submit --addr "$1" \
+        | grep -o '"dataset":"[^"]*"' | cut -d'"' -f4)
+    [ -n "$ds" ] || { echo "FAIL: upload refused at $1" >&2; exit 1; }
+    echo "{\"cmd\":\"chunk\",\"dataset\":\"$ds\",\"data\":\"$2\"}" | "$BIN" submit --addr "$1" \
+        | grep -q '"ok":true' || { echo "FAIL: chunk to $ds refused" >&2; exit 1; }
+    echo "{\"cmd\":\"commit\",\"dataset\":\"$ds\"}" | "$BIN" submit --addr "$1" \
+        | grep -q '"ok":true' || { echo "FAIL: commit of $ds refused" >&2; exit 1; }
+    echo "$ds"
+}
+CHARGED=$(upload_csv "$ADDR8" 'traj_id,x,y,t\n0,1.0,2.0,3\n0,500.0,600.0,40\n1,1000.0,1200.0,5\n1,40.0,900.0,17\n' ',"eps_budget":2')
+echo "{\"cmd\":\"anonymize\",\"dataset\":\"$CHARGED\",\"model\":\"purel\",\"m\":2,\"seed\":1,\"epsilon\":0.5}" \
+    | "$BIN" submit --addr "$ADDR8" | grep -q '"ok":true' \
+    || { echo "FAIL: charging $CHARGED refused" >&2; exit 1; }
+"$BIN" delete --addr "$ADDR8" --dataset "$CHARGED" \
+    || { echo "FAIL: delete of $CHARGED failed" >&2; exit 1; }
+grep -q "{\"dataset\":\"$CHARGED\",\"event\":\"reset\"}" "$TMP/sstate/jobs.jsonl" \
+    || { echo "FAIL: deleting the charged $CHARGED must journal a reset" >&2; exit 1; }
+printf 'traj_id,x,y,t\n7,3.5,4.25,1\n7,9.0,2.0,2\n' > "$TMP/kept.csv"
+KEPT=$(upload_csv "$ADDR8" 'traj_id,x,y,t\n7,3.5,4.25,1\n7,9.0,2.0,2\n' '')
+kill -9 "$SERVER_PID"
+wait "$SERVER_PID" 2>/dev/null || true
+SERVER_PID=""
+"$BIN" serve --addr "$ADDR9" --workers 2 --state-dir "$TMP/sstate" &
+SERVER_PID=$!
+wait_healthy "$ADDR9"
+GONE=$(echo "{\"cmd\":\"download\",\"dataset\":\"$CHARGED\",\"v\":2}" | "$BIN" submit --addr "$ADDR9")
+printf '%s' "$GONE" | grep -q '"code":"dataset-not-found"' \
+    || { echo "FAIL: deleted $CHARGED came back after kill -9: $GONE" >&2; exit 1; }
+LISTED=$(echo '{"cmd":"list","v":2}' | "$BIN" submit --addr "$ADDR9")
+printf '%s' "$LISTED" | grep -q "\"dataset\":\"$CHARGED\"" \
+    && { echo "FAIL: list still has a row for deleted $CHARGED: $LISTED" >&2; exit 1; }
+FRESH=$(echo '{"cmd":"upload"}' | "$BIN" submit --addr "$ADDR9" \
+    | grep -o '"dataset":"[^"]*"' | cut -d'"' -f4)
+[ "${FRESH#ds-}" -gt "${CHARGED#ds-}" ] && [ "${FRESH#ds-}" -gt "${KEPT#ds-}" ] \
+    || { echo "FAIL: new upload $FRESH must come after $CHARGED and $KEPT" >&2; exit 1; }
+"$BIN" fetch --addr "$ADDR9" --dataset "$KEPT" --out "$TMP/kept-back.csv"
+cmp "$TMP/kept.csv" "$TMP/kept-back.csv" \
+    || { echo "FAIL: $KEPT downloads different bytes after kill -9" >&2; exit 1; }
+kill "$SERVER_PID"
+wait "$SERVER_PID" 2>/dev/null || true
+SERVER_PID=""
+# A state dir holding an older server's `datasets/ids` is refused, by name.
+cp -r "$TMP/sstate" "$TMP/oldstate"
+: > "$TMP/oldstate/datasets/ids"
+rc=0; timeout 20 "$BIN" serve --addr "$ADDR10" --state-dir "$TMP/oldstate" \
+    2> "$TMP/old-serve.err" || rc=$?
+[ "$rc" != 0 ] && [ "$rc" != 124 ] \
+    || { echo "FAIL: serve on an older server's state dir must exit nonzero (got $rc)" >&2; exit 1; }
+grep -q "$TMP/oldstate/datasets" "$TMP/old-serve.err" \
+    || { echo "FAIL: the refusal must name the directory: $(cat "$TMP/old-serve.err")" >&2; exit 1; }
+# Every state dir this script ran a server on holds blobs only.
+for state in state tstate bstate sstate; do
+    for f in "$TMP/$state"/datasets/*; do
+        [ -e "$f" ] || continue
+        basename "$f" | grep -Eq '^ds-[0-9]+\.csv$' \
+            || { echo "FAIL: $f is not a dataset blob" >&2; exit 1; }
+    done
+done
+
+echo "smoke test passed: chunked transfer byte-identical, lifecycle at the cap OK, compacted journal replays, a deleted result id is not reissued after a second restart, v2 envelope + error codes + metrics scrape + parallel burst + exit classes OK, nested-line hostile input survived, tenant budget survives kill+restart, large result read back from the journal across a kill, a deleted charged dataset stays gone after kill -9 and an older state dir is refused"
