@@ -226,6 +226,7 @@ pub fn check_source(sf: &SourceFile, out: &mut Vec<Finding>) {
         }
         i += 1;
     }
+    sf.unused_pragmas(Check::Determinism, out);
 }
 
 pub fn run(root: &Path, out: &mut Vec<Finding>) -> std::io::Result<()> {

@@ -2,19 +2,13 @@
 //!
 //! The server's rule: service locks (store, queue) are never held
 //! across durable disk writes, so reads proceed during large persists
-//! and fsyncs. This check flags any `Mutex`/`RwLock` guard binding that
-//! is still live when a durable-write call executes.
-//!
-//! *Guards* are `let` bindings whose initializer contains a no-argument
-//! `.lock()`, `.try_lock()`, `.read()`, or `.write()` call (the
-//! no-argument shape distinguishes lock acquisition from
-//! `io::Read::read(&mut buf)` and `io::Write::write(&buf)`). A guard
-//! dies at `drop(name)` or when its enclosing block closes.
-//!
-//! *Durable writes* are calls to `sync_all`, `sync_data`, `fsync`,
-//! `persist`, and the journal's `append`/`rewrite` methods — the
-//! workspace's own durable-write entry points. (`.append(true)` on
-//! `OpenOptions` is recognized and skipped.)
+//! and fsyncs. This check flags every durable-write call
+//! ([`crate::model::IO_METHODS`], `.append(true)` on `OpenOptions`
+//! excepted) that runs while a `Mutex`/`RwLock` guard is live. Both
+//! sides come from the [`crate::model`] layer, the same guard tracking
+//! `lock-order` reads: a `let`-bound guard lives until `drop(name)` or
+//! its block closes, and a guard held by an `if let`/`while let`/
+//! `match` scrutinee lives through that statement's blocks.
 //!
 //! The journal holds its *own* dedicated mutex across appends by
 //! design — that lock exists precisely to serialize disk writes and is
@@ -23,144 +17,31 @@
 
 use std::path::Path;
 
+use crate::model::{self, EventKind};
 use crate::{collect_rs_files, rel_path, Check, Finding, SourceFile};
 
-const LOCK_METHODS: [&str; 4] = ["lock", "try_lock", "read", "write"];
-const IO_METHODS: [&str; 6] = ["sync_all", "sync_data", "fsync", "persist", "append", "rewrite"];
-
-struct Guard {
-    name: String,
-    depth: i32,
-    line: u32,
-}
-
+/// Runs the check over one file. Test items are invisible to the
+/// model, so a test may hold a lock to stage a scenario.
 pub fn check_source(sf: &SourceFile, out: &mut Vec<Finding>) {
-    // Work on code tokens only; comments never affect liveness. Test
-    // items are exempt: the invariant binds the production server (a
-    // test may hold a lock to stage a scenario — e.g. the store's
-    // persist gate — without racing real readers).
-    let mask = crate::cfg_test_mask(&sf.toks);
-    let code: Vec<&crate::lexer::Tok> = sf
-        .toks
-        .iter()
-        .zip(mask.iter())
-        .filter(|(t, &m)| !t.is_comment() && !m)
-        .map(|(t, _)| t)
-        .collect();
-    let mut guards: Vec<Guard> = Vec::new();
-    let mut depth: i32 = 0;
-    let mut i = 0usize;
-    while i < code.len() {
-        let t = code[i];
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth -= 1;
-            guards.retain(|g| g.depth <= depth);
-        } else if t.is_ident("drop")
-            && code.get(i + 1).is_some_and(|n| n.is_punct('('))
-            && code.get(i + 3).is_some_and(|n| n.is_punct(')'))
-        {
-            if let Some(name) = code.get(i + 2).filter(|n| n.kind == crate::lexer::TokKind::Ident) {
-                guards.retain(|g| g.name != name.text);
-            }
-        } else if t.is_ident("let") {
-            // `let [mut] NAME = <rhs> ;` — register NAME as a guard if
-            // the rhs acquires a lock. Non-trivial patterns (tuples,
-            // struct destructuring) are skipped: the workspace never
-            // binds guards that way.
-            let mut j = i + 1;
-            if code.get(j).is_some_and(|n| n.is_ident("mut")) {
-                j += 1;
-            }
-            let Some(name_tok) = code.get(j).filter(|n| n.kind == crate::lexer::TokKind::Ident)
-            else {
-                i += 1;
-                continue;
+    for e in model::build(sf).events {
+        let EventKind::Io { method } = &e.kind else { continue };
+        for h in &e.held {
+            let guard = match &h.binding {
+                Some(b) => format!("lock guard `{b}` (bound at line {})", h.line),
+                None => format!("the `{}` guard of the scrutinee at line {}", h.lock, h.line),
             };
-            // Only simple `NAME =` / `NAME:` bindings can hold a guard;
-            // `if let Some(x) = …` and destructuring patterns are not
-            // trackable and are skipped.
-            if !code.get(j + 1).is_some_and(|n| n.is_punct('=') || n.is_punct(':')) {
-                i += 1;
-                continue;
-            }
-            let name = name_tok.text.clone();
-            let line = name_tok.line;
-            // Scan the initializer up to the statement-ending `;`,
-            // tracking every delimiter so `;` inside closures/blocks
-            // does not end the statement early.
-            let mut k = j + 1;
-            let mut nest = 0i32;
-            let mut brace_nest = 0i32;
-            let mut saw_eq = false;
-            let mut acquires = false;
-            while k < code.len() {
-                let c = code[k];
-                if c.is_punct('(') || c.is_punct('[') || c.is_punct('{') {
-                    nest += 1;
-                    if c.is_punct('{') {
-                        brace_nest += 1;
-                    }
-                } else if c.is_punct(')') || c.is_punct(']') || c.is_punct('}') {
-                    nest -= 1;
-                    if c.is_punct('}') {
-                        brace_nest -= 1;
-                    }
-                    if nest < 0 {
-                        break;
-                    }
-                } else if c.is_punct(';') && nest == 0 {
-                    break;
-                } else if c.is_punct('=') && nest == 0 {
-                    saw_eq = true;
-                } else if saw_eq
-                    // A lock taken inside a brace block (`let id = {
-                    // q.lock()… }`) is released inside that block; only
-                    // a top-of-expression acquisition binds NAME.
-                    && brace_nest == 0
-                    && c.is_punct('.')
-                    && code.get(k + 1).is_some_and(|m| {
-                        LOCK_METHODS.iter().any(|l| m.is_ident(l))
-                    })
-                    && code.get(k + 2).is_some_and(|m| m.is_punct('('))
-                    && code.get(k + 3).is_some_and(|m| m.is_punct(')'))
-                {
-                    acquires = true;
-                }
-                k += 1;
-            }
-            if acquires {
-                guards.push(Guard { name, depth, line });
-            }
-            // Do NOT jump past the initializer: braces inside it must
-            // still be counted by the main loop. The `let` registration
-            // was a pure lookahead.
-        } else if t.is_punct('.')
-            && code.get(i + 1).is_some_and(|n| IO_METHODS.iter().any(|m| n.is_ident(m)))
-            && code.get(i + 2).is_some_and(|n| n.is_punct('('))
-        {
-            let method = &code[i + 1].text;
-            // `OpenOptions::append(true)` is flag configuration, not I/O.
-            let is_open_options_flag =
-                method == "append" && code.get(i + 3).is_some_and(|n| n.is_ident("true"));
-            if !is_open_options_flag {
-                for g in &guards {
-                    sf.push(
-                        out,
-                        Check::LockAcrossIo,
-                        code[i + 1].line,
-                        format!(
-                            "durable write `{method}()` while lock guard `{}` (bound at line {}) is live; \
-                             release the lock before disk I/O or justify with `// lint: allow(lock-across-io): <why>`",
-                            g.name, g.line
-                        ),
-                    );
-                }
-            }
+            sf.push(
+                out,
+                Check::LockAcrossIo,
+                e.line,
+                format!(
+                    "durable write `{method}()` while {guard} is live; release the lock \
+                     before disk I/O or justify with `// lint: allow(lock-across-io): <why>`"
+                ),
+            );
         }
-        i += 1;
     }
+    sf.unused_pragmas(Check::LockAcrossIo, out);
 }
 
 pub fn run(root: &Path, out: &mut Vec<Finding>) -> std::io::Result<()> {

@@ -110,7 +110,7 @@ pub fn check_sources(sources: &[SourceFile], out: &mut Vec<Finding>) {
                 EventKind::Acquire { lock } => {
                     let to = canonical(st, lock);
                     for h in &e.held {
-                        add(canonical(st, h), to.clone(), si, e.line, None);
+                        add(canonical(st, &h.lock), to.clone(), si, e.line, None);
                     }
                 }
                 EventKind::Call { callee } => {
@@ -124,7 +124,8 @@ pub fn check_sources(sources: &[SourceFile], out: &mut Vec<Finding>) {
                     }
                     for to in acquired {
                         for h in &e.held {
-                            add(canonical(st, h), to.clone(), si, e.line, Some(callee.clone()));
+                            let from = canonical(st, &h.lock);
+                            add(from, to.clone(), si, e.line, Some(callee.clone()));
                         }
                     }
                 }
@@ -198,6 +199,9 @@ pub fn check_sources(sources: &[SourceFile], out: &mut Vec<Finding>) {
                 cycle.join(" → ")
             ),
         );
+    }
+    for sf in sources {
+        sf.unused_pragmas(Check::LockOrder, out);
     }
 }
 

@@ -123,6 +123,9 @@ pub fn check_sources(sources: &[SourceFile], out: &mut Vec<Finding>) {
             );
         }
     }
+    for sf in sources {
+        sf.unused_pragmas(Check::PanicPath, out);
+    }
 }
 
 pub fn run(root: &Path, out: &mut Vec<Finding>) -> std::io::Result<()> {

@@ -121,6 +121,7 @@ pub fn check_source(sf: &SourceFile, out: &mut Vec<Finding>) {
             );
         }
     }
+    sf.unused_pragmas(Check::RngDiscipline, out);
 }
 
 pub fn run(root: &Path, out: &mut Vec<Finding>) -> std::io::Result<()> {

@@ -14,7 +14,8 @@
 //!    (`trajdp-server`, for the reactor's extern-C syscalls) must carry
 //!    `#![deny(unsafe_op_in_unsafe_fn)]` instead.
 
-use std::path::Path;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 use crate::lexer::TokKind;
 use crate::{collect_rs_files, rel_path, Check, Finding, SourceFile};
@@ -112,7 +113,7 @@ fn has_inner_attr(sf: &SourceFile, outer: &str, inner: &str) -> bool {
 /// One workspace crate: its directory and the source roots (`lib.rs`,
 /// `main.rs`, `src/bin/*.rs`) that must carry the attribute.
 struct CrateInfo {
-    dir: std::path::PathBuf,
+    dir: PathBuf,
 }
 
 fn workspace_crates(root: &Path) -> Vec<CrateInfo> {
@@ -148,26 +149,23 @@ pub fn run(root: &Path, out: &mut Vec<Finding>) -> std::io::Result<()> {
     }
     files.sort();
     files.dedup();
-    for path in &files {
-        let src = std::fs::read_to_string(path)?;
-        let sf = SourceFile::from_source(&rel_path(root, path), &src);
-        check_source(&sf, out);
+    // Each loaded file, with whether it contains `unsafe`.
+    let mut loaded: BTreeMap<PathBuf, (SourceFile, bool)> = BTreeMap::new();
+    for path in files {
+        let src = std::fs::read_to_string(&path)?;
+        let sf = SourceFile::from_source(&rel_path(root, &path), &src);
+        let has_unsafe = check_source(&sf, out);
         sf.pragma_errors(out);
+        loaded.insert(path, (sf, has_unsafe));
     }
 
-    // Pass 2: per-crate attribute obligations.
+    // Pass 2: per-crate attribute obligations, over the files pass 1
+    // loaded.
     for krate in workspace_crates(root) {
         let src_dir = krate.dir.join("src");
-        let crate_files = collect_rs_files(&src_dir);
-        let mut crate_has_unsafe = false;
-        for path in &crate_files {
-            let src = std::fs::read_to_string(path)?;
-            let sf = SourceFile::from_source(&rel_path(root, path), &src);
-            if sf.toks.iter().any(|t| t.is_ident("unsafe")) {
-                crate_has_unsafe = true;
-            }
-        }
-        let mut roots: Vec<std::path::PathBuf> = Vec::new();
+        let crate_has_unsafe =
+            collect_rs_files(&src_dir).iter().any(|p| loaded.get(p).is_some_and(|(_, u)| *u));
+        let mut roots: Vec<PathBuf> = Vec::new();
         for candidate in ["lib.rs", "main.rs"] {
             let p = src_dir.join(candidate);
             if p.is_file() {
@@ -192,12 +190,14 @@ pub fn run(root: &Path, out: &mut Vec<Finding>) -> std::io::Result<()> {
             )
         };
         for rp in roots {
-            let src = std::fs::read_to_string(&rp)?;
-            let sf = SourceFile::from_source(&rel_path(root, &rp), &src);
-            if !has_inner_attr(&sf, attr.0, attr.1) {
+            let Some((sf, _)) = loaded.get(&rp) else { continue };
+            if !has_inner_attr(sf, attr.0, attr.1) {
                 sf.push(out, Check::UnsafeAudit, 1, format!("crate {desc}"));
             }
         }
+    }
+    for (sf, _) in loaded.values() {
+        sf.unused_pragmas(Check::UnsafeAudit, out);
     }
     Ok(())
 }

@@ -11,19 +11,21 @@
 //! * [`checks::unsafe_audit`] — every `unsafe` site needs an adjacent
 //!   `// SAFETY:` comment; crates without unsafe must carry
 //!   `#![forbid(unsafe_code)]`, the one with it `#![deny(unsafe_op_in_unsafe_fn)]`.
-//! * [`checks::lock_io`] — no `Mutex`/`RwLock` guard may be live across
-//!   a durable-write call (`sync_all`, `sync_data`, `persist`, `fsync`,
-//!   journal `append`/`rewrite`) in `crates/server`.
 //! * [`checks::determinism`] — `crates/core`, `crates/mech` and
 //!   `crates/index` must not iterate hash maps/sets or read wall clocks
 //!   on result-affecting paths.
+//! * [`checks::rng_discipline`] — `crates/core` + `crates/mech` derive
+//!   every RNG from `core::stream` per-unit streams.
 //! * [`checks::drift`] — PROTOCOL.md's error-code, verb, and metric
 //!   tables must match `api.rs`/`obs.rs` exactly.
 //!
 //! Four more consume the [`model`] dataflow layer (function/impl spans,
 //! guard liveness, a name-resolved call graph) because the invariants
-//! they guard span functions and files:
+//! they guard span functions and files. The model is the one lock-guard
+//! tracker; both lock checks read it:
 //!
+//! * [`checks::lock_io`] — no `Mutex`/`RwLock` guard may be live across
+//!   a durable-write call ([`model::IO_METHODS`]) in `crates/server`.
 //! * [`checks::lock_order`] — the server's lock graph must match the
 //!   documented hierarchy (journal → queue, journal → store, nothing
 //!   else) and be cycle-free.
@@ -32,19 +34,18 @@
 //!   `// PANIC: <why impossible>` justification.
 //! * [`checks::reactor_blocking`] — the reactor thread must not do
 //!   durable I/O, sleep, or take locks outside `impl Executor`.
-//! * [`checks::rng_discipline`] — `crates/core` + `crates/mech` derive
-//!   every RNG from `core::stream` per-unit streams.
 //!
 //! Findings are deterministic, `file:line`-addressed, and suppressible
 //! only via an inline `// lint: allow(<check>): <reason>` pragma on the
 //! flagged line or the line directly above it. A pragma without a
-//! reason is itself a finding.
+//! reason is itself a finding, and so is one that suppresses no finding
+//! of its check in a file that check scanned.
 
 pub mod checks;
 pub mod lexer;
 pub mod model;
 
-use std::collections::BTreeMap;
+use std::cell::Cell;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -124,17 +125,27 @@ impl fmt::Display for Finding {
 /// line of the first non-comment token after it). Malformed pragmas and
 /// pragmas without a reason are reported as findings of the named check
 /// (or `unsafe-audit` when even the name is unreadable) so they cannot
-/// be used as silent escape hatches.
+/// be used as silent escape hatches. Neither can a stale one: each check
+/// reports its pragmas that suppressed nothing in a file it scanned
+/// ([`SourceFile::unused_pragmas`]).
 pub struct Suppressions {
-    /// check -> suppressed lines
-    allowed: BTreeMap<Check, Vec<u32>>,
+    pragmas: Vec<Pragma>,
     /// Findings produced by malformed pragmas.
     pub errors: Vec<(u32, String)>,
 }
 
+/// One well-formed pragma.
+struct Pragma {
+    check: Check,
+    /// The pragma's own line and the code line it annotates.
+    lines: [u32; 2],
+    /// Set once the pragma suppresses a finding.
+    used: Cell<bool>,
+}
+
 impl Suppressions {
     pub fn parse(toks: &[Tok]) -> Suppressions {
-        let mut allowed: BTreeMap<Check, Vec<u32>> = BTreeMap::new();
+        let mut pragmas = Vec::new();
         let mut errors = Vec::new();
         for (idx, t) in toks.iter().enumerate() {
             if !t.is_comment() {
@@ -170,17 +181,21 @@ impl Suppressions {
             }
             // Target lines: the pragma's own line, and the line of the
             // next non-comment token (the code line it annotates).
-            let lines = allowed.entry(check).or_default();
-            lines.push(t.line);
-            if let Some(next) = toks[idx + 1..].iter().find(|n| !n.is_comment()) {
-                lines.push(next.line);
-            }
+            let next = toks[idx + 1..].iter().find(|n| !n.is_comment()).map_or(t.line, |n| n.line);
+            pragmas.push(Pragma { check, lines: [t.line, next], used: Cell::new(false) });
         }
-        Suppressions { allowed, errors }
+        Suppressions { pragmas, errors }
     }
 
+    /// Whether a pragma covers a `check` finding on `line`; every
+    /// covering pragma is marked used.
     pub fn is_allowed(&self, check: Check, line: u32) -> bool {
-        self.allowed.get(&check).is_some_and(|lines| lines.contains(&line))
+        let mut allowed = false;
+        for p in self.pragmas.iter().filter(|p| p.check == check && p.lines.contains(&line)) {
+            p.used.set(true);
+            allowed = true;
+        }
+        allowed
     }
 }
 
@@ -203,6 +218,19 @@ impl SourceFile {
     pub fn push(&self, out: &mut Vec<Finding>, check: Check, line: u32, message: String) {
         if !self.suppressions.is_allowed(check, line) {
             out.push(Finding { file: self.rel.clone(), line, check, message });
+        }
+    }
+
+    /// Reports each `check` pragma that has suppressed no finding. A
+    /// check calls this after its pass over the file.
+    pub fn unused_pragmas(&self, check: Check, out: &mut Vec<Finding>) {
+        for p in self.suppressions.pragmas.iter().filter(|p| p.check == check && !p.used.get()) {
+            out.push(Finding {
+                file: self.rel.clone(),
+                line: p.lines[0],
+                check,
+                message: format!("`lint: allow({check})` suppresses no finding; delete it"),
+            });
         }
     }
 
@@ -393,6 +421,27 @@ mod tests {
         assert_eq!(sf.suppressions.errors.len(), 2);
         assert!(sf.suppressions.errors[0].1.contains("missing a reason"));
         assert!(sf.suppressions.errors[1].1.contains("unknown check"));
+    }
+
+    #[test]
+    fn a_pragma_that_suppresses_nothing_is_reported_by_its_own_check() {
+        let sf = SourceFile::from_source(
+            "x.rs",
+            "// lint: allow(determinism): used below\nlet a = 1;\n\
+             // lint: allow(determinism): stale\nlet b = 2;\n\
+             // lint: allow(lock-across-io): another check's\nlet c = 3;\n",
+        );
+        let mut out = Vec::new();
+        sf.push(&mut out, Check::Determinism, 2, "finding".into());
+        assert!(out.is_empty(), "the first pragma suppresses the finding");
+        sf.unused_pragmas(Check::Determinism, &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!((out[0].line, out[0].check), (3, Check::Determinism));
+        assert!(out[0].message.contains("`lint: allow(determinism)` suppresses no finding"));
+        out.clear();
+        sf.unused_pragmas(Check::LockAcrossIo, &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!((out[0].line, out[0].check), (5, Check::LockAcrossIo));
     }
 
     #[test]

@@ -13,10 +13,23 @@
 //!   1-based line, and the `impl` type it lives in. Closures belong to
 //!   their enclosing function (which is the attribution the checks
 //!   want: the executor worker closure *is* `Executor::new`'s code).
-//! * **Brace-scoped guard liveness.** A `let`-bound lock guard
-//!   (initializer ends in a no-argument `.lock()`/`.try_lock()`/
-//!   `.read()`/`.write()`, possibly through `.unwrap()`/`.expect(…)`/
-//!   `?`) is live until `drop(name)` or its enclosing block closes.
+//! * **Brace-scoped guard liveness.** Two shapes hold a lock guard;
+//!   both need a no-argument `.lock()`/`.try_lock()`/`.read()`/
+//!   `.write()` call at the top of the expression, not inside a call's
+//!   arguments or a block:
+//!   - a `let` whose initializer ends in that call, possibly through
+//!     `.unwrap()`/`.expect(…)`/`.map_err(…)`/`?` or a let-else tail
+//!     (`let Ok(q) = m.lock() else { … };`). The guard is live from the
+//!     statement's `;` until `drop(name)` or its enclosing block
+//!     closes. A chain that continues (`let n = m.lock().unwrap().len();`)
+//!     is a statement-scoped temporary, not a guard;
+//!   - the scrutinee of an `if let`, `while let` or `match`, however
+//!     the chain continues (`if let Some(w) = j.lock()?.as_mut() {`).
+//!     Edition 2021 drops scrutinee temporaries only at the end of the
+//!     whole statement, so the guard is live from the block's `{` until
+//!     that block closes, and for `if let` through every `else` block
+//!     too.
+//!
 //!   Guards bound through an alias (`let (lock, cvar) = &*self.inner;`)
 //!   resolve to the aliased field, so the lock's *name* survives the
 //!   destructuring idiom the workspace uses for `Mutex`+`Condvar`
@@ -46,11 +59,11 @@ use crate::SourceFile;
 /// and `io::Write::write(&buf)`.
 pub const LOCK_METHODS: [&str; 4] = ["lock", "try_lock", "read", "write"];
 
-/// Durable-write entry points (same inventory as the lock-across-io
-/// check): a call to any of these is disk I/O with an fsync in its
-/// contract.
-pub const IO_METHODS: [&str; 6] =
-    ["sync_all", "sync_data", "fsync", "persist", "append", "rewrite"];
+/// Durable-write entry points: a call to any of these is disk I/O with
+/// an fsync in its contract (std's `sync_*`, and the journal's and the
+/// store's own fsyncing writers).
+pub const IO_METHODS: [&str; 7] =
+    ["sync_all", "sync_data", "fsync", "persist", "append", "append_finish", "rewrite"];
 
 /// Method names that are both std-library vocabulary and workspace
 /// function names. Name-based call resolution never follows these:
@@ -118,8 +131,20 @@ pub struct Event {
     pub line: u32,
     /// Index into [`FileModel::fns`]; `None` for top-level code.
     pub fn_idx: Option<usize>,
-    /// Resolved names of the lock guards live at this event.
-    pub held: Vec<String>,
+    /// The lock guards live at this event, by lock name then line.
+    pub held: Vec<Held>,
+}
+
+/// A live lock guard, as [`Event::held`] reports it.
+#[derive(Debug, Clone)]
+pub struct Held {
+    /// Resolved lock name.
+    pub lock: String,
+    /// The `let` binding (`drop(name)` kills it); `None` for a
+    /// scrutinee temporary.
+    pub binding: Option<String>,
+    /// Line of the binding, or of the scrutinee's lock call.
+    pub line: u32,
 }
 
 /// The recovered model of one source file.
@@ -136,17 +161,13 @@ impl FileModel {
     }
 }
 
-/// A live lock guard.
+/// A tracked guard: live strictly between two code-token indices — from
+/// the `let`'s `;` or the scrutinee block's `{` (never during its own
+/// initializer) to the `}` that ends its scope.
 struct Guard {
-    /// The `let` binding name (`drop(name)` kills it).
-    binding: String,
-    /// Resolved lock name.
-    lock: String,
-    /// Brace depth at the binding; the guard dies when the block closes.
-    depth: i32,
-    /// Code-token index of the statement's `;` — the guard is not live
-    /// during its own initializer.
-    activate_after: usize,
+    held: Held,
+    from: usize,
+    until: usize,
 }
 
 /// A `let`-introduced alias of a field: `let (lock, cvar) = &*self.inner;`
@@ -213,7 +234,7 @@ pub fn build(sf: &SourceFile) -> FileModel {
                 fn_stack.pop();
             }
             depth -= 1;
-            guards.retain(|g| g.depth <= depth);
+            guards.retain(|g| g.until > i);
             aliases.retain(|a| a.depth <= depth);
             i += 1;
             continue;
@@ -227,7 +248,7 @@ pub fn build(sf: &SourceFile) -> FileModel {
         }
         if t.is_ident("fn") && code.get(i + 1).is_some_and(|n| n.kind == TokKind::Ident) {
             let name_tok = code[i + 1];
-            if let Some(open) = find_body_open(&code, i + 2) {
+            if let Some(open) = find_block_open(&code, i + 2) {
                 let fi = model.fns.len();
                 model.fns.push(FnInfo {
                     name: name_tok.text.clone(),
@@ -244,51 +265,38 @@ pub fn build(sf: &SourceFile) -> FileModel {
             && code.get(i + 3).is_some_and(|n| n.is_punct(')'))
         {
             if let Some(name) = code.get(i + 2).filter(|n| n.kind == TokKind::Ident) {
-                guards.retain(|g| g.binding != name.text);
+                guards.retain(|g| g.held.binding.as_deref() != Some(name.text.as_str()));
             }
         }
 
-        // ---- `let` bindings: aliases and guards ----------------------
+        // ---- guards: `let` bindings (and aliases), scrutinees --------
         if t.is_ident("let") {
             if let Some(alias) = parse_alias(&code, i, depth, &|n| resolve_alias(&aliases, n)) {
                 aliases.extend(alias);
-            } else if let Some(g) = parse_guard_let(
-                &code,
-                i,
-                depth,
-                &|n| resolve_alias(&aliases, n),
-                impl_stack.last().map(|(n, _)| n.as_str()),
-            ) {
-                guards.push(g);
             }
         }
+        let lock_of = |dot: usize| {
+            let impl_type = impl_stack.last().map(|(n, _)| n.as_str());
+            lock_name(&code, dot, &|n| resolve_alias(&aliases, n), impl_type)
+        };
+        guards.extend(if t.is_ident("let") {
+            parse_guard_let(&code, i, &lock_of)
+        } else {
+            parse_scrutinee_guard(&code, i, &lock_of)
+        });
 
         let fn_idx = fn_stack.last().map(|&(fi, _)| fi);
-        let held = |guards: &[Guard], upto: usize| -> Vec<String> {
-            let mut h: Vec<String> =
-                guards.iter().filter(|g| g.activate_after < upto).map(|g| g.lock.clone()).collect();
-            h.sort();
-            h.dedup();
+        let held = |guards: &[Guard], upto: usize| -> Vec<Held> {
+            let mut h: Vec<Held> =
+                guards.iter().filter(|g| g.from < upto).map(|g| g.held.clone()).collect();
+            h.sort_by(|a, b| (&a.lock, a.line).cmp(&(&b.lock, b.line)));
             h
         };
 
         // ---- lock acquisition (any no-argument lock-method call) -----
-        if t.is_punct('.')
-            && code.get(i + 1).is_some_and(|n| LOCK_METHODS.iter().any(|l| n.is_ident(l)))
-            && code.get(i + 2).is_some_and(|n| n.is_punct('('))
-            && code.get(i + 3).is_some_and(|n| n.is_punct(')'))
-        {
-            let lock = receiver_name(&code, i, &|n| resolve_alias(&aliases, n))
-                .map(|n| {
-                    if n == "self" {
-                        impl_stack.last().map(|(t, _)| t.clone()).unwrap_or(n)
-                    } else {
-                        n
-                    }
-                })
-                .unwrap_or_else(|| "<expr>".to_string());
+        if is_lock_call(&code, i) {
             model.events.push(Event {
-                kind: EventKind::Acquire { lock },
+                kind: EventKind::Acquire { lock: lock_of(i) },
                 line: code[i + 1].line,
                 fn_idx,
                 held: held(&guards, i),
@@ -431,10 +439,11 @@ fn parse_impl_header(code: &[&Tok], i: usize) -> Option<(String, usize)> {
     None
 }
 
-/// Finds the `{` opening a fn body, scanning from just past the fn
-/// name. Returns `None` for bodyless declarations (`fn f();` in extern
-/// blocks and traits).
-fn find_body_open(code: &[&Tok], mut j: usize) -> Option<usize> {
+/// Finds the `{` that opens the block after a fn signature, a
+/// condition or a scrutinee starting at `j`: the first `{` outside
+/// parentheses and brackets. Returns `None` at a `;` first (bodyless
+/// `fn f();` in extern blocks and traits).
+fn find_block_open(code: &[&Tok], mut j: usize) -> Option<usize> {
     let mut nest = 0i32;
     while j < code.len() {
         let t = code[j];
@@ -453,6 +462,48 @@ fn find_body_open(code: &[&Tok], mut j: usize) -> Option<usize> {
         j += 1;
     }
     None
+}
+
+/// The index of the `)`/`]`/`}` that closes the group open at `j`
+/// (for `j` just past a `{`, that brace's partner), or the end of the
+/// code.
+fn close_of(code: &[&Tok], j: usize) -> usize {
+    let mut nest = 0i32;
+    for (k, c) in code.iter().enumerate().skip(j) {
+        if c.is_punct('(') || c.is_punct('[') || c.is_punct('{') {
+            nest += 1;
+        } else if c.is_punct(')') || c.is_punct(']') || c.is_punct('}') {
+            if nest == 0 {
+                return k;
+            }
+            nest -= 1;
+        }
+    }
+    code.len()
+}
+
+/// Is there a no-argument lock-method call at the `.` at `k`?
+fn is_lock_call(code: &[&Tok], k: usize) -> bool {
+    code[k].is_punct('.')
+        && code.get(k + 1).is_some_and(|n| LOCK_METHODS.iter().any(|l| n.is_ident(l)))
+        && code.get(k + 2).is_some_and(|n| n.is_punct('('))
+        && code.get(k + 3).is_some_and(|n| n.is_punct(')'))
+}
+
+/// The resolved name of the lock taken by the lock call at `dot`: the
+/// receiver field (through aliases), or the impl type for
+/// `self.lock()`-style helpers.
+fn lock_name(
+    code: &[&Tok],
+    dot: usize,
+    resolve: &dyn Fn(&str) -> String,
+    impl_type: Option<&str>,
+) -> String {
+    match receiver_name(code, dot, resolve) {
+        Some(n) if n == "self" => impl_type.unwrap_or("self").to_string(),
+        Some(n) => n,
+        None => "<expr>".to_string(),
+    }
 }
 
 /// Walks back from the `.` of a method call, collecting the dotted
@@ -579,13 +630,7 @@ fn parse_alias(
 /// `.unwrap_or_else(…)`, `?`, and a let-else tail). A chain that
 /// continues (`rx.lock().expect(…).recv()`) is a statement-scoped
 /// temporary, not a live guard.
-fn parse_guard_let(
-    code: &[&Tok],
-    i: usize,
-    depth: i32,
-    resolve: &dyn Fn(&str) -> String,
-    impl_type: Option<&str>,
-) -> Option<Guard> {
+fn parse_guard_let(code: &[&Tok], i: usize, lock_name: &dyn Fn(usize) -> String) -> Option<Guard> {
     let mut j = i + 1;
     // Optional `Ok( … )` pattern wrapper for fallible lock helpers.
     let wrapped = code.get(j).is_some_and(|n| n.is_ident("Ok"))
@@ -606,7 +651,6 @@ fn parse_guard_let(
     if !code.get(j + 1).is_some_and(|n| n.is_punct('=') || n.is_punct(':')) {
         return None;
     }
-    let binding = name_tok.text.clone();
     // Scan the initializer to its `;`, tracking nesting; find a
     // top-of-expression no-argument lock call.
     let mut k = j + 1;
@@ -636,13 +680,7 @@ fn parse_guard_let(
             break;
         } else if c.is_punct('=') && nest == 0 {
             saw_eq = true;
-        } else if saw_eq
-            && brace_nest == 0
-            && c.is_punct('.')
-            && code.get(k + 1).is_some_and(|m| LOCK_METHODS.iter().any(|l| m.is_ident(l)))
-            && code.get(k + 2).is_some_and(|m| m.is_punct('('))
-            && code.get(k + 3).is_some_and(|m| m.is_punct(')'))
-        {
+        } else if saw_eq && brace_nest == 0 && is_lock_call(code, k) {
             lock_at = Some(k);
         }
         k += 1;
@@ -653,10 +691,7 @@ fn parse_guard_let(
     // let-else tail, which also ends the chain.
     const CHAIN_TAIL: [&str; 5] = ["unwrap", "expect", "ok", "map_err", "unwrap_or_else"];
     let mut m = lock_at + 4;
-    loop {
-        if m >= end {
-            break;
-        }
+    while m < end {
         let c = code[m];
         if c.is_punct('?') {
             m += 1;
@@ -666,29 +701,54 @@ fn parse_guard_let(
             && code.get(m + 1).is_some_and(|n| CHAIN_TAIL.iter().any(|t| n.is_ident(t)))
             && code.get(m + 2).is_some_and(|n| n.is_punct('('))
         {
-            // Skip the balanced argument list.
-            let mut nest = 0i32;
-            m += 2;
-            while m < end {
-                if code[m].is_punct('(') {
-                    nest += 1;
-                } else if code[m].is_punct(')') {
-                    nest -= 1;
-                    if nest == 0 {
-                        m += 1;
-                        break;
-                    }
-                }
-                m += 1;
-            }
+            m = close_of(code, m + 3) + 1; // past the argument list
         } else {
             return None; // the chain continues: a temporary, not a guard
         }
     }
-    let lock = receiver_name(code, lock_at, resolve)
-        .map(|n| if n == "self" { impl_type.unwrap_or("self").to_string() } else { n })
-        .unwrap_or_else(|| "<expr>".to_string());
-    Some(Guard { binding, lock, depth, activate_after: end })
+    let held = Held {
+        lock: lock_name(lock_at),
+        binding: Some(name_tok.text.clone()),
+        line: name_tok.line,
+    };
+    Some(Guard { held, from: end, until: close_of(code, end + 1) })
+}
+
+/// Recognizes a guard held by the scrutinee of the `if let`, `while
+/// let` or `match` at `i`: a lock call at the top of the scrutinee
+/// (outside parentheses and brackets), whatever follows it in the
+/// chain. The guard lives through the statement's block and, for `if
+/// let`, through every `else` block after it.
+fn parse_scrutinee_guard(
+    code: &[&Tok],
+    i: usize,
+    lock_name: &dyn Fn(usize) -> String,
+) -> Option<Guard> {
+    let t = code[i];
+    let if_let = t.is_ident("if") && code.get(i + 1).is_some_and(|n| n.is_ident("let"));
+    let while_let = t.is_ident("while") && code.get(i + 1).is_some_and(|n| n.is_ident("let"));
+    if !(if_let || while_let || t.is_ident("match")) {
+        return None;
+    }
+    let open = find_block_open(code, i + 1)?;
+    let mut nest = 0i32;
+    let mut lock_at = None;
+    for k in i + 1..open {
+        if code[k].is_punct('(') || code[k].is_punct('[') {
+            nest += 1;
+        } else if code[k].is_punct(')') || code[k].is_punct(']') {
+            nest -= 1;
+        } else if nest == 0 && lock_at.is_none() && is_lock_call(code, k) {
+            lock_at = Some(k);
+        }
+    }
+    let lock_at = lock_at?;
+    let mut until = close_of(code, open + 1);
+    while if_let && code.get(until + 1).is_some_and(|n| n.is_ident("else")) {
+        until = close_of(code, find_block_open(code, until + 2)? + 1);
+    }
+    let held = Held { lock: lock_name(lock_at), binding: None, line: code[lock_at + 1].line };
+    Some(Guard { held, from: open, until })
 }
 
 #[cfg(test)]
@@ -698,6 +758,20 @@ mod tests {
 
     fn model(src: &str) -> FileModel {
         build(&SourceFile::from_source("t.rs", src))
+    }
+
+    fn locks(held: &[Held]) -> Vec<&str> {
+        held.iter().map(|h| h.lock.as_str()).collect()
+    }
+
+    /// The lock names held at each durable-write event, in order.
+    fn held_at_io(src: &str) -> Vec<Vec<String>> {
+        model(src)
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Io { .. }))
+            .map(|e| e.held.iter().map(|h| h.lock.clone()).collect())
+            .collect()
     }
 
     #[test]
@@ -744,11 +818,11 @@ mod tests {
                self.store.pin(h);\n\
              }",
         );
-        let acquires: Vec<(&str, &[String])> = m
+        let acquires: Vec<(&str, Vec<&str>)> = m
             .events
             .iter()
             .filter_map(|e| match &e.kind {
-                EventKind::Acquire { lock } => Some((lock.as_str(), e.held.as_slice())),
+                EventKind::Acquire { lock } => Some((lock.as_str(), locks(&e.held))),
                 _ => None,
             })
             .collect();
@@ -762,7 +836,7 @@ mod tests {
             .iter()
             .find(|e| matches!(&e.kind, EventKind::Call { callee } if callee == "pin"))
             .expect("call seen");
-        assert_eq!(pin.held, ["journal"], "q was dropped; journal is still live");
+        assert_eq!(locks(&pin.held), ["journal"], "q was dropped; journal is still live");
     }
 
     #[test]
@@ -775,7 +849,41 @@ mod tests {
              }",
         );
         let io = m.events.iter().find(|e| matches!(e.kind, EventKind::Io { .. })).unwrap();
-        assert_eq!(io.held, ["inner", "journal"], "{:?}", io.held);
+        assert_eq!(locks(&io.held), ["inner", "journal"], "{:?}", io.held);
+        let bindings: Vec<(Option<&str>, u32)> =
+            io.held.iter().map(|h| (h.binding.as_deref(), h.line)).collect();
+        assert_eq!(bindings, [(Some("q"), 3), (Some("j"), 2)]);
+    }
+
+    #[test]
+    fn scrutinee_guards_live_through_their_blocks() {
+        let held = held_at_io(
+            "fn f(&self) {\n\
+               if let Some(w) = self.journal.lock().unwrap().as_mut() { w.sync_all(); }\n\
+               else if x { self.a.sync_all(); } else { self.b.sync_all(); }\n\
+               self.c.sync_all();\n\
+               while let Ok(t) = rx.lock() { t.sync_all(); }\n\
+               match self.inner.lock() { Ok(q) => q.persist(), Err(_) => {} }\n\
+               if self.inner.lock().unwrap().dirty { self.d.sync_all(); }\n\
+             }",
+        );
+        assert_eq!(
+            held,
+            [
+                vec!["journal"],
+                vec!["journal"],
+                vec!["journal"],
+                vec![],
+                vec!["rx"],
+                vec!["inner"],
+                vec![],
+            ],
+            "an `if` condition drops its temporaries before the block"
+        );
+        let m =
+            model("fn f(&self) {\n  match self.inner.lock() {\n Ok(q) => q.persist(), _ => {} } }");
+        let io = m.events.iter().find(|e| matches!(e.kind, EventKind::Io { .. })).unwrap();
+        assert_eq!((io.held[0].binding.as_deref(), io.held[0].line), (None, 2));
     }
 
     #[test]
@@ -783,6 +891,7 @@ mod tests {
         let m = model(
             "fn f(&self) {\n\
                let task = match rx.lock().expect(\"poisoned\").recv() { Ok(t) => t, Err(_) => return };\n\
+               let n = m.lock().unwrap().len();\n\
                self.file.sync_all().unwrap();\n\
              }",
         );

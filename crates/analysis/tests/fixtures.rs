@@ -54,9 +54,13 @@ fn lock_io_flags_every_seeded_site() {
     let sf = fixture("lock_io/guard_across_sync.rs");
     let mut out = Vec::new();
     lock_io::check_source(&sf, &mut out);
-    assert_eq!(lines_of(&out), vec![7, 12], "{out:?}");
+    assert_eq!(lines_of(&out), vec![7, 12, 18, 23, 29, 36], "{out:?}");
     assert!(out[0].message.contains("`sync_all()`") && out[0].message.contains("`s`"));
     assert!(out[1].message.contains("`sync_data()`") && out[1].message.contains("`map`"));
+    assert!(out[2].message.contains("`append_finish()`") && out[2].message.contains("`q`"));
+    assert!(out[3].message.contains("`journal` guard of the scrutinee at line 22"), "{out:?}");
+    assert!(out[4].message.contains("`inner` guard of the scrutinee at line 28"), "{out:?}");
+    assert!(out[5].message.contains("`s` (bound at line 35)"), "{out:?}");
 }
 
 #[test]
@@ -109,6 +113,12 @@ fn lock_order_flags_inversion_cycle_call_edge_and_self_edge() {
     assert!(msgs.iter().any(|m| m.contains("self-deadlock")), "{out:?}");
     // store.rs's journal field is the shared journal, not a lock of its own.
     assert!(msgs.iter().any(|m| m.contains("`journal` acquired while `store` is held")), "{out:?}");
+    // The queue guard of `drain`'s `if let` scrutinee is live in its block.
+    assert!(
+        msgs.iter().any(|m| m.contains("`store` acquired while `queue` is held")
+            && m.contains("via call to `commit`")),
+        "{out:?}"
+    );
 }
 
 #[test]

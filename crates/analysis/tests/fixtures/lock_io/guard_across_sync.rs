@@ -1,4 +1,4 @@
-// Fixture: guards live across durable writes — both sites must be
+// Fixture: guards live across durable writes — every site must be
 // flagged.
 
 impl Store {
@@ -11,5 +11,28 @@ impl Store {
         let map = self.map.write();
         self.journal.sync_data().unwrap();
         drop(map);
+    }
+
+    fn finish_append_holding_queue(&self) {
+        let q = self.queue.lock().expect("poisoned");
+        self.journal.append_finish(&q.id, &result).unwrap();
+    }
+
+    fn if_let_scrutinee_across_fsync(&self) {
+        if let Some(w) = self.journal.lock().unwrap().as_mut() {
+            w.file.sync_all().unwrap();
+        }
+    }
+
+    fn match_scrutinee_across_fsync(&self) {
+        match self.inner.lock() {
+            Ok(s) => s.file.sync_data().unwrap(),
+            Err(_) => {}
+        }
+    }
+
+    fn let_else_guard_across_fsync(&self) {
+        let Ok(mut s) = self.lock() else { return };
+        s.file.sync_all().unwrap();
     }
 }

@@ -33,6 +33,18 @@ impl Store {
         // lint: allow(lock-across-io): dedicated disk-write lock, never taken by the read path
         journal.append(&event).unwrap();
     }
+
+    fn if_let_guard_closed_before_io(&self) {
+        if let Ok(mut s) = self.inner.lock() {
+            s.dirty = false;
+        }
+        self.file.sync_all().unwrap();
+    }
+
+    fn chain_continuing_temporary(&self) {
+        let n = self.inner.lock().unwrap().len();
+        self.file.sync_data().unwrap();
+    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
 // Fixture: `submit` takes the queue lock first and the journal inside
 // it — the inverse of the documented hierarchy — while `finish` uses
 // the sanctioned order, closing a queue ↔ journal cycle. `queue_len`
-// is the target of the call-deep edge seeded in bad/store.rs.
+// is the target of the call-deep edge seeded in bad/store.rs. `drain`
+// takes the store (through `commit`) under the queue guard its `if let`
+// scrutinee holds.
 
 impl JobQueue {
     fn submit(&self) {
@@ -22,5 +24,11 @@ impl JobQueue {
         let (lock, cvar) = &*self.inner;
         let q = lock.lock().unwrap();
         q.len()
+    }
+
+    fn drain(&self) {
+        if let Ok(q) = self.inner.lock() {
+            self.store.commit();
+        }
     }
 }
